@@ -5,7 +5,7 @@ per-class bias metrics, and a small fully differentiable classifier to
 run it all end to end.
 """
 
-from .calibration import CalibratedScore, OdinConfig, calibrate_batch, perturb, ts_softmax
+from .calibration import OdinConfig, calibrate_batch_full, perturb, ts_softmax
 from .data import (
     Dataset,
     ParetoTailSpec,
@@ -38,7 +38,6 @@ from .metrics import (
 )
 from .model import (
     ClassifierModel,
-    ScoreTarget,
     forward,
     init_model,
     input_gradient,
@@ -48,7 +47,6 @@ from .model import (
 )
 from .sampler import (
     STRATEGIES,
-    ClassAggregateScores,
     SamplerState,
     aggregate_class_scores,
     boost_probabilities,
@@ -60,8 +58,6 @@ from .scheduler import TemperatureSchedule, temperature_at
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibratedScore",
-    "ClassAggregateScores",
     "ClassifierModel",
     "Dataset",
     "ExperimentConfig",
@@ -73,12 +69,11 @@ __all__ = [
     "RunRecord",
     "STRATEGIES",
     "SamplerState",
-    "ScoreTarget",
     "TemperatureSchedule",
     "aggregate_class_scores",
     "boost_probabilities",
     "build_metrics_report",
-    "calibrate_batch",
+    "calibrate_batch_full",
     "classification_metrics",
     "compute_feature_std",
     "draw_batch",

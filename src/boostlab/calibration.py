@@ -9,18 +9,14 @@ deviation of the training data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as model_mod
 from .errors import EmptyInputError, InputShapeError, InvalidParameterError
-from .model import ClassifierModel
-
-TEMPERATURE_MIN = 1.0
-TEMPERATURE_MAX = 1000.0
-
-PERTURBATION_SIGNS = ("as-written", "odin-classic")
+from .model import ClassifierModel, softmax_rows
+from .scheduler import T_MAX, T_MIN
 
 
 @dataclass
@@ -29,20 +25,16 @@ class OdinConfig:
 
     grad_std is the per-feature standard deviation of the training split;
     when None, an all-ones vector is used as the last-resort fallback.
-    "as-written" subtracts the epsilon term (first-order descent on the
-    target score); "odin-classic" adds it instead.
     """
 
     temperature: float
     epsilon: float = 0.05
     grad_std: np.ndarray | None = None
-    perturbation_sign: str = "as-written"
 
     def __post_init__(self):
-        if not TEMPERATURE_MIN <= self.temperature <= TEMPERATURE_MAX:
+        if not T_MIN <= self.temperature <= T_MAX:
             raise InvalidParameterError(
-                f"temperature must lie in [{TEMPERATURE_MIN:g}, {TEMPERATURE_MAX:g}], "
-                f"got {self.temperature}"
+                f"temperature must lie in [{T_MIN:g}, {T_MAX:g}], got {self.temperature}"
             )
         if self.epsilon < 0:
             raise InvalidParameterError("epsilon must be non-negative")
@@ -50,44 +42,22 @@ class OdinConfig:
             self.grad_std = np.asarray(self.grad_std, dtype=np.float64)
             if np.any(self.grad_std <= 0):
                 raise InvalidParameterError("grad_std entries must be positive")
-        if self.perturbation_sign not in PERTURBATION_SIGNS:
-            raise InvalidParameterError(
-                f"perturbation_sign must be one of {PERTURBATION_SIGNS}"
-            )
-
-
-@dataclass
-class CalibratedScore:
-    """Softmax profile of one sample after the perturb-and-rescore pass."""
-
-    sample_id: int
-    softmax_profile: np.ndarray = field(repr=False)
-    max_class: int = 0
-    max_score: float = 0.0
 
 
 def ts_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """exp(z_c/T) / sum_j exp(z_j/T), computed with max-subtraction."""
+    """exp(z_c/T) / sum_j exp(z_j/T) of one logit vector, with its inputs
+    validated; the unchecked row-wise form is model.softmax_rows."""
     if temperature <= 0:
         raise InvalidParameterError("temperature must be positive")
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise InvalidParameterError("logits must be finite")
-    scaled = logits / temperature
-    scaled -= scaled.max()
-    e = np.exp(scaled)
-    return e / e.sum()
-
-
-def _ts_softmax_rows(logits: np.ndarray, temperature: float) -> np.ndarray:
-    scaled = logits / temperature
-    scaled -= scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax_rows(logits, temperature)
 
 
 def perturb(x: np.ndarray, grad: np.ndarray, config: OdinConfig) -> np.ndarray:
-    """Shift the input by epsilon along the std-scaled gradient sign.
+    """Subtract epsilon times the std-scaled gradient sign from the input
+    (first-order descent on the target score).
 
     The sign is taken first, then divided by the per-feature std (taking
     the sign after division would make the division a no-op).
@@ -99,56 +69,28 @@ def perturb(x: np.ndarray, grad: np.ndarray, config: OdinConfig) -> np.ndarray:
     if not np.all(np.isfinite(grad)):
         raise InputShapeError("gradient must be finite")
     std = config.grad_std if config.grad_std is not None else np.ones(x.shape[-1])
-    step = config.epsilon * np.sign(grad) / std
-    if config.perturbation_sign == "odin-classic":
-        return x + step
-    return x - step
-
-
-def calibrate_batch(
-    model: ClassifierModel, features: np.ndarray, config: OdinConfig
-) -> list[CalibratedScore]:
-    """Run the full calibration pipeline over a batch of samples.
-
-    Per sample: forward pass, TS-softmax, input gradient of the max-class
-    score, perturbation, and a second forward + TS-softmax pass whose
-    profile becomes the CalibratedScore. The model is never modified.
-    """
-    scores, _ = calibrate_batch_full(model, features, config)
-    return scores
+    return x - config.epsilon * np.sign(grad) / std
 
 
 def calibrate_batch_full(
     model: ClassifierModel, features: np.ndarray, config: OdinConfig
-) -> tuple[list[CalibratedScore], np.ndarray]:
-    """As calibrate_batch, but also returns the perturbed-pass logits
-    (needed by the sampler's weighting formula)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the calibration pipeline over a [n x d] batch of samples.
+
+    Per sample: forward pass, TS-softmax, input gradient of the max-class
+    score, perturbation, and a second forward + TS-softmax pass. Returns
+    the second-pass profiles [n x c] and the perturbed-pass logits [n x c]
+    (needed by the sampler's weighting formula); row i belongs to sample i.
+    The model is never modified.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.size == 0:
-        raise EmptyInputError("calibrate_batch requires at least one sample")
+        raise EmptyInputError("calibration requires at least one sample")
     if features.ndim != 2:
         raise InputShapeError("features must be a [n x d] matrix")
 
     first_logits = model_mod.forward_batch(model, features)
-    first_probs = _ts_softmax_rows(first_logits, config.temperature)
-    predicted = first_probs.argmax(axis=1)
-
+    predicted = softmax_rows(first_logits, config.temperature).argmax(axis=1)
     grads = model_mod.input_gradient_batch(model, features, predicted, config.temperature)
-    std = config.grad_std if config.grad_std is not None else np.ones(features.shape[1])
-    step = config.epsilon * np.sign(grads) / std
-    perturbed = features + step if config.perturbation_sign == "odin-classic" else features - step
-
-    second_logits = model_mod.forward_batch(model, perturbed)
-    second_probs = _ts_softmax_rows(second_logits, config.temperature)
-    max_classes = second_probs.argmax(axis=1)
-
-    scores = [
-        CalibratedScore(
-            sample_id=i,
-            softmax_profile=second_probs[i],
-            max_class=int(max_classes[i]),
-            max_score=float(second_probs[i, max_classes[i]]),
-        )
-        for i in range(features.shape[0])
-    ]
-    return scores, second_logits
+    perturbed_logits = model_mod.forward_batch(model, perturb(features, grads, config))
+    return softmax_rows(perturbed_logits, config.temperature), perturbed_logits

@@ -7,7 +7,9 @@ names); explicit flags win over file values, which win over defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 
 from .calibration import OdinConfig
@@ -22,28 +24,7 @@ from .harness import (
 from .model import load_model, save_model
 from .sampler import STRATEGIES
 
-CONFIG_KEYS = [
-    "dataset",
-    "label_column",
-    "blob_counts",
-    "blob_dim",
-    "blob_separation",
-    "test_counts",
-    "test_fraction",
-    "pareto_scale",
-    "sampler",
-    "temp_kind",
-    "temp_start",
-    "temp_scale",
-    "temp_interval",
-    "epsilon",
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "hidden_units",
-    "seeds",
-    "out_dir",
-]
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -150,14 +131,11 @@ def cmd_compare(args) -> int:
     for strategy, row in summary.items():
         print(f"{strategy:<22}" + "".join(f"{row[c]:>16.2f}" for c in columns))
 
-    if config.out_dir:
-        import os
-
-        os.makedirs(config.out_dir, exist_ok=True)
-        out = f"{config.out_dir}/comparison.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump({"config": config.to_dict(), "summary": summary}, fh, indent=2)
-        print(f"wrote {out}")
+    os.makedirs(config.out_dir, exist_ok=True)
+    out = f"{config.out_dir}/comparison.json"
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump({"config": config.to_dict(), "summary": summary}, fh, indent=2)
+    print(f"wrote {out}")
     return 0
 
 

@@ -137,12 +137,16 @@ def pareto_resample(dataset: Dataset, spec: ParetoTailSpec) -> Dataset:
 
     Classes are ranked by count descending; surplus classes are uniformly
     subsampled without replacement, deficit classes uniformly oversampled
-    with replacement from their own samples.
+    with replacement from their own samples, so every class needs at least
+    one sample.
     """
     if dataset.n == 0:
         raise EmptyInputError("dataset is empty")
     if dataset.num_classes == 1:
         return dataset
+    empty = np.flatnonzero(dataset.class_counts == 0)
+    if empty.size:
+        raise InsufficientDataError(f"class {int(empty[0])} has no samples to resample from")
 
     rng = np.random.default_rng(spec.rng_seed)
     order = np.argsort(-dataset.class_counts, kind="stable")  # classes by rank
@@ -211,8 +215,8 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple
 
 def load_csv(path, label_column: str) -> Dataset:
     """Read a labeled dataset: header row, one label column, the remaining
-    columns numeric features. Labels are assigned class indices in
-    lexicographic order."""
+    columns finite numeric features. Labels are assigned class indices in
+    numeric order when every label is an integer, lexicographic otherwise."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -238,10 +242,19 @@ def load_csv(path, label_column: str) -> Dataset:
 
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
-    classes = sorted(set(raw_labels))
+    features = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        row_num = int(np.argmin(finite)) + 2
+        raise CsvParseError(f"{path}: row {row_num}: non-finite feature")
+    try:
+        # the tie-break keeps the order deterministic for "3" vs "03"
+        classes = sorted(set(raw_labels), key=lambda name: (int(name), name))
+    except ValueError:
+        classes = sorted(set(raw_labels))
     mapping = {name: i for i, name in enumerate(classes)}
     return Dataset(
-        features=np.array(rows, dtype=np.float64),
+        features=features,
         labels=np.array([mapping[v] for v in raw_labels], dtype=np.intp),
         num_classes=len(classes),
     )

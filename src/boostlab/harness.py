@@ -22,7 +22,7 @@ from .calibration import OdinConfig, calibrate_batch_full
 from .data import Dataset, ParetoTailSpec, load_csv, make_blobs, pareto_resample, train_test_split
 from .errors import ConfigurationError, EmptyInputError, InvalidParameterError
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
-from .model import ClassifierModel, hidden_activations, train_step
+from .model import ClassifierModel, hidden_activations, softmax_rows, train_step
 from .sampler import STRATEGIES, SamplerState, draw_batch, epoch_resample, write_history_csv
 from .scheduler import TemperatureSchedule, temperature_at
 
@@ -203,10 +203,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
 
 
 def _plain_log(model: ClassifierModel, test: Dataset) -> PredictionLog:
-    logits = model_mod.forward_batch(model, test.features)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    profiles = np.exp(shifted)
-    profiles /= profiles.sum(axis=1, keepdims=True)
+    profiles = softmax_rows(model_mod.forward_batch(model, test.features))
     return PredictionLog(
         sample_ids=np.arange(test.n),
         true_labels=test.labels,
@@ -246,12 +243,12 @@ def run_evaluation(
         odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=test.feature_std)
 
     if mode == "boost":
-        scores, _ = calibrate_batch_full(model.copy(), test.features, odin)
+        profiles, _ = calibrate_batch_full(model.copy(), test.features, odin)
         log = PredictionLog(
             sample_ids=np.arange(test.n),
             true_labels=test.labels,
-            predicted_labels=np.array([s.max_class for s in scores]),
-            profiles=np.array([s.softmax_profile for s in scores]),
+            predicted_labels=profiles.argmax(axis=1),
+            profiles=profiles,
         )
         return build_metrics_report(log)
 

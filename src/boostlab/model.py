@@ -35,17 +35,12 @@ class ClassifierModel:
     bias_hidden: np.ndarray
     weights_out: np.ndarray
     bias_out: np.ndarray
-    activation: str = "tanh"
 
     def __post_init__(self):
         self.weights_hidden = np.asarray(self.weights_hidden, dtype=np.float64)
         self.bias_hidden = np.asarray(self.bias_hidden, dtype=np.float64)
         self.weights_out = np.asarray(self.weights_out, dtype=np.float64)
         self.bias_out = np.asarray(self.bias_out, dtype=np.float64)
-        if self.activation != "tanh":
-            raise InvalidParameterError(
-                f"unsupported activation {self.activation!r}; only 'tanh' is implemented"
-            )
         h, d = self.weights_hidden.shape
         c = self.weights_out.shape[0]
         if self.bias_hidden.shape != (h,) or self.weights_out.shape != (c, h) or self.bias_out.shape != (c,):
@@ -72,17 +67,7 @@ class ClassifierModel:
             bias_hidden=self.bias_hidden.copy(),
             weights_out=self.weights_out.copy(),
             bias_out=self.bias_out.copy(),
-            activation=self.activation,
         )
-
-
-@dataclass(frozen=True)
-class ScoreTarget:
-    """Tags the scalar being differentiated: the temperature-scaled softmax
-    score of one class."""
-
-    class_index: int
-    temperature: float
 
 
 def init_model(num_features: int, num_hidden: int, num_classes: int, seed: int) -> ClassifierModel:
@@ -133,13 +118,18 @@ def hidden_activations(model: ClassifierModel, features: np.ndarray) -> np.ndarr
     return np.tanh(features @ model.weights_hidden.T + model.bias_hidden)
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """exp(z_c/T) / sum_j exp(z_j/T) along the last axis, computed with
+    max-subtraction. The caller guarantees T > 0 and finite logits."""
+    scaled = logits / temperature
+    scaled -= scaled.max(axis=-1, keepdims=True)
+    e = np.exp(scaled)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def input_gradient(model: ClassifierModel, x: np.ndarray, target: ScoreTarget) -> np.ndarray:
+def input_gradient(
+    model: ClassifierModel, x: np.ndarray, class_index: int, temperature: float
+) -> np.ndarray:
     """Analytic gradient of the TS-softmax score of one class w.r.t. the input.
 
     With p = softmax(z / T) the chain is
@@ -147,13 +137,11 @@ def input_gradient(model: ClassifierModel, x: np.ndarray, target: ScoreTarget) -
       dh/da = 1 - h^2,                   da/dx = W_hidden.
     """
     x = _check_features(model, x)
-    if not 0 <= target.class_index < model.num_classes:
-        raise InvalidParameterError(f"target class {target.class_index} out of range")
-    if target.temperature <= 0:
+    if not 0 <= class_index < model.num_classes:
+        raise InvalidParameterError(f"target class {class_index} out of range")
+    if temperature <= 0:
         raise InvalidParameterError("temperature must be positive")
-    grads = input_gradient_batch(
-        model, x[np.newaxis, :], np.array([target.class_index]), target.temperature
-    )
+    grads = input_gradient_batch(model, x[np.newaxis, :], np.array([class_index]), temperature)
     return grads[0]
 
 
@@ -168,7 +156,7 @@ def input_gradient_batch(
     class_indices = np.asarray(class_indices, dtype=np.intp)
     hidden = np.tanh(features @ model.weights_hidden.T + model.bias_hidden)
     logits = hidden @ model.weights_out.T + model.bias_out
-    probs = _softmax_rows(logits / temperature)
+    probs = softmax_rows(logits, temperature)
 
     n = features.shape[0]
     rows = np.arange(n)
@@ -201,7 +189,7 @@ def parameter_gradients(
     n = features.shape[0]
     hidden = np.tanh(features @ model.weights_hidden.T + model.bias_hidden)
     logits = hidden @ model.weights_out.T + model.bias_out
-    delta_out = _softmax_rows(logits)
+    delta_out = softmax_rows(logits)
     delta_out[np.arange(n), labels] -= 1.0
     delta_out /= n
     delta_hidden = (delta_out @ model.weights_out) * (1.0 - hidden**2)
@@ -242,7 +230,6 @@ def train_step(
         bias_hidden=model.bias_hidden - learning_rate * grads["bias_hidden"],
         weights_out=model.weights_out - learning_rate * grads["weights_out"],
         bias_out=model.bias_out - learning_rate * grads["bias_out"],
-        activation=model.activation,
     )
     return updated, loss
 
@@ -257,7 +244,7 @@ def model_to_dict(model: ClassifierModel) -> dict:
             "hidden": model.num_hidden,
             "classes": model.num_classes,
         },
-        "activation": model.activation,
+        "activation": "tanh",
         "weights_hidden": model.weights_hidden.ravel().tolist(),
         "bias_hidden": model.bias_hidden.tolist(),
         "weights_out": model.weights_out.ravel().tolist(),
@@ -266,6 +253,11 @@ def model_to_dict(model: ClassifierModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> ClassifierModel:
+    activation = doc.get("activation", "tanh")
+    if activation != "tanh":
+        raise InvalidParameterError(
+            f"unsupported activation {activation!r}; only 'tanh' is implemented"
+        )
     dims = doc["dims"]
     d, h, c = dims["features"], dims["hidden"], dims["classes"]
     return ClassifierModel(
@@ -273,7 +265,6 @@ def model_from_dict(doc: dict) -> ClassifierModel:
         bias_hidden=np.asarray(doc["bias_hidden"], dtype=np.float64),
         weights_out=np.asarray(doc["weights_out"], dtype=np.float64).reshape(c, h),
         bias_out=np.asarray(doc["bias_out"], dtype=np.float64),
-        activation=doc.get("activation", "tanh"),
     )
 
 

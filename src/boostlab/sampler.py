@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibratedScore, OdinConfig, calibrate_batch_full
+from .calibration import OdinConfig, calibrate_batch_full
 from .data import Dataset
 from .errors import EmptyInputError, InvalidParameterError
 from .model import ClassifierModel
@@ -31,19 +31,6 @@ STRATEGIES = ("boost", "random", "dynamic-random", "stratified", "dynamic-strati
 STATIC_STRATEGIES = ("random", "stratified")
 
 PROB_SUM_TOL = 1e-9
-
-
-@dataclass
-class ClassAggregateScores:
-    """Mean calibrated max-score per class; classes with no samples carry
-    the mean of the present classes."""
-
-    per_class_mean: np.ndarray
-
-    def __post_init__(self):
-        self.per_class_mean = np.asarray(self.per_class_mean, dtype=np.float64)
-        if np.any(self.per_class_mean <= 0) or np.any(self.per_class_mean > 1):
-            raise InvalidParameterError("aggregate scores must lie in (0, 1]")
 
 
 @dataclass
@@ -65,13 +52,6 @@ class SamplerState:
     probabilities: np.ndarray | None = None
     history: list[EpochRecord] = field(default_factory=list)
     draw_count: int = 0
-    # which class index enters the per-sample weight. With "true", a
-    # confidently misclassified sample carries near-maximal weight, which is
-    # what makes the sampler target misclassified rare-class data; the
-    # "predicted" reading is kept switchable for sensitivity checks.
-    weight_class_source: str = "true"
-    # multiplier < 1 down-weights samples drawn in the previous epoch
-    recency_penalty: float = 1.0
     degenerate_draws: int = 0
 
     def __post_init__(self):
@@ -79,23 +59,20 @@ class SamplerState:
             raise InvalidParameterError(f"strategy must be one of {STRATEGIES}")
         if self.rng_seed < 0:
             raise InvalidParameterError("rng_seed must be non-negative")
-        if self.weight_class_source not in ("predicted", "true"):
-            raise InvalidParameterError("weight_class_source must be 'predicted' or 'true'")
-        if not 0 < self.recency_penalty <= 1:
-            raise InvalidParameterError("recency_penalty must lie in (0, 1]")
 
 
 def aggregate_class_scores(
-    scores: list[CalibratedScore], labels: np.ndarray, num_classes: int
-) -> ClassAggregateScores:
-    """Arithmetic mean of calibrated max-scores per true class."""
-    if len(scores) == 0:
+    max_scores: np.ndarray, labels: np.ndarray, num_classes: int
+) -> np.ndarray:
+    """Arithmetic mean of calibrated max-scores per true class; classes
+    with no samples carry the mean of the present classes."""
+    max_scores = np.asarray(max_scores, dtype=np.float64)
+    if len(max_scores) == 0:
         raise EmptyInputError("no scores to aggregate")
     labels = np.asarray(labels, dtype=np.intp)
-    if len(labels) != len(scores):
+    if len(labels) != len(max_scores):
         raise InvalidParameterError("scores and labels must align")
 
-    max_scores = np.array([s.max_score for s in scores])
     sums = np.bincount(labels, weights=max_scores, minlength=num_classes)
     counts = np.bincount(labels, minlength=num_classes)
     present = counts > 0
@@ -103,32 +80,33 @@ def aggregate_class_scores(
     means[present] = sums[present] / counts[present]
     if not present.all():
         means[~present] = means[present].mean()
-    return ClassAggregateScores(per_class_mean=means)
+    return means
 
 
 def boost_probabilities(
     logits: np.ndarray,
-    predicted_class: np.ndarray,
-    aggregates: ClassAggregateScores,
+    class_index: np.ndarray,
+    aggregates: np.ndarray,
 ) -> np.ndarray:
     """Inverted class-weighted sampling distribution over samples.
 
     Per sample with class c, the raw confidence is
       exp(z_c) * S_c / sum_j exp(z_j) * S_j
-    with S the class aggregates; the sampling weight is 1 - raw, then the
-    batch is renormalized by its sum so the result is a distribution.
+    with S the per-class aggregates, each in (0, 1]; the sampling weight
+    is 1 - raw, then the batch is renormalized by its sum so the result is
+    a distribution.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    predicted_class = np.asarray(predicted_class, dtype=np.intp)
-    s = aggregates.per_class_mean
-    if np.any(s <= 0):
-        raise InvalidParameterError("aggregate scores must be positive")
-    if logits.shape[0] != len(predicted_class):
-        raise InvalidParameterError("logits and predicted_class must align")
+    class_index = np.asarray(class_index, dtype=np.intp)
+    s = np.asarray(aggregates, dtype=np.float64)
+    if np.any(s <= 0) or np.any(s > 1):
+        raise InvalidParameterError("aggregate scores must lie in (0, 1]")
+    if logits.shape[0] != len(class_index):
+        raise InvalidParameterError("logits and class_index must align")
 
     shifted = logits - logits.max(axis=1, keepdims=True)  # overflow guard
     weighted = np.exp(shifted) * s
-    raw = weighted[np.arange(len(predicted_class)), predicted_class] / weighted.sum(axis=1)
+    raw = weighted[np.arange(len(class_index)), class_index] / weighted.sum(axis=1)
     weights = np.clip(1.0 - raw, 0.0, None)
     total = weights.sum()
     if total <= 0:
@@ -192,19 +170,14 @@ def epoch_resample(
 
     if state.strategy == "boost":
         local = model.copy()
-        scores, perturbed_logits = calibrate_batch_full(local, dataset.features, config)
-        aggregates = aggregate_class_scores(scores, dataset.labels, dataset.num_classes)
-        predicted = np.array([s.max_class for s in scores], dtype=np.intp)
-        weight_classes = predicted if state.weight_class_source == "predicted" else dataset.labels
-        probs = boost_probabilities(perturbed_logits, weight_classes, aggregates)
-
-        if state.recency_penalty < 1.0 and state.history:
-            drawn_before = state.history[-1].draw_counts > 0
-            probs = probs.copy()
-            probs[drawn_before] *= state.recency_penalty
-            probs /= probs.sum()
-
-        sample_scores = np.array([s.max_score for s in scores])
+        profiles, perturbed_logits = calibrate_batch_full(local, dataset.features, config)
+        predicted = profiles.argmax(axis=1)
+        sample_scores = profiles.max(axis=1)
+        aggregates = aggregate_class_scores(sample_scores, dataset.labels, dataset.num_classes)
+        # the weight uses the true class, so a confidently misclassified
+        # sample carries near-maximal weight: that is what makes the sampler
+        # target misclassified rare-class data
+        probs = boost_probabilities(perturbed_logits, dataset.labels, aggregates)
     else:
         probs = _baseline_probabilities(state, dataset)
         predicted = np.full(n, -1, dtype=np.intp)

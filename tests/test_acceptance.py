@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from boostlab.calibration import OdinConfig, calibrate_batch, perturb, ts_softmax
+from boostlab.calibration import OdinConfig, perturb, ts_softmax
 from boostlab.data import Dataset, ParetoTailSpec, make_blobs, pareto_resample, pareto_tail_counts
 from boostlab.harness import (
     REPORT_FILES,
@@ -25,7 +25,6 @@ from boostlab.harness import (
 from boostlab.metrics import PredictionLog, mab, sdb, sodc_per_class, sodc_total
 from boostlab.model import (
     ClassifierModel,
-    ScoreTarget,
     forward_batch,
     init_model,
     input_gradient,
@@ -34,7 +33,6 @@ from boostlab.model import (
 )
 from boostlab.sampler import (
     STRATEGIES,
-    ClassAggregateScores,
     SamplerState,
     boost_probabilities,
     draw_batch,
@@ -95,22 +93,20 @@ def test_criterion_1_equation_fidelity():
     )
 
     # inverted class-weighted sampling probabilities
-    agg = ClassAggregateScores(per_class_mean=np.array([0.5, 0.5]))
+    agg = np.array([0.5, 0.5])
     np.testing.assert_allclose(
         boost_probabilities(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), agg),
         [0.5, 0.5],
         atol=1e-12,
     )
     logits = np.log(np.array([[0.5, 0.3, 0.2]] * 3))
-    probs = boost_probabilities(
-        logits, np.array([0, 1, 2]), ClassAggregateScores(per_class_mean=np.ones(3))
-    )
+    probs = boost_probabilities(logits, np.array([0, 1, 2]), np.ones(3))
     np.testing.assert_allclose(probs, oracle_boost_weights([0.5, 0.3, 0.2]), atol=1e-12)
     np.testing.assert_allclose(probs, [0.25, 0.35, 0.40], atol=1e-12)
     extreme = boost_probabilities(
         np.array([[40.0, 0.0], [0.5, 0.0], [0.0, 0.5]]),
         np.array([0, 0, 1]),
-        ClassAggregateScores(per_class_mean=np.array([0.5, 0.5])),
+        np.array([0.5, 0.5]),
     )
     assert extreme[0] < 1e-10
 
@@ -168,7 +164,7 @@ def test_criterion_2_gradient_correctness():
         x = rng.normal(size=model.num_features)
         c = int(rng.integers(model.num_classes))
         t = float(rng.uniform(1.0, 100.0))
-        analytic = input_gradient(model, x, ScoreTarget(c, t))
+        analytic = input_gradient(model, x, c, t)
         fd = np.array(fd_input_gradient(model, x, c, t, h=1e-5))
         denom = max(np.abs(fd).max(), 1e-8)
         assert np.abs(analytic - fd).max() / denom < 1e-4
@@ -229,7 +225,7 @@ def test_criterion_4_sampler_statistics():
         n = int(rng.integers(3, 12))
         margins = np.sort(rng.uniform(0.1, 4.0, size=n))
         logits = np.column_stack([margins, np.zeros(n)])
-        agg = ClassAggregateScores(per_class_mean=rng.uniform(0.2, 1.0, size=2))
+        agg = rng.uniform(0.2, 1.0, size=2)
         probs = boost_probabilities(logits, np.zeros(n, dtype=int), agg)
         assert np.all(np.diff(probs) < 0)
 

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from boostlab.calibration import (
-    CalibratedScore,
-    OdinConfig,
-    calibrate_batch,
-    calibrate_batch_full,
-    perturb,
-    ts_softmax,
-)
+from boostlab.calibration import OdinConfig, calibrate_batch_full, perturb, ts_softmax
 from boostlab.errors import EmptyInputError, InputShapeError, InvalidParameterError
 from boostlab.model import ClassifierModel, forward
 
@@ -93,13 +86,6 @@ class TestPerturb:
         out = perturb(np.array([0.2]), np.array([2.0]), cfg)
         np.testing.assert_allclose(out, [0.1], atol=1e-12)
 
-    def test_classic_sign_adds(self):
-        cfg = OdinConfig(
-            temperature=1.0, epsilon=0.05, grad_std=np.ones(1), perturbation_sign="odin-classic"
-        )
-        out = perturb(np.array([0.2]), np.array([2.0]), cfg)
-        np.testing.assert_allclose(out, [0.25], atol=1e-12)
-
     def test_length_mismatch(self):
         cfg = OdinConfig(temperature=1.0)
         with pytest.raises(InputShapeError):
@@ -126,26 +112,22 @@ class TestOdinConfig:
         with pytest.raises(InvalidParameterError):
             OdinConfig(temperature=1.0, grad_std=np.array([1.0, 0.0]))
 
-    def test_sign_validation(self):
-        with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=1.0, perturbation_sign="flipped")
-
 
 class TestCalibrateBatch:
     def test_zero_epsilon_reproduces_plain_profile(self, toy_model):
         X = np.array([[0.3], [-0.8]])
         cfg = OdinConfig(temperature=2.0, epsilon=0.0, grad_std=np.ones(1))
-        scores = calibrate_batch(toy_model, X, cfg)
-        for i, s in enumerate(scores):
+        profiles, _ = calibrate_batch_full(toy_model, X, cfg)
+        assert profiles.shape == (2, 2)
+        for i, profile in enumerate(profiles):
             expected = ts_softmax(forward(toy_model, X[i]), 2.0)
-            np.testing.assert_allclose(s.softmax_profile, expected, atol=1e-12)
-            assert s.sample_id == i
+            np.testing.assert_allclose(profile, expected, atol=1e-12)
 
     def test_constant_model_gives_uniform_profiles(self, zero_model):
         X = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
         cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(2))
-        for s in calibrate_batch(zero_model, X, cfg):
-            np.testing.assert_allclose(s.softmax_profile, [0.5, 0.5], atol=1e-12)
+        profiles, _ = calibrate_batch_full(zero_model, X, cfg)
+        np.testing.assert_allclose(profiles, np.full((3, 2), 0.5), atol=1e-12)
 
     def test_small_epsilon_does_not_raise_max_score(self, toy_model):
         # the subtractive sign descends the target score to first order
@@ -153,18 +135,19 @@ class TestCalibrateBatch:
         for eps in (1e-4, 1e-3):
             cfg0 = OdinConfig(temperature=1.0, epsilon=0.0, grad_std=np.ones(1))
             cfg = OdinConfig(temperature=1.0, epsilon=eps, grad_std=np.ones(1))
-            first = calibrate_batch(toy_model, X, cfg0)[0].max_score
-            second = calibrate_batch(toy_model, X, cfg)[0].max_score
+            first = calibrate_batch_full(toy_model, X, cfg0)[0][0].max()
+            second = calibrate_batch_full(toy_model, X, cfg)[0][0].max()
             assert second <= first + 1e-6
 
     def test_profiles_normalized_and_max_consistent(self, toy_model):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(20, 1))
         cfg = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=np.array([0.7]))
-        for s in calibrate_batch(toy_model, X, cfg):
-            assert abs(s.softmax_profile.sum() - 1.0) < 1e-9
-            assert s.max_class == int(np.argmax(s.softmax_profile))
-            assert math.isclose(s.max_score, s.softmax_profile[s.max_class])
+        profiles, logits = calibrate_batch_full(toy_model, X, cfg)
+        assert profiles.shape == logits.shape == (20, 2)
+        np.testing.assert_allclose(profiles.sum(axis=1), 1.0, atol=1e-9)
+        # the max class callers derive from the profiles is the perturbed logits' argmax
+        np.testing.assert_array_equal(profiles.argmax(axis=1), logits.argmax(axis=1))
 
     def test_model_left_bit_identical(self, toy_model):
         X = np.random.default_rng(9).normal(size=(5, 1))
@@ -173,19 +156,19 @@ class TestCalibrateBatch:
             for name in ("weights_hidden", "bias_hidden", "weights_out", "bias_out")
         }
         cfg = OdinConfig(temperature=10.0, epsilon=0.05, grad_std=np.ones(1))
-        calibrate_batch(toy_model, X, cfg)
+        calibrate_batch_full(toy_model, X, cfg)
         for name, before in snapshot.items():
             np.testing.assert_array_equal(getattr(toy_model, name), before)
 
     def test_empty_batch_rejected(self, toy_model):
         cfg = OdinConfig(temperature=1.0)
         with pytest.raises(EmptyInputError):
-            calibrate_batch(toy_model, np.empty((0, 1)), cfg)
+            calibrate_batch_full(toy_model, np.empty((0, 1)), cfg)
 
     def test_full_variant_returns_perturbed_logits(self, toy_model):
         X = np.array([[0.4], [-0.2]])
         cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(1))
-        scores, logits = calibrate_batch_full(toy_model, X, cfg)
+        profiles, logits = calibrate_batch_full(toy_model, X, cfg)
         assert logits.shape == (2, 2)
-        for s, row in zip(scores, logits):
-            np.testing.assert_allclose(s.softmax_profile, ts_softmax(row, 1.0), atol=1e-12)
+        for profile, row in zip(profiles, logits):
+            np.testing.assert_allclose(profile, ts_softmax(row, 1.0), atol=1e-12)

@@ -1,8 +1,11 @@
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from boostlab.cli import build_config, main
+from boostlab.cli import _add_common_flags, build_config, main
+from boostlab.harness import ExperimentConfig
 
 
 def run_cli(argv, capsys):
@@ -99,3 +102,21 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
     with pytest.raises(SystemExit):
         build_config(argparse.Namespace(config=str(cfg_path)))
+
+
+def test_every_config_field_has_a_flag():
+    parser = argparse.ArgumentParser()
+    _add_common_flags(parser)
+    dests = set(vars(parser.parse_args([])))
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} <= dests
+
+
+def test_config_file_accepts_every_field_and_names_unknown_keys(tmp_path):
+    full = ExperimentConfig(epochs=3, seeds=(4, 5), test_counts=(7, 8)).to_dict()
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(full))
+    assert build_config(argparse.Namespace(config=str(cfg_path))).to_dict() == full
+
+    cfg_path.write_text(json.dumps({**full, "perturbation_sign": "odin-classic"}))
+    with pytest.raises(SystemExit, match="perturbation_sign"):
+        main(["train", "--config", str(cfg_path)])

@@ -107,6 +107,12 @@ class TestParetoResample:
         out = pareto_resample(data, ParetoTailSpec(scale=0.0, rng_seed=0))
         assert out is data
 
+    def test_empty_class_rejected_by_name(self):
+        # a rare class can end up with no train samples after a CSV split
+        data = Dataset(features=np.arange(4.0)[:, None], labels=[0, 0, 2, 2], num_classes=3)
+        with pytest.raises(InsufficientDataError, match="class 1"):
+            pareto_resample(data, ParetoTailSpec(scale=0.0, rng_seed=0))
+
 
 class TestFeatureStd:
     def test_constant_column_replaced_by_one(self):
@@ -158,6 +164,13 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="row 3"):
             load_csv(path, "label")
 
+    def test_non_finite_feature_reports_row_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for bad in ("nan", "inf", "-Infinity"):
+            path.write_text(f"f0,f1,label\n1.0,2.0,a\n3.0,{bad},b\n4.0,5.0,a\n")
+            with pytest.raises(CsvParseError, match="row 3"):
+                load_csv(path, "label")
+
     def test_non_numeric_feature_reports_row_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n1.0,a\noops,b\n")
@@ -177,6 +190,15 @@ class TestCsv:
         loaded = load_csv(path, "label")
         np.testing.assert_array_equal(loaded.features, data.features)
         np.testing.assert_array_equal(loaded.labels, data.labels)
+
+    def test_round_trip_twelve_integer_classes(self, tmp_path):
+        # "10" sorts before "2" as a string; integer labels must keep numeric order
+        data = make_blobs([3] * 12, 2, 2.5, seed=12)
+        path = tmp_path / "twelve.csv"
+        save_csv(data, path)
+        loaded = load_csv(path, "label")
+        np.testing.assert_array_equal(loaded.labels, data.labels)
+        np.testing.assert_array_equal(loaded.features, data.features)
 
 
 class TestSplit:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from boostlab.calibration import OdinConfig, calibrate_batch
+from boostlab.calibration import OdinConfig, calibrate_batch_full
 from boostlab.data import make_blobs
 from boostlab.errors import ConfigurationError, InvalidParameterError
 from boostlab.harness import (
@@ -107,9 +107,9 @@ class TestRunEvaluation:
         partition = report.ood_partition
         np.testing.assert_array_equal(partition.ood_counts, [0, 0])
 
-        scores = calibrate_batch(model.copy(), test.features, odin)
-        profiles = [s.softmax_profile.tolist() for s in scores]
-        predicted = [s.max_class for s in scores]
+        profiles, _ = calibrate_batch_full(model.copy(), test.features, odin)
+        predicted = profiles.argmax(axis=1).tolist()
+        profiles = profiles.tolist()
         expected = 1.0
         for c in range(2):
             expected *= oracle_sodc_per_class(test.labels.tolist(), predicted, profiles, c)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from boostlab.data import make_blobs
 from boostlab.errors import EmptyInputError, InputShapeError, InvalidParameterError
 from boostlab.model import (
     ClassifierModel,
-    ScoreTarget,
     cross_entropy,
     forward,
     forward_batch,
@@ -67,12 +67,12 @@ class TestForward:
 
 class TestInputGradient:
     def test_constant_model_gives_zero_gradient(self, zero_model):
-        g = input_gradient(zero_model, np.array([1.0, -2.0]), ScoreTarget(0, 1.0))
+        g = input_gradient(zero_model, np.array([1.0, -2.0]), 0, 1.0)
         np.testing.assert_array_equal(g, np.zeros(2))
 
     def test_toy_model_matches_finite_differences(self, toy_model):
         x = np.array([0.4])
-        g = input_gradient(toy_model, x, ScoreTarget(0, 1.0))
+        g = input_gradient(toy_model, x, 0, 1.0)
         fd = fd_input_gradient(toy_model, x, 0, 1.0, h=1e-5)
         assert abs(g[0] - fd[0]) / abs(fd[0]) < 1e-4
 
@@ -80,19 +80,19 @@ class TestInputGradient:
         # a point far from the decision boundary: both gradients keep the sign
         x = np.array([2.0])
         for t in (2.0, 4.0):
-            g = input_gradient(toy_model, x, ScoreTarget(0, t))
+            g = input_gradient(toy_model, x, 0, t)
             fd = fd_input_gradient(toy_model, x, 0, t, h=1e-5)
             assert np.isfinite(g[0])
             assert abs(g[0] - fd[0]) / abs(fd[0]) < 1e-4
-        g1 = input_gradient(toy_model, x, ScoreTarget(0, 2.0))
-        g2 = input_gradient(toy_model, x, ScoreTarget(0, 4.0))
+        g1 = input_gradient(toy_model, x, 0, 2.0)
+        g2 = input_gradient(toy_model, x, 0, 4.0)
         assert np.sign(g1[0]) == np.sign(g2[0])
 
     def test_invalid_target(self, toy_model):
         with pytest.raises(InvalidParameterError):
-            input_gradient(toy_model, np.array([0.1]), ScoreTarget(5, 1.0))
+            input_gradient(toy_model, np.array([0.1]), 5, 1.0)
         with pytest.raises(InvalidParameterError):
-            input_gradient(toy_model, np.array([0.1]), ScoreTarget(0, 0.0))
+            input_gradient(toy_model, np.array([0.1]), 0, 0.0)
 
     def test_random_models_match_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -101,7 +101,7 @@ class TestInputGradient:
             x = rng.normal(size=model.num_features)
             c = int(rng.integers(model.num_classes))
             t = float(rng.uniform(1.0, 50.0))
-            g = input_gradient(model, x, ScoreTarget(c, t))
+            g = input_gradient(model, x, c, t)
             fd = np.array(fd_input_gradient(model, x, c, t, h=1e-5))
             denom = max(np.abs(fd).max(), 1e-8)
             assert np.abs(g - fd).max() / denom < 1e-4
@@ -180,6 +180,21 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             model_from_dict(doc).weights_out, model.weights_out
         )
+
+    def test_unknown_activation_rejected(self, tmp_path):
+        doc = model_to_dict(init_model(2, 3, 2, seed=1))
+        doc["activation"] = "relu"
+        path = tmp_path / "relu.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParameterError, match="relu"):
+            load_model(path)
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(init_model(3, 5, 4, seed=9), first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text())["activation"] == "tanh"
 
     def test_init_reproducible(self):
         a = init_model(4, 6, 3, seed=123)

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from boostlab.calibration import CalibratedScore, OdinConfig
+from boostlab.calibration import OdinConfig
 from boostlab.data import Dataset, make_blobs
 from boostlab.errors import EmptyInputError, InvalidParameterError
 from boostlab.model import init_model, train_step
 from boostlab.sampler import (
     STRATEGIES,
-    ClassAggregateScores,
     SamplerState,
     aggregate_class_scores,
     boost_probabilities,
@@ -20,55 +19,44 @@ from boostlab.sampler import (
 from oracles import oracle_boost_weights
 
 
-def scores_from(values):
-    return [
-        CalibratedScore(sample_id=i, softmax_profile=None, max_class=0, max_score=v)
-        for i, v in enumerate(values)
-    ]
-
-
 class TestAggregateScores:
     def test_class_means(self):
-        agg = aggregate_class_scores(
-            scores_from([0.9, 0.7, 0.5]), np.array([0, 0, 1]), num_classes=2
-        )
-        np.testing.assert_allclose(agg.per_class_mean, [0.8, 0.5])
+        agg = aggregate_class_scores(np.array([0.9, 0.7, 0.5]), np.array([0, 0, 1]), num_classes=2)
+        np.testing.assert_allclose(agg, [0.8, 0.5])
 
     def test_constant_scores(self):
         agg = aggregate_class_scores(
-            scores_from([0.6, 0.6, 0.6, 0.6]), np.array([0, 1, 1, 0]), num_classes=2
+            np.array([0.6, 0.6, 0.6, 0.6]), np.array([0, 1, 1, 0]), num_classes=2
         )
-        np.testing.assert_allclose(agg.per_class_mean, [0.6, 0.6])
+        np.testing.assert_allclose(agg, [0.6, 0.6])
 
     def test_empty_class_takes_mean_of_present(self):
-        agg = aggregate_class_scores(
-            scores_from([0.9, 0.5]), np.array([0, 2]), num_classes=3
-        )
-        np.testing.assert_allclose(agg.per_class_mean, [0.9, 0.7, 0.5])
+        agg = aggregate_class_scores(np.array([0.9, 0.5]), np.array([0, 2]), num_classes=3)
+        np.testing.assert_allclose(agg, [0.9, 0.7, 0.5])
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInputError):
-            aggregate_class_scores([], np.array([], dtype=int), num_classes=2)
+            aggregate_class_scores(np.array([]), np.array([], dtype=int), num_classes=2)
 
 
 class TestBoostProbabilities:
     def test_symmetric_samples_get_equal_weight(self):
         logits = np.array([[1.0, 0.0], [0.0, 1.0]])
-        agg = ClassAggregateScores(per_class_mean=np.array([0.5, 0.5]))
+        agg = np.array([0.5, 0.5])
         probs = boost_probabilities(logits, np.array([0, 1]), agg)
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_inverted_confidences_hand_case(self):
         # three samples whose raw confidences are 0.5 / 0.3 / 0.2
         logits = np.log(np.array([[0.5, 0.3, 0.2]] * 3))
-        agg = ClassAggregateScores(per_class_mean=np.ones(3))
+        agg = np.ones(3)
         probs = boost_probabilities(logits, np.array([0, 1, 2]), agg)
         np.testing.assert_allclose(probs, [0.25, 0.35, 0.40], atol=1e-12)
         np.testing.assert_allclose(probs, oracle_boost_weights([0.5, 0.3, 0.2]), atol=1e-12)
 
     def test_near_certain_sample_gets_vanishing_weight(self):
         logits = np.array([[40.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
-        agg = ClassAggregateScores(per_class_mean=np.array([0.5, 0.5]))
+        agg = np.array([0.5, 0.5])
         probs = boost_probabilities(logits, np.array([0, 0, 1]), agg)
         assert probs[0] < 1e-10
         assert abs(probs.sum() - 1.0) < 1e-9
@@ -77,20 +65,22 @@ class TestBoostProbabilities:
         # same predicted class, same aggregates: lower confidence, higher weight
         margins = np.array([0.2, 0.8, 1.5, 3.0])
         logits = np.column_stack([margins, np.zeros(4)])
-        agg = ClassAggregateScores(per_class_mean=np.array([0.5, 0.5]))
+        agg = np.array([0.5, 0.5])
         probs = boost_probabilities(logits, np.zeros(4, dtype=int), agg)
         assert np.all(np.diff(probs) < 0)
 
     def test_nonpositive_aggregate_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ClassAggregateScores(per_class_mean=np.array([0.5, 0.0]))
+        logits = np.array([[1.0, 0.0], [0.0, 1.0]])
+        for bad in ([0.5, 0.0], [0.5, 1.5]):
+            with pytest.raises(InvalidParameterError):
+                boost_probabilities(logits, np.array([0, 1]), np.array(bad))
 
     def test_always_a_distribution(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
             n, nc = int(rng.integers(2, 40)), int(rng.integers(2, 6))
             logits = rng.normal(scale=5, size=(n, nc))
-            agg = ClassAggregateScores(per_class_mean=rng.uniform(0.1, 1.0, size=nc))
+            agg = rng.uniform(0.1, 1.0, size=nc)
             probs = boost_probabilities(logits, rng.integers(0, nc, size=n), agg)
             assert np.all(probs >= 0)
             assert abs(probs.sum() - 1.0) < 1e-9
@@ -144,8 +134,8 @@ class TestDrawBatch:
 
 
 class TestEpochResample:
-    def _setup(self, counts=(30, 10), seed=0, sep=3.0):
-        data = make_blobs(list(counts), 2, sep, seed=seed)
+    def _setup(self, counts=(30, 10), seed=0):
+        data = make_blobs(list(counts), 2, 3.0, seed=seed)
         model = init_model(2, 8, len(counts), seed=seed)
         odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=data.feature_std)
         return data, model, odin
@@ -237,31 +227,6 @@ class TestEpochResample:
         draws = draw_batch(state, 10_000)
         minority_fraction = (data.labels[draws] == 1).mean()
         assert minority_fraction > 0.1
-
-    def test_recency_penalty_downweights_previous_draws(self):
-        data, model, odin = self._setup(counts=(20, 20))
-        base = SamplerState(strategy="boost", rng_seed=5)
-        epoch_resample(base, model, data, odin)
-        draw_batch(base, 30)
-        drawn = base.history[0].draw_counts > 0
-
-        penalized = SamplerState(strategy="boost", rng_seed=5, recency_penalty=0.5)
-        epoch_resample(penalized, model, data, odin)
-        draw_batch(penalized, 30)
-        epoch_resample(base, model, data, odin)
-        epoch_resample(penalized, model, data, odin)
-        ratio = penalized.probabilities / base.probabilities
-        assert np.all(ratio[drawn] < ratio[~drawn].max())
-
-    def test_weight_class_source_flag(self):
-        data, model, odin = self._setup(counts=(20, 20), sep=1.0)
-        by_true = SamplerState(strategy="boost", rng_seed=6)
-        by_pred = SamplerState(strategy="boost", rng_seed=6, weight_class_source="predicted")
-        epoch_resample(by_true, model, data, odin)
-        epoch_resample(by_pred, model, data, odin)
-        assert abs(by_pred.probabilities.sum() - 1.0) < 1e-9
-        # weak model mispredicts some samples, so the two readings differ
-        assert not np.allclose(by_pred.probabilities, by_true.probabilities)
 
     def test_confidently_misclassified_sample_gets_top_weight(self):
         data = make_blobs([15, 15], 2, 4.0, seed=20)
