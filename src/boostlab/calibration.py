@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as model_mod
 from .errors import EmptyInputError, InputShapeError, InvalidParameterError
-from .model import ClassifierModel, softmax_rows
+from .model import ClassifierModel, forward_batch, input_gradient_batch, softmax_rows
 from .scheduler import T_MAX, T_MIN
 
 
@@ -36,11 +35,11 @@ class OdinConfig:
             raise InvalidParameterError(
                 f"temperature must lie in [{T_MIN:g}, {T_MAX:g}], got {self.temperature}"
             )
-        if self.epsilon < 0:
-            raise InvalidParameterError("epsilon must be non-negative")
+        if not self.epsilon >= 0:  # written so that NaN fails
+            raise InvalidParameterError(f"epsilon must be non-negative, got {self.epsilon}")
         if self.grad_std is not None:
             self.grad_std = np.asarray(self.grad_std, dtype=np.float64)
-            if np.any(self.grad_std <= 0):
+            if not np.all(self.grad_std > 0):
                 raise InvalidParameterError("grad_std entries must be positive")
 
 
@@ -89,8 +88,8 @@ def calibrate_batch_full(
     if features.ndim != 2:
         raise InputShapeError("features must be a [n x d] matrix")
 
-    first_logits = model_mod.forward_batch(model, features)
-    predicted = softmax_rows(first_logits, config.temperature).argmax(axis=1)
-    grads = model_mod.input_gradient_batch(model, features, predicted, config.temperature)
-    perturbed_logits = model_mod.forward_batch(model, perturb(features, grads, config))
+    hidden, first_logits = forward_batch(model, features)
+    probs = softmax_rows(first_logits, config.temperature)
+    grads = input_gradient_batch(model, hidden, probs, probs.argmax(axis=1), config.temperature)
+    _, perturbed_logits = forward_batch(model, perturb(features, grads, config))
     return softmax_rows(perturbed_logits, config.temperature), perturbed_logits

@@ -13,9 +13,9 @@ import os
 import sys
 
 from .calibration import OdinConfig
-from .data import load_csv, make_blobs
 from .harness import (
     ExperimentConfig,
+    build_datasets,
     export_reports,
     run_comparison,
     run_evaluation,
@@ -93,16 +93,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = build_config(args)
     model = load_model(args.model)
-    if config.dataset == "blobs":
-        test = make_blobs(
-            config.test_counts or config.blob_counts,
-            config.blob_dim,
-            config.blob_separation,
-            config.seeds[0] + 10_000,
-            split="test",
-        )
-    else:
-        test = load_csv(config.dataset, config.label_column)
+    _, test = build_datasets(config, config.seeds[0])
     odin = OdinConfig(
         temperature=args.temperature, epsilon=config.epsilon, grad_std=test.feature_std
     )
@@ -115,7 +106,7 @@ def cmd_evaluate(args) -> int:
         learning_rate=config.learning_rate,
         sampler_seed=config.seeds[0],
     )
-    print(json.dumps(report.to_dict(percent=True), indent=2))
+    print(json.dumps(report.to_dict(), indent=2))
     return 0
 
 

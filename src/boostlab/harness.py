@@ -1,11 +1,11 @@
 """Experiment orchestration.
 
 Wires the pieces into a training loop: a temperature schedule drives the
-calibration, the sampler rebuilds its distribution before every epoch on
-a copy of the model, and the trainer consumes multinomially drawn
-batches. Evaluation and report export live here too. Runs are fully
-deterministic per (config, seed); no timestamps are written, so repeated
-runs produce byte-identical artifacts.
+calibration, the sampler rebuilds its distribution before every epoch,
+and the trainer consumes multinomially drawn batches. Evaluation and
+report export live here too. Runs are fully deterministic per
+(config, seed); no timestamps are written, so repeated runs produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise InvalidParameterError("epochs and batch_size must be at least 1")
+        if self.epochs < 1 or self.batch_size < 1 or self.hidden_units < 1:
+            raise InvalidParameterError("epochs, batch_size and hidden_units must be at least 1")
         if len(self.seeds) == 0:
             raise InvalidParameterError("at least one seed is required")
         if self.sampler not in STRATEGIES:
@@ -131,13 +131,26 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _train_epoch(
+    model: ClassifierModel, state: SamplerState, data: Dataset, batch_size: int, lr: float
+) -> tuple[ClassifierModel, list[float]]:
+    """ceil(n / batch_size) steps on batches drawn from the sampler's
+    current distribution; returns the updated model and per-step losses."""
+    losses = []
+    for _ in range(math.ceil(data.n / batch_size)):
+        idx = draw_batch(state, batch_size)
+        model, loss = train_step(model, data.features[idx], data.labels[idx], lr)
+        losses.append(loss)
+    return model, losses
+
+
 def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord:
     """Train one model under the configured sampling strategy.
 
     Per epoch: the scheduler sets the temperature, the sampler rebuilds
-    its distribution on a model copy, and the trainer consumes
-    ceil(n / batch_size) drawn batches. Ends with an evaluation in boost
-    mode for the boost strategy and control mode otherwise.
+    its distribution, and the trainer consumes ceil(n / batch_size) drawn
+    batches. Ends with an evaluation in boost mode for the boost strategy
+    and control mode otherwise.
     """
     seed = config.seeds[0] if seed is None else seed
     model_seed, sampler_seed, eval_seed = (
@@ -150,21 +163,13 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
     )
     schedule = config.schedule()
     state = SamplerState(strategy=config.sampler, rng_seed=sampler_seed)
-    batches_per_epoch = math.ceil(train.n / config.batch_size)
 
     per_epoch = []
     for epoch in range(config.epochs):
         temp = temperature_at(schedule, epoch)
         odin = OdinConfig(temperature=temp, epsilon=config.epsilon, grad_std=train.feature_std)
         state = epoch_resample(state, model, train, odin)
-
-        losses = []
-        for _ in range(batches_per_epoch):
-            idx = draw_batch(state, config.batch_size)
-            model, loss = train_step(
-                model, train.features[idx], train.labels[idx], config.learning_rate
-            )
-            losses.append(loss)
+        model, losses = _train_epoch(model, state, train, config.batch_size, config.learning_rate)
         per_epoch.append(
             EpochStats(
                 epoch=epoch,
@@ -202,14 +207,18 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
     )
 
 
-def _plain_log(model: ClassifierModel, test: Dataset) -> PredictionLog:
-    profiles = softmax_rows(model_mod.forward_batch(model, test.features))
+def _prediction_log(profiles: np.ndarray, labels: np.ndarray) -> PredictionLog:
     return PredictionLog(
-        sample_ids=np.arange(test.n),
-        true_labels=test.labels,
+        sample_ids=np.arange(len(labels)),
+        true_labels=labels,
         predicted_labels=profiles.argmax(axis=1),
         profiles=profiles,
     )
+
+
+def _plain_log(model: ClassifierModel, test: Dataset) -> PredictionLog:
+    _, logits = model_mod.forward_batch(model, test.features)
+    return _prediction_log(softmax_rows(logits), test.labels)
 
 
 def run_evaluation(
@@ -230,8 +239,8 @@ def run_evaluation(
     control mode: classification metrics come from the model's plain
     softmax predictions; the OOD-mass scores use a copy fine-tuned for
     exactly one epoch under the boost sampler, which supplies the
-    expected-misclassification profiles. The caller's model is never
-    modified in either mode.
+    expected-misclassification profiles. Every step is pure, so the
+    caller's model is never modified in either mode.
     """
     if test.n == 0:
         raise EmptyInputError("test split is empty")
@@ -243,28 +252,16 @@ def run_evaluation(
         odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=test.feature_std)
 
     if mode == "boost":
-        profiles, _ = calibrate_batch_full(model.copy(), test.features, odin)
-        log = PredictionLog(
-            sample_ids=np.arange(test.n),
-            true_labels=test.labels,
-            predicted_labels=profiles.argmax(axis=1),
-            profiles=profiles,
-        )
-        return build_metrics_report(log)
+        profiles, _ = calibrate_batch_full(model, test.features, odin)
+        return build_metrics_report(_prediction_log(profiles, test.labels))
 
     if mode != "control":
         raise InvalidParameterError("mode must be 'boost' or 'control'")
 
-    plain = _plain_log(model, test)
-
-    tuned = model.copy()
     state = SamplerState(strategy="boost", rng_seed=sampler_seed)
-    state = epoch_resample(state, tuned, test, odin)
-    for _ in range(math.ceil(test.n / batch_size)):
-        idx = draw_batch(state, batch_size)
-        tuned, _ = train_step(tuned, test.features[idx], test.labels[idx], learning_rate)
-
-    return build_metrics_report(plain, sodc_log=_plain_log(tuned, test))
+    state = epoch_resample(state, model, test, odin)
+    tuned, _ = _train_epoch(model, state, test, batch_size, learning_rate)
+    return build_metrics_report(_plain_log(model, test), sodc_log=_plain_log(tuned, test))
 
 
 REPORT_FILES = ("report.json", "per_class_metrics.csv", "sampler_history.csv", "embeddings.csv")
@@ -273,16 +270,8 @@ REPORT_FILES = ("report.json", "per_class_metrics.csv", "sampler_history.csv", "
 def record_to_report(record: RunRecord) -> dict:
     return {
         "config": {**record.config.to_dict(), "seed": record.seed},
-        "per_epoch": [
-            {
-                "epoch": s.epoch,
-                "loss": s.loss,
-                "temperature": s.temperature,
-                "sampling_entropy": s.sampling_entropy,
-            }
-            for s in record.per_epoch
-        ],
-        "metrics": record.metrics.to_dict(percent=True),
+        "per_epoch": [asdict(s) for s in record.per_epoch],
+        "metrics": record.metrics.to_dict(),
     }
 
 

@@ -46,7 +46,7 @@ class PredictionLog:
         if self.predicted_labels.min() < 0 or self.predicted_labels.max() >= nc:
             raise InvalidParameterError("predicted labels out of range")
         sums = self.profiles.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > PROFILE_SUM_TOL):
+        if not np.all(np.abs(sums - 1.0) <= PROFILE_SUM_TOL):  # written so that NaN fails
             raise InvalidParameterError("softmax profiles must sum to 1")
 
     @property
@@ -180,8 +180,9 @@ class MetricsReport:
     ood_partition: OodPartition
     flags: list[str] = field(default_factory=list)
 
-    def to_dict(self, percent: bool = True) -> dict:
-        k = 100.0 if percent else 1.0
+    def to_dict(self) -> dict:
+        """Export form: every rate percent-scaled."""
+        k = 100.0
         return {
             "per_class": {
                 str(c): {m: v * k for m, v in vals.items()}
@@ -217,23 +218,8 @@ def build_metrics_report(
     sodc_values = np.array([sodc_per_class(sodc_log, c) for c in range(nc)])
     total = sodc_total(sodc_values)
 
-    per_class = {
-        c: {
-            "accuracy": float(cm.accuracy[c]),
-            "f1": float(cm.f1[c]),
-            "precision": float(cm.precision[c]),
-            "recall": float(cm.recall[c]),
-            "sodc": float(sodc_values[c]),
-        }
-        for c in range(nc)
-    }
-    vectors = {
-        "accuracy": cm.accuracy,
-        "f1": cm.f1,
-        "precision": cm.precision,
-        "recall": cm.recall,
-        "sodc": sodc_values,
-    }
+    vectors = dict(zip(METRIC_NAMES, (cm.accuracy, cm.f1, cm.precision, cm.recall, sodc_values)))
+    per_class = {c: {name: float(v[c]) for name, v in vectors.items()} for c in range(nc)}
     bias = {name: {"mab": mab(v), "sdb": sdb(v)} for name, v in vectors.items()}
     flags = [
         f"class {c}: precision reported as 0 (never predicted)"

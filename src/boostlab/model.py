@@ -94,28 +94,27 @@ def _check_features(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
-    """Logits for a single feature vector."""
-    x = _check_features(model, x)
-    hidden = np.tanh(model.weights_hidden @ x + model.bias_hidden)
-    return model.weights_out @ hidden + model.bias_out
-
-
-def forward_batch(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
-    """Logits for a [n x features] matrix, one row per sample."""
+def forward_batch(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and logits for a [n x features] matrix, one row
+    per sample. The only place the layer formula is written."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.num_features:
         raise InputShapeError(
             f"expected [n x {model.num_features}] feature matrix, got shape {features.shape}"
         )
     hidden = np.tanh(features @ model.weights_hidden.T + model.bias_hidden)
-    return hidden @ model.weights_out.T + model.bias_out
+    return hidden, hidden @ model.weights_out.T + model.bias_out
+
+
+def forward(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
+    """Logits for a single feature vector."""
+    x = _check_features(model, x)
+    return forward_batch(model, x[np.newaxis, :])[1][0]
 
 
 def hidden_activations(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
     """Hidden-layer activations per sample, used for embedding export."""
-    features = np.asarray(features, dtype=np.float64)
-    return np.tanh(features @ model.weights_hidden.T + model.bias_hidden)
+    return forward_batch(model, features)[0]
 
 
 def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -141,25 +140,23 @@ def input_gradient(
         raise InvalidParameterError(f"target class {class_index} out of range")
     if temperature <= 0:
         raise InvalidParameterError("temperature must be positive")
-    grads = input_gradient_batch(model, x[np.newaxis, :], np.array([class_index]), temperature)
-    return grads[0]
+    hidden, logits = forward_batch(model, x[np.newaxis, :])
+    probs = softmax_rows(logits, temperature)
+    return input_gradient_batch(model, hidden, probs, np.array([class_index]), temperature)[0]
 
 
 def input_gradient_batch(
     model: ClassifierModel,
-    features: np.ndarray,
+    hidden: np.ndarray,
+    probs: np.ndarray,
     class_indices: np.ndarray,
     temperature: float,
 ) -> np.ndarray:
-    """Score gradients for many samples at once; row i targets class_indices[i]."""
-    features = np.asarray(features, dtype=np.float64)
+    """Score gradients for many samples at once from the forward pass the
+    caller already has: hidden activations and TS-softmax profiles at the
+    same temperature. Row i targets class_indices[i]."""
     class_indices = np.asarray(class_indices, dtype=np.intp)
-    hidden = np.tanh(features @ model.weights_hidden.T + model.bias_hidden)
-    logits = hidden @ model.weights_out.T + model.bias_out
-    probs = softmax_rows(logits, temperature)
-
-    n = features.shape[0]
-    rows = np.arange(n)
+    rows = np.arange(hidden.shape[0])
     p_c = probs[rows, class_indices]
     # dS_c/dz, shape [n x classes]
     dscore_dlogit = -probs * (p_c / temperature)[:, np.newaxis]
@@ -171,29 +168,24 @@ def input_gradient_batch(
     return grads
 
 
-def cross_entropy(model: ClassifierModel, features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of the plain (T=1) softmax over a batch."""
-    logits = forward_batch(model, features)
-    labels = np.asarray(labels, dtype=np.intp)
-    log_probs = logits - logits.max(axis=1, keepdims=True)
-    log_probs = log_probs - np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(len(labels)), labels].mean())
-
-
-def parameter_gradients(
+def loss_and_gradients(
     model: ClassifierModel, features: np.ndarray, labels: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradients of mean cross-entropy w.r.t. every parameter array."""
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cross-entropy of the plain (T=1) softmax over a batch and its
+    gradient w.r.t. every parameter array, from one forward pass."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
-    n = features.shape[0]
-    hidden = np.tanh(features @ model.weights_hidden.T + model.bias_hidden)
-    logits = hidden @ model.weights_out.T + model.bias_out
+    hidden, logits = forward_batch(model, features)
+    rows = np.arange(features.shape[0])
+    log_probs = logits - logits.max(axis=1, keepdims=True)
+    log_probs = log_probs - np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[rows, labels].mean())
+
     delta_out = softmax_rows(logits)
-    delta_out[np.arange(n), labels] -= 1.0
-    delta_out /= n
+    delta_out[rows, labels] -= 1.0
+    delta_out /= features.shape[0]
     delta_hidden = (delta_out @ model.weights_out) * (1.0 - hidden**2)
-    return {
+    return loss, {
         "weights_out": delta_out.T @ hidden,
         "bias_out": delta_out.sum(axis=0),
         "weights_hidden": delta_hidden.T @ features,
@@ -223,8 +215,7 @@ def train_step(
     if learning_rate < 0:
         raise InvalidParameterError("learning_rate must be non-negative")
 
-    loss = cross_entropy(model, features, labels)
-    grads = parameter_gradients(model, features, labels)
+    loss, grads = loss_and_gradients(model, features, labels)
     updated = ClassifierModel(
         weights_hidden=model.weights_hidden - learning_rate * grads["weights_hidden"],
         bias_hidden=model.bias_hidden - learning_rate * grads["bias_hidden"],

@@ -48,7 +48,6 @@ class EpochRecord:
 class SamplerState:
     strategy: str
     rng_seed: int
-    temperature: float = 1.0
     probabilities: np.ndarray | None = None
     history: list[EpochRecord] = field(default_factory=list)
     draw_count: int = 0
@@ -99,7 +98,7 @@ def boost_probabilities(
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     class_index = np.asarray(class_index, dtype=np.intp)
     s = np.asarray(aggregates, dtype=np.float64)
-    if np.any(s <= 0) or np.any(s > 1):
+    if not np.all((s > 0) & (s <= 1)):  # written so that NaN fails
         raise InvalidParameterError("aggregate scores must lie in (0, 1]")
     if logits.shape[0] != len(class_index):
         raise InvalidParameterError("logits and class_index must align")
@@ -158,19 +157,17 @@ def epoch_resample(
 ) -> SamplerState:
     """Recompute the sampling distribution for the coming epoch.
 
-    The boost path calibrates the full split on a copy of the model, so
-    the trainer's parameters are never touched. History is append-only:
-    one record per completed resample.
+    The boost path calibrates the full split; calibration is pure, so the
+    trainer's parameters are never touched. History is append-only: one
+    record per completed resample.
     """
     if model.num_classes != dataset.num_classes:
         raise InvalidParameterError("model and dataset disagree on class count")
 
-    state.temperature = config.temperature
     n = dataset.n
 
     if state.strategy == "boost":
-        local = model.copy()
-        profiles, perturbed_logits = calibrate_batch_full(local, dataset.features, config)
+        profiles, perturbed_logits = calibrate_batch_full(model, dataset.features, config)
         predicted = profiles.argmax(axis=1)
         sample_scores = profiles.max(axis=1)
         aggregates = aggregate_class_scores(sample_scores, dataset.labels, dataset.num_classes)

@@ -24,9 +24,7 @@ class TemperatureSchedule:
     start: float = 1.0
     scale: float = 5.0
     interval_epochs: int = 5
-    horizon_epochs: int = 20  # inverse-linear only: epochs to reach t_min
-    t_min: float = T_MIN
-    t_max: float = T_MAX
+    horizon_epochs: int = 20  # inverse-linear only: epochs to reach T_MIN
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -50,5 +48,5 @@ def temperature_at(schedule: TemperatureSchedule, epoch: int) -> float:
         value = schedule.start * schedule.scale**steps
     else:
         frac = min(epoch, schedule.horizon_epochs) / schedule.horizon_epochs
-        value = schedule.t_max - (schedule.t_max - schedule.t_min) * frac
-    return float(min(max(value, schedule.t_min), schedule.t_max))
+        value = T_MAX - (T_MAX - T_MIN) * frac
+    return float(min(max(value, T_MIN), T_MAX))

@@ -28,7 +28,7 @@ from boostlab.model import (
     forward_batch,
     init_model,
     input_gradient,
-    parameter_gradients,
+    loss_and_gradients,
     train_step,
 )
 from boostlab.sampler import (
@@ -174,7 +174,7 @@ def test_criterion_2_gradient_correctness():
         n = int(rng.integers(2, 8))
         X = rng.normal(size=(n, model.num_features))
         y = rng.integers(0, model.num_classes, size=n)
-        analytic = parameter_gradients(model, X, y)
+        _, analytic = loss_and_gradients(model, X, y)
         fd = fd_parameter_gradients(model.copy(), X, y, h=1e-6)
         for name, grad in analytic.items():
             expected = np.array(fd[name]).reshape(grad.shape)
@@ -357,7 +357,7 @@ def test_criterion_8_sodc_corruption_monotonicity():
     model = init_model(2, 8, 2, seed=88)
     for _ in range(300):
         model, _ = train_step(model, train.features, train.labels, 0.5)
-    logits = forward_batch(model, test.features)
+    _, logits = forward_batch(model, test.features)
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     profiles = shifted / shifted.sum(axis=1, keepdims=True)
     predicted = profiles.argmax(axis=1)

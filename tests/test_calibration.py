@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from boostlab import calibration, model as model_mod
 from boostlab.calibration import OdinConfig, calibrate_batch_full, perturb, ts_softmax
 from boostlab.errors import EmptyInputError, InputShapeError, InvalidParameterError
 from boostlab.model import ClassifierModel, forward
@@ -112,6 +113,14 @@ class TestOdinConfig:
         with pytest.raises(InvalidParameterError):
             OdinConfig(temperature=1.0, grad_std=np.array([1.0, 0.0]))
 
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            OdinConfig(temperature=1.0, epsilon=float("nan"))
+
+    def test_nan_grad_std_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            OdinConfig(temperature=1.0, grad_std=np.array([1.0, np.nan]))
+
 
 class TestCalibrateBatch:
     def test_zero_epsilon_reproduces_plain_profile(self, toy_model):
@@ -164,6 +173,23 @@ class TestCalibrateBatch:
         cfg = OdinConfig(temperature=1.0)
         with pytest.raises(EmptyInputError):
             calibrate_batch_full(toy_model, np.empty((0, 1)), cfg)
+
+    def test_one_first_pass_and_one_rescore(self, toy_model, monkeypatch):
+        # one forward + TS-softmax on the inputs, one on the perturbed inputs;
+        # the input gradient reuses the first pass
+        calls = {"forward_batch": 0, "softmax_rows": 0}
+        for name in calls:
+            real = getattr(model_mod, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(model_mod, name, counted)
+            monkeypatch.setattr(calibration, name, counted)
+        X = np.array([[0.4], [-0.2], [1.1]])
+        calibrate_batch_full(toy_model, X, OdinConfig(temperature=3.0, grad_std=np.ones(1)))
+        assert calls == {"forward_batch": 2, "softmax_rows": 2}
 
     def test_full_variant_returns_perturbed_logits(self, toy_model):
         X = np.array([[0.4], [-0.2]])

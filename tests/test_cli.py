@@ -5,6 +5,7 @@ import json
 import pytest
 
 from boostlab.cli import _add_common_flags, build_config, main
+from boostlab.data import make_blobs, save_csv
 from boostlab.harness import ExperimentConfig
 
 
@@ -61,6 +62,38 @@ def test_evaluate_prints_report(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert "aggregate" in doc and "bias" in doc
+
+
+def _train_then_evaluate(tmp_path, capsys, data_flags):
+    """Train one seed for 6 epochs, then evaluate its checkpoint in boost
+    mode at the run's final temperature (5 under the default schedule).
+    Returns (train report.json, evaluate stdout) as parsed JSON."""
+    out_dir = tmp_path / "run"
+    common = data_flags + ["--hidden-units", "4", "--seeds", "0"]
+    run_cli(["train", "--epochs", "6", "--out", str(out_dir)] + common, capsys)
+    code, out = run_cli(
+        ["evaluate", "--model", str(out_dir / "model_seed0.json"), "--mode", "boost",
+         "--temperature", "5"] + common,
+        capsys,
+    )
+    assert code == 0
+    return json.loads((out_dir / "report.json").read_text()), json.loads(out)
+
+
+def test_evaluate_reproduces_train_metrics(tmp_path, capsys):
+    flags = ["--blob-counts", "30,10", "--blob-separation", "2.5"]
+    report, evaluated = _train_then_evaluate(tmp_path, capsys, flags)
+    assert evaluated == report["metrics"]
+
+
+def test_csv_evaluate_scores_only_the_test_split(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    save_csv(make_blobs([30, 10], 2, 2.5, seed=0), path)
+    flags = ["--dataset", str(path), "--test-fraction", "0.25"]
+    report, evaluated = _train_then_evaluate(tmp_path, capsys, flags)
+    scored = sum(c["id"] + c["ood"] for c in evaluated["ood_partition"].values())
+    assert scored == 10  # round(40 * 0.25) test rows, not the file's 40
+    assert evaluated == report["metrics"]
 
 
 def test_compare_tabulates_strategies(tmp_path, capsys):

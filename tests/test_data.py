@@ -13,7 +13,7 @@ from boostlab.data import (
     train_test_split,
 )
 from boostlab.errors import CsvParseError, EmptyInputError, InsufficientDataError
-from boostlab.model import cross_entropy, init_model, train_step
+from boostlab.model import forward_batch, init_model, train_step
 
 
 class TestMakeBlobs:
@@ -36,9 +36,8 @@ class TestMakeBlobs:
         model = init_model(2, 4, 2, seed=0)
         for _ in range(300):
             model, _ = train_step(model, data.features, data.labels, 0.5)
-        from boostlab.model import forward_batch
-
-        predictions = forward_batch(model, data.features).argmax(axis=1)
+        _, logits = forward_batch(model, data.features)
+        predictions = logits.argmax(axis=1)
         assert (predictions == data.labels).mean() == 1.0
 
     def test_zero_count_rejected(self):

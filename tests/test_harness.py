@@ -83,6 +83,13 @@ class TestRunTraining:
         assert [r.seed for r in records] == [0, 1, 2]
 
 
+class TestExperimentConfig:
+    def test_hidden_units_below_one_rejected(self):
+        for bad in (0, -3):
+            with pytest.raises(InvalidParameterError):
+                small_config(hidden_units=bad)
+
+
 class TestBuildDatasets:
     def test_test_split_carries_train_std(self):
         train, test = build_datasets(small_config(), seed=0)

@@ -36,6 +36,13 @@ def one_hot_profiles(labels, nc, score=1.0):
     return profiles
 
 
+class TestPredictionLog:
+    def test_nan_profile_rejected(self):
+        profiles = np.array([[0.5, 0.5], [np.nan, np.nan]])
+        with pytest.raises(InvalidParameterError):
+            make_log([0, 1], [0, 1], profiles)
+
+
 class TestRecategorize:
     def test_all_correct(self):
         log = make_log([0, 1, 0, 1], [0, 1, 0, 1])
@@ -216,7 +223,7 @@ class TestReport:
     def test_percent_export(self):
         labels = np.array([0, 1, 0, 1])
         log = make_log(labels, labels, one_hot_profiles(labels, 2, score=0.9))
-        doc = build_metrics_report(log).to_dict(percent=True)
+        doc = build_metrics_report(log).to_dict()
         assert doc["aggregate"]["accuracy"] == pytest.approx(100.0)
         assert doc["sodc"]["total"] == pytest.approx(0.45 * 0.45 * 100.0)
         assert doc["ood_partition"]["0"] == {"id": 2, "ood": 0}

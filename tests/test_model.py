@@ -4,24 +4,29 @@ import math
 import numpy as np
 import pytest
 
+from boostlab import model as model_mod
 from boostlab.data import make_blobs
 from boostlab.errors import EmptyInputError, InputShapeError, InvalidParameterError
 from boostlab.model import (
     ClassifierModel,
-    cross_entropy,
     forward,
     forward_batch,
     init_model,
     input_gradient,
     load_model,
+    loss_and_gradients,
     model_from_dict,
     model_to_dict,
-    parameter_gradients,
     save_model,
     train_step,
 )
 
-from oracles import fd_input_gradient, fd_parameter_gradients, oracle_forward_mp
+from oracles import (
+    fd_input_gradient,
+    fd_parameter_gradients,
+    oracle_cross_entropy,
+    oracle_forward_mp,
+)
 
 
 def _random_model(rng, d=None, h=None, c=None):
@@ -60,7 +65,7 @@ class TestForward:
         rng = np.random.default_rng(7)
         model = _random_model(rng, d=3, h=4, c=3)
         X = rng.normal(size=(10, 3))
-        batch = forward_batch(model, X)
+        _, batch = forward_batch(model, X)
         for i in range(10):
             np.testing.assert_allclose(batch[i], forward(model, X[i]), atol=1e-12)
 
@@ -119,10 +124,10 @@ class TestTrainStep:
     def test_descends_on_separable_blobs(self):
         data = make_blobs([100, 100], 2, 6.0, seed=3)
         model = init_model(2, 4, 2, seed=0)
-        initial = cross_entropy(model, data.features, data.labels)
+        initial, _ = loss_and_gradients(model, data.features, data.labels)
         for _ in range(200):
             model, _ = train_step(model, data.features, data.labels, 0.5)
-        final = cross_entropy(model, data.features, data.labels)
+        final, _ = loss_and_gradients(model, data.features, data.labels)
         assert final < initial
 
     def test_loss_near_zero_for_confident_correct_model(self):
@@ -147,12 +152,34 @@ class TestTrainStep:
         train_step(toy_model, np.array([[0.5]]), np.array([1]), 1.0)
         np.testing.assert_array_equal(toy_model.weights_out, before)
 
+    def test_loss_matches_oracle_cross_entropy(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            model = _random_model(rng)
+            n = int(rng.integers(1, 8))
+            X = rng.normal(size=(n, model.num_features))
+            y = rng.integers(0, model.num_classes, size=n)
+            loss, _ = loss_and_gradients(model, X, y)
+            assert abs(loss - oracle_cross_entropy(model, X, y)) < 1e-12
+
+    def test_one_forward_pass_per_step(self, toy_model, monkeypatch):
+        calls = []
+        real = model_mod.forward_batch
+
+        def counted(model, features):
+            calls.append(len(features))
+            return real(model, features)
+
+        monkeypatch.setattr(model_mod, "forward_batch", counted)
+        train_step(toy_model, np.array([[0.5], [-0.5]]), np.array([0, 1]), 0.1)
+        assert calls == [2]
+
     def test_parameter_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         model = _random_model(rng, d=2, h=3, c=3)
         X = rng.normal(size=(6, 2))
         y = rng.integers(0, 3, size=6)
-        analytic = parameter_gradients(model, X, y)
+        _, analytic = loss_and_gradients(model, X, y)
         fd = fd_parameter_gradients(model.copy(), X, y, h=1e-6)
         for name, grad in analytic.items():
             expected = np.array(fd[name]).reshape(grad.shape)

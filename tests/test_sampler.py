@@ -75,6 +75,11 @@ class TestBoostProbabilities:
             with pytest.raises(InvalidParameterError):
                 boost_probabilities(logits, np.array([0, 1]), np.array(bad))
 
+    def test_nan_aggregate_rejected(self):
+        logits = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(InvalidParameterError):
+            boost_probabilities(logits, np.array([0, 1]), np.array([0.5, np.nan]))
+
     def test_always_a_distribution(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
