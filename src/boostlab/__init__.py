@@ -19,6 +19,7 @@ from .data import (
 from .harness import (
     ExperimentConfig,
     RunRecord,
+    evaluate_run,
     export_reports,
     run_evaluation,
     run_experiment,
@@ -78,6 +79,7 @@ __all__ = [
     "compute_feature_std",
     "draw_batch",
     "epoch_resample",
+    "evaluate_run",
     "export_reports",
     "forward",
     "init_model",

@@ -12,13 +12,13 @@ import json
 import os
 import sys
 
-from .calibration import OdinConfig
+from .errors import BoostLabError
 from .harness import (
     ExperimentConfig,
     build_datasets,
+    evaluate_run,
     export_reports,
     run_comparison,
-    run_evaluation,
     run_experiment,
 )
 from .model import load_model, save_model
@@ -92,20 +92,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = build_config(args)
-    model = load_model(args.model)
-    _, test = build_datasets(config, config.seeds[0])
-    odin = OdinConfig(
-        temperature=args.temperature, epsilon=config.epsilon, grad_std=test.feature_std
-    )
-    report = run_evaluation(
-        model,
-        test,
-        args.mode,
-        odin=odin,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        sampler_seed=config.seeds[0],
-    )
+    seed = config.seeds[0]
+    _, test = build_datasets(config, seed)
+    report = evaluate_run(load_model(args.model), test, config, seed)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 
@@ -141,11 +130,9 @@ def main(argv=None) -> int:
     _add_common_flags(p_train)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("evaluate", help="score a saved model checkpoint on a test set")
+    p_eval = sub.add_parser("evaluate", help="score a checkpoint as its training run did")
     _add_common_flags(p_eval)
     p_eval.add_argument("--model", required=True, help="model checkpoint (JSON)")
-    p_eval.add_argument("--mode", choices=("boost", "control"), default="boost")
-    p_eval.add_argument("--temperature", type=float, default=1.0)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_cmp = sub.add_parser("compare", help="train all strategies and tabulate mean metrics")
@@ -154,7 +141,11 @@ def main(argv=None) -> int:
     p_cmp.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BoostLabError as exc:
+        print(f"boostlab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from .errors import (
     EmptyInputError,
     InsufficientDataError,
     InvalidParameterError,
+    NumericOverflowError,
 )
 
 log = logging.getLogger(__name__)
@@ -29,7 +30,6 @@ class Dataset:
     labels: np.ndarray
     num_classes: int
     feature_std: np.ndarray = None
-    split: str = "train"
     class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -81,9 +81,7 @@ def _simplex_centers(num_classes: int, dim: int, separation: float) -> np.ndarra
     return centers
 
 
-def make_blobs(
-    n_per_class, d: int, separation: float, seed: int, split: str = "train"
-) -> Dataset:
+def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
     """Isotropic unit-variance Gaussian blobs, one per class, centered on a
     scaled simplex so pairwise class geometry is uniform."""
     counts = np.asarray(n_per_class, dtype=np.intp)
@@ -103,7 +101,6 @@ def make_blobs(
         features=np.vstack(features),
         labels=np.concatenate(labels),
         num_classes=len(counts),
-        split=split,
     )
 
 
@@ -120,8 +117,8 @@ class ParetoTailSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.scale <= -1.0 - 1e-12:
-            raise InvalidParameterError("scale must be greater than -1")
+        if not self.scale > -1.0 - 1e-12:  # written so that NaN fails
+            raise InvalidParameterError(f"pareto scale must be at least -1, got {self.scale}")
 
 
 def pareto_tail_counts(class_counts: np.ndarray, spec: ParetoTailSpec) -> np.ndarray:
@@ -167,7 +164,6 @@ def pareto_resample(dataset: Dataset, spec: ParetoTailSpec) -> Dataset:
         features=dataset.features[chosen],
         labels=dataset.labels[chosen],
         num_classes=dataset.num_classes,
-        split=dataset.split,
     )
 
 
@@ -178,7 +174,10 @@ def compute_feature_std(train: Dataset) -> np.ndarray:
     """
     if train.n < 2:
         raise InsufficientDataError("need at least 2 samples to compute std")
-    std = train.features.std(axis=0)
+    with np.errstate(over="ignore"):  # reported below as a typed error
+        std = train.features.std(axis=0)
+    if not np.isfinite(std).all():
+        raise NumericOverflowError("feature std overflows float64; rescale the features")
     zero = std == 0
     if np.any(zero):
         log.warning(
@@ -201,14 +200,12 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple
         features=dataset.features[train_idx],
         labels=dataset.labels[train_idx],
         num_classes=dataset.num_classes,
-        split="train",
     )
     test = Dataset(
         features=dataset.features[test_idx],
         labels=dataset.labels[test_idx],
         num_classes=dataset.num_classes,
         feature_std=train.feature_std,
-        split="test",
     )
     return train, test
 

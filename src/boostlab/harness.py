@@ -51,16 +51,29 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.hidden_units < 1:
-            raise InvalidParameterError("epochs, batch_size and hidden_units must be at least 1")
-        if len(self.seeds) == 0:
-            raise InvalidParameterError("at least one seed is required")
-        if self.sampler not in STRATEGIES:
-            raise InvalidParameterError(f"sampler must be one of {STRATEGIES}")
         self.blob_counts = tuple(int(c) for c in self.blob_counts)
         self.seeds = tuple(int(s) for s in self.seeds)
         if self.test_counts is not None:
             self.test_counts = tuple(int(c) for c in self.test_counts)
+        rules = (  # each written so that NaN fails it
+            ("sampler", self.sampler in STRATEGIES, f"one of {STRATEGIES}"),
+            ("seeds", min(self.seeds, default=-1) >= 0, "one or more non-negative ints"),
+            ("blob_dim", self.blob_dim >= 1, "at least 1"),
+            ("blob_separation", 0 < self.blob_separation < math.inf, "finite and positive"),
+            ("test_fraction", 0 < self.test_fraction < 1, "in (0, 1)"),
+            ("epsilon", 0 <= self.epsilon < math.inf, "finite and non-negative"),
+            ("learning_rate", 0 <= self.learning_rate < math.inf, "finite and non-negative"),
+            ("epochs", self.epochs >= 1, "at least 1"),
+            ("batch_size", self.batch_size >= 1, "at least 1"),
+            ("hidden_units", self.hidden_units >= 1, "at least 1"),
+        )
+        for name, valid, rule in rules:
+            if not valid:
+                raise InvalidParameterError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        # the tail spec and the schedule check their own fields when built
+        if self.pareto_scale is not None:
+            ParetoTailSpec(scale=self.pareto_scale)
+        self.schedule()
 
     def schedule(self) -> TemperatureSchedule:
         return TemperatureSchedule(
@@ -105,9 +118,7 @@ def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Datase
     if config.dataset == "blobs":
         train = make_blobs(config.blob_counts, config.blob_dim, config.blob_separation, seed)
         test_counts = config.test_counts or config.blob_counts
-        test = make_blobs(
-            test_counts, config.blob_dim, config.blob_separation, seed + 10_000, split="test"
-        )
+        test = make_blobs(test_counts, config.blob_dim, config.blob_separation, seed + 10_000)
     else:
         full = load_csv(config.dataset, config.label_column)
         train, test = train_test_split(full, config.test_fraction, seed)
@@ -116,14 +127,7 @@ def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Datase
         train = pareto_resample(train, ParetoTailSpec(scale=config.pareto_scale, rng_seed=seed))
 
     # the perturbation std always comes from the training split
-    test = Dataset(
-        features=test.features,
-        labels=test.labels,
-        num_classes=test.num_classes,
-        feature_std=train.feature_std,
-        split="test",
-    )
-    return train, test
+    return train, replace(test, feature_std=train.feature_std)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -144,18 +148,20 @@ def _train_epoch(
     return model, losses
 
 
+def run_seeds(seed: int) -> tuple[int, int, int]:
+    """The (model, sampler, evaluation) seeds of the run with this seed."""
+    return tuple(int(v) for v in np.random.SeedSequence(seed).generate_state(3))
+
+
 def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord:
     """Train one model under the configured sampling strategy.
 
     Per epoch: the scheduler sets the temperature, the sampler rebuilds
     its distribution, and the trainer consumes ceil(n / batch_size) drawn
-    batches. Ends with an evaluation in boost mode for the boost strategy
-    and control mode otherwise.
+    batches. Ends with the run's final evaluation (`evaluate_run`).
     """
     seed = config.seeds[0] if seed is None else seed
-    model_seed, sampler_seed, eval_seed = (
-        int(v) for v in np.random.SeedSequence(seed).generate_state(3)
-    )
+    model_seed, sampler_seed, _ = run_seeds(seed)
 
     train, test = build_datasets(config, seed)
     model = model_mod.init_model(
@@ -170,29 +176,10 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
         odin = OdinConfig(temperature=temp, epsilon=config.epsilon, grad_std=train.feature_std)
         state = epoch_resample(state, model, train, odin)
         model, losses = _train_epoch(model, state, train, config.batch_size, config.learning_rate)
-        per_epoch.append(
-            EpochStats(
-                epoch=epoch,
-                loss=float(np.mean(losses)),
-                temperature=temp,
-                sampling_entropy=_entropy(state.probabilities),
-            )
-        )
+        loss = float(np.mean(losses))
+        per_epoch.append(EpochStats(epoch, loss, temp, _entropy(state.probabilities)))
 
-    final_temp = temperature_at(schedule, config.epochs - 1)
-    odin = OdinConfig(
-        temperature=final_temp, epsilon=config.epsilon, grad_std=train.feature_std
-    )
-    mode = "boost" if config.sampler == "boost" else "control"
-    metrics = run_evaluation(
-        model,
-        test,
-        mode,
-        odin=odin,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        sampler_seed=eval_seed,
-    )
+    metrics = evaluate_run(model, test, config, seed)
 
     return RunRecord(
         config=config,
@@ -204,6 +191,21 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
         test_labels=test.labels,
         embeddings=hidden_activations(model, test.features),
         model=model,
+    )
+
+
+def evaluate_run(
+    model: ClassifierModel, test: Dataset, config: ExperimentConfig, seed: int
+) -> MetricsReport:
+    """The final evaluation of the run with this (config, seed): boost mode
+    for the boost sampler, control mode otherwise, at the schedule's final
+    temperature. build_datasets gives `test` the train split's std."""
+    temperature = temperature_at(config.schedule(), config.epochs - 1)
+    odin = OdinConfig(temperature, config.epsilon, grad_std=test.feature_std)
+    mode = "boost" if config.sampler == "boost" else "control"
+    _, _, eval_seed = run_seeds(seed)
+    return run_evaluation(
+        model, test, mode, odin, config.batch_size, config.learning_rate, eval_seed
     )
 
 
@@ -225,7 +227,7 @@ def run_evaluation(
     model: ClassifierModel,
     test: Dataset,
     mode: str,
-    odin: OdinConfig | None = None,
+    odin: OdinConfig,
     batch_size: int = 32,
     learning_rate: float = 0.1,
     sampler_seed: int = 0,
@@ -248,8 +250,6 @@ def run_evaluation(
         raise ConfigurationError(
             f"model has {model.num_classes} classes but dataset has {test.num_classes}"
         )
-    if odin is None:
-        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=test.feature_std)
 
     if mode == "boost":
         profiles, _ = calibrate_batch_full(model, test.features, odin)
@@ -327,6 +327,9 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
 def run_comparison(config: ExperimentConfig, strategies=STRATEGIES) -> dict:
     """Train every strategy over the configured seeds; returns mean
     aggregate metrics per strategy, percent-scaled."""
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise InvalidParameterError(f"unknown strategies {unknown}; choose from {STRATEGIES}")
     summary = {}
     for strategy in strategies:
         records = run_experiment(replace(config, sampler=strategy))
@@ -334,10 +337,8 @@ def run_comparison(config: ExperimentConfig, strategies=STRATEGIES) -> dict:
         summary[strategy] = {
             k: float(np.mean([r.metrics.aggregate[k] for r in records])) * 100.0 for k in keys
         }
-        summary[strategy]["mab_accuracy"] = (
-            float(np.mean([r.metrics.bias["accuracy"]["mab"] for r in records])) * 100.0
-        )
-        summary[strategy]["sdb_accuracy"] = (
-            float(np.mean([r.metrics.bias["accuracy"]["sdb"] for r in records])) * 100.0
-        )
+        for bias in ("mab", "sdb"):
+            summary[strategy][f"{bias}_accuracy"] = (
+                float(np.mean([r.metrics.bias["accuracy"][bias] for r in records])) * 100.0
+            )
     return summary

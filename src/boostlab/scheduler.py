@@ -8,6 +8,7 @@ the lower bound in constant per-epoch steps over a configured horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
@@ -27,16 +28,17 @@ class TemperatureSchedule:
     horizon_epochs: int = 20  # inverse-linear only: epochs to reach T_MIN
 
     def __post_init__(self):
+        # written so that NaN fails each check
         if self.kind not in SCHEDULE_KINDS:
             raise InvalidParameterError(f"kind must be one of {SCHEDULE_KINDS}")
-        if self.scale <= 1:
-            raise InvalidParameterError("scale must be greater than 1")
-        if self.interval_epochs < 1:
+        if not 1 < self.scale < math.inf:
+            raise InvalidParameterError(f"scale must be finite and above 1, got {self.scale}")
+        if not self.interval_epochs >= 1:
             raise InvalidParameterError("interval_epochs must be at least 1")
-        if self.horizon_epochs < 1:
+        if not self.horizon_epochs >= 1:
             raise InvalidParameterError("horizon_epochs must be at least 1")
-        if self.start <= 0:
-            raise InvalidParameterError("start must be positive")
+        if not 0 < self.start < math.inf:
+            raise InvalidParameterError(f"start must be finite and positive, got {self.start}")
 
 
 def temperature_at(schedule: TemperatureSchedule, epoch: int) -> float:
@@ -45,7 +47,11 @@ def temperature_at(schedule: TemperatureSchedule, epoch: int) -> float:
         raise InvalidParameterError("epoch must be non-negative")
     if schedule.kind == "multiplicative":
         steps = epoch // schedule.interval_epochs
-        value = schedule.start * schedule.scale**steps
+        try:
+            value = schedule.start * schedule.scale**steps
+        except OverflowError:  # scale**steps is past 1.8e308: weigh start in log space
+            log_value = math.log(schedule.start) + steps * math.log(schedule.scale)
+            value = T_MAX if log_value > math.log(T_MAX) else math.exp(log_value)
     else:
         frac = min(epoch, schedule.horizon_epochs) / schedule.horizon_epochs
         value = T_MAX - (T_MAX - T_MIN) * frac

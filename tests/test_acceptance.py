@@ -353,7 +353,7 @@ def test_criterion_7_long_tail_robustness():
 def test_criterion_8_sodc_corruption_monotonicity():
     # a perfect classifier on a 200-sample test set
     train = make_blobs([120, 80], 2, 9.0, seed=88)
-    test = make_blobs([120, 80], 2, 9.0, seed=89, split="test")
+    test = make_blobs([120, 80], 2, 9.0, seed=89)
     model = init_model(2, 8, 2, seed=88)
     for _ in range(300):
         model, _ = train_step(model, train.features, train.labels, 0.5)
@@ -415,7 +415,7 @@ def test_criterion_9_protocol_isolation(tmp_path):
             np.testing.assert_array_equal(getattr(m, name), before)
 
     train = make_blobs([60, 40], 2, 3.0, seed=91)
-    test = make_blobs([30, 30], 2, 3.0, seed=92, split="test")
+    test = make_blobs([30, 30], 2, 3.0, seed=92)
     model = init_model(2, 8, 2, seed=91)
     odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=train.feature_std)
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -54,8 +55,6 @@ def test_evaluate_prints_report(tmp_path, capsys):
             "--model", str(out_dir / "model_seed0.json"),
             "--blob-counts", "30,10",
             "--seeds", "0",
-            "--mode", "boost",
-            "--temperature", "5",
         ],
         capsys,
     )
@@ -64,26 +63,55 @@ def test_evaluate_prints_report(tmp_path, capsys):
     assert "aggregate" in doc and "bias" in doc
 
 
-def _train_then_evaluate(tmp_path, capsys, data_flags):
-    """Train one seed for 6 epochs, then evaluate its checkpoint in boost
-    mode at the run's final temperature (5 under the default schedule).
-    Returns (train report.json, evaluate stdout) as parsed JSON."""
+def _train_then_evaluate(tmp_path, capsys, flags):
+    """Train one seed for 6 epochs, then evaluate its checkpoint with the
+    same flags. Returns (train report.json, evaluate stdout) as parsed JSON."""
     out_dir = tmp_path / "run"
-    common = data_flags + ["--hidden-units", "4", "--seeds", "0"]
-    run_cli(["train", "--epochs", "6", "--out", str(out_dir)] + common, capsys)
-    code, out = run_cli(
-        ["evaluate", "--model", str(out_dir / "model_seed0.json"), "--mode", "boost",
-         "--temperature", "5"] + common,
-        capsys,
-    )
+    common = flags + ["--hidden-units", "4", "--seeds", "0", "--epochs", "6"]
+    run_cli(["train", "--out", str(out_dir)] + common, capsys)
+    code, out = run_cli(["evaluate", "--model", str(out_dir / "model_seed0.json")] + common, capsys)
     assert code == 0
     return json.loads((out_dir / "report.json").read_text()), json.loads(out)
 
 
-def test_evaluate_reproduces_train_metrics(tmp_path, capsys):
-    flags = ["--blob-counts", "30,10", "--blob-separation", "2.5"]
+@pytest.mark.parametrize(
+    "run_flags",
+    [
+        [],  # boost sampler: boost mode at the final temperature, 5
+        ["--sampler", "random"],  # control mode, with the run's own evaluation seed
+        ["--temp-kind", "inverse-linear"],  # final temperature 1 + 999/6
+    ],
+    ids=["boost", "random-control", "inverse-linear"],
+)
+def test_evaluate_reproduces_train_metrics(tmp_path, capsys, run_flags):
+    flags = ["--blob-counts", "30,10", "--blob-separation", "2.5"] + run_flags
     report, evaluated = _train_then_evaluate(tmp_path, capsys, flags)
     assert evaluated == report["metrics"]
+
+
+def test_evaluate_has_no_mode_or_temperature_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["evaluate", "--help"])
+    usage = capsys.readouterr().out
+    assert "--model" in usage
+    assert not re.search(r"--mode\b", usage) and "--temperature" not in usage
+
+
+def test_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code = main(["train", "--epsilon", "nan", "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("boostlab: error:") and "epsilon" in err
+    assert err.count("\n") == 1  # no traceback
+    assert not out_dir.exists()
+
+
+def test_compare_rejects_unknown_strategy_names(tmp_path, capsys):
+    code = main(["compare", "--strategies", "boost,bogus", "--out", str(tmp_path / "cmp")])
+    assert code == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_csv_evaluate_scores_only_the_test_split(tmp_path, capsys):

@@ -12,7 +12,12 @@ from boostlab.data import (
     save_csv,
     train_test_split,
 )
-from boostlab.errors import CsvParseError, EmptyInputError, InsufficientDataError
+from boostlab.errors import (
+    CsvParseError,
+    EmptyInputError,
+    InsufficientDataError,
+    NumericOverflowError,
+)
 from boostlab.model import forward_batch, init_model, train_step
 
 
@@ -141,6 +146,10 @@ class TestFeatureStd:
         with pytest.raises(InsufficientDataError):
             compute_feature_std(data)
 
+    def test_overflowing_std_rejected(self):
+        with pytest.raises(NumericOverflowError):
+            make_blobs([6, 3], 1, 1e300, seed=0)
+
 
 class TestCsv:
     def test_lexicographic_label_mapping(self, tmp_path):
@@ -207,7 +216,6 @@ class TestSplit:
         assert test.n == 50
         assert train.n == 150
         np.testing.assert_array_equal(test.feature_std, train.feature_std)
-        assert train.split == "train" and test.split == "test"
 
     def test_split_deterministic(self):
         data = make_blobs([60, 60], 2, 3.0, seed=13)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from boostlab import harness
 from boostlab.calibration import OdinConfig, calibrate_batch_full
 from boostlab.data import make_blobs
 from boostlab.errors import ConfigurationError, InvalidParameterError
@@ -13,6 +14,7 @@ from boostlab.harness import (
     build_datasets,
     export_reports,
     record_to_report,
+    run_comparison,
     run_evaluation,
     run_experiment,
     run_training,
@@ -39,7 +41,7 @@ def small_config(**overrides):
 
 def train_to_perfection(counts=(30, 20), sep=8.0, seed=0):
     train = make_blobs(list(counts), 2, sep, seed=seed)
-    test = make_blobs(list(counts), 2, sep, seed=seed + 1, split="test")
+    test = make_blobs(list(counts), 2, sep, seed=seed + 1)
     model = init_model(2, 8, 2, seed=seed)
     for _ in range(300):
         model, _ = train_step(model, train.features, train.labels, 0.5)
@@ -78,6 +80,16 @@ class TestRunTraining:
             assert len(record.sampler_state.history) == 2
             assert 0.0 <= record.metrics.aggregate["accuracy"] <= 1.0
 
+    @pytest.mark.parametrize("sampler, mode", [("boost", "boost"), ("random", "control")])
+    def test_final_evaluation_at_last_temperature_with_third_seed(self, sampler, mode):
+        config = small_config(sampler=sampler, epochs=6, learning_rate=0.3)
+        record = run_training(config, seed=3)
+        train, test = build_datasets(config, seed=3)
+        odin = OdinConfig(temperature=5.0, epsilon=config.epsilon, grad_std=train.feature_std)
+        eval_seed = int(np.random.SeedSequence(3).generate_state(3)[2])
+        expected = run_evaluation(record.model, test, mode, odin, 16, 0.3, sampler_seed=eval_seed)
+        assert record.metrics.to_dict() == expected.to_dict()
+
     def test_run_experiment_covers_all_seeds(self):
         records = run_experiment(small_config(seeds=(0, 1, 2), epochs=1))
         assert [r.seed for r in records] == [0, 1, 2]
@@ -88,6 +100,40 @@ class TestExperimentConfig:
         for bad in (0, -3):
             with pytest.raises(InvalidParameterError):
                 small_config(hidden_units=bad)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("seeds", (-1,), "seeds"),
+            ("seeds", (0, -2), "seeds"),
+            ("epsilon", math.nan, "epsilon"),
+            ("epsilon", math.inf, "epsilon"),
+            ("epsilon", -0.1, "epsilon"),
+            ("learning_rate", math.nan, "learning_rate"),
+            ("learning_rate", math.inf, "learning_rate"),
+            ("learning_rate", -1.0, "learning_rate"),
+            ("blob_separation", math.nan, "blob_separation"),
+            ("blob_separation", math.inf, "blob_separation"),
+            ("blob_separation", 0.0, "blob_separation"),
+            ("blob_separation", -2.0, "blob_separation"),
+            ("blob_dim", 0, "blob_dim"),
+            ("test_fraction", 0.0, "test_fraction"),
+            ("test_fraction", 1.0, "test_fraction"),
+            ("test_fraction", math.nan, "test_fraction"),
+            ("pareto_scale", math.nan, "pareto scale"),
+            ("pareto_scale", -1.5, "pareto scale"),
+            ("temp_scale", math.nan, "scale"),
+            ("temp_scale", 1.0, "scale"),
+            ("temp_scale", math.inf, "scale"),
+            ("temp_start", math.nan, "start"),
+            ("temp_start", 0.0, "start"),
+            ("temp_start", math.inf, "start"),
+            ("temp_interval", 0, "interval_epochs"),
+        ],
+    )
+    def test_out_of_range_field_rejected_by_name(self, field, value, named):
+        with pytest.raises(InvalidParameterError, match=named):
+            small_config(**{field: value})
 
 
 class TestBuildDatasets:
@@ -147,13 +193,15 @@ class TestRunEvaluation:
     def test_class_count_mismatch(self):
         model, _, _ = train_to_perfection()
         other = make_blobs([5, 5, 5], 2, 3.0, seed=9)
+        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=other.feature_std)
         with pytest.raises(ConfigurationError):
-            run_evaluation(model, other, "boost")
+            run_evaluation(model, other, "boost", odin)
 
     def test_unknown_mode(self):
-        model, _, test = train_to_perfection()
+        model, train, test = train_to_perfection()
+        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=train.feature_std)
         with pytest.raises(InvalidParameterError):
-            run_evaluation(model, test, "plain")
+            run_evaluation(model, test, "plain", odin)
 
     def test_deterministic(self):
         model, train, test = train_to_perfection(seed=4)
@@ -161,6 +209,15 @@ class TestRunEvaluation:
         a = run_evaluation(model, test, "control", odin=odin, sampler_seed=7)
         b = run_evaluation(model, test, "control", odin=odin, sampler_seed=7)
         assert a.to_dict() == b.to_dict()
+
+
+class TestRunComparison:
+    def test_unknown_strategy_rejected_before_any_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_training", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidParameterError, match="bogus"):
+            run_comparison(small_config(), ("boost", "bogus"))
+        assert calls == []
 
 
 class TestExportReports:

@@ -242,9 +242,7 @@ class TestEpochResample:
         features = data.features.copy()
         centre0 = features[data.labels == 0].mean(axis=0)
         features[-1] = centre0
-        planted = Dataset(
-            features=features, labels=data.labels, num_classes=2, split="train"
-        )
+        planted = Dataset(features=features, labels=data.labels, num_classes=2)
         odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=planted.feature_std)
         state = SamplerState(strategy="boost", rng_seed=21)
         epoch_resample(state, model, planted, odin)

@@ -23,6 +23,14 @@ def test_upper_clamp():
     assert temperature_at(sched, 100) == 1000.0  # unclamped would be 5**20
 
 
+def test_clamp_holds_past_the_float_range():
+    sched = TemperatureSchedule(scale=1e200, interval_epochs=1)
+    assert [temperature_at(sched, e) for e in range(4)] == [1.0, 1000.0, 1000.0, 1000.0]
+    # 1e161**2 overflows on its own, but a start of 1e-320 brings the product back to ~100
+    tiny_start = TemperatureSchedule(start=1e-320, scale=1e161, interval_epochs=1)
+    assert temperature_at(tiny_start, 2) == pytest.approx(100.0, rel=1e-3)
+
+
 def test_inverse_linear_descends_to_min():
     sched = TemperatureSchedule(kind="inverse-linear", horizon_epochs=10)
     assert temperature_at(sched, 0) == 1000.0
