@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import BoostLabError
+from .errors import BoostLabError, InvalidParameterError
 from .harness import (
     ExperimentConfig,
     build_datasets,
@@ -64,7 +64,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             file_values = json.load(fh)
         unknown = set(file_values) - set(CONFIG_KEYS)
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+            raise InvalidParameterError(f"{args.config}: unknown config keys {sorted(unknown)}")
         values.update(file_values)
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BoostLabError as exc:
+    except (BoostLabError, OSError) as exc:  # OSError names the missing or unreadable file
         print(f"boostlab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -257,11 +257,19 @@ def load_csv(path, label_column: str) -> Dataset:
     )
 
 
+def write_csv(path, header, rows) -> None:
+    """The one CSV format boostlab writes: comma-delimited, a header row,
+    "\\n" line ends. Floats are written by str, which is their shortest
+    round-trip form, and None as an empty field."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
     """Inverse of load_csv for integer-labeled datasets; features are
-    written with full repr precision so a round trip is exact."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feature_{j}" for j in range(dataset.num_features)] + [label_column])
-        for x, y in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
+    written in shortest round-trip form so a round trip is exact."""
+    header = [f"feature_{j}" for j in range(dataset.num_features)] + [label_column]
+    rows = ([*x.tolist(), y] for x, y in zip(dataset.features, dataset.labels.tolist()))
+    write_csv(path, header, rows)

@@ -12,29 +12,44 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
 from . import model as model_mod
 from .calibration import OdinConfig, calibrate_batch_full
-from .data import Dataset, ParetoTailSpec, load_csv, make_blobs, pareto_resample, train_test_split
+from .data import Dataset, ParetoTailSpec, load_csv, make_blobs, pareto_resample
+from .data import train_test_split, write_csv
 from .errors import ConfigurationError, EmptyInputError, InvalidParameterError
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
 from .model import ClassifierModel, hidden_activations, softmax_rows, train_step
-from .sampler import STRATEGIES, SamplerState, draw_batch, epoch_resample, write_history_csv
+from .sampler import STRATEGIES, SamplerState, draw_batch, epoch_resample
 from .scheduler import TemperatureSchedule, temperature_at
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a config value has the type its field's annotation names:
+    "str", "int", "float" or "tuple[int, ...]", any of them "| None"."""
+    kind = annotation.removesuffix(" | None")
+    if value is None:
+        return kind != annotation
+    if kind == "tuple[int, ...]":  # a list is welcome too: JSON has no tuples
+        return isinstance(value, (tuple, list)) and all(_fits(v, "int") for v in value)
+    expected = {"str": str, "int": numbers.Integral, "float": numbers.Real}[kind]
+    return isinstance(value, expected) and not isinstance(value, bool)
 
 
 @dataclass
 class ExperimentConfig:
     dataset: str = "blobs"  # "blobs" or a path to a labeled CSV
     label_column: str = "label"
-    blob_counts: tuple = (900, 100)
+    blob_counts: tuple[int, ...] = (900, 100)
     blob_dim: int = 2
     blob_separation: float = 3.0
-    test_counts: tuple | None = None  # blobs only; defaults to blob_counts
+    test_counts: tuple[int, ...] | None = None  # blobs only; defaults to blob_counts
     test_fraction: float = 0.25  # csv only
     pareto_scale: float | None = None  # applied to the train split when set
     sampler: str = "boost"
@@ -47,14 +62,15 @@ class ExperimentConfig:
     batch_size: int = 32
     learning_rate: float = 0.2
     hidden_units: int = 16
-    seeds: tuple = (0,)
+    seeds: tuple[int, ...] = (0,)
     out_dir: str = "runs"
 
     def __post_init__(self):
-        self.blob_counts = tuple(int(c) for c in self.blob_counts)
-        self.seeds = tuple(int(s) for s in self.seeds)
-        if self.test_counts is not None:
-            self.test_counts = tuple(int(c) for c in self.test_counts)
+        for f in fields(self):  # a config file can hold any JSON value
+            if not _fits(value := getattr(self, f.name), f.type):
+                raise InvalidParameterError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if isinstance(value, (tuple, list)):  # numpy ints become ints, for JSON
+                setattr(self, f.name, tuple(int(v) for v in value))
         rules = (  # each written so that NaN fails it
             ("sampler", self.sampler in STRATEGIES, f"one of {STRATEGIES}"),
             ("seeds", min(self.seeds, default=-1) >= 0, "one or more non-negative ints"),
@@ -228,9 +244,9 @@ def run_evaluation(
     test: Dataset,
     mode: str,
     odin: OdinConfig,
-    batch_size: int = 32,
-    learning_rate: float = 0.1,
-    sampler_seed: int = 0,
+    batch_size: int,
+    learning_rate: float,
+    sampler_seed: int,
 ) -> MetricsReport:
     """Score a trained model on a test split.
 
@@ -275,31 +291,43 @@ def record_to_report(record: RunRecord) -> dict:
     }
 
 
+def write_history_csv(state: SamplerState, true_labels: np.ndarray, path) -> None:
+    """One row per (epoch, sample): score, probability, and draw count. The
+    score is empty where the sampler calibrated nothing (the baselines)."""
+    true_labels = np.asarray(true_labels, dtype=np.intp).tolist()
+
+    def rows():
+        for record in state.history:  # one epoch at a time, so memory stays per epoch
+            scores = [None if math.isnan(s) else s for s in record.scores.tolist()]
+            yield from zip(repeat(record.epoch), range(len(true_labels)), true_labels,
+                           record.predicted.tolist(), scores, record.probabilities.tolist(),
+                           record.draw_counts.tolist())
+
+    header = ["epoch", "sample_id", "true_class", "predicted_class",
+              "calibrated_score", "sampling_probability", "times_drawn"]
+    write_csv(path, header, rows())
+
+
 def _write_record(record: RunRecord, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
-    report_path = os.path.join(out_dir, "report.json")
+    paths = [os.path.join(out_dir, name) for name in REPORT_FILES]
+    report_path, per_class_path, history_path, embeddings_path = paths
+
+    report = record_to_report(record)
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(record_to_report(record), fh, indent=2)
+        json.dump(report, fh, indent=2)
 
-    per_class_path = os.path.join(out_dir, "per_class_metrics.csv")
-    with open(per_class_path, "w", encoding="utf-8") as fh:
-        fh.write("class,metric,value_percent\n")
-        for cls, values in record.metrics.per_class.items():
-            for name, value in values.items():
-                fh.write(f"{cls},{name},{repr(value * 100.0)}\n")
+    per_class = report["metrics"]["per_class"]
+    rows = ((c, name, value) for c, values in per_class.items() for name, value in values.items())
+    write_csv(per_class_path, ["class", "metric", "value_percent"], rows)
 
-    history_path = os.path.join(out_dir, "sampler_history.csv")
     write_history_csv(record.sampler_state, record.train_labels, history_path)
 
-    embeddings_path = os.path.join(out_dir, "embeddings.csv")
-    hidden_dim = record.embeddings.shape[1]
-    with open(embeddings_path, "w", encoding="utf-8") as fh:
-        fh.write("sample_id,true_class," + ",".join(f"h_{j}" for j in range(hidden_dim)) + "\n")
-        for i in range(record.embeddings.shape[0]):
-            row = ",".join(repr(float(v)) for v in record.embeddings[i])
-            fh.write(f"{i},{int(record.test_labels[i])},{row}\n")
-
-    return [report_path, per_class_path, history_path, embeddings_path]
+    hidden = [f"h_{j}" for j in range(record.embeddings.shape[1])]
+    labels = record.test_labels.tolist()
+    rows = ([i, labels[i], *h.tolist()] for i, h in enumerate(record.embeddings))
+    write_csv(embeddings_path, ["sample_id", "true_class", *hidden], rows)
+    return paths
 
 
 def export_reports(records: list[RunRecord], out_dir: str) -> list[str]:

@@ -11,7 +11,6 @@ variant (re-drawn every epoch).
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -194,33 +193,3 @@ def epoch_resample(
     )
     return state
 
-
-def write_history_csv(state: SamplerState, true_labels: np.ndarray, path) -> None:
-    """One row per (epoch, sample): score, probability, and draw count."""
-    true_labels = np.asarray(true_labels, dtype=np.intp)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "epoch",
-                "sample_id",
-                "true_class",
-                "predicted_class",
-                "calibrated_score",
-                "sampling_probability",
-                "times_drawn",
-            ]
-        )
-        for record in state.history:
-            for i in range(len(record.probabilities)):
-                writer.writerow(
-                    [
-                        record.epoch,
-                        i,
-                        int(true_labels[i]),
-                        int(record.predicted[i]),
-                        "" if np.isnan(record.scores[i]) else repr(float(record.scores[i])),
-                        repr(float(record.probabilities[i])),
-                        int(record.draw_counts[i]),
-                    ]
-                )

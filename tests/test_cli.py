@@ -7,6 +7,7 @@ import pytest
 
 from boostlab.cli import _add_common_flags, build_config, main
 from boostlab.data import make_blobs, save_csv
+from boostlab.errors import BoostLabError
 from boostlab.harness import ExperimentConfig
 
 
@@ -161,7 +162,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg_path.write_text(json.dumps({"not_a_key": 1}))
     import argparse
 
-    with pytest.raises(SystemExit):
+    with pytest.raises(BoostLabError, match="not_a_key"):
         build_config(argparse.Namespace(config=str(cfg_path)))
 
 
@@ -172,12 +173,45 @@ def test_every_config_field_has_a_flag():
     assert {f.name for f in dataclasses.fields(ExperimentConfig)} <= dests
 
 
-def test_config_file_accepts_every_field_and_names_unknown_keys(tmp_path):
+def test_config_file_accepts_every_field_and_names_unknown_keys(tmp_path, capsys):
     full = ExperimentConfig(epochs=3, seeds=(4, 5), test_counts=(7, 8)).to_dict()
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(full))
     assert build_config(argparse.Namespace(config=str(cfg_path))).to_dict() == full
 
     cfg_path.write_text(json.dumps({**full, "perturbation_sign": "odin-classic"}))
-    with pytest.raises(SystemExit, match="perturbation_sign"):
-        main(["train", "--config", str(cfg_path)])
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boostlab: error:") and "perturbation_sign" in err
+
+
+@pytest.mark.parametrize(
+    "values, named", [({"epsilon": "x"}, "epsilon"), ({"blob_counts": 5}, "blob_counts")]
+)
+def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, values, named):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(values))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boostlab: error:") and named in err
+    assert err.count("\n") == 1  # no traceback
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--model", "{missing}"],
+        ["train", "--dataset", "{missing}"],
+        ["train", "--config", "{missing}"],
+    ],
+    ids=["evaluate-model", "train-dataset", "train-config"],
+)
+def test_missing_input_file_exits_2_naming_the_path(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.file")
+    out_dir = tmp_path / "run"
+    argv = [arg.format(missing=missing) for arg in argv] + ["--out", str(out_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boostlab: error:") and missing in err
+    assert err.count("\n") == 1  # no traceback
+    assert not out_dir.exists()

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from boostlab import harness
 from boostlab.calibration import OdinConfig, calibrate_batch_full
-from boostlab.data import make_blobs
+from boostlab.data import make_blobs, save_csv
 from boostlab.errors import ConfigurationError, InvalidParameterError
 from boostlab.harness import (
     REPORT_FILES,
@@ -129,6 +130,13 @@ class TestExperimentConfig:
             ("temp_start", 0.0, "start"),
             ("temp_start", math.inf, "start"),
             ("temp_interval", 0, "interval_epochs"),
+            ("epsilon", "x", "epsilon"),
+            ("blob_counts", 5, "blob_counts"),
+            ("seeds", [0, "1"], "seeds"),
+            ("test_counts", (3, 2.5), "test_counts"),
+            ("epochs", 2.0, "epochs"),
+            ("learning_rate", True, "learning_rate"),
+            ("sampler", None, "sampler"),
         ],
     )
     def test_out_of_range_field_rejected_by_name(self, field, value, named):
@@ -156,7 +164,7 @@ class TestRunEvaluation:
     def test_perfect_model_boost_mode(self):
         model, train, test = train_to_perfection()
         odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=train.feature_std)
-        report = run_evaluation(model, test, "boost", odin=odin)
+        report = run_evaluation(model, test, "boost", odin, 32, 0.1, sampler_seed=0)
         partition = report.ood_partition
         np.testing.assert_array_equal(partition.ood_counts, [0, 0])
 
@@ -178,7 +186,7 @@ class TestRunEvaluation:
             for name in ("weights_hidden", "bias_hidden", "weights_out", "bias_out")
         }
         odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=train.feature_std)
-        run_evaluation(model, test, "control", odin=odin, learning_rate=0.5)
+        run_evaluation(model, test, "control", odin, 32, learning_rate=0.5, sampler_seed=0)
         for name, before in snapshot.items():
             np.testing.assert_array_equal(getattr(model, name), before)
 
@@ -187,7 +195,7 @@ class TestRunEvaluation:
         # one-epoch fine-tune used for the score profiles
         model, train, test = train_to_perfection(seed=3)
         odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=train.feature_std)
-        report = run_evaluation(model, test, "control", odin=odin)
+        report = run_evaluation(model, test, "control", odin, 32, 0.1, sampler_seed=0)
         assert report.aggregate["accuracy"] == 1.0
 
     def test_class_count_mismatch(self):
@@ -195,19 +203,19 @@ class TestRunEvaluation:
         other = make_blobs([5, 5, 5], 2, 3.0, seed=9)
         odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=other.feature_std)
         with pytest.raises(ConfigurationError):
-            run_evaluation(model, other, "boost", odin)
+            run_evaluation(model, other, "boost", odin, 32, 0.1, sampler_seed=0)
 
     def test_unknown_mode(self):
         model, train, test = train_to_perfection()
         odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=train.feature_std)
         with pytest.raises(InvalidParameterError):
-            run_evaluation(model, test, "plain", odin)
+            run_evaluation(model, test, "plain", odin, 32, 0.1, sampler_seed=0)
 
     def test_deterministic(self):
         model, train, test = train_to_perfection(seed=4)
         odin = OdinConfig(temperature=3.0, epsilon=0.05, grad_std=train.feature_std)
-        a = run_evaluation(model, test, "control", odin=odin, sampler_seed=7)
-        b = run_evaluation(model, test, "control", odin=odin, sampler_seed=7)
+        a = run_evaluation(model, test, "control", odin, 32, 0.1, sampler_seed=7)
+        b = run_evaluation(model, test, "control", odin, 32, 0.1, sampler_seed=7)
         assert a.to_dict() == b.to_dict()
 
 
@@ -258,6 +266,53 @@ class TestExportReports:
         assert subdirs == ["run_00_boost_seed0", "run_01_boost_seed1"]
         for sub in subdirs:
             assert sorted(p.name for p in (tmp_path / sub).iterdir()) == sorted(REPORT_FILES)
+
+    def test_no_file_written_has_a_carriage_return(self, tmp_path):
+        paths = export_reports([run_training(small_config(epochs=2))], str(tmp_path / "one"))
+        records = run_experiment(small_config(seeds=(0, 1), epochs=1))
+        paths += export_reports(records, str(tmp_path / "several"))
+        paths.append(tmp_path / "data.csv")
+        save_csv(make_blobs([5, 3], 2, 3.0, seed=0), paths[-1])
+        assert len(paths) == 4 + 8 + 1
+        for path in paths:
+            assert b"\r" not in open(path, "rb").read(), path
+
+    @pytest.mark.parametrize("sampler", ["boost", "random"])
+    def test_csv_artifacts_read_back_to_the_record(self, tmp_path, sampler):
+        record = run_training(small_config(sampler=sampler, epochs=2))
+        export_reports([record], str(tmp_path))
+
+        def columns(name):
+            with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+                _, *rows = csv.reader(fh)
+            return rows, list(zip(*rows))
+
+        def ints(values):
+            return [int(v) for v in values]
+
+        def floats(values):
+            return [float(v) for v in values]
+
+        history = record.sampler_state.history
+        n = len(record.train_labels)
+        rows, _ = columns("sampler_history.csv")
+        assert len(rows) == len(history) * n
+        for epoch in history:
+            cols = list(zip(*rows[epoch.epoch * n : (epoch.epoch + 1) * n]))
+            assert ints(cols[0]) == [epoch.epoch] * n and ints(cols[1]) == list(range(n))
+            np.testing.assert_array_equal(ints(cols[2]), record.train_labels)
+            np.testing.assert_array_equal(ints(cols[3]), epoch.predicted)
+            if sampler == "random":  # nothing was calibrated
+                assert set(cols[4]) == {""}
+            else:
+                np.testing.assert_array_equal(floats(cols[4]), epoch.scores)
+            np.testing.assert_array_equal(floats(cols[5]), epoch.probabilities)
+            np.testing.assert_array_equal(ints(cols[6]), epoch.draw_counts)
+
+        rows, cols = columns("embeddings.csv")
+        assert ints(cols[0]) == list(range(len(record.test_labels)))
+        np.testing.assert_array_equal(ints(cols[1]), record.test_labels)
+        np.testing.assert_array_equal([floats(row[2:]) for row in rows], record.embeddings)
 
     def test_exports_byte_identical_across_runs(self, tmp_path):
         config = small_config()

@@ -1,5 +1,5 @@
-"""Property tests: fuzzed configuration values either construct a config
-whose data and temperatures are finite, or fail with a BoostLabError."""
+"""Property tests: fuzzed configuration values, of any type, either construct
+a config whose data and temperatures are finite, or fail with a BoostLabError."""
 
 import math
 
@@ -15,6 +15,8 @@ from boostlab.scheduler import temperature_at
 EDGES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, -1e300]
 ANY_FLOAT = st.floats() | st.sampled_from(EDGES)  # st.floats() spans the whole range too
 ANY_INT = st.integers(min_value=-3, max_value=12)
+# values of another type, as a JSON config file can hold them in any field
+ANY_TYPE = st.text(max_size=4) | st.lists(ANY_INT, max_size=3) | st.none() | st.booleans()
 
 # name: (values a run might use, values from the whole domain)
 FIELDS = {
@@ -36,11 +38,11 @@ FIELDS = {
 
 
 @pytest.mark.parametrize("fuzzed", sorted(FIELDS))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_config_is_valid_or_rejected_with_a_typed_error(fuzzed, data):
     fields = {name: data.draw(usual, label=name) for name, (usual, _) in FIELDS.items()}
-    fields[fuzzed] = data.draw(FIELDS[fuzzed][1], label=f"fuzzed {fuzzed}")
+    fields[fuzzed] = data.draw(FIELDS[fuzzed][1] | ANY_TYPE, label=f"fuzzed {fuzzed}")
     try:
         config = ExperimentConfig(blob_counts=(6, 3), test_counts=(3, 2), **fields)
     except BoostLabError:

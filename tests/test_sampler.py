@@ -5,6 +5,7 @@ from scipy import stats
 from boostlab.calibration import OdinConfig
 from boostlab.data import Dataset, make_blobs
 from boostlab.errors import EmptyInputError, InvalidParameterError
+from boostlab.harness import write_history_csv
 from boostlab.model import init_model, train_step
 from boostlab.sampler import (
     STRATEGIES,
@@ -13,7 +14,6 @@ from boostlab.sampler import (
     boost_probabilities,
     draw_batch,
     epoch_resample,
-    write_history_csv,
 )
 
 from oracles import oracle_boost_weights
