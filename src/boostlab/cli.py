@@ -12,6 +12,7 @@ import json
 import os
 import sys
 
+from .data import read_json
 from .errors import BoostLabError, InvalidParameterError
 from .harness import (
     ExperimentConfig,
@@ -60,8 +61,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
+        file_values = read_json(args.config)
+        if not isinstance(file_values, dict):
+            raise InvalidParameterError(f"{args.config}: a config file must hold a JSON object")
         unknown = set(file_values) - set(CONFIG_KEYS)
         if unknown:
             raise InvalidParameterError(f"{args.config}: unknown config keys {sorted(unknown)}")

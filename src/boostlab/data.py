@@ -6,7 +6,9 @@ along a Pareto-shaped count curve.
 from __future__ import annotations
 
 import csv
+import json
 import logging
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,6 +197,10 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
     n_test = max(1, int(round(dataset.n * test_fraction)))
+    if n_test >= dataset.n:
+        raise InsufficientDataError(
+            f"{dataset.n} sample(s) cannot fill both a train and a test split"
+        )
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     train = Dataset(
         features=dataset.features[train_idx],
@@ -222,24 +228,24 @@ def load_csv(path, label_column: str) -> Dataset:
         if label_column not in header:
             raise CsvParseError(f"{path}: no column named {label_column!r}")
         label_idx = header.index(label_column)
-        feature_cols = [i for i in range(len(header)) if i != label_idx]
 
-        rows = []
+        values = array("d")  # every feature, row after row
         raw_labels = []
         for row_num, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise CsvParseError(
                     f"{path}: row {row_num}: expected {len(header)} fields, got {len(row)}"
                 )
+            label = row.pop(label_idx)
             try:
-                rows.append([float(row[i]) for i in feature_cols])
+                values.extend(map(float, row))
             except ValueError as exc:
                 raise CsvParseError(f"{path}: row {row_num}: non-numeric feature: {exc}") from exc
-            raw_labels.append(row[label_idx])
+            raw_labels.append(label)
 
-    if not rows:
+    if not raw_labels:
         raise CsvParseError(f"{path}: no data rows")
-    features = np.array(rows, dtype=np.float64)
+    features = np.frombuffer(values, dtype=np.float64).reshape(len(raw_labels), len(header) - 1)
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         row_num = int(np.argmin(finite)) + 2
@@ -255,6 +261,16 @@ def load_csv(path, label_column: str) -> Dataset:
         labels=np.array([mapping[v] for v in raw_labels], dtype=np.intp),
         num_classes=len(classes),
     )
+
+
+def read_json(path):
+    """The JSON document in a file; malformed JSON raises a typed error
+    naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise InvalidParameterError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def write_csv(path, header, rows) -> None:

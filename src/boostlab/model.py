@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_json
 from .errors import (
+    BoostLabError,
     EmptyInputError,
     InputShapeError,
     InvalidParameterError,
@@ -24,50 +27,52 @@ from .errors import (
 )
 
 
+LAYERS = ("weights_hidden", "bias_hidden", "weights_out", "bias_out")
+
+
 @dataclass
 class ClassifierModel:
     """Parameters of a feedforward net: input -> tanh hidden -> logits.
 
-    weights_hidden: [hidden x features], weights_out: [classes x hidden].
+    All parameters live in one float64 vector, layer after layer in LAYERS
+    order, each row-major; the four layer arrays are reshaped views into it:
+    weights_hidden [hidden x features], bias_hidden [hidden],
+    weights_out [classes x hidden], bias_out [classes]. The model owns
+    `params`: no other model shares its memory.
     """
 
-    weights_hidden: np.ndarray
-    bias_hidden: np.ndarray
-    weights_out: np.ndarray
-    bias_out: np.ndarray
+    params: np.ndarray
+    num_features: int
+    num_hidden: int
+    num_classes: int
+    weights_hidden: np.ndarray = field(init=False, repr=False)
+    bias_hidden: np.ndarray = field(init=False, repr=False)
+    weights_out: np.ndarray = field(init=False, repr=False)
+    bias_out: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.weights_hidden = np.asarray(self.weights_hidden, dtype=np.float64)
-        self.bias_hidden = np.asarray(self.bias_hidden, dtype=np.float64)
-        self.weights_out = np.asarray(self.weights_out, dtype=np.float64)
-        self.bias_out = np.asarray(self.bias_out, dtype=np.float64)
-        h, d = self.weights_hidden.shape
-        c = self.weights_out.shape[0]
-        if self.bias_hidden.shape != (h,) or self.weights_out.shape != (c, h) or self.bias_out.shape != (c,):
-            raise InputShapeError("inconsistent layer shapes")
-        for arr in (self.weights_hidden, self.bias_hidden, self.weights_out, self.bias_out):
-            if not np.all(np.isfinite(arr)):
-                raise InvalidParameterError("model parameters must be finite")
+        self.params = np.asarray(self.params, dtype=np.float64)
+        d, h, c = self.num_features, self.num_hidden, self.num_classes
+        size = h * d + h + c * h + c
+        if self.params.shape != (size,):
+            raise InputShapeError(
+                f"a {d}-{h}-{c} model has {size} parameters, got shape {self.params.shape}"
+            )
+        if not np.isfinite(self.params).all():
+            raise InvalidParameterError("model parameters must be finite")
+        self.weights_hidden, self.bias_hidden, self.weights_out, self.bias_out = (
+            self.layer_views(self.params)
+        )
 
-    @property
-    def num_features(self) -> int:
-        return self.weights_hidden.shape[1]
-
-    @property
-    def num_hidden(self) -> int:
-        return self.weights_hidden.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights_out.shape[0]
+    def layer_views(self, vector: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The four layers of a vector laid out like `params`, as views."""
+        d, h, c = self.num_features, self.num_hidden, self.num_classes
+        a, b, e = h * d, h * d + h, h * d + h + c * h
+        return vector[:a].reshape(h, d), vector[a:b], vector[b:e].reshape(c, h), vector[e:]
 
     def copy(self) -> "ClassifierModel":
-        return ClassifierModel(
-            weights_hidden=self.weights_hidden.copy(),
-            bias_hidden=self.bias_hidden.copy(),
-            weights_out=self.weights_out.copy(),
-            bias_out=self.bias_out.copy(),
-        )
+        return ClassifierModel(self.params.copy(), self.num_features, self.num_hidden,
+                               self.num_classes)
 
 
 def init_model(num_features: int, num_hidden: int, num_classes: int, seed: int) -> ClassifierModel:
@@ -75,12 +80,13 @@ def init_model(num_features: int, num_hidden: int, num_classes: int, seed: int) 
     rng = np.random.default_rng(seed)
     s_h = 1.0 / math.sqrt(num_features)
     s_o = 1.0 / math.sqrt(num_hidden)
-    return ClassifierModel(
-        weights_hidden=rng.uniform(-s_h, s_h, size=(num_hidden, num_features)),
-        bias_hidden=rng.uniform(-s_h, s_h, size=num_hidden),
-        weights_out=rng.uniform(-s_o, s_o, size=(num_classes, num_hidden)),
-        bias_out=rng.uniform(-s_o, s_o, size=num_classes),
-    )
+    params = np.concatenate([
+        rng.uniform(-s_h, s_h, size=num_hidden * num_features),
+        rng.uniform(-s_h, s_h, size=num_hidden),
+        rng.uniform(-s_o, s_o, size=num_classes * num_hidden),
+        rng.uniform(-s_o, s_o, size=num_classes),
+    ])
+    return ClassifierModel(params, num_features, num_hidden, num_classes)
 
 
 def _check_features(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
@@ -170,27 +176,30 @@ def input_gradient_batch(
 
 def loss_and_gradients(
     model: ClassifierModel, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of the plain (T=1) softmax over a batch and its
-    gradient w.r.t. every parameter array, from one forward pass."""
+    gradient w.r.t. `model.params`, from one forward pass. The gradient is
+    one vector laid out like `params`; `model.layer_views` splits it."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     hidden, logits = forward_batch(model, features)
     rows = np.arange(features.shape[0])
-    log_probs = logits - logits.max(axis=1, keepdims=True)
-    log_probs = log_probs - np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[rows, labels].mean())
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)  # shared by the log-softmax and the softmax
+    norm = e.sum(axis=1, keepdims=True)
+    loss = float(-(shifted - np.log(norm))[rows, labels].mean())
 
-    delta_out = softmax_rows(logits)
+    delta_out = e / norm
     delta_out[rows, labels] -= 1.0
     delta_out /= features.shape[0]
     delta_hidden = (delta_out @ model.weights_out) * (1.0 - hidden**2)
-    return loss, {
-        "weights_out": delta_out.T @ hidden,
-        "bias_out": delta_out.sum(axis=0),
-        "weights_hidden": delta_hidden.T @ features,
-        "bias_hidden": delta_hidden.sum(axis=0),
-    }
+    grad = np.empty_like(model.params)
+    g_weights_hidden, g_bias_hidden, g_weights_out, g_bias_out = model.layer_views(grad)
+    np.matmul(delta_hidden.T, features, out=g_weights_hidden)
+    delta_hidden.sum(axis=0, out=g_bias_hidden)
+    np.matmul(delta_out.T, hidden, out=g_weights_out)
+    delta_out.sum(axis=0, out=g_bias_out)
+    return loss, grad
 
 
 def train_step(
@@ -201,8 +210,8 @@ def train_step(
 ) -> tuple[ClassifierModel, float]:
     """One gradient-descent step on mean cross-entropy.
 
-    Returns a new model; the input model is left untouched. The reported
-    loss is evaluated before the update.
+    Returns a new model on a new parameter vector; the input model is left
+    untouched. The reported loss is evaluated before the update.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
@@ -215,12 +224,10 @@ def train_step(
     if learning_rate < 0:
         raise InvalidParameterError("learning_rate must be non-negative")
 
-    loss, grads = loss_and_gradients(model, features, labels)
+    loss, grad = loss_and_gradients(model, features, labels)
     updated = ClassifierModel(
-        weights_hidden=model.weights_hidden - learning_rate * grads["weights_hidden"],
-        bias_hidden=model.bias_hidden - learning_rate * grads["bias_hidden"],
-        weights_out=model.weights_out - learning_rate * grads["weights_out"],
-        bias_out=model.bias_out - learning_rate * grads["bias_out"],
+        model.params - learning_rate * grad, model.num_features, model.num_hidden,
+        model.num_classes,
     )
     return updated, loss
 
@@ -243,20 +250,29 @@ def model_to_dict(model: ClassifierModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> ClassifierModel:
+def model_from_dict(doc) -> ClassifierModel:
+    """Inverse of model_to_dict. A missing key, a value of the wrong type
+    and a layer of the wrong length each raise a typed error."""
+    if not isinstance(doc, dict):
+        raise InvalidParameterError("a checkpoint must be a JSON object")
     activation = doc.get("activation", "tanh")
     if activation != "tanh":
         raise InvalidParameterError(
             f"unsupported activation {activation!r}; only 'tanh' is implemented"
         )
-    dims = doc["dims"]
-    d, h, c = dims["features"], dims["hidden"], dims["classes"]
-    return ClassifierModel(
-        weights_hidden=np.asarray(doc["weights_hidden"], dtype=np.float64).reshape(h, d),
-        bias_hidden=np.asarray(doc["bias_hidden"], dtype=np.float64),
-        weights_out=np.asarray(doc["weights_out"], dtype=np.float64).reshape(c, h),
-        bias_out=np.asarray(doc["bias_out"], dtype=np.float64),
-    )
+    try:
+        d, h, c = (operator.index(doc["dims"][k]) for k in ("features", "hidden", "classes"))
+        layers = [np.asarray(doc[name], dtype=np.float64) for name in LAYERS]
+    except KeyError as exc:
+        raise InvalidParameterError(f"checkpoint has no key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"checkpoint value of the wrong type: {exc}") from exc
+    if min(d, h, c) < 1:
+        raise InvalidParameterError(f"checkpoint dims must be positive, got {doc['dims']}")
+    for name, values, size in zip(LAYERS, layers, (h * d, h, c * h, c)):
+        if values.shape != (size,):
+            raise InputShapeError(f"{name} must hold {size} values, got shape {values.shape}")
+    return ClassifierModel(np.concatenate(layers), d, h, c)
 
 
 def save_model(model: ClassifierModel, path) -> None:
@@ -265,5 +281,8 @@ def save_model(model: ClassifierModel, path) -> None:
 
 
 def load_model(path) -> ClassifierModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    doc = read_json(path)
+    try:
+        return model_from_dict(doc)
+    except BoostLabError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

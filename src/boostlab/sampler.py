@@ -45,12 +45,18 @@ class EpochRecord:
 
 @dataclass
 class SamplerState:
+    """The distribution `install_distribution` set last (`probabilities` as
+    given, `cdf` as drawn from, `degenerate` when uniform stood in for it)
+    and the counters that make every draw reproducible."""
+
     strategy: str
     rng_seed: int
-    probabilities: np.ndarray | None = None
     history: list[EpochRecord] = field(default_factory=list)
     draw_count: int = 0
     degenerate_draws: int = 0
+    probabilities: np.ndarray | None = field(default=None, init=False)
+    cdf: np.ndarray | None = field(default=None, init=False, repr=False)
+    degenerate: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -113,27 +119,43 @@ def boost_probabilities(
     return weights / total
 
 
+def install_distribution(state: SamplerState, probabilities: np.ndarray) -> None:
+    """Make `probabilities` the distribution draws come from until the next
+    install. A distribution that is not finite, has a negative entry, or
+    whose sum is not in (0, inf) is replaced by the uniform one."""
+    given = np.asarray(probabilities, dtype=np.float64)
+    if given.size == 0:
+        raise EmptyInputError("a sampling distribution needs at least one sample")
+    with np.errstate(over="ignore"):  # an infinite sum is degenerate, below
+        total = given.sum()
+    state.degenerate = not (np.isfinite(given).all() and (given >= 0).all() and 0 < total < np.inf)
+    p = np.full(len(given), 1.0 / len(given)) if state.degenerate else given / total
+    # the arithmetic of Generator.choice(p=...), done once per distribution
+    # instead of once per draw
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    state.probabilities = given
+    state.cdf = cdf
+
+
 def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
     """Draw batch_size sample indices i.i.d. with replacement.
 
     Each call is reproducible from (rng_seed, draw counter) alone, so a
-    state replayed from the same seed yields the same index stream.
+    state replayed from the same seed yields the same index stream. The
+    stream is the one `default_rng([rng_seed, counter]).choice(n,
+    batch_size, p=p / p.sum())` gives, bit for bit.
     """
     if batch_size < 1:
         raise InvalidParameterError("batch_size must be at least 1")
-    if state.probabilities is None:
+    if state.cdf is None:
         raise InvalidParameterError("sampler has no probabilities; resample first")
-
-    p = np.asarray(state.probabilities, dtype=np.float64)
-    if not np.all(np.isfinite(p)) or np.any(p < 0) or p.sum() <= 0:
+    if state.degenerate:
         log.warning("degenerate sampling distribution; falling back to uniform")
         state.degenerate_draws += 1
-        p = np.full(len(p), 1.0 / len(p))
-    else:
-        p = p / p.sum()
 
-    rng = np.random.default_rng([state.rng_seed, state.draw_count])
-    indices = rng.choice(len(p), size=batch_size, replace=True, p=p)
+    uniform = np.random.default_rng([state.rng_seed, state.draw_count]).random(batch_size)
+    indices = state.cdf.searchsorted(uniform, side="right")
     state.draw_count += 1
     if state.history:
         np.add.at(state.history[-1].draw_counts, indices, 1)
@@ -181,7 +203,7 @@ def epoch_resample(
         if state.strategy in STATIC_STRATEGIES:
             state.draw_count = 0  # replay the epoch-0 stream
 
-    state.probabilities = probs
+    install_distribution(state, probs)
     state.history.append(
         EpochRecord(
             epoch=len(state.history),

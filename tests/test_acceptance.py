@@ -24,6 +24,7 @@ from boostlab.harness import (
 )
 from boostlab.metrics import PredictionLog, mab, sdb, sodc_per_class, sodc_total
 from boostlab.model import (
+    LAYERS,
     ClassifierModel,
     forward_batch,
     init_model,
@@ -37,6 +38,7 @@ from boostlab.sampler import (
     boost_probabilities,
     draw_batch,
     epoch_resample,
+    install_distribution,
 )
 from boostlab.scheduler import TemperatureSchedule, temperature_at
 
@@ -59,12 +61,13 @@ def random_toy_model(rng):
     d = int(rng.integers(1, 6))
     h = int(rng.integers(1, 8))
     c = int(rng.integers(2, 5))
-    return ClassifierModel(
-        weights_hidden=rng.normal(scale=1.2, size=(h, d)),
-        bias_hidden=rng.normal(scale=0.5, size=h),
-        weights_out=rng.normal(scale=1.2, size=(c, h)),
-        bias_out=rng.normal(scale=0.5, size=c),
-    )
+    params = np.concatenate([
+        rng.normal(scale=1.2, size=h * d),  # weights_hidden
+        rng.normal(scale=0.5, size=h),  # bias_hidden
+        rng.normal(scale=1.2, size=c * h),  # weights_out
+        rng.normal(scale=0.5, size=c),  # bias_out
+    ])
+    return ClassifierModel(params, d, h, c)
 
 
 def test_criterion_1_equation_fidelity():
@@ -176,7 +179,7 @@ def test_criterion_2_gradient_correctness():
         y = rng.integers(0, model.num_classes, size=n)
         _, analytic = loss_and_gradients(model, X, y)
         fd = fd_parameter_gradients(model.copy(), X, y, h=1e-6)
-        for name, grad in analytic.items():
+        for name, grad in zip(LAYERS, model.layer_views(analytic)):
             expected = np.array(fd[name]).reshape(grad.shape)
             denom = max(np.abs(expected).max(), 1e-8)
             assert np.abs(grad - expected).max() / denom < 1e-4
@@ -211,7 +214,7 @@ def test_criterion_3_calibration_invariants():
 def test_criterion_4_sampler_statistics():
     # multinomial frequencies against the target distribution
     state = SamplerState(strategy="random", rng_seed=404)
-    state.probabilities = np.array([0.1, 0.2, 0.3, 0.4])
+    install_distribution(state, np.array([0.1, 0.2, 0.3, 0.4]))
     draws = draw_batch(state, 100_000)
     counts = np.bincount(draws, minlength=4)
     freq = counts / 100_000

@@ -215,3 +215,47 @@ def test_missing_input_file_exits_2_naming_the_path(tmp_path, capsys, argv):
     assert err.startswith("boostlab: error:") and missing in err
     assert err.count("\n") == 1  # no traceback
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sampler", ["boost", "random"])
+def test_one_row_csv_exits_2_for_every_sampler(tmp_path, capsys, sampler):
+    csv_path = tmp_path / "one.csv"
+    save_csv(make_blobs([1], 2, 3.0, seed=0), csv_path)
+    argv = ["train", "--dataset", str(csv_path), "--sampler", sampler,
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boostlab: error:") and err.count("\n") == 1
+
+
+def test_truncated_config_file_exits_2_naming_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"epochs": ')
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boostlab: error:") and str(cfg_path) in err
+    assert err.count("\n") == 1
+
+
+def test_checkpoint_without_keys_exits_2_naming_file_and_key(tmp_path, capsys):
+    model_path = tmp_path / "empty.json"
+    model_path.write_text("{}")
+    assert main(["evaluate", "--model", str(model_path), "--blob-counts", "30,10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boostlab: error:") and str(model_path) in err and "dims" in err
+    assert err.count("\n") == 1
+
+
+def test_checkpoint_layer_of_the_wrong_length_exits_2(tmp_path, capsys):
+    flags = ["--blob-counts", "30,10", "--epochs", "1", "--hidden-units", "4", "--seeds", "0"]
+    out_dir = tmp_path / "run"
+    assert main(["train", *flags, "--out", str(out_dir)]) == 0
+    model_path = out_dir / "model_seed0.json"
+    doc = json.loads(model_path.read_text())
+    doc["bias_out"] = doc["bias_out"][:-1]
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boostlab: error:") and str(model_path) in err and "bias_out" in err
+    assert err.count("\n") == 1

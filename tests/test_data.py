@@ -185,6 +185,13 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="row 3"):
             load_csv(path, "label")
 
+    def test_label_column_in_the_middle(self, tmp_path):
+        path = tmp_path / "mid.csv"
+        path.write_text("a,y,b\n1.5,cat,-2\n0.25,dog,3e2\n")
+        ds = load_csv(path, "y")
+        np.testing.assert_array_equal(ds.features, [[1.5, -2.0], [0.25, 300.0]])
+        np.testing.assert_array_equal(ds.labels, [0, 1])
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1\n1.0,2.0\n")
@@ -222,3 +229,9 @@ class TestSplit:
         a_train, _ = train_test_split(data, 0.5, seed=1)
         b_train, _ = train_test_split(data, 0.5, seed=1)
         np.testing.assert_array_equal(a_train.features, b_train.features)
+
+    @pytest.mark.parametrize("counts, fraction", [([1], 0.25), ([1, 1], 0.9)])
+    def test_empty_half_rejected(self, counts, fraction):
+        data = make_blobs(counts, 2, 3.0, seed=14)
+        with pytest.raises(InsufficientDataError):
+            train_test_split(data, fraction, seed=0)

@@ -8,6 +8,7 @@ from boostlab import model as model_mod
 from boostlab.data import make_blobs
 from boostlab.errors import EmptyInputError, InputShapeError, InvalidParameterError
 from boostlab.model import (
+    LAYERS,
     ClassifierModel,
     forward,
     forward_batch,
@@ -33,12 +34,13 @@ def _random_model(rng, d=None, h=None, c=None):
     d = d or rng.integers(1, 6)
     h = h or rng.integers(1, 8)
     c = c or rng.integers(2, 5)
-    return ClassifierModel(
-        weights_hidden=rng.normal(scale=1.2, size=(h, d)),
-        bias_hidden=rng.normal(scale=0.5, size=h),
-        weights_out=rng.normal(scale=1.2, size=(c, h)),
-        bias_out=rng.normal(scale=0.5, size=c),
-    )
+    params = np.concatenate([
+        rng.normal(scale=1.2, size=h * d),  # weights_hidden
+        rng.normal(scale=0.5, size=h),  # bias_hidden
+        rng.normal(scale=1.2, size=c * h),  # weights_out
+        rng.normal(scale=0.5, size=c),  # bias_out
+    ])
+    return ClassifierModel(params, d, h, c)
 
 
 class TestForward:
@@ -132,12 +134,8 @@ class TestTrainStep:
 
     def test_loss_near_zero_for_confident_correct_model(self):
         # huge output weights drive the softmax to one-hot on the true class
-        model = ClassifierModel(
-            weights_hidden=np.array([[5.0]]),
-            bias_hidden=np.array([0.0]),
-            weights_out=np.array([[50.0], [-50.0]]),
-            bias_out=np.array([0.0, 0.0]),
-        )
+        # weights_hidden [[5.0]], bias_hidden [0.0], weights_out [[50.0], [-50.0]], bias_out 0
+        model = ClassifierModel(np.array([5.0, 0.0, 50.0, -50.0, 0.0, 0.0]), 1, 1, 2)
         X = np.array([[2.0], [-2.0]])
         y = np.array([0, 1])
         _, loss = train_step(model, X, y, 0.0)
@@ -151,6 +149,13 @@ class TestTrainStep:
         before = toy_model.weights_out.copy()
         train_step(toy_model, np.array([[0.5]]), np.array([1]), 1.0)
         np.testing.assert_array_equal(toy_model.weights_out, before)
+
+    def test_step_makes_a_new_parameter_vector(self, toy_model):
+        before = toy_model.params.copy()
+        updated, _ = train_step(toy_model, np.array([[0.5]]), np.array([1]), 1.0)
+        np.testing.assert_array_equal(toy_model.params, before)
+        assert not np.array_equal(updated.params, before)
+        assert not np.shares_memory(updated.params, toy_model.params)
 
     def test_loss_matches_oracle_cross_entropy(self):
         rng = np.random.default_rng(21)
@@ -181,10 +186,29 @@ class TestTrainStep:
         y = rng.integers(0, 3, size=6)
         _, analytic = loss_and_gradients(model, X, y)
         fd = fd_parameter_gradients(model.copy(), X, y, h=1e-6)
-        for name, grad in analytic.items():
+        for name, grad in zip(LAYERS, model.layer_views(analytic)):
             expected = np.array(fd[name]).reshape(grad.shape)
             denom = max(np.abs(expected).max(), 1e-8)
             assert np.abs(grad - expected).max() / denom < 1e-4
+
+
+class TestParameterVector:
+    def test_layers_are_views_of_the_vector(self, toy_model):
+        for layer in toy_model.layer_views(toy_model.params):
+            assert np.shares_memory(layer, toy_model.params)
+        np.testing.assert_array_equal(toy_model.weights_out, [[1.5], [-0.5]])
+        np.testing.assert_array_equal(toy_model.bias_out, [0.1, -0.2])
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(InputShapeError, match="6 parameters"):
+            ClassifierModel(np.zeros(5), 1, 1, 2)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            ClassifierModel(np.array([1.0, np.inf, 0.0, 0.0, 0.0, 0.0]), 1, 1, 2)
+
+    def test_copy_owns_its_vector(self, toy_model):
+        assert not np.shares_memory(toy_model.copy().params, toy_model.params)
 
 
 class TestCheckpoint:
@@ -214,6 +238,34 @@ class TestCheckpoint:
         path = tmp_path / "relu.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidParameterError, match="relu"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "text, error, named",
+        [
+            ('{"dims": ', InvalidParameterError, "not valid JSON"),
+            ("{}", InvalidParameterError, "dims"),
+            ("[1, 2]", InvalidParameterError, "JSON object"),
+            ('{"dims": {"features": -1, "hidden": 0, "classes": 2}, "weights_hidden": [], '
+             '"bias_hidden": [], "weights_out": [], "bias_out": [0, 0]}',
+             InvalidParameterError, "dims"),
+        ],
+        ids=["truncated", "no-keys", "not-an-object", "negative-dims"],
+    )
+    def test_malformed_checkpoint_names_the_file(self, tmp_path, text, error, named):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(error, match=named) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    def test_layer_of_the_wrong_length_names_the_key(self, tmp_path):
+        doc = model_to_dict(init_model(2, 3, 2, seed=1))
+        doc["weights_hidden"].append(0.0)
+        doc["bias_hidden"].pop()  # the total still matches; each layer is checked
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputShapeError, match="weights_hidden"):
             load_model(path)
 
     def test_save_load_save_byte_identical(self, tmp_path):

@@ -14,6 +14,7 @@ from boostlab.sampler import (
     boost_probabilities,
     draw_batch,
     epoch_resample,
+    install_distribution,
 )
 
 from oracles import oracle_boost_weights
@@ -94,7 +95,7 @@ class TestBoostProbabilities:
 class TestDrawBatch:
     def _state(self, probabilities, seed=0):
         state = SamplerState(strategy="random", rng_seed=seed)
-        state.probabilities = np.asarray(probabilities, dtype=float)
+        install_distribution(state, np.asarray(probabilities, dtype=float))
         return state
 
     def test_point_mass(self):
@@ -127,6 +128,44 @@ class TestDrawBatch:
         assert state.degenerate_draws == 1
         counts = np.bincount(draws, minlength=3)
         assert np.all(counts > 800)  # roughly uniform thirds
+
+    @pytest.mark.parametrize(
+        "name", ["uniform", "skewed", "point-mass", "one-sample", "stratified"]
+    )
+    def test_stream_equals_generator_choice(self, name):
+        rng = np.random.default_rng(8)
+        p = {
+            "uniform": np.full(1000, 1e-3),
+            "skewed": rng.pareto(1.5, size=1000),  # unnormalised, heavy-tailed
+            "point-mass": np.eye(1000)[417],
+            "one-sample": np.array([0.25]),
+            "stratified": 1.0 / np.array([900, 100])[np.repeat([0, 1], [900, 100])],
+        }[name]
+        state = self._state(p, seed=31)
+        for k in range(200):
+            expected = np.random.default_rng([31, k]).choice(len(p), 32, p=p / p.sum())
+            np.testing.assert_array_equal(draw_batch(state, 32), expected)
+
+    def test_overflowing_sum_falls_back_to_uniform(self):
+        state = self._state([1e308, 1e308, 1.0], seed=3)
+        draws = draw_batch(state, 3000)
+        assert state.degenerate_draws == 1
+        expected = np.random.default_rng([3, 0]).choice(3, 3000, p=np.full(3, 1 / 3))
+        np.testing.assert_array_equal(draws, expected)
+
+    def test_fallback_counts_every_draw_it_serves(self, caplog):
+        state = self._state([np.nan, 1.0], seed=3)
+        for _ in range(3):
+            draw_batch(state, 4)
+        assert state.degenerate_draws == 3
+        assert sum("degenerate" in r.getMessage() for r in caplog.records) == 3
+        install_distribution(state, np.array([0.5, 0.5]))
+        draw_batch(state, 4)
+        assert state.degenerate_draws == 3
+
+    def test_empty_distribution_rejected(self):
+        with pytest.raises(EmptyInputError):
+            self._state([])
 
     def test_invalid_batch_size(self):
         with pytest.raises(InvalidParameterError):
@@ -199,6 +238,16 @@ class TestEpochResample:
         np.testing.assert_array_equal(state.history[0].scores, frozen[0])
         np.testing.assert_array_equal(state.history[0].probabilities, frozen[1])
         np.testing.assert_array_equal(state.history[0].draw_counts, frozen[2])
+
+    def test_static_replay_stream_equals_generator_choice(self):
+        data, model, odin = self._setup()
+        state = SamplerState(strategy="stratified", rng_seed=6)
+        for _ in range(2):  # the second epoch replays counters 0..99
+            epoch_resample(state, model, data, odin)
+            p = state.probabilities
+            for k in range(100):
+                expected = np.random.default_rng([6, k]).choice(data.n, 8, p=p / p.sum())
+                np.testing.assert_array_equal(draw_batch(state, 8), expected)
 
     def test_static_strategies_freeze_epoch0_selection(self):
         data, model, odin = self._setup()
