@@ -20,15 +20,12 @@ from .scheduler import T_MAX, T_MIN
 
 @dataclass
 class OdinConfig:
-    """Knobs of the calibration step.
-
-    grad_std is the per-feature standard deviation of the training split;
-    when None, an all-ones vector is used as the last-resort fallback.
-    """
+    """Knobs of the calibration step. grad_std is the per-feature standard
+    deviation of the training split."""
 
     temperature: float
-    epsilon: float = 0.05
-    grad_std: np.ndarray | None = None
+    epsilon: float
+    grad_std: np.ndarray
 
     def __post_init__(self):
         if not T_MIN <= self.temperature <= T_MAX:
@@ -37,21 +34,9 @@ class OdinConfig:
             )
         if not self.epsilon >= 0:  # written so that NaN fails
             raise InvalidParameterError(f"epsilon must be non-negative, got {self.epsilon}")
-        if self.grad_std is not None:
-            self.grad_std = np.asarray(self.grad_std, dtype=np.float64)
-            if not np.all(self.grad_std > 0):
-                raise InvalidParameterError("grad_std entries must be positive")
-
-
-def ts_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """exp(z_c/T) / sum_j exp(z_j/T) of one logit vector, with its inputs
-    validated; the unchecked row-wise form is model.softmax_rows."""
-    if temperature <= 0:
-        raise InvalidParameterError("temperature must be positive")
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise InvalidParameterError("logits must be finite")
-    return softmax_rows(logits, temperature)
+        self.grad_std = np.asarray(self.grad_std, dtype=np.float64)
+        if not np.all(self.grad_std > 0):
+            raise InvalidParameterError("grad_std entries must be positive")
 
 
 def perturb(x: np.ndarray, grad: np.ndarray, config: OdinConfig) -> np.ndarray:
@@ -67,8 +52,7 @@ def perturb(x: np.ndarray, grad: np.ndarray, config: OdinConfig) -> np.ndarray:
         raise InputShapeError(f"x {x.shape} and grad {grad.shape} must have equal shape")
     if not np.all(np.isfinite(grad)):
         raise InputShapeError("gradient must be finite")
-    std = config.grad_std if config.grad_std is not None else np.ones(x.shape[-1])
-    return x - config.epsilon * np.sign(grad) / std
+    return x - config.epsilon * np.sign(grad) / config.grad_std
 
 
 def calibrate_batch_full(

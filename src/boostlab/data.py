@@ -220,28 +220,35 @@ def load_csv(path, label_column: str) -> Dataset:
     """Read a labeled dataset: header row, one label column, the remaining
     columns finite numeric features. Labels are assigned class indices in
     numeric order when every label is an integer, lexicographic otherwise."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvParseError(f"{path}: file is empty")
-        if label_column not in header:
-            raise CsvParseError(f"{path}: no column named {label_column!r}")
-        label_idx = header.index(label_column)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise CsvParseError(f"{path}: file is empty")
+            if label_column not in header:
+                raise CsvParseError(f"{path}: no column named {label_column!r}")
+            if len(header) == 1:
+                raise CsvParseError(f"{path}: no feature column besides {label_column!r}")
+            label_idx = header.index(label_column)
 
-        values = array("d")  # every feature, row after row
-        raw_labels = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"{path}: row {row_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            label = row.pop(label_idx)
-            try:
-                values.extend(map(float, row))
-            except ValueError as exc:
-                raise CsvParseError(f"{path}: row {row_num}: non-numeric feature: {exc}") from exc
-            raw_labels.append(label)
+            values = array("d")  # every feature, row after row
+            raw_labels = []
+            for row_num, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise CsvParseError(
+                        f"{path}: row {row_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                label = row.pop(label_idx)
+                try:
+                    values.extend(map(float, row))
+                except ValueError as exc:
+                    raise CsvParseError(
+                        f"{path}: row {row_num}: non-numeric feature: {exc}"
+                    ) from exc
+                raw_labels.append(label)
+    except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not UTF-8; an oversized field
+        raise CsvParseError(f"{path}: not a readable CSV file: {exc}") from exc
 
     if not raw_labels:
         raise CsvParseError(f"{path}: no data rows")

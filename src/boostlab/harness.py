@@ -74,6 +74,9 @@ class ExperimentConfig:
         rules = (  # each written so that NaN fails it
             ("sampler", self.sampler in STRATEGIES, f"one of {STRATEGIES}"),
             ("seeds", min(self.seeds, default=-1) >= 0, "one or more non-negative ints"),
+            ("seeds", len(set(self.seeds)) == len(self.seeds), "distinct"),
+            ("test_counts", not self.test_counts or len(self.test_counts) == len(self.blob_counts),
+             f"as long as blob_counts ({len(self.blob_counts)})"),
             ("blob_dim", self.blob_dim >= 1, "at least 1"),
             ("blob_separation", 0 < self.blob_separation < math.inf, "finite and positive"),
             ("test_fraction", 0 < self.test_fraction < 1, "in (0, 1)"),

@@ -70,10 +70,6 @@ class ClassifierModel:
         a, b, e = h * d, h * d + h, h * d + h + c * h
         return vector[:a].reshape(h, d), vector[a:b], vector[b:e].reshape(c, h), vector[e:]
 
-    def copy(self) -> "ClassifierModel":
-        return ClassifierModel(self.params.copy(), self.num_features, self.num_hidden,
-                               self.num_classes)
-
 
 def init_model(num_features: int, num_hidden: int, num_classes: int, seed: int) -> ClassifierModel:
     """Symmetric small-uniform initialization, reproducible per seed."""
@@ -89,17 +85,6 @@ def init_model(num_features: int, num_hidden: int, num_classes: int, seed: int) 
     return ClassifierModel(params, num_features, num_hidden, num_classes)
 
 
-def _check_features(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.num_features,):
-        raise InputShapeError(
-            f"expected feature vector of length {model.num_features}, got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise InputShapeError("input features must be finite")
-    return x
-
-
 def forward_batch(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations and logits for a [n x features] matrix, one row
     per sample. The only place the layer formula is written."""
@@ -110,12 +95,6 @@ def forward_batch(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndar
         )
     hidden = np.tanh(features @ model.weights_hidden.T + model.bias_hidden)
     return hidden, hidden @ model.weights_out.T + model.bias_out
-
-
-def forward(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
-    """Logits for a single feature vector."""
-    x = _check_features(model, x)
-    return forward_batch(model, x[np.newaxis, :])[1][0]
 
 
 def hidden_activations(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
@@ -132,25 +111,6 @@ def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def input_gradient(
-    model: ClassifierModel, x: np.ndarray, class_index: int, temperature: float
-) -> np.ndarray:
-    """Analytic gradient of the TS-softmax score of one class w.r.t. the input.
-
-    With p = softmax(z / T) the chain is
-      dS_c/dz = (p_c / T) * (e_c - p),   dz/dh = W_out,
-      dh/da = 1 - h^2,                   da/dx = W_hidden.
-    """
-    x = _check_features(model, x)
-    if not 0 <= class_index < model.num_classes:
-        raise InvalidParameterError(f"target class {class_index} out of range")
-    if temperature <= 0:
-        raise InvalidParameterError("temperature must be positive")
-    hidden, logits = forward_batch(model, x[np.newaxis, :])
-    probs = softmax_rows(logits, temperature)
-    return input_gradient_batch(model, hidden, probs, np.array([class_index]), temperature)[0]
-
-
 def input_gradient_batch(
     model: ClassifierModel,
     hidden: np.ndarray,
@@ -160,7 +120,8 @@ def input_gradient_batch(
 ) -> np.ndarray:
     """Score gradients for many samples at once from the forward pass the
     caller already has: hidden activations and TS-softmax profiles at the
-    same temperature. Row i targets class_indices[i]."""
+    same temperature. Row i targets class_indices[i]. With p = softmax(z / T):
+    dS_c/dz = (p_c / T) * (e_c - p), dz/dh = W_out, dh/da = 1 - h^2, da/dx = W_hidden."""
     class_indices = np.asarray(class_indices, dtype=np.intp)
     rows = np.arange(hidden.shape[0])
     p_c = probs[rows, class_indices]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from boostlab.calibration import OdinConfig, perturb, ts_softmax
+from boostlab.calibration import OdinConfig, perturb
 from boostlab.data import Dataset, ParetoTailSpec, make_blobs, pareto_resample, pareto_tail_counts
 from boostlab.harness import (
     REPORT_FILES,
@@ -28,8 +28,9 @@ from boostlab.model import (
     ClassifierModel,
     forward_batch,
     init_model,
-    input_gradient,
+    input_gradient_batch,
     loss_and_gradients,
+    softmax_rows,
     train_step,
 )
 from boostlab.sampler import (
@@ -70,16 +71,21 @@ def random_toy_model(rng):
     return ClassifierModel(params, d, h, c)
 
 
+def score_gradient(model, x, c, t):
+    hidden, logits = forward_batch(model, x[None])
+    return input_gradient_batch(model, hidden, softmax_rows(logits, t), np.array([c]), t)[0]
+
+
 def test_criterion_1_equation_fidelity():
     start = time.monotonic()
 
     # temperature-scaled softmax
-    np.testing.assert_allclose(ts_softmax(np.array([0.0, 0.0]), 1.0), [0.5, 0.5])
+    np.testing.assert_allclose(softmax_rows(np.array([0.0, 0.0]), 1.0), [0.5, 0.5])
     np.testing.assert_allclose(
-        ts_softmax(np.array([math.log(2.0), 0.0]), 1.0), [2 / 3, 1 / 3], atol=1e-12
+        softmax_rows(np.array([math.log(2.0), 0.0]), 1.0), [2 / 3, 1 / 3], atol=1e-12
     )
     hp = oracle_ts_softmax([10.0, 0.0], 1000.0)
-    np.testing.assert_allclose(ts_softmax(np.array([10.0, 0.0]), 1000.0), hp, atol=1e-12)
+    np.testing.assert_allclose(softmax_rows(np.array([10.0, 0.0]), 1000.0), hp, atol=1e-12)
     np.testing.assert_allclose(hp, [0.502500, 0.497500], atol=1e-5)
 
     # input perturbation
@@ -167,7 +173,7 @@ def test_criterion_2_gradient_correctness():
         x = rng.normal(size=model.num_features)
         c = int(rng.integers(model.num_classes))
         t = float(rng.uniform(1.0, 100.0))
-        analytic = input_gradient(model, x, c, t)
+        analytic = score_gradient(model, x, c, t)
         fd = np.array(fd_input_gradient(model, x, c, t, h=1e-5))
         denom = max(np.abs(fd).max(), 1e-8)
         assert np.abs(analytic - fd).max() / denom < 1e-4
@@ -178,7 +184,8 @@ def test_criterion_2_gradient_correctness():
         X = rng.normal(size=(n, model.num_features))
         y = rng.integers(0, model.num_classes, size=n)
         _, analytic = loss_and_gradients(model, X, y)
-        fd = fd_parameter_gradients(model.copy(), X, y, h=1e-6)
+        d, h, c = model.num_features, model.num_hidden, model.num_classes
+        fd = fd_parameter_gradients(ClassifierModel(model.params.copy(), d, h, c), X, y, h=1e-6)
         for name, grad in zip(LAYERS, model.layer_views(analytic)):
             expected = np.array(fd[name]).reshape(grad.shape)
             denom = max(np.abs(expected).max(), 1e-8)
@@ -198,7 +205,7 @@ def test_criterion_3_calibration_invariants():
         entropies = []
         ref_argmax = None
         for t in temperatures:
-            p = ts_softmax(logits, t)
+            p = softmax_rows(logits, t)
             assert abs(p.sum() - 1.0) < 1e-9
             entropies.append(float(-(p * np.log(p)).sum()))
             if ref_argmax is None:
@@ -206,7 +213,7 @@ def test_criterion_3_calibration_invariants():
             assert int(np.argmax(p)) == ref_argmax
         assert all(b >= a - 1e-12 for a, b in zip(entropies, entropies[1:]))
         e = np.exp(logits - logits.max())
-        np.testing.assert_allclose(ts_softmax(logits, 1.0), e / e.sum(), atol=1e-12)
+        np.testing.assert_allclose(softmax_rows(logits, 1.0), e / e.sum(), atol=1e-12)
 
     passed(3, "calibration invariants over logit grid x temperature set")
 

@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 
 from boostlab import calibration, model as model_mod
-from boostlab.calibration import OdinConfig, calibrate_batch_full, perturb, ts_softmax
+from boostlab.calibration import OdinConfig, calibrate_batch_full, perturb
 from boostlab.errors import EmptyInputError, InputShapeError, InvalidParameterError
-from boostlab.model import ClassifierModel, forward
+from boostlab.model import forward_batch, softmax_rows
 
 from oracles import oracle_ts_softmax
 
 
 class TestTsSoftmax:
     def test_symmetric_logits(self):
-        np.testing.assert_allclose(ts_softmax(np.array([0.0, 0.0]), 1.0), [0.5, 0.5])
+        np.testing.assert_allclose(softmax_rows(np.array([0.0, 0.0]), 1.0), [0.5, 0.5])
 
     def test_analytic_exponentials(self):
-        p = ts_softmax(np.array([math.log(2.0), 0.0]), 1.0)
+        p = softmax_rows(np.array([math.log(2.0), 0.0]), 1.0)
         np.testing.assert_allclose(p, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_high_temperature_flattening(self):
         # frozen from the 50-digit oracle: sigmoid(10/1000)
-        p = ts_softmax(np.array([10.0, 0.0]), 1000.0)
+        p = softmax_rows(np.array([10.0, 0.0]), 1000.0)
         expected = oracle_ts_softmax([10.0, 0.0], 1000.0)
         np.testing.assert_allclose(p, expected, atol=1e-12)
         np.testing.assert_allclose(p, [0.502500, 0.497500], atol=1e-5)
@@ -31,25 +31,19 @@ class TestTsSoftmax:
         for _ in range(50):
             logits = rng.normal(scale=10, size=rng.integers(2, 8))
             t = float(rng.uniform(0.5, 1000))
-            assert abs(ts_softmax(logits, t).sum() - 1.0) < 1e-9
+            assert abs(softmax_rows(logits, t).sum() - 1.0) < 1e-9
 
     def test_large_logits_stable(self):
-        p = ts_softmax(np.array([1000.0, 999.0]), 1.0)
+        p = softmax_rows(np.array([1000.0, 999.0]), 1.0)
         assert np.all(np.isfinite(p))
         assert abs(p.sum() - 1.0) < 1e-9
-
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(InvalidParameterError):
-            ts_softmax(np.array([1.0, 2.0]), 0.0)
-        with pytest.raises(InvalidParameterError):
-            ts_softmax(np.array([1.0, 2.0]), -3.0)
 
     def test_t1_equals_standard_softmax(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             logits = rng.normal(scale=5, size=4)
             e = np.exp(logits - logits.max())
-            np.testing.assert_allclose(ts_softmax(logits, 1.0), e / e.sum(), atol=1e-12)
+            np.testing.assert_allclose(softmax_rows(logits, 1.0), e / e.sum(), atol=1e-12)
 
     def test_entropy_nondecreasing_in_temperature(self):
         def entropy(p):
@@ -58,16 +52,16 @@ class TestTsSoftmax:
         rng = np.random.default_rng(5)
         grid = [rng.normal(scale=s, size=4) for s in (0.5, 2.0, 8.0)]
         for logits in grid:
-            values = [entropy(ts_softmax(logits, t)) for t in (1.0, 2.0, 5.0, 50.0, 1000.0)]
+            values = [entropy(softmax_rows(logits, t)) for t in (1.0, 2.0, 5.0, 50.0, 1000.0)]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_argmax_invariant_under_temperature(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             logits = rng.normal(scale=3, size=5)
-            ref = int(np.argmax(ts_softmax(logits, 1.0)))
+            ref = int(np.argmax(softmax_rows(logits, 1.0)))
             for t in (2.0, 5.0, 50.0, 1000.0):
-                assert int(np.argmax(ts_softmax(logits, t))) == ref
+                assert int(np.argmax(softmax_rows(logits, t))) == ref
 
 
 class TestPerturb:
@@ -88,38 +82,33 @@ class TestPerturb:
         np.testing.assert_allclose(out, [0.1], atol=1e-12)
 
     def test_length_mismatch(self):
-        cfg = OdinConfig(temperature=1.0)
+        cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(2))
         with pytest.raises(InputShapeError):
             perturb(np.array([0.1, 0.2]), np.array([1.0]), cfg)
-
-    def test_missing_std_falls_back_to_ones(self):
-        cfg = OdinConfig(temperature=1.0, epsilon=0.05)
-        out = perturb(np.array([0.2, 0.7]), np.array([2.0, -3.0]), cfg)
-        np.testing.assert_allclose(out, [0.15, 0.75], atol=1e-12)
 
 
 class TestOdinConfig:
     def test_temperature_bounds(self):
         with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=0.5)
+            OdinConfig(temperature=0.5, epsilon=0.05, grad_std=np.ones(1))
         with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=1001.0)
-        OdinConfig(temperature=1.0)
-        OdinConfig(temperature=1000.0)
+            OdinConfig(temperature=1001.0, epsilon=0.05, grad_std=np.ones(1))
+        OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(1))
+        OdinConfig(temperature=1000.0, epsilon=0.05, grad_std=np.ones(1))
 
     def test_epsilon_and_std_validation(self):
         with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=1.0, epsilon=-0.1)
+            OdinConfig(temperature=1.0, epsilon=-0.1, grad_std=np.ones(1))
         with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=1.0, grad_std=np.array([1.0, 0.0]))
+            OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.array([1.0, 0.0]))
 
     def test_nan_epsilon_rejected(self):
         with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=1.0, epsilon=float("nan"))
+            OdinConfig(temperature=1.0, epsilon=float("nan"), grad_std=np.ones(1))
 
     def test_nan_grad_std_rejected(self):
         with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=1.0, grad_std=np.array([1.0, np.nan]))
+            OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.array([1.0, np.nan]))
 
 
 class TestCalibrateBatch:
@@ -129,7 +118,7 @@ class TestCalibrateBatch:
         profiles, _ = calibrate_batch_full(toy_model, X, cfg)
         assert profiles.shape == (2, 2)
         for i, profile in enumerate(profiles):
-            expected = ts_softmax(forward(toy_model, X[i]), 2.0)
+            expected = softmax_rows(forward_batch(toy_model, X[i][None])[1][0], 2.0)
             np.testing.assert_allclose(profile, expected, atol=1e-12)
 
     def test_constant_model_gives_uniform_profiles(self, zero_model):
@@ -170,7 +159,7 @@ class TestCalibrateBatch:
             np.testing.assert_array_equal(getattr(toy_model, name), before)
 
     def test_empty_batch_rejected(self, toy_model):
-        cfg = OdinConfig(temperature=1.0)
+        cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(1))
         with pytest.raises(EmptyInputError):
             calibrate_batch_full(toy_model, np.empty((0, 1)), cfg)
 
@@ -188,7 +177,8 @@ class TestCalibrateBatch:
             monkeypatch.setattr(model_mod, name, counted)
             monkeypatch.setattr(calibration, name, counted)
         X = np.array([[0.4], [-0.2], [1.1]])
-        calibrate_batch_full(toy_model, X, OdinConfig(temperature=3.0, grad_std=np.ones(1)))
+        cfg = OdinConfig(temperature=3.0, epsilon=0.05, grad_std=np.ones(1))
+        calibrate_batch_full(toy_model, X, cfg)
         assert calls == {"forward_batch": 2, "softmax_rows": 2}
 
     def test_full_variant_returns_perturbed_logits(self, toy_model):
@@ -197,4 +187,4 @@ class TestCalibrateBatch:
         profiles, logits = calibrate_batch_full(toy_model, X, cfg)
         assert logits.shape == (2, 2)
         for profile, row in zip(profiles, logits):
-            np.testing.assert_allclose(profile, ts_softmax(row, 1.0), atol=1e-12)
+            np.testing.assert_allclose(profile, softmax_rows(row, 1.0), atol=1e-12)

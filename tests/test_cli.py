@@ -228,6 +228,18 @@ def test_one_row_csv_exits_2_for_every_sampler(tmp_path, capsys, sampler):
     assert err.startswith("boostlab: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "content", [b"label\n" + b"0\n1\n" * 4, b"f0,label\n\xff,0\n"], ids=["label-only", "not-utf8"]
+)
+def test_malformed_csv_exits_2_naming_the_file(tmp_path, capsys, content):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_bytes(content)
+    assert main(["train", "--dataset", str(csv_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boostlab: error:") and str(csv_path) in err
+    assert err.count("\n") == 1
+
+
 def test_truncated_config_file_exits_2_naming_the_file(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text('{"epochs": ')

@@ -198,6 +198,22 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="no column"):
             load_csv(path, "label")
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            (b"label\n" + b"0\n1\n" * 4, "no feature column"),
+            (b"f0,label\n\xff,0\n", "utf-8"),
+            (b"f0,label\n" + b"1" * 200_000 + b",0\n", "field limit"),
+        ],
+        ids=["label-only", "not-utf8", "oversized-field"],
+    )
+    def test_malformed_file_raises_a_typed_error_naming_it(self, tmp_path, content, named):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(CsvParseError, match=named) as info:
+            load_csv(path, "label")
+        assert str(path) in str(info.value)
+
     def test_round_trip_exact(self, tmp_path):
         data = make_blobs([20, 30], 3, 2.5, seed=11)
         path = tmp_path / "roundtrip.csv"

@@ -137,6 +137,8 @@ class TestExperimentConfig:
             ("epochs", 2.0, "epochs"),
             ("learning_rate", True, "learning_rate"),
             ("sampler", None, "sampler"),
+            ("test_counts", (100,), "test_counts"),
+            ("seeds", (0, 0), "seeds"),
         ],
     )
     def test_out_of_range_field_rejected_by_name(self, field, value, named):
@@ -168,7 +170,7 @@ class TestRunEvaluation:
         partition = report.ood_partition
         np.testing.assert_array_equal(partition.ood_counts, [0, 0])
 
-        profiles, _ = calibrate_batch_full(model.copy(), test.features, odin)
+        profiles, _ = calibrate_batch_full(model, test.features, odin)
         predicted = profiles.argmax(axis=1).tolist()
         profiles = profiles.tolist()
         expected = 1.0

@@ -1,5 +1,6 @@
 """Property tests: fuzzed configuration values, of any type, either construct
-a config whose data and temperatures are finite, or fail with a BoostLabError."""
+a config whose data and temperatures are finite, or fail with a BoostLabError;
+so do arbitrary bytes read as a labeled CSV."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boostlab.data import load_csv
 from boostlab.errors import BoostLabError, NumericOverflowError
 from boostlab.harness import ExperimentConfig, build_datasets
 from boostlab.scheduler import temperature_at
@@ -59,3 +61,26 @@ def test_config_is_valid_or_rejected_with_a_typed_error(fuzzed, data):
     schedule = config.schedule()
     temperatures = [temperature_at(schedule, epoch) for epoch in range(config.epochs)]
     assert all(1.0 <= t <= 1000.0 for t in temperatures)
+
+
+# arbitrary bytes, and rows of CSV fields behind a header, so that some files
+# get past the header to the rows, the labels and the feature values
+CSV_HEADERS = [b"", b"label\n", b"f,label\n", b"f,label,g\n"]
+CSV_FIELDS = [b"0", b"1", b"-2.5", b"1e308", b"nan", b"x", b"", b'"3"', b"\xff", b"\x00"]
+CSV_ROWS = st.lists(st.sampled_from(CSV_FIELDS), min_size=1, max_size=3).map(b",".join)
+CSV_BYTES = st.binary(max_size=200) | st.builds(
+    bytes.__add__, st.sampled_from(CSV_HEADERS), st.lists(CSV_ROWS, max_size=6).map(b"\n".join)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=CSV_BYTES)
+def test_csv_bytes_load_or_raise_a_typed_error(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(content)
+    try:
+        data = load_csv(path, "label")
+    except BoostLabError:
+        return
+    assert data.num_features >= 1 and data.n >= 1
+    assert np.isfinite(data.features).all()
