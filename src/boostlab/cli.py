@@ -1,31 +1,22 @@
 """Command-line entry point: train / evaluate / compare.
 
-All flags can also be supplied through a JSON config file (same key
-names); explicit flags win over file values, which win over defaults.
+train and compare take each config value as a flag or from a JSON config
+file (same key names); explicit flags win over file values, which win over
+defaults. evaluate reads the config of the run directory it is given.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from .data import read_json
-from .errors import BoostLabError, InvalidParameterError
-from .harness import (
-    ExperimentConfig,
-    build_datasets,
-    evaluate_run,
-    export_reports,
-    run_comparison,
-    run_experiment,
-)
-from .model import load_model, save_model
+from .errors import BoostLabError
+from .harness import CONFIG_KEYS, ExperimentConfig, build_datasets, check_config_keys
+from .harness import evaluate_run, export_reports, read_run, run_comparison, run_experiment
 from .sampler import STRATEGIES
-
-CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -59,20 +50,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = {}
-    if getattr(args, "config", None):
-        file_values = read_json(args.config)
-        if not isinstance(file_values, dict):
-            raise InvalidParameterError(f"{args.config}: a config file must hold a JSON object")
-        unknown = set(file_values) - set(CONFIG_KEYS)
-        if unknown:
-            raise InvalidParameterError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        values.update(file_values)
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return ExperimentConfig(**values)
+    path = getattr(args, "config", None)
+    values = check_config_keys(read_json(path), path) if path else {}
+    flags = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
+    return ExperimentConfig(**{**values, **flags})
 
 
 def cmd_train(args) -> int:
@@ -80,9 +61,6 @@ def cmd_train(args) -> int:
     records = run_experiment(config)
     paths = export_reports(records, config.out_dir)
     for record in records:
-        model_path = f"{config.out_dir}/model_seed{record.seed}.json"
-        save_model(record.model, model_path)
-        paths.append(model_path)
         agg = record.metrics.aggregate
         print(
             f"seed {record.seed}: accuracy {agg['accuracy'] * 100:.2f}% "
@@ -93,10 +71,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = build_config(args)
-    seed = config.seeds[0]
+    config, seed, model = read_run(args.run)
     _, test = build_datasets(config, seed)
-    report = evaluate_run(load_model(args.model), test, config, seed)
+    report = evaluate_run(model, test, config, seed)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 
@@ -132,9 +109,8 @@ def main(argv=None) -> int:
     _add_common_flags(p_train)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("evaluate", help="score a checkpoint as its training run did")
-    _add_common_flags(p_eval)
-    p_eval.add_argument("--model", required=True, help="model checkpoint (JSON)")
+    p_eval = sub.add_parser("evaluate", help="score a run's checkpoint as its training did")
+    p_eval.add_argument("--run", required=True, help="a run directory that train wrote")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_cmp = sub.add_parser("compare", help="train all strategies and tabulate mean metrics")

@@ -22,8 +22,8 @@ import numpy as np
 from . import model as model_mod
 from .calibration import OdinConfig, calibrate_batch_full
 from .data import Dataset, ParetoTailSpec, load_csv, make_blobs, pareto_resample
-from .data import train_test_split, write_csv
-from .errors import ConfigurationError, EmptyInputError, InvalidParameterError
+from .data import read_json, train_test_split, write_csv
+from .errors import BoostLabError, ConfigurationError, EmptyInputError, InvalidParameterError
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
 from .model import ClassifierModel, hidden_activations, softmax_rows, train_step
 from .sampler import STRATEGIES, SamplerState, draw_batch, epoch_resample
@@ -109,6 +109,19 @@ class ExperimentConfig:
         doc["seeds"] = list(self.seeds)
         doc["test_counts"] = list(self.test_counts) if self.test_counts else None
         return doc
+
+
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+
+
+def check_config_keys(values, source) -> dict:
+    """`values`, read from the file `source`, if it maps config fields only."""
+    if not isinstance(values, dict):
+        raise InvalidParameterError(f"{source}: a config must be a JSON object")
+    unknown = set(values) - set(CONFIG_KEYS)
+    if unknown:
+        raise InvalidParameterError(f"{source}: unknown config keys {sorted(unknown)}")
+    return values
 
 
 @dataclass
@@ -284,6 +297,7 @@ def run_evaluation(
 
 
 REPORT_FILES = ("report.json", "per_class_metrics.csv", "sampler_history.csv", "embeddings.csv")
+CHECKPOINT = "model_seed{}.json"  # beside a run's REPORT_FILES, named by the run's seed
 
 
 def record_to_report(record: RunRecord) -> dict:
@@ -330,14 +344,39 @@ def _write_record(record: RunRecord, out_dir: str) -> list[str]:
     labels = record.test_labels.tolist()
     rows = ([i, labels[i], *h.tolist()] for i, h in enumerate(record.embeddings))
     write_csv(embeddings_path, ["sample_id", "true_class", *hidden], rows)
+
+    paths.append(os.path.join(out_dir, CHECKPOINT.format(record.seed)))
+    model_mod.save_model(record.model, paths[-1])
     return paths
+
+
+def read_run(run_dir) -> tuple[ExperimentConfig, int, ClassifierModel]:
+    """The (config, seed, model) of a run directory export_reports wrote:
+    report.json's config block and the checkpoint beside it. A missing or
+    malformed piece raises a typed error naming the file (and the key)."""
+    path = os.path.join(run_dir, "report.json")
+    report = read_json(path)
+    values = report.get("config") if isinstance(report, dict) else None
+    if not isinstance(values, dict):
+        raise InvalidParameterError(f"{path}: report has no 'config' object")
+    if "seed" not in values:
+        raise InvalidParameterError(f"{path}: config has no key 'seed'")
+    seed = values.pop("seed")
+    check_config_keys(values, path)
+    try:
+        config = ExperimentConfig(**values)
+    except BoostLabError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    if not _fits(seed, "int") or seed not in config.seeds:
+        raise InvalidParameterError(f"{path}: seed must be one of {config.seeds}, got {seed!r}")
+    return config, seed, model_mod.load_model(os.path.join(run_dir, CHECKPOINT.format(seed)))
 
 
 def export_reports(records: list[RunRecord], out_dir: str) -> list[str]:
     """Persist run artifacts.
 
-    A single record writes four files directly into out_dir; multiple
-    records each get a run_<index> subdirectory with the same file names.
+    A single record writes its REPORT_FILES and CHECKPOINT into out_dir;
+    multiple records each get a run_<index> subdirectory with the same names.
     """
     if not records:
         raise EmptyInputError("no records to export")
@@ -361,6 +400,8 @@ def run_comparison(config: ExperimentConfig, strategies=STRATEGIES) -> dict:
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise InvalidParameterError(f"unknown strategies {unknown}; choose from {STRATEGIES}")
+    if len(set(strategies)) < len(strategies):
+        raise InvalidParameterError(f"strategies must be distinct, got {list(strategies)}")
     summary = {}
     for strategy in strategies:
         records = run_experiment(replace(config, sampler=strategy))

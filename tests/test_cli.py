@@ -9,6 +9,7 @@ from boostlab.cli import _add_common_flags, build_config, main
 from boostlab.data import make_blobs, save_csv
 from boostlab.errors import BoostLabError
 from boostlab.harness import ExperimentConfig
+from boostlab.sampler import STRATEGIES
 
 
 def run_cli(argv, capsys):
@@ -50,29 +51,31 @@ def test_evaluate_prints_report(tmp_path, capsys):
          "--seeds", "0", "--out", str(out_dir)],
         capsys,
     )
-    code, out = run_cli(
-        [
-            "evaluate",
-            "--model", str(out_dir / "model_seed0.json"),
-            "--blob-counts", "30,10",
-            "--seeds", "0",
-        ],
-        capsys,
-    )
+    code, out = run_cli(["evaluate", "--run", str(out_dir)], capsys)
     assert code == 0
     doc = json.loads(out)
     assert "aggregate" in doc and "bias" in doc
 
 
-def _train_then_evaluate(tmp_path, capsys, flags):
-    """Train one seed for 6 epochs, then evaluate its checkpoint with the
-    same flags. Returns (train report.json, evaluate stdout) as parsed JSON."""
+def _train_then_evaluate_each_run(tmp_path, capsys, flags, seeds="0"):
+    """Train for 6 epochs, then evaluate every run directory train wrote.
+    Returns one (report.json, evaluate stdout) pair, parsed, per run."""
     out_dir = tmp_path / "run"
-    common = flags + ["--hidden-units", "4", "--seeds", "0", "--epochs", "6"]
-    run_cli(["train", "--out", str(out_dir)] + common, capsys)
-    code, out = run_cli(["evaluate", "--model", str(out_dir / "model_seed0.json")] + common, capsys)
-    assert code == 0
-    return json.loads((out_dir / "report.json").read_text()), json.loads(out)
+    flags = flags + ["--hidden-units", "4", "--seeds", seeds, "--epochs", "6"]
+    assert run_cli(["train", "--out", str(out_dir)] + flags, capsys)[0] == 0
+    pairs = []
+    for report_path in sorted(out_dir.rglob("report.json")):
+        code, out = run_cli(["evaluate", "--run", str(report_path.parent)], capsys)
+        assert code == 0
+        pairs.append((json.loads(report_path.read_text()), json.loads(out)))
+    assert len(pairs) == len(seeds.split(","))
+    return pairs
+
+
+def _train_then_evaluate(tmp_path, capsys, flags):
+    """The one (report.json, evaluate stdout) pair of a single-seed run."""
+    [pair] = _train_then_evaluate_each_run(tmp_path, capsys, flags)
+    return pair
 
 
 @pytest.mark.parametrize(
@@ -90,12 +93,29 @@ def test_evaluate_reproduces_train_metrics(tmp_path, capsys, run_flags):
     assert evaluated == report["metrics"]
 
 
+@pytest.mark.parametrize(
+    "run_flags",
+    [["--sampler", s] for s in STRATEGIES]
+    + [["--temp-kind", "inverse-linear", "--pareto-scale", "0"], ["--dataset", "{csv}"]],
+    ids=[*STRATEGIES, "inverse-linear-pareto", "csv"],
+)
+def test_evaluate_reproduces_every_run_of_a_two_seed_train(tmp_path, capsys, run_flags):
+    """Seed 1 is scored on its own split, not on the first seed's."""
+    csv_path = tmp_path / "data.csv"
+    save_csv(make_blobs([30, 10], 2, 2.5, seed=0), csv_path)
+    flags = ["--blob-counts", "30,10", "--blob-separation", "2.5"]
+    flags += [flag.format(csv=csv_path) for flag in run_flags]
+    for report, evaluated in _train_then_evaluate_each_run(tmp_path, capsys, flags, "0,1"):
+        assert evaluated == report["metrics"]
+
+
 def test_evaluate_has_no_mode_or_temperature_flag(capsys):
     with pytest.raises(SystemExit):
         main(["evaluate", "--help"])
     usage = capsys.readouterr().out
-    assert "--model" in usage
+    assert "--run" in usage
     assert not re.search(r"--mode\b", usage) and "--temperature" not in usage
+    assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", usage)) == {"-h", "--help", "--run"}
 
 
 def test_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys):
@@ -112,6 +132,14 @@ def test_compare_rejects_unknown_strategy_names(tmp_path, capsys):
     code = main(["compare", "--strategies", "boost,bogus", "--out", str(tmp_path / "cmp")])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_compare_rejects_repeated_strategy_names(tmp_path, capsys):
+    argv = ["compare", "--strategies", "boost,boost,random", "--out", str(tmp_path / "cmp")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boostlab: error:") and "distinct" in err and err.count("\n") == 1
     assert not (tmp_path / "cmp").exists()
 
 
@@ -200,16 +228,16 @@ def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, values, n
 @pytest.mark.parametrize(
     "argv",
     [
-        ["evaluate", "--model", "{missing}"],
-        ["train", "--dataset", "{missing}"],
-        ["train", "--config", "{missing}"],
+        ["evaluate", "--run", "{missing}"],
+        ["train", "--dataset", "{missing}", "--out", "{out}"],
+        ["train", "--config", "{missing}", "--out", "{out}"],
     ],
-    ids=["evaluate-model", "train-dataset", "train-config"],
+    ids=["evaluate-run", "train-dataset", "train-config"],
 )
 def test_missing_input_file_exits_2_naming_the_path(tmp_path, capsys, argv):
     missing = str(tmp_path / "missing.file")
     out_dir = tmp_path / "run"
-    argv = [arg.format(missing=missing) for arg in argv] + ["--out", str(out_dir)]
+    argv = [arg.format(missing=missing, out=out_dir) for arg in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("boostlab: error:") and missing in err
@@ -249,25 +277,64 @@ def test_truncated_config_file_exits_2_naming_the_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_checkpoint_without_keys_exits_2_naming_file_and_key(tmp_path, capsys):
-    model_path = tmp_path / "empty.json"
-    model_path.write_text("{}")
-    assert main(["evaluate", "--model", str(model_path), "--blob-counts", "30,10"]) == 2
+def _trained_run(tmp_path, capsys):
+    """A one-seed run directory, as `train` writes it."""
+    out_dir = tmp_path / "run"
+    flags = ["--blob-counts", "30,10", "--epochs", "1", "--hidden-units", "4", "--seeds", "0"]
+    assert main(["train", *flags, "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    return out_dir
+
+
+def _evaluate_fails_naming(run_dir, capsys, path, key):
+    assert main(["evaluate", "--run", str(run_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("boostlab: error:") and str(model_path) in err and "dims" in err
+    assert err.startswith("boostlab: error:") and err.count(str(path)) == 1 and key in err
     assert err.count("\n") == 1
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_checkpoint_without_keys_exits_2_naming_file_and_key(tmp_path, capsys):
+    run_dir = _trained_run(tmp_path, capsys)
+    model_path = run_dir / "model_seed0.json"
+    model_path.write_text("{}")
+    _evaluate_fails_naming(run_dir, capsys, model_path, "dims")
 
 
 def test_checkpoint_layer_of_the_wrong_length_exits_2(tmp_path, capsys):
-    flags = ["--blob-counts", "30,10", "--epochs", "1", "--hidden-units", "4", "--seeds", "0"]
-    out_dir = tmp_path / "run"
-    assert main(["train", *flags, "--out", str(out_dir)]) == 0
-    model_path = out_dir / "model_seed0.json"
-    doc = json.loads(model_path.read_text())
-    doc["bias_out"] = doc["bias_out"][:-1]
-    model_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["evaluate", "--model", str(model_path), *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("boostlab: error:") and str(model_path) in err and "bias_out" in err
-    assert err.count("\n") == 1
+    run_dir = _trained_run(tmp_path, capsys)
+    model_path = run_dir / "model_seed0.json"
+    _edit_json(model_path, lambda doc: doc.update(bias_out=doc["bias_out"][:-1]))
+    _evaluate_fails_naming(run_dir, capsys, model_path, "bias_out")
+
+
+@pytest.mark.parametrize(
+    "name, edit, key",
+    [
+        ("report.json", None, ""),
+        ("report.json", lambda doc: doc.pop("config"), "config"),
+        ("report.json", lambda doc: doc["config"].pop("seed"), "seed"),
+        ("report.json", lambda doc: doc["config"].update(seed="0"), "seed"),
+        ("report.json", lambda doc: doc["config"].update(seed=-1), "seed"),
+        ("report.json", lambda doc: doc["config"].update(seed=True), "seed"),
+        ("report.json", lambda doc: doc["config"].update(seed=1), "seed"),  # not in seeds
+        ("report.json", lambda doc: doc["config"].update(odin_sign=1), "odin_sign"),
+        ("report.json", lambda doc: doc["config"].update(epsilon="x"), "epsilon"),
+        ("model_seed0.json", None, ""),
+    ],
+    ids=["no-report", "no-config", "no-seed", "string-seed", "negative-seed", "bool-seed",
+         "unlisted-seed", "unknown-key", "wrong-type", "no-checkpoint"],
+)
+def test_broken_run_directory_exits_2_naming_file_and_key(tmp_path, capsys, name, edit, key):
+    run_dir = _trained_run(tmp_path, capsys)
+    path = run_dir / name
+    if edit is None:
+        path.unlink()
+    else:
+        _edit_json(path, edit)
+    _evaluate_fails_naming(run_dir, capsys, path, key)

@@ -14,6 +14,7 @@ from boostlab.harness import (
     ExperimentConfig,
     build_datasets,
     export_reports,
+    read_run,
     record_to_report,
     run_comparison,
     run_evaluation,
@@ -229,14 +230,29 @@ class TestRunComparison:
             run_comparison(small_config(), ("boost", "bogus"))
         assert calls == []
 
+    def test_repeated_strategy_rejected_before_any_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_training", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidParameterError, match="distinct"):
+            run_comparison(small_config(), ("boost", "boost", "random"))
+        assert calls == []
+
 
 class TestExportReports:
-    def test_single_record_writes_exactly_four_files(self, tmp_path):
+    def test_single_record_writes_exactly_five_files(self, tmp_path):
         record = run_training(small_config(epochs=2))
         out = tmp_path / "run"
         paths = export_reports([record], str(out))
-        assert sorted(p.name for p in out.iterdir()) == sorted(REPORT_FILES)
-        assert len(paths) == 4
+        assert sorted(p.name for p in out.iterdir()) == sorted([*REPORT_FILES, "model_seed0.json"])
+        assert len(paths) == 5
+
+    def test_read_run_gives_back_the_records_config_seed_and_model(self, tmp_path):
+        records = run_experiment(small_config(seeds=(0, 1), epochs=1, pareto_scale=0.0))
+        export_reports(records, str(tmp_path))
+        for record, sub in zip(records, sorted(tmp_path.iterdir())):
+            config, seed, model = read_run(sub)
+            assert (config, seed) == (record.config, record.seed)
+            np.testing.assert_array_equal(model.params, record.model.params)
 
     def test_report_json_round_trips(self, tmp_path):
         record = run_training(small_config(epochs=2))
@@ -266,8 +282,9 @@ class TestExportReports:
         export_reports(records, str(tmp_path))
         subdirs = sorted(p.name for p in tmp_path.iterdir())
         assert subdirs == ["run_00_boost_seed0", "run_01_boost_seed1"]
-        for sub in subdirs:
-            assert sorted(p.name for p in (tmp_path / sub).iterdir()) == sorted(REPORT_FILES)
+        for seed, sub in enumerate(subdirs):
+            expected = sorted([*REPORT_FILES, f"model_seed{seed}.json"])
+            assert sorted(p.name for p in (tmp_path / sub).iterdir()) == expected
 
     def test_no_file_written_has_a_carriage_return(self, tmp_path):
         paths = export_reports([run_training(small_config(epochs=2))], str(tmp_path / "one"))
@@ -275,7 +292,7 @@ class TestExportReports:
         paths += export_reports(records, str(tmp_path / "several"))
         paths.append(tmp_path / "data.csv")
         save_csv(make_blobs([5, 3], 2, 3.0, seed=0), paths[-1])
-        assert len(paths) == 4 + 8 + 1
+        assert len(paths) == 5 + 10 + 1
         for path in paths:
             assert b"\r" not in open(path, "rb").read(), path
 
