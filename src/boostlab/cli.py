@@ -50,10 +50,18 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's values with the flags' over them. An error that
+    the flags alone over the defaults do not raise names the file."""
     path = getattr(args, "config", None)
     values = check_config_keys(read_json(path), path) if path else {}
     flags = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
-    return ExperimentConfig(**{**values, **flags})
+    try:
+        return ExperimentConfig(**{**values, **flags})
+    except BoostLabError as exc:
+        if not values:
+            raise
+        ExperimentConfig(**flags)  # a flag that is wrong on its own is reported as such
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def cmd_train(args) -> int:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import numbers
 from array import array
 from dataclasses import dataclass, field
 
@@ -35,12 +36,26 @@ class Dataset:
     class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.intp)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
+        try:
+            self.features = np.asarray(self.features, dtype=np.float64)
+            labels = np.asarray(self.labels)
+        except (TypeError, ValueError, OverflowError) as exc:  # text, ragged rows, huge ints
+            raise InvalidParameterError(f"features and labels must be numeric: {exc}") from exc
+        if labels.dtype.kind not in "iuf" or not np.isfinite(labels).all() or (labels % 1).any():
+            raise InvalidParameterError("labels must be integers")
+        if self.features.ndim != 2 or labels.shape != self.features.shape[:1]:
             raise InvalidParameterError("features and labels must align")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
+        if self.num_features < 1:
+            raise InvalidParameterError("features need at least one column")
+        # min and max are NaN or infinite where any value is, and copy nothing
+        extremes = [self.features.min(), self.features.max()] if self.features.size else []
+        if not np.isfinite(extremes).all():
+            raise InvalidParameterError("features must be finite")
+        if not isinstance(self.num_classes, numbers.Integral) or self.num_classes < 1:
+            raise InvalidParameterError(f"num_classes must be an int >= 1: {self.num_classes!r}")
+        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise InvalidParameterError("labels out of range")
+        self.labels = labels.astype(np.intp, copy=False)
         self.class_counts = np.bincount(self.labels, minlength=self.num_classes)
         if self.feature_std is None:
             if self.n >= 2:
@@ -280,19 +295,40 @@ def read_json(path):
             raise InvalidParameterError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def write_csv(path, header, rows) -> None:
-    """The one CSV format boostlab writes: comma-delimited, a header row,
-    "\\n" line ends. Floats are written by str, which is their shortest
-    round-trip form, and None as an empty field."""
+CHUNK_FIELDS = 1 << 13  # fields formatted at a time, so memory stays per chunk
+
+
+def csv_fields(column: np.ndarray) -> list[str]:
+    """The text write_csv writes for each value of a numeric column: ints by
+    str, floats by repr, which is their shortest round-trip form, and NaN,
+    which marks a missing value, as an empty field."""
+    values = column.tolist()
+    if column.dtype.kind != "f":
+        return list(map(str, values))
+    if np.isnan(column).any():
+        return ["" if v != v else repr(v) for v in values]
+    return list(map(repr, values))
+
+
+def write_csv(path, header, blocks) -> None:
+    """The one CSV format boostlab writes: comma-delimited, a header row
+    quoted as the csv module quotes it, "\\n" line ends. `blocks` yields
+    lists of equal-length columns, whose rows are written block after block.
+    A column is a numpy array, written by csv_fields, or a list holding each
+    field's text (csv_fields' output, or words that need no quoting)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for columns in blocks:
+            step = max(1, CHUNK_FIELDS // len(columns))
+            for start in range(0, len(columns[0]), step):
+                fields = [c[start:start + step] for c in columns]
+                fields = [c if isinstance(c, list) else csv_fields(c) for c in fields]
+                fh.write("\n".join(map(",".join, zip(*fields, strict=True))))
+                fh.write("\n")
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
     """Inverse of load_csv for integer-labeled datasets; features are
     written in shortest round-trip form so a round trip is exact."""
     header = [f"feature_{j}" for j in range(dataset.num_features)] + [label_column]
-    rows = ([*x.tolist(), y] for x, y in zip(dataset.features, dataset.labels.tolist()))
-    write_csv(path, header, rows)
+    write_csv(path, header, [[*dataset.features.T, dataset.labels]])

@@ -15,14 +15,13 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import repeat
 
 import numpy as np
 
 from . import model as model_mod
 from .calibration import OdinConfig, calibrate_batch_full
 from .data import Dataset, ParetoTailSpec, load_csv, make_blobs, pareto_resample
-from .data import read_json, train_test_split, write_csv
+from .data import csv_fields, read_json, train_test_split, write_csv
 from .errors import BoostLabError, ConfigurationError, EmptyInputError, InvalidParameterError
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
 from .model import ClassifierModel, hidden_activations, softmax_rows, train_step
@@ -311,18 +310,16 @@ def record_to_report(record: RunRecord) -> dict:
 def write_history_csv(state: SamplerState, true_labels: np.ndarray, path) -> None:
     """One row per (epoch, sample): score, probability, and draw count. The
     score is empty where the sampler calibrated nothing (the baselines)."""
-    true_labels = np.asarray(true_labels, dtype=np.intp).tolist()
-
-    def rows():
-        for record in state.history:  # one epoch at a time, so memory stays per epoch
-            scores = [None if math.isnan(s) else s for s in record.scores.tolist()]
-            yield from zip(repeat(record.epoch), range(len(true_labels)), true_labels,
-                           record.predicted.tolist(), scores, record.probabilities.tolist(),
-                           record.draw_counts.tolist())
-
+    n = len(true_labels)
+    # the same two columns open every epoch's rows, so they are formatted once
+    sample_ids = csv_fields(np.arange(n))
+    true_classes = csv_fields(np.asarray(true_labels, dtype=np.intp))
+    blocks = ([[str(record.epoch)] * n, sample_ids, true_classes, record.predicted,
+               record.scores, record.probabilities, record.draw_counts]
+              for record in state.history)  # one epoch at a time, so memory stays per epoch
     header = ["epoch", "sample_id", "true_class", "predicted_class",
               "calibrated_score", "sampling_probability", "times_drawn"]
-    write_csv(path, header, rows())
+    write_csv(path, header, blocks)
 
 
 def _write_record(record: RunRecord, out_dir: str) -> list[str]:
@@ -335,15 +332,16 @@ def _write_record(record: RunRecord, out_dir: str) -> list[str]:
         json.dump(report, fh, indent=2)
 
     per_class = report["metrics"]["per_class"]
-    rows = ((c, name, value) for c, values in per_class.items() for name, value in values.items())
-    write_csv(per_class_path, ["class", "metric", "value_percent"], rows)
+    rows = [(c, name, value) for c, values in per_class.items() for name, value in values.items()]
+    classes, names, percents = zip(*rows)
+    write_csv(per_class_path, ["class", "metric", "value_percent"],
+              [[list(classes), list(names), np.array(percents)]])
 
     write_history_csv(record.sampler_state, record.train_labels, history_path)
 
     hidden = [f"h_{j}" for j in range(record.embeddings.shape[1])]
-    labels = record.test_labels.tolist()
-    rows = ([i, labels[i], *h.tolist()] for i, h in enumerate(record.embeddings))
-    write_csv(embeddings_path, ["sample_id", "true_class", *hidden], rows)
+    columns = [np.arange(len(record.test_labels)), record.test_labels, *record.embeddings.T]
+    write_csv(embeddings_path, ["sample_id", "true_class", *hidden], [columns])
 
     paths.append(os.path.join(out_dir, CHECKPOINT.format(record.seed)))
     model_mod.save_model(record.model, paths[-1])

@@ -103,14 +103,26 @@ def boost_probabilities(
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     class_index = np.asarray(class_index, dtype=np.intp)
     s = np.asarray(aggregates, dtype=np.float64)
+    if logits.ndim != 2:
+        raise InvalidParameterError("logits must be an [n x c] matrix")
+    n, c = logits.shape
+    if n == 0:
+        raise EmptyInputError("no samples to weight")
+    if class_index.shape != (n,):
+        raise InvalidParameterError("logits and class_index must align")
+    if s.shape != (c,):
+        raise InvalidParameterError(f"aggregates must hold one score per class ({c})")
     if not np.all((s > 0) & (s <= 1)):  # written so that NaN fails
         raise InvalidParameterError("aggregate scores must lie in (0, 1]")
-    if logits.shape[0] != len(class_index):
-        raise InvalidParameterError("logits and class_index must align")
+    if class_index.min() < 0 or class_index.max() >= c:
+        raise InvalidParameterError(f"class_index must lie in [0, {c})")
+    if not np.isfinite(logits).all():
+        raise InvalidParameterError("logits must be finite")
 
-    shifted = logits - logits.max(axis=1, keepdims=True)  # overflow guard
+    with np.errstate(over="ignore"):  # a gap past the float range exps to 0, as it should
+        shifted = logits - logits.max(axis=1, keepdims=True)  # overflow guard
     weighted = np.exp(shifted) * s
-    raw = weighted[np.arange(len(class_index)), class_index] / weighted.sum(axis=1)
+    raw = weighted[np.arange(n), class_index] / weighted.sum(axis=1)
     weights = np.clip(1.0 - raw, 0.0, None)
     total = weights.sum()
     if total <= 0:

@@ -5,7 +5,10 @@ paths: plain Python loops, math.*, and mpmath where extra precision
 matters. Tests compare the vectorized implementations against these.
 """
 
+import csv
+import io
 import math
+from itertools import repeat
 
 import mpmath
 
@@ -152,3 +155,28 @@ def oracle_confusion_metrics(confusion):
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         out.append({"precision": precision, "recall": recall, "f1": f1})
     return out
+
+
+def oracle_csv_bytes(header, rows) -> bytes:
+    """A CSV file as the csv module writes it, row by row: comma-delimited,
+    "\\n" line ends, None as an empty field."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
+HISTORY_HEADER = ["epoch", "sample_id", "true_class", "predicted_class",
+                  "calibrated_score", "sampling_probability", "times_drawn"]
+
+
+def oracle_history_rows(state, true_labels):
+    """sampler_history.csv's rows, one Python row per (epoch, sample), with a
+    NaN score (nothing calibrated) as None."""
+    true_labels = [int(v) for v in true_labels]
+    for record in state.history:
+        scores = [None if math.isnan(s) else s for s in record.scores.tolist()]
+        yield from zip(repeat(record.epoch), range(len(true_labels)), true_labels,
+                       record.predicted.tolist(), scores, record.probabilities.tolist(),
+                       record.draw_counts.tolist())

@@ -226,6 +226,43 @@ def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, values, n
 
 
 @pytest.mark.parametrize(
+    "values, flags",
+    [
+        ({"epsilon": "x"}, []),
+        ({"epochs": 0}, []),
+        ({"blob_counts": [5, 5, 5]}, ["--test-counts", "1,2"]),  # the file's value breaks the rule
+    ],
+    ids=["wrong-type", "out-of-range", "with-a-flag"],
+)
+def test_bad_config_file_value_names_the_file(tmp_path, capsys, values, flags):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(values))
+    argv = ["train", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"boostlab: error: {cfg_path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_bad_flag_is_reported_without_the_config_file(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"epochs": 2}))
+    assert main(["train", "--config", str(cfg_path), "--epsilon", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boostlab: error: epsilon ") and str(cfg_path) not in err
+
+
+def test_config_file_value_a_flag_overrides_is_not_checked(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"epochs": 0, "epsilon": "x", "blob_counts": [30, 10]}))
+    argv = ["train", "--config", str(cfg_path), "--epochs", "1", "--epsilon", "0.05",
+            "--hidden-units", "4", "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["config"]["epochs"] == 1 and report["config"]["epsilon"] == 0.05
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["evaluate", "--run", "{missing}"],

@@ -16,9 +16,39 @@ from boostlab.errors import (
     CsvParseError,
     EmptyInputError,
     InsufficientDataError,
+    InvalidParameterError,
     NumericOverflowError,
 )
 from boostlab.model import forward_batch, init_model, train_step
+
+
+class TestDataset:
+    @pytest.mark.parametrize(
+        "features, labels, num_classes",
+        [
+            ([[1.0], [2.0]], [0.5, 1.7], 2),
+            ([[1.0], [2.0]], [0, np.nan], 2),
+            ([[1.0], [2.0]], ["a", "b"], 2),
+            ([["a"], ["b"]], [0, 1], 2),
+            ([[1.0], [2.0, 3.0]], [0, 1], 2),
+            ([[1.0], [np.inf]], [0, 1], 2),
+            (np.zeros((2, 0)), [0, 1], 2),
+            ([[1.0], [2.0]], 0, 1),
+            ([[1.0], [2.0]], [0, 0], 0),
+            ([[1.0], [2.0]], [0, 2], 2),
+        ],
+        ids=["fractional-labels", "nan-label", "text-labels", "text-features", "ragged-rows",
+             "inf-feature", "no-feature-column", "scalar-labels", "no-classes",
+             "label-out-of-range"],
+    )
+    def test_bad_labels_and_features_raise_a_typed_error(self, features, labels, num_classes):
+        with pytest.raises(InvalidParameterError):
+            Dataset(features=features, labels=labels, num_classes=num_classes)
+
+    def test_integral_float_labels_become_class_indices(self):
+        data = Dataset(features=[[1.0], [2.0], [3.0]], labels=[0.0, 1.0, 1.0], num_classes=2)
+        assert data.labels.dtype == np.intp
+        np.testing.assert_array_equal(data.class_counts, [1, 2])
 
 
 class TestMakeBlobs:

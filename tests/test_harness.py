@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from boostlab import harness
+from boostlab import data, harness
 from boostlab.calibration import OdinConfig, calibrate_batch_full
-from boostlab.data import make_blobs, save_csv
+from boostlab.data import Dataset, make_blobs, save_csv
 from boostlab.errors import ConfigurationError, InvalidParameterError
 from boostlab.harness import (
     REPORT_FILES,
@@ -22,9 +22,10 @@ from boostlab.harness import (
     run_training,
 )
 from boostlab.model import init_model, train_step
+from boostlab.sampler import STRATEGIES, EpochRecord, SamplerState
 from boostlab.scheduler import temperature_at
 
-from oracles import oracle_sodc_per_class
+from oracles import HISTORY_HEADER, oracle_csv_bytes, oracle_history_rows, oracle_sodc_per_class
 
 
 def small_config(**overrides):
@@ -339,6 +340,59 @@ class TestExportReports:
         export_reports([run_training(config, seed=5)], str(tmp_path / "b"))
         for name in REPORT_FILES:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestCsvFilesEqualTheRowWriter:
+    """Every CSV boostlab writes has the bytes the csv module's row writer
+    gives for the same rows, however write_csv chunks its columns."""
+
+    @pytest.fixture(params=[1, 7, data.CHUNK_FIELDS], ids=["chunk-1", "chunk-7", "chunk-default"])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(data, "CHUNK_FIELDS", request.param)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("sampler", STRATEGIES)
+    def test_history_of_every_sampler(self, tmp_path, chunk, sampler, seed):
+        record = run_training(small_config(sampler=sampler, epochs=3), seed=seed)
+        path = tmp_path / "history.csv"
+        harness.write_history_csv(record.sampler_state, record.train_labels, path)
+        rows = oracle_history_rows(record.sampler_state, record.train_labels)
+        assert path.read_bytes() == oracle_csv_bytes(HISTORY_HEADER, rows)
+
+    def test_history_whose_scores_mix_nan_and_floats(self, tmp_path, chunk):
+        scores = np.array([np.nan, 0.1 + 0.2, -0.0, 5e-324, 1e22, np.nan, 1 / 3, np.inf])
+        state = SamplerState(strategy="boost", rng_seed=0)
+        for epoch in range(2):
+            state.history.append(EpochRecord(
+                epoch=epoch, scores=scores[::1 - 2 * epoch], predicted=np.arange(8) % 3,
+                probabilities=np.linspace(0, 0.25, 8), draw_counts=np.arange(8) * 1000))
+        labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+        harness.write_history_csv(state, labels, tmp_path / "history.csv")
+        expected = oracle_csv_bytes(HISTORY_HEADER, oracle_history_rows(state, labels))
+        assert (tmp_path / "history.csv").read_bytes() == expected
+        assert b"\n0,0,0,0,,0.0,0\n" in expected and b",0.30000000000000004," in expected
+
+    def test_per_class_and_embeddings(self, tmp_path, chunk):
+        record = run_training(small_config(blob_counts=(40, 20, 10), test_counts=(9, 5, 3)))
+        export_reports([record], str(tmp_path))
+        per_class = record_to_report(record)["metrics"]["per_class"]
+        rows = ((c, name, v) for c, values in per_class.items() for name, v in values.items())
+        expected = oracle_csv_bytes(["class", "metric", "value_percent"], rows)
+        assert (tmp_path / "per_class_metrics.csv").read_bytes() == expected
+
+        hidden = [f"h_{j}" for j in range(record.embeddings.shape[1])]
+        labels = record.test_labels.tolist()
+        rows = ([i, labels[i], *h.tolist()] for i, h in enumerate(record.embeddings))
+        expected = oracle_csv_bytes(["sample_id", "true_class", *hidden], rows)
+        assert (tmp_path / "embeddings.csv").read_bytes() == expected
+
+    def test_saved_dataset_with_a_label_column_that_needs_quoting(self, tmp_path, chunk):
+        features = np.array([[0.1, -0.0, 1e150], [2.5e-8, 3.0, -7.0], [1 / 3, 1e-320, 42.0]])
+        dataset = Dataset(features=features, labels=[2, 0, 1], num_classes=3)
+        save_csv(dataset, tmp_path / "data.csv", label_column='class, "true"')
+        header = ["feature_0", "feature_1", "feature_2", 'class, "true"']
+        rows = ([*x.tolist(), y] for x, y in zip(features, [2, 0, 1]))
+        assert (tmp_path / "data.csv").read_bytes() == oracle_csv_bytes(header, rows)
 
 
 REFERENCE_ROW = {"accuracy": 84.44, "mab": 2.94, "sdb": 3.51}

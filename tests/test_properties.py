@@ -1,6 +1,8 @@
 """Property tests: fuzzed configuration values, of any type, either construct
 a config whose data and temperatures are finite, or fail with a BoostLabError;
-so do arbitrary bytes read as a labeled CSV."""
+so do arbitrary bytes read as a labeled CSV, arbitrary arguments to Dataset,
+and arbitrary logits, class indices and aggregates given to
+boost_probabilities, which otherwise return a distribution."""
 
 import math
 
@@ -9,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boostlab.data import load_csv
+from boostlab.data import Dataset, load_csv
 from boostlab.errors import BoostLabError, NumericOverflowError
 from boostlab.harness import ExperimentConfig, build_datasets
+from boostlab.sampler import PROB_SUM_TOL, boost_probabilities
 from boostlab.scheduler import temperature_at
 
 EDGES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, -1e300]
@@ -84,3 +87,62 @@ def test_csv_bytes_load_or_raise_a_typed_error(tmp_path_factory, content):
         return
     assert data.num_features >= 1 and data.n >= 1
     assert np.isfinite(data.features).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 5), d=st.integers(0, 3), data=st.data())
+def test_dataset_is_finite_or_raises_a_typed_error(n, d, data):
+    features = data.draw(st.lists(st.lists(st.floats(-10, 10), min_size=d, max_size=d),
+                                  min_size=n, max_size=n), label="features")
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="labels")
+    num_classes = data.draw(st.integers(-1, 4), label="num_classes")
+    # one value, or the labels as a whole, from the whole domain of any type
+    odd = ANY_FLOAT | ANY_TYPE | st.integers(-(10**30), 10**30)
+    where = data.draw(st.sampled_from(["nowhere", "feature", "label", "labels"]), label="fuzzed")
+    if where == "feature" and n and d:
+        row, column = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
+        features[row][column] = data.draw(odd)
+    elif where == "label" and n:
+        labels[data.draw(st.integers(0, n - 1))] = data.draw(odd)
+    elif where == "labels":
+        labels = data.draw(odd)
+    try:
+        dataset = Dataset(features=features, labels=labels, num_classes=num_classes)
+    except BoostLabError:
+        return
+    assert dataset.features.shape == (n, d) and d >= 1 and np.isfinite(dataset.features).all()
+    assert dataset.labels.dtype == np.intp
+    assert ((dataset.labels >= 0) & (dataset.labels < num_classes)).all()
+    assert dataset.class_counts.sum() == n
+    assert dataset.feature_std.shape == (d,)
+    assert np.isfinite(dataset.feature_std).all() and (dataset.feature_std > 0).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5), c=st.integers(1, 4), data=st.data())
+def test_boost_probabilities_are_a_distribution_or_raise_a_typed_error(n, c, data):
+    finite = st.floats(-50, 50) | st.floats(allow_nan=False, allow_infinity=False)
+    logits = np.array(data.draw(st.lists(finite, min_size=n * c, max_size=n * c), label="logits"))
+    logits = logits.reshape(n, c)
+    class_index = data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n), label="class")
+    aggregates = data.draw(st.lists(st.floats(0.01, 1.0), min_size=c, max_size=c), label="S")
+    # one value, or one length, from the whole domain
+    places = ["nowhere", "logit", "class", "aggregate", "rows", "columns"]
+    where = data.draw(st.sampled_from(places), label="fuzzed")
+    if where == "logit":
+        row, column = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, c - 1))
+        logits[row, column] = data.draw(ANY_FLOAT)
+    elif where == "class":
+        class_index[data.draw(st.integers(0, n - 1))] = data.draw(ANY_INT)
+    elif where == "aggregate":
+        aggregates[data.draw(st.integers(0, c - 1))] = data.draw(ANY_FLOAT)
+    elif where == "rows":  # fewer logit rows than class indices, down to none
+        logits = logits[: data.draw(st.integers(0, n - 1))]
+    elif where == "columns":  # one aggregate more than there are logit columns
+        aggregates.append(0.5)
+    try:
+        probs = boost_probabilities(logits, np.array(class_index), np.array(aggregates))
+    except BoostLabError:
+        return
+    assert probs.shape == (n,) and np.isfinite(probs).all() and (probs >= 0).all()
+    assert abs(probs.sum() - 1.0) <= PROB_SUM_TOL

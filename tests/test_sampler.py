@@ -81,6 +81,23 @@ class TestBoostProbabilities:
         with pytest.raises(InvalidParameterError):
             boost_probabilities(logits, np.array([0, 1]), np.array([0.5, np.nan]))
 
+    @pytest.mark.parametrize(
+        "logits, class_index, aggregates, error",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], [0, 1], [0.5, 0.5], InvalidParameterError),
+            ([[np.inf, 0.0], [0.0, 1.0]], [0, 1], [0.5, 0.5], InvalidParameterError),
+            ([[1.0, 0.0], [0.0, 1.0]], [0, 2], [0.5, 0.5], InvalidParameterError),
+            ([[1.0, 0.0], [0.0, 1.0]], [0, -1], [0.5, 0.5], InvalidParameterError),
+            ([[1.0, 0.0], [0.0, 1.0]], [0, 1], [0.5, 0.5, 0.5], InvalidParameterError),
+            (np.empty((0, 2)), np.empty(0, dtype=int), [0.5, 0.5], EmptyInputError),
+        ],
+        ids=["nan-logit", "inf-logit", "class-index-too-large", "negative-class-index",
+             "aggregates-longer-than-classes", "no-samples"],
+    )
+    def test_bad_input_raises_a_typed_error(self, logits, class_index, aggregates, error):
+        with pytest.raises(error):
+            boost_probabilities(np.array(logits), np.array(class_index), np.array(aggregates))
+
     def test_always_a_distribution(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
