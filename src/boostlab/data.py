@@ -243,6 +243,8 @@ def load_csv(path, label_column: str) -> Dataset:
                 raise CsvParseError(f"{path}: file is empty")
             if label_column not in header:
                 raise CsvParseError(f"{path}: no column named {label_column!r}")
+            if header.count(label_column) > 1:  # the second would be read as a feature
+                raise CsvParseError(f"{path}: more than one column named {label_column!r}")
             if len(header) == 1:
                 raise CsvParseError(f"{path}: no feature column besides {label_column!r}")
             label_idx = header.index(label_column)

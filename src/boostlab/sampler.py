@@ -1,9 +1,10 @@
 """Adaptive batch sampling driven by calibrated confidence scores.
 
 The boost strategy aggregates calibrated per-sample confidences by class,
-forms inverted class-weighted sampling probabilities (the less mass the
-model puts on a sample's class, the higher its weight), and draws batches
-multinomially with replacement. Four
+forms inverted class-weighted sampling weights (the less mass the model
+puts on a sample's class, the higher its weight), and draws batches
+multinomially with replacement from the distribution `install_distribution`
+makes of them. Four
 baseline strategies are provided for comparison: random and stratified,
 each in a static variant (the epoch-0 selection is frozen) and a dynamic
 variant (re-drawn every epoch).
@@ -45,9 +46,9 @@ class EpochRecord:
 
 @dataclass
 class SamplerState:
-    """The distribution `install_distribution` set last (`probabilities` as
-    given, `cdf` as drawn from, `degenerate` when uniform stood in for it)
-    and the counters that make every draw reproducible."""
+    """The distribution `install_distribution` set last (`probabilities`
+    and its `cdf`, `degenerate` when uniform stood in for the weights) and
+    the counters that make every draw reproducible."""
 
     strategy: str
     rng_seed: int
@@ -92,13 +93,13 @@ def boost_probabilities(
     class_index: np.ndarray,
     aggregates: np.ndarray,
 ) -> np.ndarray:
-    """Inverted class-weighted sampling distribution over samples.
+    """Inverted class-weighted sampling weights, one in [0, 1] per sample.
 
     Per sample with class c, the raw confidence is
       exp(z_c) * S_c / sum_j exp(z_j) * S_j
     with S the per-class aggregates, each in (0, 1]; the sampling weight
-    is 1 - raw, then the batch is renormalized by its sum so the result is
-    a distribution.
+    is 1 - raw. `install_distribution` turns the weights into a
+    distribution.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     class_index = np.asarray(class_index, dtype=np.intp)
@@ -123,30 +124,28 @@ def boost_probabilities(
         shifted = logits - logits.max(axis=1, keepdims=True)  # overflow guard
     weighted = np.exp(shifted) * s
     raw = weighted[np.arange(n), class_index] / weighted.sum(axis=1)
-    weights = np.clip(1.0 - raw, 0.0, None)
-    total = weights.sum()
-    if total <= 0:
-        log.warning("all inverted weights collapsed to zero; falling back to uniform")
-        return np.full(len(weights), 1.0 / len(weights))
-    return weights / total
+    return np.clip(1.0 - raw, 0.0, None)
 
 
-def install_distribution(state: SamplerState, probabilities: np.ndarray) -> None:
-    """Make `probabilities` the distribution draws come from until the next
-    install. A distribution that is not finite, has a negative entry, or
-    whose sum is not in (0, inf) is replaced by the uniform one."""
-    given = np.asarray(probabilities, dtype=np.float64)
+def install_distribution(state: SamplerState, weights: np.ndarray) -> None:
+    """Make `weights / weights.sum()` the distribution draws come from until
+    the next install. Weights that are not finite, have a negative entry,
+    or whose sum is not in (0, inf) (all zero, say) are replaced by the
+    uniform distribution, with one warning."""
+    given = np.asarray(weights, dtype=np.float64)
     if given.size == 0:
         raise EmptyInputError("a sampling distribution needs at least one sample")
-    with np.errstate(over="ignore"):  # an infinite sum is degenerate, below
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum of inf or NaN is degenerate
         total = given.sum()
     state.degenerate = not (np.isfinite(given).all() and (given >= 0).all() and 0 < total < np.inf)
+    if state.degenerate:
+        log.warning("degenerate sampling weights; falling back to uniform")
     p = np.full(len(given), 1.0 / len(given)) if state.degenerate else given / total
     # the arithmetic of Generator.choice(p=...), done once per distribution
     # instead of once per draw
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    state.probabilities = given
+    state.probabilities = p
     state.cdf = cdf
 
 
@@ -163,7 +162,6 @@ def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
     if state.cdf is None:
         raise InvalidParameterError("sampler has no probabilities; resample first")
     if state.degenerate:
-        log.warning("degenerate sampling distribution; falling back to uniform")
         state.degenerate_draws += 1
 
     uniform = np.random.default_rng([state.rng_seed, state.draw_count]).random(batch_size)
@@ -174,12 +172,11 @@ def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
     return indices
 
 
-def _baseline_probabilities(state: SamplerState, dataset: Dataset) -> np.ndarray:
+def _baseline_weights(state: SamplerState, dataset: Dataset) -> np.ndarray:
     if state.strategy in ("random", "dynamic-random"):
-        return np.full(dataset.n, 1.0 / dataset.n)
+        return np.ones(dataset.n)
     # stratified: per-sample weight inversely proportional to class size
-    weights = 1.0 / dataset.class_counts[dataset.labels]
-    return weights / weights.sum()
+    return 1.0 / dataset.class_counts[dataset.labels]
 
 
 def epoch_resample(
@@ -207,21 +204,21 @@ def epoch_resample(
         # the weight uses the true class, so a confidently misclassified
         # sample carries near-maximal weight: that is what makes the sampler
         # target misclassified rare-class data
-        probs = boost_probabilities(perturbed_logits, dataset.labels, aggregates)
+        weights = boost_probabilities(perturbed_logits, dataset.labels, aggregates)
     else:
-        probs = _baseline_probabilities(state, dataset)
+        weights = _baseline_weights(state, dataset)
         predicted = np.full(n, -1, dtype=np.intp)
         sample_scores = np.full(n, np.nan)
         if state.strategy in STATIC_STRATEGIES:
             state.draw_count = 0  # replay the epoch-0 stream
 
-    install_distribution(state, probs)
+    install_distribution(state, weights)
     state.history.append(
         EpochRecord(
             epoch=len(state.history),
             scores=sample_scores,
             predicted=predicted,
-            probabilities=probs.copy(),
+            probabilities=state.probabilities,
             draw_counts=np.zeros(n, dtype=np.int64),
         )
     )

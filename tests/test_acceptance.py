@@ -101,18 +101,24 @@ def test_criterion_1_equation_fidelity():
         perturb(np.array([0.2]), np.array([2.0]), cfg), [0.1], atol=1e-12
     )
 
-    # inverted class-weighted sampling probabilities
+    # inverted class-weighted sampling probabilities: boost weights,
+    # normalised by the install
+    def distribution(logits, class_index, aggregates):
+        state = SamplerState(strategy="boost", rng_seed=0)
+        install_distribution(state, boost_probabilities(logits, class_index, aggregates))
+        return state.probabilities
+
     agg = np.array([0.5, 0.5])
     np.testing.assert_allclose(
-        boost_probabilities(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), agg),
+        distribution(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), agg),
         [0.5, 0.5],
         atol=1e-12,
     )
     logits = np.log(np.array([[0.5, 0.3, 0.2]] * 3))
-    probs = boost_probabilities(logits, np.array([0, 1, 2]), np.ones(3))
+    probs = distribution(logits, np.array([0, 1, 2]), np.ones(3))
     np.testing.assert_allclose(probs, oracle_boost_weights([0.5, 0.3, 0.2]), atol=1e-12)
     np.testing.assert_allclose(probs, [0.25, 0.35, 0.40], atol=1e-12)
-    extreme = boost_probabilities(
+    extreme = distribution(
         np.array([[40.0, 0.0], [0.5, 0.0], [0.0, 0.5]]),
         np.array([0, 0, 1]),
         np.array([0.5, 0.5]),

@@ -1,33 +1,63 @@
 """The benchmark in perfbench/ wraps boostlab functions by (module, name) and
-reads sampler counters, so moving or renaming one of them breaks its traced
-run (`--trace 1`). This check loads perfbench/run.py, writing nothing under
+reads sampler counters and warnings, so moving or renaming one of them, or
+changing when a fallback is logged or counted, breaks its traced run
+(`--trace 1`). This check loads perfbench/run.py, writing nothing under
 perfbench/, and fails here first."""
 
 import importlib.util
+import logging
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from boostlab import harness
-from boostlab.sampler import SamplerState
+from boostlab.sampler import SamplerState, draw_batch, install_distribution
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_benchmark_hooks_resolve(monkeypatch):
+@pytest.fixture
+def perfbench_run(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its sibling tracing.py
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(run)
-        targets = run.trace_targets()
+        yield run
     finally:
         sys.modules.pop("tracing", None)
 
+
+def test_benchmark_hooks_resolve(perfbench_run):
+    targets = perfbench_run.trace_targets()
     missing = [f"{m.__name__}.{name}" for m, name, *_ in targets if not hasattr(m, name)]
     assert missing == []
     assert "degenerate_draws" in {f.name for f in fields(SamplerState)}
+
+
+def test_fallback_is_logged_once_per_install_and_counted_per_batch(perfbench_run):
+    # sampler.fallbacks.logged counts warnings through perfbench's handler;
+    # sampler.fallbacks.degenerate_draws sums SamplerState.degenerate_draws
+    counter = perfbench_run.FallbackCounter()
+    logger = logging.getLogger("boostlab.sampler")
+    logger.addHandler(counter)
+    try:
+        state = SamplerState(strategy="boost", rng_seed=0)
+        install_distribution(state, np.zeros(5))
+        assert counter.count == 1
+        for drawn in range(1, 4):
+            draw_batch(state, 8)
+            assert state.degenerate_draws == drawn
+        assert counter.count == 1
+        install_distribution(state, np.ones(5))
+        draw_batch(state, 8)
+        assert (counter.count, state.degenerate_draws) == (1, 3)
+    finally:
+        logger.removeHandler(counter)
 
 
 def test_export_calls_the_history_writer_through_the_module(tmp_path, monkeypatch):

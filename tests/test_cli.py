@@ -294,7 +294,13 @@ def test_one_row_csv_exits_2_for_every_sampler(tmp_path, capsys, sampler):
 
 
 @pytest.mark.parametrize(
-    "content", [b"label\n" + b"0\n1\n" * 4, b"f0,label\n\xff,0\n"], ids=["label-only", "not-utf8"]
+    "content",
+    [
+        b"label\n" + b"0\n1\n" * 4,
+        b"f0,label\n\xff,0\n",
+        b"label,a,label\n" + b"0,1.5,1\n1,2.5,0\n" * 4,
+    ],
+    ids=["label-only", "not-utf8", "repeated-label"],
 )
 def test_malformed_csv_exits_2_naming_the_file(tmp_path, capsys, content):
     csv_path = tmp_path / "bad.csv"

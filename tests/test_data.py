@@ -234,8 +234,9 @@ class TestCsv:
             (b"label\n" + b"0\n1\n" * 4, "no feature column"),
             (b"f0,label\n\xff,0\n", "utf-8"),
             (b"f0,label\n" + b"1" * 200_000 + b",0\n", "field limit"),
+            (b"label,a,label\n0,1.5,1\n1,2.5,0\n", "more than one column"),
         ],
-        ids=["label-only", "not-utf8", "oversized-field"],
+        ids=["label-only", "not-utf8", "oversized-field", "repeated-label"],
     )
     def test_malformed_file_raises_a_typed_error_naming_it(self, tmp_path, content, named):
         path = tmp_path / "bad.csv"

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 
 import numpy as np
@@ -92,6 +93,19 @@ class TestRunTraining:
         eval_seed = int(np.random.SeedSequence(3).generate_state(3)[2])
         expected = run_evaluation(record.model, test, mode, odin, 16, 0.3, sampler_seed=eval_seed)
         assert record.metrics.to_dict() == expected.to_dict()
+
+    def test_one_class_run_counts_its_uniform_fallback(self, caplog):
+        # with one class every inverted boost weight is 0, so every epoch
+        # installs the uniform stand-in and every batch is drawn from it
+        config = small_config(blob_counts=(60,), test_counts=(20,), epochs=3)
+        with caplog.at_level(logging.WARNING, logger="boostlab.sampler"):
+            record = run_training(config)
+        state = record.sampler_state
+        assert state.degenerate_draws == config.epochs * math.ceil(60 / config.batch_size)
+        assert sum(r.name == "boostlab.sampler" for r in caplog.records) == config.epochs
+        assert len(state.history) == config.epochs
+        for entry in state.history:
+            np.testing.assert_array_equal(entry.probabilities, np.full(60, 1 / 60))
 
     def test_run_experiment_covers_all_seeds(self):
         records = run_experiment(small_config(seeds=(0, 1, 2), epochs=1))

@@ -1,8 +1,10 @@
 """Property tests: fuzzed configuration values, of any type, either construct
 a config whose data and temperatures are finite, or fail with a BoostLabError;
 so do arbitrary bytes read as a labeled CSV, arbitrary arguments to Dataset,
-and arbitrary logits, class indices and aggregates given to
-boost_probabilities, which otherwise return a distribution."""
+arbitrary logits, class indices and aggregates given to
+boost_probabilities, which otherwise return weights in [0, 1], and arbitrary
+weights given to install_distribution, which always installs a
+distribution."""
 
 import math
 
@@ -12,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostlab.data import Dataset, load_csv
-from boostlab.errors import BoostLabError, NumericOverflowError
+from boostlab.errors import BoostLabError, EmptyInputError, NumericOverflowError
 from boostlab.harness import ExperimentConfig, build_datasets
-from boostlab.sampler import PROB_SUM_TOL, boost_probabilities
+from boostlab.sampler import PROB_SUM_TOL, SamplerState, boost_probabilities, install_distribution
 from boostlab.scheduler import temperature_at
 
 EDGES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, -1e300]
@@ -141,8 +143,33 @@ def test_boost_probabilities_are_a_distribution_or_raise_a_typed_error(n, c, dat
     elif where == "columns":  # one aggregate more than there are logit columns
         aggregates.append(0.5)
     try:
-        probs = boost_probabilities(logits, np.array(class_index), np.array(aggregates))
+        weights = boost_probabilities(logits, np.array(class_index), np.array(aggregates))
     except BoostLabError:
         return
-    assert probs.shape == (n,) and np.isfinite(probs).all() and (probs >= 0).all()
-    assert abs(probs.sum() - 1.0) <= PROB_SUM_TOL
+    assert weights.shape == (n,) and ((weights >= 0) & (weights <= 1)).all()
+    state = SamplerState(strategy="boost", rng_seed=0)
+    install_distribution(state, weights)
+    assert abs(state.probabilities.sum() - 1.0) <= PROB_SUM_TOL
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(ANY_FLOAT | st.sampled_from([1e308, 5e-324]), max_size=50))
+def test_install_distribution_always_installs_a_distribution(weights):
+    state = SamplerState(strategy="boost", rng_seed=0)
+    if not weights:
+        with pytest.raises(EmptyInputError):
+            install_distribution(state, np.array(weights))
+        return
+    install_distribution(state, np.array(weights))
+    p, cdf = state.probabilities, state.cdf
+    assert p.shape == cdf.shape == (len(weights),)
+    assert np.isfinite(p).all() and (p >= 0).all() and abs(p.sum() - 1.0) <= PROB_SUM_TOL
+    assert (np.diff(cdf) >= 0).all() and cdf[-1] == 1.0
+    # bad: a NaN, an infinity, a negative entry, all zeros, or a sum past the float range
+    bad = not all(0 <= w < math.inf for w in weights) or not any(weights)
+    if not bad:
+        with np.errstate(over="ignore"):
+            bad = np.sum(weights) == math.inf
+    assert state.degenerate == bad
+    if bad:
+        np.testing.assert_array_equal(p, np.full(len(weights), 1 / len(weights)))

@@ -40,25 +40,32 @@ class TestAggregateScores:
             aggregate_class_scores(np.array([]), np.array([], dtype=int), num_classes=2)
 
 
+def installed(weights):
+    """The distribution install_distribution makes of these weights."""
+    state = SamplerState(strategy="boost", rng_seed=0)
+    install_distribution(state, weights)
+    return state.probabilities
+
+
 class TestBoostProbabilities:
     def test_symmetric_samples_get_equal_weight(self):
         logits = np.array([[1.0, 0.0], [0.0, 1.0]])
         agg = np.array([0.5, 0.5])
-        probs = boost_probabilities(logits, np.array([0, 1]), agg)
+        probs = installed(boost_probabilities(logits, np.array([0, 1]), agg))
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_inverted_confidences_hand_case(self):
         # three samples whose raw confidences are 0.5 / 0.3 / 0.2
         logits = np.log(np.array([[0.5, 0.3, 0.2]] * 3))
         agg = np.ones(3)
-        probs = boost_probabilities(logits, np.array([0, 1, 2]), agg)
+        probs = installed(boost_probabilities(logits, np.array([0, 1, 2]), agg))
         np.testing.assert_allclose(probs, [0.25, 0.35, 0.40], atol=1e-12)
         np.testing.assert_allclose(probs, oracle_boost_weights([0.5, 0.3, 0.2]), atol=1e-12)
 
     def test_near_certain_sample_gets_vanishing_weight(self):
         logits = np.array([[40.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
         agg = np.array([0.5, 0.5])
-        probs = boost_probabilities(logits, np.array([0, 0, 1]), agg)
+        probs = installed(boost_probabilities(logits, np.array([0, 0, 1]), agg))
         assert probs[0] < 1e-10
         assert abs(probs.sum() - 1.0) < 1e-9
 
@@ -104,9 +111,25 @@ class TestBoostProbabilities:
             n, nc = int(rng.integers(2, 40)), int(rng.integers(2, 6))
             logits = rng.normal(scale=5, size=(n, nc))
             agg = rng.uniform(0.1, 1.0, size=nc)
-            probs = boost_probabilities(logits, rng.integers(0, nc, size=n), agg)
+            probs = installed(boost_probabilities(logits, rng.integers(0, nc, size=n), agg))
             assert np.all(probs >= 0)
             assert abs(probs.sum() - 1.0) < 1e-9
+
+
+class TestInstallDistribution:
+    def test_weights_are_normalised_once(self):
+        np.testing.assert_array_equal(installed(np.array([1.0, 3.0])), [0.25, 0.75])
+
+    def test_all_zero_weights_fall_back_to_uniform_with_one_warning(self, caplog):
+        state = SamplerState(strategy="boost", rng_seed=0)
+        install_distribution(state, np.zeros(4))
+        assert state.degenerate
+        np.testing.assert_array_equal(state.probabilities, np.full(4, 0.25))
+        np.testing.assert_array_equal(state.cdf, [0.25, 0.5, 0.75, 1.0])
+        assert [r.name for r in caplog.records] == ["boostlab.sampler"]
+        install_distribution(state, np.ones(4))
+        assert not state.degenerate
+        assert len(caplog.records) == 1
 
 
 class TestDrawBatch:
@@ -175,7 +198,7 @@ class TestDrawBatch:
         for _ in range(3):
             draw_batch(state, 4)
         assert state.degenerate_draws == 3
-        assert sum("degenerate" in r.getMessage() for r in caplog.records) == 3
+        assert sum("degenerate" in r.getMessage() for r in caplog.records) == 1  # one per install
         install_distribution(state, np.array([0.5, 0.5]))
         draw_batch(state, 4)
         assert state.degenerate_draws == 3
