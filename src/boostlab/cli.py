@@ -13,8 +13,8 @@ import os
 import sys
 
 from .data import read_json
-from .errors import BoostLabError
-from .harness import CONFIG_KEYS, ExperimentConfig, build_datasets, check_config_keys
+from .errors import BoostLabError, ConfigurationError, InputShapeError
+from .harness import CHECKPOINT, CONFIG_KEYS, ExperimentConfig, build_datasets, check_config_keys
 from .harness import evaluate_run, export_reports, read_run, run_comparison, run_experiment
 from .sampler import STRATEGIES
 
@@ -81,7 +81,10 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config, seed, model = read_run(args.run)
     _, test = build_datasets(config, seed)
-    report = evaluate_run(model, test, config, seed)
+    try:
+        report = evaluate_run(model, test, config, seed)
+    except (ConfigurationError, InputShapeError) as exc:  # the checkpoint does not fit the data
+        raise type(exc)(f"{os.path.join(args.run, CHECKPOINT.format(seed))}: {exc}") from exc
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 

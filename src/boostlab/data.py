@@ -25,6 +25,17 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 
+def integer_labels(values) -> np.ndarray:
+    """values as an array of integers (range unchecked), or InvalidParameterError."""
+    try:
+        labels = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"labels must be integers: {exc}") from exc
+    if labels.dtype.kind not in "iuf" or not np.isfinite(labels).all() or (labels % 1).any():
+        raise InvalidParameterError("labels must be integers")
+    return labels
+
+
 @dataclass
 class Dataset:
     """Feature matrix with integer class labels; immutable by convention."""
@@ -36,13 +47,11 @@ class Dataset:
     class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        labels = integer_labels(self.labels)
         try:
             self.features = np.asarray(self.features, dtype=np.float64)
-            labels = np.asarray(self.labels)
         except (TypeError, ValueError, OverflowError) as exc:  # text, ragged rows, huge ints
-            raise InvalidParameterError(f"features and labels must be numeric: {exc}") from exc
-        if labels.dtype.kind not in "iuf" or not np.isfinite(labels).all() or (labels % 1).any():
-            raise InvalidParameterError("labels must be integers")
+            raise InvalidParameterError(f"features must be numeric: {exc}") from exc
         if self.features.ndim != 2 or labels.shape != self.features.shape[:1]:
             raise InvalidParameterError("features and labels must align")
         if self.num_features < 1:

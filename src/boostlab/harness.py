@@ -241,12 +241,7 @@ def evaluate_run(
 
 
 def _prediction_log(profiles: np.ndarray, labels: np.ndarray) -> PredictionLog:
-    return PredictionLog(
-        sample_ids=np.arange(len(labels)),
-        true_labels=labels,
-        predicted_labels=profiles.argmax(axis=1),
-        profiles=profiles,
-    )
+    return PredictionLog(labels, profiles.argmax(axis=1), profiles)
 
 
 def _plain_log(model: ClassifierModel, test: Dataset) -> PredictionLog:
@@ -312,9 +307,9 @@ def write_history_csv(state: SamplerState, true_labels: np.ndarray, path) -> Non
     score is empty where the sampler calibrated nothing (the baselines)."""
     n = len(true_labels)
     # the same two columns open every epoch's rows, so they are formatted once
-    sample_ids = csv_fields(np.arange(n))
+    sample_column = csv_fields(np.arange(n))
     true_classes = csv_fields(np.asarray(true_labels, dtype=np.intp))
-    blocks = ([[str(record.epoch)] * n, sample_ids, true_classes, record.predicted,
+    blocks = ([[str(record.epoch)] * n, sample_column, true_classes, record.predicted,
                record.scores, record.probabilities, record.draw_counts]
               for record in state.history)  # one epoch at a time, so memory stays per epoch
     header = ["epoch", "sample_id", "true_class", "predicted_class",

@@ -128,28 +128,25 @@ def test_criterion_1_equation_fidelity():
     # score-weighted OOD mass
     profiles = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     perfect = PredictionLog(
-        sample_ids=np.arange(4),
         true_labels=np.array([0, 0, 1, 1]),
         predicted_labels=np.array([0, 0, 1, 1]),
         profiles=profiles,
     )
-    assert sodc_per_class(perfect, 0) == pytest.approx(0.5)
-    assert sodc_per_class(perfect, 1) == pytest.approx(0.5)
+    assert sodc_per_class(perfect)[0] == pytest.approx(0.5)
+    assert sodc_per_class(perfect)[1] == pytest.approx(0.5)
     missed = PredictionLog(
-        sample_ids=np.arange(4),
         true_labels=np.array([0, 0, 1, 1]),
         predicted_labels=np.array([1, 1, 1, 1]),
         profiles=np.full((4, 2), 0.5),
     )
-    assert sodc_per_class(missed, 0) == 0.0
+    assert sodc_per_class(missed)[0] == 0.0
     scored = PredictionLog(
-        sample_ids=np.arange(4),
         true_labels=np.array([0, 0, 1, 1]),
         predicted_labels=np.array([0, 0, 1, 0]),
         profiles=np.array([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8], [0.6, 0.4]]),
     )
-    assert sodc_per_class(scored, 0) == pytest.approx(0.4)
-    assert sodc_per_class(scored, 0) == pytest.approx(
+    assert sodc_per_class(scored)[0] == pytest.approx(0.4)
+    assert sodc_per_class(scored)[0] == pytest.approx(
         oracle_sodc_per_class([0, 0, 1, 1], [0, 0, 1, 0], scored.profiles.tolist(), 0)
     )
     assert sodc_total([0.5, 0.5]) == pytest.approx(0.25)
@@ -381,7 +378,6 @@ def test_criterion_8_sodc_corruption_monotonicity():
 
     # perfect-classifier value against the hand oracle
     log = PredictionLog(
-        sample_ids=np.arange(test.n),
         true_labels=test.labels,
         predicted_labels=predicted,
         profiles=profiles,
@@ -391,7 +387,7 @@ def test_criterion_8_sodc_corruption_monotonicity():
         expected_total *= oracle_sodc_per_class(
             test.labels.tolist(), predicted.tolist(), profiles.tolist(), c
         )
-    per_class = [sodc_per_class(log, c) for c in range(2)]
+    per_class = list(sodc_per_class(log))
     assert sodc_total(per_class) == pytest.approx(expected_total, rel=1e-12)
 
     # corrupt the first k labels of a fixed order; scores must not increase
@@ -403,12 +399,11 @@ def test_criterion_8_sodc_corruption_monotonicity():
         flipped = corruption_order[:k]
         labels[flipped] = (labels[flipped] + 1) % 2
         corrupted = PredictionLog(
-            sample_ids=np.arange(test.n),
             true_labels=labels,
             predicted_labels=predicted,
             profiles=profiles,
         )
-        values = [sodc_per_class(corrupted, c) for c in range(2)]
+        values = list(sodc_per_class(corrupted))
         total = sodc_total(values)
         for c in range(2):
             assert values[c] <= previous[c] + 1e-12

@@ -1,11 +1,14 @@
-"""The benchmark in perfbench/ wraps boostlab functions by (module, name) and
-reads sampler counters and warnings, so moving or renaming one of them, or
-changing when a fallback is logged or counted, breaks its traced run
-(`--trace 1`). This check loads perfbench/run.py, writing nothing under
-perfbench/, and fails here first."""
+"""The benchmark in perfbench/ wraps boostlab functions by (module, name),
+reads sampler counters and warnings, and checks each operation's records
+and metrics, so moving or renaming one of them, or changing when a fallback
+is logged or counted, breaks its runs. This check loads perfbench/run.py,
+writing nothing under perfbench/, and fails here first."""
 
 import importlib.util
+import inspect
 import logging
+import math
+import statistics
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -77,3 +80,30 @@ def test_export_calls_the_history_writer_through_the_module(tmp_path, monkeypatc
     assert all(state is r.sampler_state for (state, _), r in zip(calls, records))
     history_paths = [p for p in paths if p.endswith("sampler_history.csv")]
     assert [str(path) for _, path in calls] == history_paths
+
+
+def test_run_op_and_check_op_pass_on_tiny_workloads(perfbench_run, tmp_path):
+    # every operation perfbench times goes through run_op and check_op, and its
+    # quality numbers read metrics.aggregate and metrics.bias["accuracy"]
+    tiny = {"blob_counts": (24, 8), "epochs": 2, "batch_size": 8, "hidden_units": 4}
+    workloads = [
+        perfbench_run.Workload("train", harness.ExperimentConfig(
+            **tiny, seeds=(0,), out_dir=str(tmp_path / "train"))),
+        perfbench_run.Workload("compare", harness.ExperimentConfig(
+            **tiny, seeds=(0, 1), out_dir=str(tmp_path / "compare"))),
+    ]
+    for wl in workloads:
+        result = perfbench_run.run_op(wl, wl.config)
+        assert perfbench_run.check_op(wl, result) == []
+        assert result.records
+        for read in (lambda r: r.metrics.aggregate["macro_f1"],
+                     lambda r: r.metrics.bias["accuracy"]["mab"]):
+            assert math.isfinite(statistics.fmean(read(r) for r in result.records))
+
+
+def test_evaluation_span_is_named_by_the_mode_argument(perfbench_run):
+    # perfbench's evaluate_name takes the mode as run_evaluation's third argument
+    assert list(inspect.signature(harness.run_evaluation).parameters)[2] == "mode"
+    (name,) = [span for m, attr, span, *_ in perfbench_run.trace_targets()
+               if m is harness and attr == "run_evaluation"]
+    assert name(None, None, "control") == "harness.evaluate.control"

@@ -381,3 +381,19 @@ def test_broken_run_directory_exits_2_naming_file_and_key(tmp_path, capsys, name
     else:
         _edit_json(path, edit)
     _evaluate_fails_naming(run_dir, capsys, path, key)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"blob_counts": [30, 10, 10]}, "model has 2 classes but dataset has 3"),
+        ({"blob_dim": 3}, "expected [n x 2] feature matrix, got shape (40, 3)"),
+    ],
+    ids=["class-count", "feature-count"],
+)
+def test_checkpoint_that_does_not_fit_the_run_data_exits_2_naming_it(
+    tmp_path, capsys, values, message
+):
+    run_dir = _trained_run(tmp_path, capsys)
+    _edit_json(run_dir / "report.json", lambda doc: doc["config"].update(values))
+    _evaluate_fails_naming(run_dir, capsys, run_dir / "model_seed0.json", message)

@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 
 from boostlab.errors import EmptyInputError, InvalidParameterError
-from boostlab.metrics import (
-    PredictionLog,
-    build_metrics_report,
-    classification_metrics,
-    mab,
-    recategorize,
-    sdb,
-    sodc_per_class,
-    sodc_total,
-)
+from boostlab.metrics import PredictionLog, build_metrics_report, mab, sdb
+from boostlab.metrics import sodc_per_class, sodc_total
 
 from oracles import oracle_confusion_metrics, oracle_mab, oracle_sdb, oracle_sodc_per_class
 
@@ -23,7 +15,6 @@ def make_log(true_labels, predicted_labels, profiles=None, num_classes=None):
     if profiles is None:
         profiles = np.full((len(true_labels), nc), 1.0 / nc)
     return PredictionLog(
-        sample_ids=np.arange(len(true_labels)),
         true_labels=true_labels,
         predicted_labels=predicted_labels,
         profiles=np.asarray(profiles, dtype=float),
@@ -43,34 +34,36 @@ class TestPredictionLog:
             make_log([0, 1], [0, 1], profiles)
 
 
-class TestRecategorize:
+def partition(log):
+    """The report's ID/OOD counts as two per-class lists."""
+    counts = build_metrics_report(log).ood_partition
+    return [v["id"] for v in counts.values()], [v["ood"] for v in counts.values()]
+
+
+class TestIdOodCounts:
     def test_all_correct(self):
-        log = make_log([0, 1, 0, 1], [0, 1, 0, 1])
-        part = recategorize(log)
-        np.testing.assert_array_equal(part.ood_counts, [0, 0])
-        np.testing.assert_array_equal(part.id_counts, [2, 2])
+        id_counts, ood_counts = partition(make_log([0, 1, 0, 1], [0, 1, 0, 1]))
+        assert ood_counts == [0, 0]
+        assert id_counts == [2, 2]
 
     def test_all_wrong(self):
-        log = make_log([0, 1, 0], [1, 0, 1])
-        part = recategorize(log)
-        np.testing.assert_array_equal(part.id_counts, [0, 0])
-        np.testing.assert_array_equal(part.ood_counts, [2, 1])
+        id_counts, ood_counts = partition(make_log([0, 1, 0], [1, 0, 1]))
+        assert id_counts == [0, 0]
+        assert ood_counts == [2, 1]
 
     def test_mixed_hand_count(self):
         # 6 entries, 4 correct: class 0 has 3 samples (2 right), class 1 has 3 (2 right)
-        log = make_log([0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 0])
-        part = recategorize(log)
-        np.testing.assert_array_equal(part.id_counts, [2, 2])
-        np.testing.assert_array_equal(part.ood_counts, [1, 1])
+        id_counts, ood_counts = partition(make_log([0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 0]))
+        assert id_counts == [2, 2]
+        assert ood_counts == [1, 1]
 
     def test_partition_covers_every_class(self):
         rng = np.random.default_rng(0)
         y = rng.integers(0, 4, size=60)
         yhat = rng.integers(0, 4, size=60)
-        log = make_log(y, yhat, num_classes=4)
-        part = recategorize(log)
+        id_counts, ood_counts = partition(make_log(y, yhat, num_classes=4))
         for c in range(4):
-            assert part.id_counts[c] + part.ood_counts[c] == (y == c).sum()
+            assert id_counts[c] + ood_counts[c] == (y == c).sum()
 
 
 class TestSodc:
@@ -80,20 +73,20 @@ class TestSodc:
         # put (almost) everything on the correct class
         profiles = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         log = make_log(labels, labels, profiles)
-        assert sodc_per_class(log, 0) == pytest.approx(0.5)
-        assert sodc_per_class(log, 1) == pytest.approx(0.5)
+        assert sodc_per_class(log)[0] == pytest.approx(0.5)
+        assert sodc_per_class(log)[1] == pytest.approx(0.5)
 
     def test_fully_misclassified_class_scores_zero(self):
         log = make_log([0, 0, 1, 1], [1, 1, 1, 1])
-        assert sodc_per_class(log, 0) == 0.0
+        assert sodc_per_class(log)[0] == 0.0
 
     def test_hand_value(self):
         # n=4; class 0 has two correct samples with scores 0.9 and 0.7
         profiles = np.array([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8], [0.6, 0.4]])
         log = make_log([0, 0, 1, 1], [0, 0, 1, 0], profiles)
-        assert sodc_per_class(log, 0) == pytest.approx(1.6 / 4)
+        assert sodc_per_class(log)[0] == pytest.approx(1.6 / 4)
         expected = oracle_sodc_per_class([0, 0, 1, 1], [0, 0, 1, 0], profiles.tolist(), 0)
-        assert sodc_per_class(log, 0) == pytest.approx(expected)
+        assert sodc_per_class(log)[0] == pytest.approx(expected)
 
     def test_total_is_product(self):
         assert sodc_total([0.5, 0.5]) == pytest.approx(0.25)
@@ -108,7 +101,7 @@ class TestSodc:
         profiles = raw / raw.sum(axis=1, keepdims=True)
         log = make_log(y, yhat, profiles, num_classes=3)
         for c in range(3):
-            assert 0.0 <= sodc_per_class(log, c) <= (y == c).sum() / 50 + 1e-12
+            assert 0.0 <= sodc_per_class(log)[c] <= (y == c).sum() / 50 + 1e-12
 
     def test_total_permutation_invariant(self):
         values = [0.3, 0.1, 0.6]
@@ -119,11 +112,6 @@ class TestSodc:
         for _ in range(20):
             values = rng.uniform(0.0, 1.0, size=rng.integers(2, 6))
             assert sodc_total(values) <= values.min() + 1e-12
-
-    def test_out_of_range_class(self):
-        log = make_log([0, 1], [0, 1])
-        with pytest.raises(InvalidParameterError):
-            sodc_per_class(log, 7)
 
 
 class TestBiasScores:
@@ -164,23 +152,25 @@ class TestBiasScores:
             mab([])
 
 
-class TestClassificationMetrics:
+def rates(report, name):
+    return np.array([report.per_class[c][name] for c in sorted(report.per_class)])
+
+
+class TestClassificationRates:
     def test_perfect_log(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
-        log = make_log(labels, labels)
-        cm = classification_metrics(log)
-        assert cm.overall_accuracy == 1.0
-        np.testing.assert_allclose(cm.precision, 1.0)
-        np.testing.assert_allclose(cm.recall, 1.0)
-        np.testing.assert_allclose(cm.f1, 1.0)
+        report = build_metrics_report(make_log(labels, labels))
+        assert report.aggregate["accuracy"] == 1.0
+        np.testing.assert_allclose(rates(report, "precision"), 1.0)
+        np.testing.assert_allclose(rates(report, "recall"), 1.0)
+        np.testing.assert_allclose(rates(report, "f1"), 1.0)
 
     def test_single_class_always_predicted(self):
-        log = make_log([0, 0, 1, 1], [0, 0, 0, 0])
-        cm = classification_metrics(log)
-        assert cm.recall[0] == 1.0
-        assert cm.recall[1] == 0.0
-        assert cm.precision[1] == 0.0
-        assert 1 in cm.zero_precision_classes
+        report = build_metrics_report(make_log([0, 0, 1, 1], [0, 0, 0, 0]))
+        assert report.per_class[0]["recall"] == 1.0
+        assert report.per_class[1]["recall"] == 0.0
+        assert report.per_class[1]["precision"] == 0.0
+        assert report.flags == ["class 1: precision reported as 0 (never predicted)"]
 
     def test_three_class_confusion_matrix(self):
         confusion = [[2, 1, 0], [0, 3, 0], [1, 0, 3]]
@@ -189,14 +179,12 @@ class TestClassificationMetrics:
             for p, count in enumerate(row):
                 y.extend([t] * count)
                 yhat.extend([p] * count)
-        log = make_log(np.array(y), np.array(yhat), num_classes=3)
-        cm = classification_metrics(log)
+        report = build_metrics_report(make_log(np.array(y), np.array(yhat), num_classes=3))
         expected = oracle_confusion_metrics(confusion)
         for c in range(3):
-            assert cm.precision[c] == pytest.approx(expected[c]["precision"])
-            assert cm.recall[c] == pytest.approx(expected[c]["recall"])
-            assert cm.f1[c] == pytest.approx(expected[c]["f1"])
-        assert cm.overall_accuracy == pytest.approx(8 / 10)
+            for name in ("precision", "recall", "f1"):
+                assert report.per_class[c][name] == pytest.approx(expected[c][name])
+        assert report.aggregate["accuracy"] == pytest.approx(8 / 10)
 
 
 class TestReport:

@@ -2,11 +2,14 @@
 a config whose data and temperatures are finite, or fail with a BoostLabError;
 so do arbitrary bytes read as a labeled CSV, arbitrary arguments to Dataset,
 arbitrary logits, class indices and aggregates given to
-boost_probabilities, which otherwise return weights in [0, 1], and arbitrary
+boost_probabilities, which otherwise return weights in [0, 1], arbitrary
 weights given to install_distribution, which always installs a
-distribution."""
+distribution, and arbitrary arguments to PredictionLog. Every rate of a
+metrics report, its ID/OOD partition, its flags and its SODC scores agree
+with the literal oracles on arbitrary logs."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,10 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostlab.data import Dataset, load_csv
-from boostlab.errors import BoostLabError, EmptyInputError, NumericOverflowError
+from boostlab.errors import (
+    BoostLabError,
+    EmptyInputError,
+    InputShapeError,
+    InvalidParameterError,
+    NumericOverflowError,
+)
 from boostlab.harness import ExperimentConfig, build_datasets
+from boostlab.metrics import PredictionLog, build_metrics_report
 from boostlab.sampler import PROB_SUM_TOL, SamplerState, boost_probabilities, install_distribution
 from boostlab.scheduler import temperature_at
+
+from oracles import oracle_confusion_metrics, oracle_sodc_per_class
 
 EDGES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, -1e300]
 ANY_FLOAT = st.floats() | st.sampled_from(EDGES)  # st.floats() spans the whole range too
@@ -173,3 +185,91 @@ def test_install_distribution_always_installs_a_distribution(weights):
     assert state.degenerate == bad
     if bad:
         np.testing.assert_array_equal(p, np.full(len(weights), 1 / len(weights)))
+
+
+def draw_profiles(data, n, c, label):
+    """[n x c] rows of positive scores that sum to 1."""
+    raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n * c, max_size=n * c), label=label)
+    raw = np.array(raw).reshape(n, c)
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+# a profiles array that is not an [n x classes] matrix
+NOT_A_MATRIX = {
+    "flat": lambda p: p.reshape(-1),
+    "scalar": lambda p: np.float64(1.0),
+    "stacked": lambda p: p[None],
+    "no-columns": lambda p: p[:, :0],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 5), c=st.integers(1, 4), data=st.data())
+def test_prediction_log_is_valid_or_raises_a_typed_error(n, c, data):
+    labels = st.lists(st.integers(0, c - 1), min_size=n, max_size=n)
+    fields = {
+        "true_labels": data.draw(labels, label="true"),
+        "predicted_labels": data.draw(labels, label="predicted"),
+        "profiles": draw_profiles(data, n, c, "profiles"),
+    }
+    scalar = st.text(max_size=4) | st.none() | st.booleans() | st.integers(-(10**30), 10**30)
+    odd = ANY_FLOAT | scalar  # one value of any kind that is not a list
+    places = ["nowhere", "labels", "shape"] + (["label", "profile"] if n else [])
+    where = data.draw(st.sampled_from(places), label="fuzzed")
+    name = data.draw(st.sampled_from(["true_labels", "predicted_labels"]), label="field")
+    if where == "label":  # one value, not a list
+        fields[name][data.draw(st.integers(0, n - 1))] = data.draw(odd, label="label")
+    elif where == "labels":
+        fields[name] = data.draw(odd | ANY_TYPE, label="labels")
+    elif where == "shape":
+        fields["profiles"] = NOT_A_MATRIX[data.draw(st.sampled_from(sorted(NOT_A_MATRIX)))](
+            fields["profiles"])
+    elif where == "profile":
+        fields["profiles"] = fields["profiles"].tolist()
+        fields["profiles"][data.draw(st.integers(0, n - 1))][0] = data.draw(odd, label="score")
+    try:
+        log = PredictionLog(**fields)
+    except BoostLabError as exc:
+        if where == "shape":
+            assert isinstance(exc, InputShapeError)
+        if where == "label":  # a single value that is no class index
+            assert isinstance(exc, InvalidParameterError)
+        return
+    assert log.n >= 1 and log.profiles.shape == (log.n, log.num_classes)
+    for column in (log.true_labels, log.predicted_labels):
+        assert column.dtype == np.intp and column.shape == (log.n,)
+        assert ((column >= 0) & (column < log.num_classes)).all()
+    assert np.isfinite(log.profiles).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.integers(1, 6), n=st.integers(1, 30), data=st.data())
+def test_metrics_report_agrees_with_the_oracles(c, n, data):
+    # labels come from a drawn subset of the classes, so that some classes are
+    # absent from the truth or never predicted
+    def labels(label):
+        subset = data.draw(st.lists(st.integers(0, c - 1), min_size=1, unique=True), label=label)
+        return data.draw(st.lists(st.sampled_from(subset), min_size=n, max_size=n), label=label)
+
+    true = labels("true")
+    predicted = labels("predicted")
+    log = PredictionLog(true, predicted, draw_profiles(data, n, c, "profiles"))
+    sodc_predicted = labels("sodc predicted")
+    sodc_profiles = draw_profiles(data, n, c, "sodc profiles")
+    report = build_metrics_report(log, PredictionLog(true, sodc_predicted, sodc_profiles))
+
+    cells = Counter(zip(true, predicted))
+    expected = oracle_confusion_metrics([[cells[t, p] for p in range(c)] for t in range(c)])
+    sodc = [oracle_sodc_per_class(true, sodc_predicted, sodc_profiles.tolist(), k)
+            for k in range(c)]
+    for k in range(c):
+        for name in ("precision", "recall", "f1"):
+            assert report.per_class[k][name] == pytest.approx(expected[k][name], rel=1e-12)
+        assert report.per_class[k]["accuracy"] == report.per_class[k]["recall"]
+        assert report.per_class[k]["sodc"] == pytest.approx(sodc[k], rel=1e-12)
+        counts = report.ood_partition[str(k)]
+        assert (counts["id"], counts["id"] + counts["ood"]) == (cells[k, k], true.count(k))
+    never_predicted = sorted(set(range(c)) - set(predicted))
+    assert [int(flag.split()[1].rstrip(":")) for flag in report.flags] == never_predicted
+    assert report.aggregate["accuracy"] == pytest.approx(sum(cells[k, k] for k in range(c)) / n)
+    assert report.aggregate["sodc_total"] == pytest.approx(math.prod(sodc), rel=1e-12)
