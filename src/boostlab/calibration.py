@@ -52,6 +52,10 @@ def perturb(x: np.ndarray, grad: np.ndarray, config: OdinConfig) -> np.ndarray:
         raise InputShapeError(f"x {x.shape} and grad {grad.shape} must have equal shape")
     if not np.all(np.isfinite(grad)):
         raise InputShapeError("gradient must be finite")
+    if config.grad_std.shape != x.shape[-1:]:
+        raise InputShapeError(
+            f"grad_std of shape {config.grad_std.shape} needs one entry per feature of x {x.shape}"
+        )
     return x - config.epsilon * np.sign(grad) / config.grad_std
 
 

@@ -14,8 +14,8 @@ import sys
 
 from .data import read_json
 from .errors import BoostLabError, ConfigurationError, InputShapeError
-from .harness import CHECKPOINT, CONFIG_KEYS, ExperimentConfig, build_datasets, check_config_keys
-from .harness import evaluate_run, export_reports, read_run, run_comparison, run_experiment
+from .harness import CHECKPOINT, CONFIG_KEYS, ExperimentConfig, build_datasets, evaluate_run
+from .harness import export_reports, load_config, read_run, run_comparison, run_experiment
 from .sampler import STRATEGIES
 
 
@@ -50,18 +50,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file's values with the flags' over them. An error that
-    the flags alone over the defaults do not raise names the file."""
+    """The config file's values with the flags' over them (load_config),
+    or the flags' over the defaults when there is no file."""
     path = getattr(args, "config", None)
-    values = check_config_keys(read_json(path), path) if path else {}
     flags = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
-    try:
-        return ExperimentConfig(**{**values, **flags})
-    except BoostLabError as exc:
-        if not values:
-            raise
-        ExperimentConfig(**flags)  # a flag that is wrong on its own is reported as such
-        raise type(exc)(f"{path}: {exc}") from exc
+    return load_config(read_json(path), path, flags) if path else ExperimentConfig(**flags)
 
 
 def cmd_train(args) -> int:
@@ -80,9 +73,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config, seed, model = read_run(args.run)
-    _, test = build_datasets(config, seed)
+    _, test, grad_std = build_datasets(config, seed)
     try:
-        report = evaluate_run(model, test, config, seed)
+        report = evaluate_run(model, test, grad_std, config, seed)
     except (ConfigurationError, InputShapeError) as exc:  # the checkpoint does not fit the data
         raise type(exc)(f"{os.path.join(args.run, CHECKPOINT.format(seed))}: {exc}") from exc
     print(json.dumps(report.to_dict(), indent=2))

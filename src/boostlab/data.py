@@ -43,7 +43,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    feature_std: np.ndarray = None
     class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -66,13 +65,6 @@ class Dataset:
             raise InvalidParameterError("labels out of range")
         self.labels = labels.astype(np.intp, copy=False)
         self.class_counts = np.bincount(self.labels, minlength=self.num_classes)
-        if self.feature_std is None:
-            if self.n >= 2:
-                self.feature_std = compute_feature_std(self)
-            else:
-                self.feature_std = np.ones(self.num_features)
-        else:
-            self.feature_std = np.asarray(self.feature_std, dtype=np.float64)
 
     @property
     def n(self) -> int:
@@ -196,10 +188,11 @@ def pareto_resample(dataset: Dataset, spec: ParetoTailSpec) -> Dataset:
 def compute_feature_std(train: Dataset) -> np.ndarray:
     """Per-feature population standard deviation of the training split.
 
-    Constant columns get std 1 so downstream division stays defined.
+    Constant columns, every column of a one-sample split among them, get
+    std 1 so downstream division stays defined.
     """
-    if train.n < 2:
-        raise InsufficientDataError("need at least 2 samples to compute std")
+    if train.n == 0:
+        raise InsufficientDataError("need at least 1 sample to compute std")
     with np.errstate(over="ignore"):  # reported below as a typed error
         std = train.features.std(axis=0)
     if not np.isfinite(std).all():
@@ -209,13 +202,12 @@ def compute_feature_std(train: Dataset) -> np.ndarray:
         log.warning(
             "constant feature column(s) %s: std replaced by 1", np.flatnonzero(zero).tolist()
         )
-        std = std.copy()
         std[zero] = 1.0
     return std
 
 
 def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle split; both halves carry the train half's feature std."""
+    """Seeded shuffle split into (train, test)."""
     if not 0 < test_fraction < 1:
         raise InvalidParameterError("test_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -225,19 +217,10 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple
         raise InsufficientDataError(
             f"{dataset.n} sample(s) cannot fill both a train and a test split"
         )
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    train = Dataset(
-        features=dataset.features[train_idx],
-        labels=dataset.labels[train_idx],
-        num_classes=dataset.num_classes,
+    return tuple(
+        Dataset(dataset.features[idx], dataset.labels[idx], dataset.num_classes)
+        for idx in (perm[n_test:], perm[:n_test])
     )
-    test = Dataset(
-        features=dataset.features[test_idx],
-        labels=dataset.labels[test_idx],
-        num_classes=dataset.num_classes,
-        feature_std=train.feature_std,
-    )
-    return train, test
 
 
 def load_csv(path, label_column: str) -> Dataset:

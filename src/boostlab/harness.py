@@ -20,8 +20,8 @@ import numpy as np
 
 from . import model as model_mod
 from .calibration import OdinConfig, calibrate_batch_full
-from .data import Dataset, ParetoTailSpec, load_csv, make_blobs, pareto_resample
-from .data import csv_fields, read_json, train_test_split, write_csv
+from .data import Dataset, ParetoTailSpec, compute_feature_std, load_csv, make_blobs
+from .data import csv_fields, pareto_resample, read_json, train_test_split, write_csv
 from .errors import BoostLabError, ConfigurationError, EmptyInputError, InvalidParameterError
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
 from .model import ClassifierModel, hidden_activations, softmax_rows, train_step
@@ -113,14 +113,20 @@ class ExperimentConfig:
 CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
-def check_config_keys(values, source) -> dict:
-    """`values`, read from the file `source`, if it maps config fields only."""
+def load_config(values, source, flags: dict) -> ExperimentConfig:
+    """The config `values`, read from the file `source`, describe, with
+    `flags` over them. An error that the flags alone over the defaults do
+    not raise names the file."""
     if not isinstance(values, dict):
         raise InvalidParameterError(f"{source}: a config must be a JSON object")
     unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise InvalidParameterError(f"{source}: unknown config keys {sorted(unknown)}")
-    return values
+    try:
+        return ExperimentConfig(**{**values, **flags})
+    except BoostLabError as exc:
+        ExperimentConfig(**flags)  # a flag that is wrong on its own is reported as such
+        raise type(exc)(f"{source}: {exc}") from exc
 
 
 @dataclass
@@ -144,8 +150,9 @@ class RunRecord:
     model: ClassifierModel
 
 
-def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """Materialize the (train, test) pair a run will see."""
+def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset, np.ndarray]:
+    """Materialize the (train, test) pair a run will see, and the train
+    split's per-feature std, which perturbs both training and evaluation."""
     if config.dataset == "blobs":
         train = make_blobs(config.blob_counts, config.blob_dim, config.blob_separation, seed)
         test_counts = config.test_counts or config.blob_counts
@@ -156,9 +163,7 @@ def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Datase
 
     if config.pareto_scale is not None:
         train = pareto_resample(train, ParetoTailSpec(scale=config.pareto_scale, rng_seed=seed))
-
-    # the perturbation std always comes from the training split
-    return train, replace(test, feature_std=train.feature_std)
+    return train, test, compute_feature_std(train)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -194,7 +199,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
     seed = config.seeds[0] if seed is None else seed
     model_seed, sampler_seed, _ = run_seeds(seed)
 
-    train, test = build_datasets(config, seed)
+    train, test, grad_std = build_datasets(config, seed)
     model = model_mod.init_model(
         train.num_features, config.hidden_units, train.num_classes, model_seed
     )
@@ -204,13 +209,13 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
     per_epoch = []
     for epoch in range(config.epochs):
         temp = temperature_at(schedule, epoch)
-        odin = OdinConfig(temperature=temp, epsilon=config.epsilon, grad_std=train.feature_std)
+        odin = OdinConfig(temperature=temp, epsilon=config.epsilon, grad_std=grad_std)
         state = epoch_resample(state, model, train, odin)
         model, losses = _train_epoch(model, state, train, config.batch_size, config.learning_rate)
         loss = float(np.mean(losses))
         per_epoch.append(EpochStats(epoch, loss, temp, _entropy(state.probabilities)))
 
-    metrics = evaluate_run(model, test, config, seed)
+    metrics = evaluate_run(model, test, grad_std, config, seed)
 
     return RunRecord(
         config=config,
@@ -226,13 +231,14 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
 
 
 def evaluate_run(
-    model: ClassifierModel, test: Dataset, config: ExperimentConfig, seed: int
+    model: ClassifierModel, test: Dataset, grad_std: np.ndarray, config: ExperimentConfig, seed: int
 ) -> MetricsReport:
     """The final evaluation of the run with this (config, seed): boost mode
     for the boost sampler, control mode otherwise, at the schedule's final
-    temperature. build_datasets gives `test` the train split's std."""
+    temperature, perturbing by the train split's std that build_datasets
+    returns."""
     temperature = temperature_at(config.schedule(), config.epochs - 1)
-    odin = OdinConfig(temperature, config.epsilon, grad_std=test.feature_std)
+    odin = OdinConfig(temperature, config.epsilon, grad_std=grad_std)
     mode = "boost" if config.sampler == "boost" else "control"
     _, _, eval_seed = run_seeds(seed)
     return run_evaluation(
@@ -355,11 +361,7 @@ def read_run(run_dir) -> tuple[ExperimentConfig, int, ClassifierModel]:
     if "seed" not in values:
         raise InvalidParameterError(f"{path}: config has no key 'seed'")
     seed = values.pop("seed")
-    check_config_keys(values, path)
-    try:
-        config = ExperimentConfig(**values)
-    except BoostLabError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    config = load_config(values, path, {})
     if not _fits(seed, "int") or seed not in config.seeds:
         raise InvalidParameterError(f"{path}: seed must be one of {config.seeds}, got {seed!r}")
     return config, seed, model_mod.load_model(os.path.join(run_dir, CHECKPOINT.format(seed)))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import OdinConfig, calibrate_batch_full
-from .data import Dataset
-from .errors import EmptyInputError, InvalidParameterError
+from .data import Dataset, integer_labels
+from .errors import EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel
 
 log = logging.getLogger(__name__)
@@ -72,11 +72,14 @@ def aggregate_class_scores(
     """Arithmetic mean of calibrated max-scores per true class; classes
     with no samples carry the mean of the present classes."""
     max_scores = np.asarray(max_scores, dtype=np.float64)
-    if len(max_scores) == 0:
+    if max_scores.size == 0:
         raise EmptyInputError("no scores to aggregate")
-    labels = np.asarray(labels, dtype=np.intp)
-    if len(labels) != len(max_scores):
+    labels = integer_labels(labels)
+    if max_scores.ndim != 1 or labels.shape != max_scores.shape:
         raise InvalidParameterError("scores and labels must align")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise InvalidParameterError(f"labels must lie in [0, {num_classes})")
+    labels = labels.astype(np.intp, copy=False)
 
     sums = np.bincount(labels, weights=max_scores, minlength=num_classes)
     counts = np.bincount(labels, minlength=num_classes)
@@ -133,6 +136,8 @@ def install_distribution(state: SamplerState, weights: np.ndarray) -> None:
     or whose sum is not in (0, inf) (all zero, say) are replaced by the
     uniform distribution, with one warning."""
     given = np.asarray(weights, dtype=np.float64)
+    if given.ndim != 1:
+        raise InputShapeError(f"sampling weights must be a vector, got shape {given.shape}")
     if given.size == 0:
         raise EmptyInputError("a sampling distribution needs at least one sample")
     with np.errstate(over="ignore", invalid="ignore"):  # a sum of inf or NaN is degenerate

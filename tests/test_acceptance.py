@@ -14,7 +14,8 @@ import pytest
 from scipy import stats
 
 from boostlab.calibration import OdinConfig, perturb
-from boostlab.data import Dataset, ParetoTailSpec, make_blobs, pareto_resample, pareto_tail_counts
+from boostlab.data import Dataset, ParetoTailSpec, compute_feature_std, make_blobs
+from boostlab.data import pareto_resample, pareto_tail_counts
 from boostlab.harness import (
     REPORT_FILES,
     ExperimentConfig,
@@ -245,7 +246,7 @@ def test_criterion_4_sampler_statistics():
     # distribution validity for every strategy across epochs
     data = make_blobs([30, 20, 10], 2, 2.5, seed=45)
     model = init_model(2, 8, 3, seed=45)
-    odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=data.feature_std)
+    odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(data))
     for strategy in STRATEGIES:
         state = SamplerState(strategy=strategy, rng_seed=46)
         for _ in range(4):
@@ -428,7 +429,7 @@ def test_criterion_9_protocol_isolation(tmp_path):
     train = make_blobs([60, 40], 2, 3.0, seed=91)
     test = make_blobs([30, 30], 2, 3.0, seed=92)
     model = init_model(2, 8, 2, seed=91)
-    odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=train.feature_std)
+    odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=compute_feature_std(train))
 
     snap = snapshot(model)
     run_evaluation(model, test, "control", odin, 32, learning_rate=0.4, sampler_seed=0)

@@ -86,6 +86,14 @@ class TestPerturb:
         with pytest.raises(InputShapeError):
             perturb(np.array([0.1, 0.2]), np.array([1.0]), cfg)
 
+    def test_std_of_the_wrong_length_names_both_lengths(self):
+        cfg = OdinConfig(temperature=1.0, epsilon=0.1, grad_std=np.ones(3))
+        with pytest.raises(InputShapeError, match=r"\(3,\).*\(2, 2\)"):
+            perturb(np.zeros((2, 2)), np.ones((2, 2)), cfg)
+        model = model_mod.init_model(2, 4, 2, seed=0)
+        with pytest.raises(InputShapeError, match=r"\(3,\).*\(2, 2\)"):
+            calibrate_batch_full(model, np.zeros((2, 2)), cfg)
+
 
 class TestOdinConfig:
     def test_temperature_bounds(self):

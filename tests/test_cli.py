@@ -1,12 +1,14 @@
 import argparse
 import dataclasses
 import json
+import logging
 import re
 
+import numpy as np
 import pytest
 
 from boostlab.cli import _add_common_flags, build_config, main
-from boostlab.data import make_blobs, save_csv
+from boostlab.data import Dataset, make_blobs, save_csv
 from boostlab.errors import BoostLabError
 from boostlab.harness import ExperimentConfig
 from boostlab.sampler import STRATEGIES
@@ -151,6 +153,34 @@ def test_csv_evaluate_scores_only_the_test_split(tmp_path, capsys):
     scored = sum(c["id"] + c["ood"] for c in evaluated["ood_partition"].values())
     assert scored == 10  # round(40 * 0.25) test rows, not the file's 40
     assert evaluated == report["metrics"]
+
+
+def test_constant_column_std_is_computed_once_per_run(tmp_path, capsys, caplog):
+    """Each run_training and each evaluate --run computes the train split's
+    std once, so a constant column is reported once, and evaluate perturbs
+    by the std training used."""
+    blobs = make_blobs([30, 10], 2, 2.5, seed=0)
+    features = np.column_stack([blobs.features[:, 0], np.full(blobs.n, 7.5)])
+    path = tmp_path / "constant.csv"
+    save_csv(Dataset(features, blobs.labels, blobs.num_classes), path)
+
+    def reported():
+        count = sum("constant feature column(s) [1]" in r.getMessage() for r in caplog.records)
+        caplog.clear()
+        return count
+
+    out_dir = tmp_path / "run"
+    argv = ["train", "--dataset", str(path), "--pareto-scale", "0", "--epochs", "3",
+            "--hidden-units", "4", "--seeds", "0,1", "--out", str(out_dir)]
+    with caplog.at_level(logging.WARNING, logger="boostlab.data"):
+        assert run_cli(argv, capsys)[0] == 0
+        assert reported() == 2  # one per seed
+        run_dirs = sorted(p.parent for p in out_dir.rglob("report.json"))
+        assert len(run_dirs) == 2
+        for run_dir in run_dirs:
+            code, out = run_cli(["evaluate", "--run", str(run_dir)], capsys)
+            assert code == 0 and reported() == 1
+            assert json.loads(out) == json.loads((run_dir / "report.json").read_text())["metrics"]
 
 
 def test_compare_tabulates_strategies(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from boostlab import data, harness
 from boostlab.calibration import OdinConfig, calibrate_batch_full
-from boostlab.data import Dataset, make_blobs, save_csv
+from boostlab.data import Dataset, compute_feature_std, make_blobs, save_csv
 from boostlab.errors import ConfigurationError, InvalidParameterError
 from boostlab.harness import (
     REPORT_FILES,
@@ -88,8 +88,8 @@ class TestRunTraining:
     def test_final_evaluation_at_last_temperature_with_third_seed(self, sampler, mode):
         config = small_config(sampler=sampler, epochs=6, learning_rate=0.3)
         record = run_training(config, seed=3)
-        train, test = build_datasets(config, seed=3)
-        odin = OdinConfig(temperature=5.0, epsilon=config.epsilon, grad_std=train.feature_std)
+        _, test, grad_std = build_datasets(config, seed=3)
+        odin = OdinConfig(temperature=5.0, epsilon=config.epsilon, grad_std=grad_std)
         eval_seed = int(np.random.SeedSequence(3).generate_state(3)[2])
         expected = run_evaluation(record.model, test, mode, odin, 16, 0.3, sampler_seed=eval_seed)
         assert record.metrics.to_dict() == expected.to_dict()
@@ -163,15 +163,15 @@ class TestExperimentConfig:
 
 
 class TestBuildDatasets:
-    def test_test_split_carries_train_std(self):
-        train, test = build_datasets(small_config(), seed=0)
-        np.testing.assert_array_equal(test.feature_std, train.feature_std)
+    def test_returns_train_split_std(self):
+        train, _, grad_std = build_datasets(small_config(), seed=0)
+        np.testing.assert_array_equal(grad_std, compute_feature_std(train))
 
     def test_pareto_applies_to_train_only(self):
         config = small_config(
             blob_counts=(60, 50, 40, 30), pareto_scale=0.0, test_counts=(10, 10, 10, 10)
         )
-        train, test = build_datasets(config, seed=0)
+        train, test, _ = build_datasets(config, seed=0)
         ranked = np.sort(train.class_counts)[::-1]
         assert ranked[0] == 60
         assert all(b <= a for a, b in zip(ranked, ranked[1:]))
@@ -181,7 +181,7 @@ class TestBuildDatasets:
 class TestRunEvaluation:
     def test_perfect_model_boost_mode(self):
         model, train, test = train_to_perfection()
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=train.feature_std)
+        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(train))
         report = run_evaluation(model, test, "boost", odin, 32, 0.1, sampler_seed=0)
         assert [counts["ood"] for counts in report.ood_partition.values()] == [0, 0]
 
@@ -202,7 +202,7 @@ class TestRunEvaluation:
             name: getattr(model, name).copy()
             for name in ("weights_hidden", "bias_hidden", "weights_out", "bias_out")
         }
-        odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=train.feature_std)
+        odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=compute_feature_std(train))
         run_evaluation(model, test, "control", odin, 32, learning_rate=0.5, sampler_seed=0)
         for name, before in snapshot.items():
             np.testing.assert_array_equal(getattr(model, name), before)
@@ -211,26 +211,26 @@ class TestRunEvaluation:
         # with a perfect model the plain log is perfect regardless of the
         # one-epoch fine-tune used for the score profiles
         model, train, test = train_to_perfection(seed=3)
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=train.feature_std)
+        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(train))
         report = run_evaluation(model, test, "control", odin, 32, 0.1, sampler_seed=0)
         assert report.aggregate["accuracy"] == 1.0
 
     def test_class_count_mismatch(self):
         model, _, _ = train_to_perfection()
         other = make_blobs([5, 5, 5], 2, 3.0, seed=9)
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=other.feature_std)
+        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(other))
         with pytest.raises(ConfigurationError):
             run_evaluation(model, other, "boost", odin, 32, 0.1, sampler_seed=0)
 
     def test_unknown_mode(self):
         model, train, test = train_to_perfection()
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=train.feature_std)
+        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(train))
         with pytest.raises(InvalidParameterError):
             run_evaluation(model, test, "plain", odin, 32, 0.1, sampler_seed=0)
 
     def test_deterministic(self):
         model, train, test = train_to_perfection(seed=4)
-        odin = OdinConfig(temperature=3.0, epsilon=0.05, grad_std=train.feature_std)
+        odin = OdinConfig(temperature=3.0, epsilon=0.05, grad_std=compute_feature_std(train))
         a = run_evaluation(model, test, "control", odin, 32, 0.1, sampler_seed=7)
         b = run_evaluation(model, test, "control", odin, 32, 0.1, sampler_seed=7)
         assert a.to_dict() == b.to_dict()

@@ -3,8 +3,10 @@ a config whose data and temperatures are finite, or fail with a BoostLabError;
 so do arbitrary bytes read as a labeled CSV, arbitrary arguments to Dataset,
 arbitrary logits, class indices and aggregates given to
 boost_probabilities, which otherwise return weights in [0, 1], arbitrary
-weights given to install_distribution, which always installs a
-distribution, and arbitrary arguments to PredictionLog. Every rate of a
+weights given to install_distribution, which installs a distribution of
+any vector and rejects any other shape, arbitrary labels given to
+aggregate_class_scores, which otherwise returns the class means, and
+arbitrary arguments to PredictionLog. Every rate of a
 metrics report, its ID/OOD partition, its flags and its SODC scores agree
 with the literal oracles on arbitrary logs."""
 
@@ -15,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from boostlab.data import Dataset, load_csv
+from boostlab.data import Dataset, compute_feature_std, load_csv
 from boostlab.errors import (
     BoostLabError,
     EmptyInputError,
@@ -26,7 +29,8 @@ from boostlab.errors import (
 )
 from boostlab.harness import ExperimentConfig, build_datasets
 from boostlab.metrics import PredictionLog, build_metrics_report
-from boostlab.sampler import PROB_SUM_TOL, SamplerState, boost_probabilities, install_distribution
+from boostlab.sampler import PROB_SUM_TOL, SamplerState, aggregate_class_scores
+from boostlab.sampler import boost_probabilities, install_distribution
 from boostlab.scheduler import temperature_at
 
 from oracles import oracle_confusion_metrics, oracle_sodc_per_class
@@ -68,12 +72,13 @@ def test_config_is_valid_or_rejected_with_a_typed_error(fuzzed, data):
         return
 
     try:
-        train, test = build_datasets(config, config.seeds[0])
+        train, test, grad_std = build_datasets(config, config.seeds[0])
     except NumericOverflowError:  # e.g. a separation of 1e300 overflows the feature std
         return
     for split in (train, test):
         assert np.isfinite(split.features).all()
-        assert np.isfinite(split.feature_std).all() and (split.feature_std > 0).all()
+    assert grad_std.shape == (train.num_features,)
+    assert np.isfinite(grad_std).all() and (grad_std > 0).all()
 
     schedule = config.schedule()
     temperatures = [temperature_at(schedule, epoch) for epoch in range(config.epochs)]
@@ -128,8 +133,13 @@ def test_dataset_is_finite_or_raises_a_typed_error(n, d, data):
     assert dataset.labels.dtype == np.intp
     assert ((dataset.labels >= 0) & (dataset.labels < num_classes)).all()
     assert dataset.class_counts.sum() == n
-    assert dataset.feature_std.shape == (d,)
-    assert np.isfinite(dataset.feature_std).all() and (dataset.feature_std > 0).all()
+    if not n:
+        return
+    try:  # the std build_datasets would compute of it as a train split
+        grad_std = compute_feature_std(dataset)
+    except NumericOverflowError:  # a value near the float range overflows the std
+        return
+    assert grad_std.shape == (d,) and np.isfinite(grad_std).all() and (grad_std > 0).all()
 
 
 @settings(max_examples=300, deadline=None)
@@ -185,6 +195,45 @@ def test_install_distribution_always_installs_a_distribution(weights):
     assert state.degenerate == bad
     if bad:
         np.testing.assert_array_equal(p, np.full(len(weights), 1 / len(weights)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                      elements=st.floats(0.0, 10.0)))
+def test_install_distribution_takes_a_vector_or_raises_a_shape_error(weights):
+    state = SamplerState(strategy="boost", rng_seed=0)
+    if weights.ndim != 1:
+        with pytest.raises(InputShapeError):
+            install_distribution(state, weights)
+        assert state.cdf is None
+        return
+    try:
+        install_distribution(state, weights)
+    except EmptyInputError:
+        return
+    assert state.probabilities.shape == state.cdf.shape == weights.shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5), c=st.integers(1, 4), data=st.data())
+def test_aggregate_class_scores_are_class_means_or_raise_a_typed_error(n, c, data):
+    scores = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), label="scores")
+    labels = data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n), label="labels")
+    if data.draw(st.booleans(), label="fuzzed"):  # one label out of range, or not an integer
+        labels[data.draw(st.integers(0, n - 1))] = data.draw(ANY_INT | ANY_FLOAT, label="label")
+    valid = all(math.isfinite(v) and v % 1 == 0 and 0 <= v < c for v in labels)
+    try:
+        means = aggregate_class_scores(np.array(scores), np.array(labels), c)
+    except BoostLabError:
+        assert not valid
+        return
+    assert valid
+    present = sorted({int(v) for v in labels})
+    for cls in present:
+        mine = [s for s, label in zip(scores, labels) if label == cls]
+        assert means[cls] == pytest.approx(sum(mine) / len(mine), abs=1e-12)
+    absent = np.setdiff1d(np.arange(c), present)
+    assert means[absent] == pytest.approx(np.mean(means[present]), abs=1e-12)
 
 
 def draw_profiles(data, n, c, label):

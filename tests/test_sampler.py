@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from boostlab.calibration import OdinConfig
-from boostlab.data import Dataset, make_blobs
+from boostlab.data import Dataset, compute_feature_std, make_blobs
 from boostlab.errors import EmptyInputError, InvalidParameterError
 from boostlab.harness import write_history_csv
 from boostlab.model import init_model, train_step
@@ -221,7 +221,7 @@ class TestEpochResample:
     def _setup(self, counts=(30, 10), seed=0):
         data = make_blobs(list(counts), 2, 3.0, seed=seed)
         model = init_model(2, 8, len(counts), seed=seed)
-        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=data.feature_std)
+        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=compute_feature_std(data))
         return data, model, odin
 
     def test_random_strategy_uniform(self):
@@ -240,7 +240,7 @@ class TestEpochResample:
 
     def test_boost_with_constant_model_is_uniform(self, zero_model):
         data = make_blobs([6, 6], 2, 3.0, seed=1)
-        odin = OdinConfig(temperature=1.0, epsilon=0.0, grad_std=data.feature_std)
+        odin = OdinConfig(temperature=1.0, epsilon=0.0, grad_std=compute_feature_std(data))
         state = SamplerState(strategy="boost", rng_seed=0)
         epoch_resample(state, zero_model, data, odin)
         np.testing.assert_allclose(state.probabilities, 1.0 / data.n, atol=1e-12)
@@ -315,7 +315,7 @@ class TestEpochResample:
         model = init_model(2, 8, 2, seed=10)
         for _ in range(60):
             model, _ = train_step(model, data.features, data.labels, 0.3)
-        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=data.feature_std)
+        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=compute_feature_std(data))
         state = SamplerState(strategy="boost", rng_seed=11)
         epoch_resample(state, model, data, odin)
         draws = draw_batch(state, 10_000)
@@ -332,7 +332,7 @@ class TestEpochResample:
         centre0 = features[data.labels == 0].mean(axis=0)
         features[-1] = centre0
         planted = Dataset(features=features, labels=data.labels, num_classes=2)
-        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=planted.feature_std)
+        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=compute_feature_std(planted))
         state = SamplerState(strategy="boost", rng_seed=21)
         epoch_resample(state, model, planted, odin)
         assert np.argmax(state.probabilities) == planted.n - 1
@@ -342,7 +342,7 @@ class TestHistoryExport:
     def test_csv_shape_and_columns(self, tmp_path):
         data = make_blobs([12, 8], 2, 3.0, seed=12)
         model = init_model(2, 4, 2, seed=12)
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=data.feature_std)
+        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(data))
         state = SamplerState(strategy="boost", rng_seed=13)
         for _ in range(2):
             epoch_resample(state, model, data, odin)
