@@ -25,15 +25,20 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 
-def integer_labels(values) -> np.ndarray:
-    """values as an array of integers (range unchecked), or InvalidParameterError."""
+def class_labels(values, num_classes: int, name: str = "labels") -> np.ndarray:
+    """values as an intp array of class indices in [0, num_classes), or
+    InvalidParameterError naming `name`. The one place a label is checked."""
     try:
         labels = np.asarray(values)
     except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"labels must be integers: {exc}") from exc
-    if labels.dtype.kind not in "iuf" or not np.isfinite(labels).all() or (labels % 1).any():
-        raise InvalidParameterError("labels must be integers")
-    return labels
+        raise InvalidParameterError(f"{name} must be integers: {exc}") from exc
+    if labels.dtype.kind not in "iu" and (  # integer dtypes skip the float checks
+        labels.dtype.kind != "f" or not np.isfinite(labels).all() or (labels % 1).any()
+    ):
+        raise InvalidParameterError(f"{name} must be integers")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise InvalidParameterError(f"{name} must lie in [0, {num_classes})")
+    return labels.astype(np.intp, copy=False)
 
 
 @dataclass
@@ -46,12 +51,15 @@ class Dataset:
     class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        labels = integer_labels(self.labels)
+        k = self.num_classes
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise InvalidParameterError(f"num_classes must be an int >= 1: {k!r}")
+        self.labels = class_labels(self.labels, self.num_classes)
         try:
             self.features = np.asarray(self.features, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:  # text, ragged rows, huge ints
             raise InvalidParameterError(f"features must be numeric: {exc}") from exc
-        if self.features.ndim != 2 or labels.shape != self.features.shape[:1]:
+        if self.features.ndim != 2 or self.labels.shape != self.features.shape[:1]:
             raise InvalidParameterError("features and labels must align")
         if self.num_features < 1:
             raise InvalidParameterError("features need at least one column")
@@ -59,11 +67,6 @@ class Dataset:
         extremes = [self.features.min(), self.features.max()] if self.features.size else []
         if not np.isfinite(extremes).all():
             raise InvalidParameterError("features must be finite")
-        if not isinstance(self.num_classes, numbers.Integral) or self.num_classes < 1:
-            raise InvalidParameterError(f"num_classes must be an int >= 1: {self.num_classes!r}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise InvalidParameterError("labels out of range")
-        self.labels = labels.astype(np.intp, copy=False)
         self.class_counts = np.bincount(self.labels, minlength=self.num_classes)
 
     @property
@@ -102,7 +105,9 @@ def _simplex_centers(num_classes: int, dim: int, separation: float) -> np.ndarra
 def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
     """Isotropic unit-variance Gaussian blobs, one per class, centered on a
     scaled simplex so pairwise class geometry is uniform."""
-    counts = np.asarray(n_per_class, dtype=np.intp)
+    counts = np.asarray(n_per_class)
+    if counts.ndim != 1 or counts.size and counts.dtype.kind not in "iu":
+        raise InvalidParameterError(f"n_per_class must be a list of ints, got {n_per_class!r}")
     if counts.size == 0 or np.any(counts < 1):
         raise EmptyInputError("every class needs at least one sample")
     if d < 1 or separation <= 0:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import integer_labels
-from .errors import EmptyInputError, InputShapeError, InvalidParameterError
+from .data import class_labels
+from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
 
 PROFILE_SUM_TOL = 1e-9
 
@@ -32,8 +32,6 @@ class PredictionLog:
     profiles: np.ndarray  # [n x num_classes]
 
     def __post_init__(self):
-        true_labels = integer_labels(self.true_labels)
-        predicted_labels = integer_labels(self.predicted_labels)
         try:
             self.profiles = np.asarray(self.profiles, dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -42,15 +40,13 @@ class PredictionLog:
             raise InputShapeError(
                 f"profiles must be an [n x classes] matrix, got shape {self.profiles.shape}"
             )
-        if not true_labels.shape == predicted_labels.shape == self.profiles.shape[:1]:
+        k = self.num_classes
+        self.true_labels = class_labels(self.true_labels, k, "true labels")
+        self.predicted_labels = class_labels(self.predicted_labels, k, "predicted labels")
+        if not self.true_labels.shape == self.predicted_labels.shape == self.profiles.shape[:1]:
             raise InputShapeError("log arrays must align")
         if self.n == 0:
             raise EmptyInputError("prediction log is empty")
-        for name, labels in (("true", true_labels), ("predicted", predicted_labels)):
-            if labels.min() < 0 or labels.max() >= self.num_classes:
-                raise InvalidParameterError(f"{name} labels out of range")
-        self.true_labels = true_labels.astype(np.intp, copy=False)
-        self.predicted_labels = predicted_labels.astype(np.intp, copy=False)
         sums = self.profiles.sum(axis=1)
         if not np.all(np.abs(sums - 1.0) <= PROFILE_SUM_TOL):  # written so that NaN fails
             raise InvalidParameterError("softmax profiles must sum to 1")
@@ -135,7 +131,9 @@ def build_metrics_report(
     separate log supplying the score profiles used for the OOD-mass scores."""
     sodc_log = sodc_log if sodc_log is not None else log
     if sodc_log.num_classes != log.num_classes:
-        raise InvalidParameterError("logs disagree on class count")
+        raise ConfigurationError(
+            f"log has {log.num_classes} classes but sodc_log has {sodc_log.num_classes}"
+        )
 
     nc = log.num_classes
     cells = np.bincount(log.true_labels * nc + log.predicted_labels, minlength=nc * nc)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import read_json
+from .data import class_labels, read_json
 from .errors import (
     BoostLabError,
     EmptyInputError,
@@ -122,7 +122,7 @@ def input_gradient_batch(
     caller already has: hidden activations and TS-softmax profiles at the
     same temperature. Row i targets class_indices[i]. With p = softmax(z / T):
     dS_c/dz = (p_c / T) * (e_c - p), dz/dh = W_out, dh/da = 1 - h^2, da/dx = W_hidden."""
-    class_indices = np.asarray(class_indices, dtype=np.intp)
+    class_indices = class_labels(class_indices, model.num_classes, "class_indices")
     rows = np.arange(hidden.shape[0])
     p_c = probs[rows, class_indices]
     # dS_c/dz, shape [n x classes]
@@ -142,7 +142,11 @@ def loss_and_gradients(
     gradient w.r.t. `model.params`, from one forward pass. The gradient is
     one vector laid out like `params`; `model.layer_views` splits it."""
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = class_labels(labels, model.num_classes)
+    if features.size == 0 or labels.size == 0:
+        raise EmptyInputError("a training batch must not be empty")
+    if features.ndim != 2 or labels.shape != features.shape[:1]:
+        raise InputShapeError("features and labels must align")
     hidden, logits = forward_batch(model, features)
     rows = np.arange(features.shape[0])
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -174,14 +178,6 @@ def train_step(
     Returns a new model on a new parameter vector; the input model is left
     untouched. The reported loss is evaluated before the update.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    if features.size == 0 or labels.size == 0:
-        raise EmptyInputError("train_step requires a non-empty batch")
-    if features.ndim != 2 or features.shape[0] != labels.shape[0]:
-        raise InputShapeError("features and labels must align")
-    if labels.min() < 0 or labels.max() >= model.num_classes:
-        raise InvalidParameterError("labels out of range")
     if learning_rate < 0:
         raise InvalidParameterError("learning_rate must be non-negative")
 
@@ -197,18 +193,9 @@ def train_step(
 
 
 def model_to_dict(model: ClassifierModel) -> dict:
-    return {
-        "dims": {
-            "features": model.num_features,
-            "hidden": model.num_hidden,
-            "classes": model.num_classes,
-        },
-        "activation": "tanh",
-        "weights_hidden": model.weights_hidden.ravel().tolist(),
-        "bias_hidden": model.bias_hidden.tolist(),
-        "weights_out": model.weights_out.ravel().tolist(),
-        "bias_out": model.bias_out.tolist(),
-    }
+    dims = dict(features=model.num_features, hidden=model.num_hidden, classes=model.num_classes)
+    layers = zip(LAYERS, model.layer_views(model.params))
+    return {"dims": dims, "activation": "tanh", **{k: v.ravel().tolist() for k, v in layers}}
 
 
 def model_from_dict(doc) -> ClassifierModel:

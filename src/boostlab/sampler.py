@@ -13,13 +13,14 @@ variant (re-drawn every epoch).
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibration import OdinConfig, calibrate_batch_full
-from .data import Dataset, integer_labels
-from .errors import EmptyInputError, InputShapeError, InvalidParameterError
+from .data import Dataset, class_labels
+from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel
 
 log = logging.getLogger(__name__)
@@ -74,12 +75,9 @@ def aggregate_class_scores(
     max_scores = np.asarray(max_scores, dtype=np.float64)
     if max_scores.size == 0:
         raise EmptyInputError("no scores to aggregate")
-    labels = integer_labels(labels)
+    labels = class_labels(labels, num_classes)
     if max_scores.ndim != 1 or labels.shape != max_scores.shape:
         raise InvalidParameterError("scores and labels must align")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise InvalidParameterError(f"labels must lie in [0, {num_classes})")
-    labels = labels.astype(np.intp, copy=False)
 
     sums = np.bincount(labels, weights=max_scores, minlength=num_classes)
     counts = np.bincount(labels, minlength=num_classes)
@@ -105,21 +103,19 @@ def boost_probabilities(
     distribution.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    class_index = np.asarray(class_index, dtype=np.intp)
     s = np.asarray(aggregates, dtype=np.float64)
     if logits.ndim != 2:
         raise InvalidParameterError("logits must be an [n x c] matrix")
     n, c = logits.shape
     if n == 0:
         raise EmptyInputError("no samples to weight")
+    class_index = class_labels(class_index, c, "class_index")
     if class_index.shape != (n,):
         raise InvalidParameterError("logits and class_index must align")
     if s.shape != (c,):
         raise InvalidParameterError(f"aggregates must hold one score per class ({c})")
     if not np.all((s > 0) & (s <= 1)):  # written so that NaN fails
         raise InvalidParameterError("aggregate scores must lie in (0, 1]")
-    if class_index.min() < 0 or class_index.max() >= c:
-        raise InvalidParameterError(f"class_index must lie in [0, {c})")
     if not np.isfinite(logits).all():
         raise InvalidParameterError("logits must be finite")
 
@@ -162,6 +158,8 @@ def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
     stream is the one `default_rng([rng_seed, counter]).choice(n,
     batch_size, p=p / p.sum())` gives, bit for bit.
     """
+    if not isinstance(batch_size, numbers.Integral) or isinstance(batch_size, bool):
+        raise InvalidParameterError(f"batch_size must be an int, got {batch_size!r}")
     if batch_size < 1:
         raise InvalidParameterError("batch_size must be at least 1")
     if state.cdf is None:
@@ -197,7 +195,9 @@ def epoch_resample(
     record per completed resample.
     """
     if model.num_classes != dataset.num_classes:
-        raise InvalidParameterError("model and dataset disagree on class count")
+        raise ConfigurationError(
+            f"model has {model.num_classes} classes but dataset has {dataset.num_classes}"
+        )
 
     n = dataset.n
 

@@ -36,10 +36,11 @@ class TestDataset:
             ([[1.0], [2.0]], 0, 1),
             ([[1.0], [2.0]], [0, 0], 0),
             ([[1.0], [2.0]], [0, 2], 2),
+            ([[1.0], [2.0]], [0, 0], True),
         ],
         ids=["fractional-labels", "nan-label", "text-labels", "text-features", "ragged-rows",
              "inf-feature", "no-feature-column", "scalar-labels", "no-classes",
-             "label-out-of-range"],
+             "label-out-of-range", "bool-num-classes"],
     )
     def test_bad_labels_and_features_raise_a_typed_error(self, features, labels, num_classes):
         with pytest.raises(InvalidParameterError):
@@ -78,6 +79,13 @@ class TestMakeBlobs:
     def test_zero_count_rejected(self):
         with pytest.raises(EmptyInputError):
             make_blobs([10, 0], 2, 3.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "counts", [[2.7, 3], ["2", "3"], 5], ids=["fractional", "text", "scalar"]
+    )
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(InvalidParameterError, match="n_per_class"):
+            make_blobs(counts, 2, 2.0, seed=0)
 
     def test_equal_pairwise_center_distances(self):
         # recover empirical class means; the simplex layout keeps them equidistant

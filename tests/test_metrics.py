@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boostlab.errors import EmptyInputError, InvalidParameterError
+from boostlab.errors import ConfigurationError, EmptyInputError, InvalidParameterError
 from boostlab.metrics import PredictionLog, build_metrics_report, mab, sdb
 from boostlab.metrics import sodc_per_class, sodc_total
 
@@ -32,6 +32,12 @@ class TestPredictionLog:
         profiles = np.array([[0.5, 0.5], [np.nan, np.nan]])
         with pytest.raises(InvalidParameterError):
             make_log([0, 1], [0, 1], profiles)
+
+    @pytest.mark.parametrize("field", ["true", "predicted"])
+    def test_labels_out_of_range_name_their_field(self, field):
+        labels = {"true": [0, 1], "predicted": [0, 1], field: [0, 2]}
+        with pytest.raises(InvalidParameterError, match=rf"{field} labels must lie in \[0, 2\)"):
+            make_log(labels["true"], labels["predicted"], np.full((2, 2), 0.5))
 
 
 def partition(log):
@@ -207,6 +213,12 @@ class TestReport:
         for vals in report.per_class.values():
             for v in vals.values():
                 assert 0.0 <= v <= 1.0
+
+    def test_logs_that_disagree_on_class_count_rejected(self):
+        labels = np.array([0, 1])
+        log = make_log(labels, labels, one_hot_profiles(labels, 2))
+        with pytest.raises(ConfigurationError, match="log has 2 classes but sodc_log has 3"):
+            build_metrics_report(log, make_log(labels, labels, one_hot_profiles(labels, 3)))
 
     def test_percent_export(self):
         labels = np.array([0, 1, 0, 1])

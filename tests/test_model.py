@@ -115,6 +115,15 @@ class TestInputGradient:
             assert np.abs(g - fd).max() / denom < 1e-4
 
 
+    @pytest.mark.parametrize(
+        "class_index", [9, -1, 0.5], ids=["too-large", "negative", "fractional"]
+    )
+    def test_bad_class_index_raises_a_typed_error(self, toy_model, class_index):
+        hidden, logits = forward_batch(toy_model, np.array([[0.4]]))
+        with pytest.raises(InvalidParameterError, match=r"class_indices must"):
+            input_gradient_batch(toy_model, hidden, softmax_rows(logits), [class_index], 1.0)
+
+
 class TestTrainStep:
     def test_zero_learning_rate_keeps_parameters(self, toy_model):
         X = np.array([[0.1], [0.9]])
@@ -145,6 +154,21 @@ class TestTrainStep:
     def test_empty_batch_rejected(self, toy_model):
         with pytest.raises(EmptyInputError):
             train_step(toy_model, np.empty((0, 1)), np.empty(0, dtype=int), 0.1)
+
+    @pytest.mark.parametrize(
+        "labels", [[0.7, 1.2], ["a", "b"], [0, 5], [0, -1]],
+        ids=["fractional", "text", "too-large", "negative"],
+    )
+    def test_bad_labels_raise_a_typed_error(self, toy_model, labels):
+        X = np.array([[0.1], [0.9]])
+        with pytest.raises(InvalidParameterError, match="labels"):
+            train_step(toy_model, X, labels, 0.1)
+        with pytest.raises(InvalidParameterError, match="labels"):
+            loss_and_gradients(toy_model, X, labels)
+
+    def test_misaligned_labels_rejected(self, toy_model):
+        with pytest.raises(InputShapeError):
+            loss_and_gradients(toy_model, np.array([[0.1], [0.9]]), np.array([[0], [1]]))
 
     def test_does_not_mutate_input_model(self, toy_model):
         before = toy_model.weights_out.copy()

@@ -5,11 +5,14 @@ arbitrary logits, class indices and aggregates given to
 boost_probabilities, which otherwise return weights in [0, 1], arbitrary
 weights given to install_distribution, which installs a distribution of
 any vector and rejects any other shape, arbitrary labels given to
-aggregate_class_scores, which otherwise returns the class means, and
-arbitrary arguments to PredictionLog. Every rate of a
-metrics report, its ID/OOD partition, its flags and its SODC scores agree
-with the literal oracles on arbitrary logs."""
+aggregate_class_scores, which otherwise returns the class means, arbitrary
+labels given to train_step, loss_and_gradients and input_gradient_batch,
+which otherwise compute what integer labels give, and arbitrary arguments
+to PredictionLog. Every entry point that takes class labels is fuzzed here
+(LABEL_FUZZ). Every rate of a metrics report, its ID/OOD partition, its
+flags and its SODC scores agree with the literal oracles on arbitrary logs."""
 
+import inspect
 import math
 from collections import Counter
 
@@ -19,6 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from boostlab import data as data_mod
+from boostlab import metrics as metrics_mod
+from boostlab import model as model_mod
+from boostlab import sampler as sampler_mod
 from boostlab.data import Dataset, compute_feature_std, load_csv
 from boostlab.errors import (
     BoostLabError,
@@ -29,6 +36,8 @@ from boostlab.errors import (
 )
 from boostlab.harness import ExperimentConfig, build_datasets
 from boostlab.metrics import PredictionLog, build_metrics_report
+from boostlab.model import forward_batch, init_model, input_gradient_batch, loss_and_gradients
+from boostlab.model import softmax_rows, train_step
 from boostlab.sampler import PROB_SUM_TOL, SamplerState, aggregate_class_scores
 from boostlab.sampler import boost_probabilities, install_distribution
 from boostlab.scheduler import temperature_at
@@ -40,6 +49,13 @@ ANY_FLOAT = st.floats() | st.sampled_from(EDGES)  # st.floats() spans the whole 
 ANY_INT = st.integers(min_value=-3, max_value=12)
 # values of another type, as a JSON config file can hold them in any field
 ANY_TYPE = st.text(max_size=4) | st.lists(ANY_INT, max_size=3) | st.none() | st.booleans()
+
+
+def is_class_index(value, num_classes) -> bool:
+    """Whether one label value is a whole number in [0, num_classes)."""
+    return (isinstance(value, (int, float)) and math.isfinite(value) and value % 1 == 0
+            and 0 <= value < num_classes)
+
 
 # name: (values a run might use, values from the whole domain)
 FIELDS = {
@@ -114,7 +130,7 @@ def test_dataset_is_finite_or_raises_a_typed_error(n, d, data):
     features = data.draw(st.lists(st.lists(st.floats(-10, 10), min_size=d, max_size=d),
                                   min_size=n, max_size=n), label="features")
     labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="labels")
-    num_classes = data.draw(st.integers(-1, 4), label="num_classes")
+    num_classes = data.draw(st.integers(-1, 4) | st.booleans(), label="num_classes")
     # one value, or the labels as a whole, from the whole domain of any type
     odd = ANY_FLOAT | ANY_TYPE | st.integers(-(10**30), 10**30)
     where = data.draw(st.sampled_from(["nowhere", "feature", "label", "labels"]), label="fuzzed")
@@ -129,6 +145,7 @@ def test_dataset_is_finite_or_raises_a_typed_error(n, d, data):
         dataset = Dataset(features=features, labels=labels, num_classes=num_classes)
     except BoostLabError:
         return
+    assert not isinstance(num_classes, bool)
     assert dataset.features.shape == (n, d) and d >= 1 and np.isfinite(dataset.features).all()
     assert dataset.labels.dtype == np.intp
     assert ((dataset.labels >= 0) & (dataset.labels < num_classes)).all()
@@ -157,18 +174,23 @@ def test_boost_probabilities_are_a_distribution_or_raise_a_typed_error(n, c, dat
         row, column = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, c - 1))
         logits[row, column] = data.draw(ANY_FLOAT)
     elif where == "class":
-        class_index[data.draw(st.integers(0, n - 1))] = data.draw(ANY_INT)
+        class_index[data.draw(st.integers(0, n - 1))] = data.draw(ANY_INT | ANY_FLOAT)
     elif where == "aggregate":
         aggregates[data.draw(st.integers(0, c - 1))] = data.draw(ANY_FLOAT)
     elif where == "rows":  # fewer logit rows than class indices, down to none
         logits = logits[: data.draw(st.integers(0, n - 1))]
     elif where == "columns":  # one aggregate more than there are logit columns
         aggregates.append(0.5)
+    valid = all(is_class_index(v, c) for v in class_index)
     try:
         weights = boost_probabilities(logits, np.array(class_index), np.array(aggregates))
     except BoostLabError:
+        assert where not in ("nowhere", "class") or not valid
         return
+    assert valid
     assert weights.shape == (n,) and ((weights >= 0) & (weights <= 1)).all()
+    as_ints = np.array([int(v) for v in class_index])
+    np.testing.assert_array_equal(weights, boost_probabilities(logits, as_ints, aggregates))
     state = SamplerState(strategy="boost", rng_seed=0)
     install_distribution(state, weights)
     assert abs(state.probabilities.sum() - 1.0) <= PROB_SUM_TOL
@@ -221,7 +243,7 @@ def test_aggregate_class_scores_are_class_means_or_raise_a_typed_error(n, c, dat
     labels = data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n), label="labels")
     if data.draw(st.booleans(), label="fuzzed"):  # one label out of range, or not an integer
         labels[data.draw(st.integers(0, n - 1))] = data.draw(ANY_INT | ANY_FLOAT, label="label")
-    valid = all(math.isfinite(v) and v % 1 == 0 and 0 <= v < c for v in labels)
+    valid = all(is_class_index(v, c) for v in labels)
     try:
         means = aggregate_class_scores(np.array(scores), np.array(labels), c)
     except BoostLabError:
@@ -234,6 +256,48 @@ def test_aggregate_class_scores_are_class_means_or_raise_a_typed_error(n, c, dat
         assert means[cls] == pytest.approx(sum(mine) / len(mine), abs=1e-12)
     absent = np.setdiff1d(np.arange(c), present)
     assert means[absent] == pytest.approx(np.mean(means[present]), abs=1e-12)
+
+
+def _train_step(model, features, labels):
+    updated, loss = train_step(model, features, labels, 0.1)
+    return updated.params, loss
+
+
+def _input_gradients(model, features, labels):
+    hidden, logits = forward_batch(model, features)
+    return (input_gradient_batch(model, hidden, softmax_rows(logits, 2.0), labels, 2.0),)
+
+
+# the model's entry points that take class labels, each called on
+# (model, features, labels) and returning a tuple of results
+MODEL_LABEL_TAKERS = {
+    "train_step": _train_step,
+    "loss_and_gradients": loss_and_gradients,
+    "input_gradient_batch": _input_gradients,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODEL_LABEL_TAKERS))
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4), c=st.integers(1, 4), data=st.data())
+def test_model_entry_points_take_class_indices_or_raise_a_typed_error(entry, n, c, data):
+    model = init_model(2, 3, c, seed=0)
+    features = data.draw(st.lists(st.floats(-3, 3), min_size=2 * n, max_size=2 * n))
+    features = np.array(features).reshape(n, 2)
+    labels = data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n), label="labels")
+    odd = ANY_INT | ANY_FLOAT | st.text(max_size=4)
+    labels[data.draw(st.integers(0, n - 1))] = data.draw(odd, label="label")
+    valid = all(is_class_index(v, c) for v in labels)
+    call = MODEL_LABEL_TAKERS[entry]
+    try:
+        result = call(model, features, labels)
+    except BoostLabError:
+        assert not valid
+        return
+    assert valid
+    expected = call(model, features, np.array([int(v) for v in labels]))
+    for got, want in zip(result, expected, strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def draw_profiles(data, n, c, label):
@@ -322,3 +386,26 @@ def test_metrics_report_agrees_with_the_oracles(c, n, data):
     assert [int(flag.split()[1].rstrip(":")) for flag in report.flags] == never_predicted
     assert report.aggregate["accuracy"] == pytest.approx(sum(cells[k, k] for k in range(c)) / n)
     assert report.aggregate["sodc_total"] == pytest.approx(math.prod(sodc), rel=1e-12)
+
+
+# every entry point that takes class labels, and the property test that fuzzes them
+LABEL_FUZZ = {
+    Dataset: test_dataset_is_finite_or_raises_a_typed_error,
+    boost_probabilities: test_boost_probabilities_are_a_distribution_or_raise_a_typed_error,
+    aggregate_class_scores: test_aggregate_class_scores_are_class_means_or_raise_a_typed_error,
+    PredictionLog: test_prediction_log_is_valid_or_raises_a_typed_error,
+    **{getattr(model_mod, name): test_model_entry_points_take_class_indices_or_raise_a_typed_error
+       for name in MODEL_LABEL_TAKERS},
+}
+LABEL_PARAMETERS = {"labels", "true_labels", "predicted_labels", "class_index", "class_indices"}
+
+
+def test_every_entry_point_that_takes_labels_is_fuzzed():
+    public = {  # defined in the module itself, so no import is counted twice
+        obj
+        for module in (data_mod, model_mod, sampler_mod, metrics_mod)
+        for name, obj in vars(module).items()
+        if callable(obj) and not name.startswith("_") and obj.__module__ == module.__name__
+    }
+    takers = {obj for obj in public if LABEL_PARAMETERS & set(inspect.signature(obj).parameters)}
+    assert takers == set(LABEL_FUZZ)

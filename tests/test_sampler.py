@@ -4,7 +4,7 @@ from scipy import stats
 
 from boostlab.calibration import OdinConfig
 from boostlab.data import Dataset, compute_feature_std, make_blobs
-from boostlab.errors import EmptyInputError, InvalidParameterError
+from boostlab.errors import ConfigurationError, EmptyInputError, InvalidParameterError
 from boostlab.harness import write_history_csv
 from boostlab.model import init_model, train_step
 from boostlab.sampler import (
@@ -95,11 +95,14 @@ class TestBoostProbabilities:
             ([[np.inf, 0.0], [0.0, 1.0]], [0, 1], [0.5, 0.5], InvalidParameterError),
             ([[1.0, 0.0], [0.0, 1.0]], [0, 2], [0.5, 0.5], InvalidParameterError),
             ([[1.0, 0.0], [0.0, 1.0]], [0, -1], [0.5, 0.5], InvalidParameterError),
+            ([[1.0, 0.0], [0.0, 1.0]], [0, 1.7], [0.5, 0.5], InvalidParameterError),
+            ([[1.0, 0.0], [0.0, 1.0]], ["a", "b"], [0.5, 0.5], InvalidParameterError),
             ([[1.0, 0.0], [0.0, 1.0]], [0, 1], [0.5, 0.5, 0.5], InvalidParameterError),
             (np.empty((0, 2)), np.empty(0, dtype=int), [0.5, 0.5], EmptyInputError),
         ],
         ids=["nan-logit", "inf-logit", "class-index-too-large", "negative-class-index",
-             "aggregates-longer-than-classes", "no-samples"],
+             "fractional-class-index", "text-class-index", "aggregates-longer-than-classes",
+             "no-samples"],
     )
     def test_bad_input_raises_a_typed_error(self, logits, class_index, aggregates, error):
         with pytest.raises(error):
@@ -208,8 +211,9 @@ class TestDrawBatch:
             self._state([])
 
     def test_invalid_batch_size(self):
-        with pytest.raises(InvalidParameterError):
-            draw_batch(self._state([1.0]), 0)
+        for batch_size in (0, 2.5, True, "4"):
+            with pytest.raises(InvalidParameterError, match="batch_size"):
+                draw_batch(self._state([1.0]), batch_size)
 
     def test_requires_probabilities(self):
         state = SamplerState(strategy="random", rng_seed=0)
@@ -223,6 +227,12 @@ class TestEpochResample:
         model = init_model(2, 8, len(counts), seed=seed)
         odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=compute_feature_std(data))
         return data, model, odin
+
+    def test_class_count_mismatch(self):
+        data, _, odin = self._setup(counts=(10, 10, 10))
+        model = init_model(2, 8, 2, seed=0)
+        with pytest.raises(ConfigurationError, match="model has 2 classes but dataset has 3"):
+            epoch_resample(SamplerState(strategy="boost", rng_seed=0), model, data, odin)
 
     def test_random_strategy_uniform(self):
         data, model, odin = self._setup()
