@@ -26,8 +26,11 @@ log = logging.getLogger(__name__)
 
 
 def class_labels(values, num_classes: int, name: str = "labels") -> np.ndarray:
-    """values as an intp array of class indices in [0, num_classes), or
-    InvalidParameterError naming `name`. The one place a label is checked."""
+    """values as an intp array of class indices in [0, num_classes), an int >= 1,
+    or InvalidParameterError naming `name`. The one place a label is checked."""
+    k = num_classes
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise InvalidParameterError(f"num_classes must be an int >= 1: {k!r}")
     try:
         labels = np.asarray(values)
     except (TypeError, ValueError) as exc:
@@ -51,9 +54,6 @@ class Dataset:
     class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        k = self.num_classes
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise InvalidParameterError(f"num_classes must be an int >= 1: {k!r}")
         self.labels = class_labels(self.labels, self.num_classes)
         try:
             self.features = np.asarray(self.features, dtype=np.float64)
@@ -110,8 +110,8 @@ def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
         raise InvalidParameterError(f"n_per_class must be a list of ints, got {n_per_class!r}")
     if counts.size == 0 or np.any(counts < 1):
         raise EmptyInputError("every class needs at least one sample")
-    if d < 1 or separation <= 0:
-        raise InvalidParameterError("d must be >= 1 and separation positive")
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1 or not separation > 0:
+        raise InvalidParameterError("d must be an int >= 1 and separation positive")
 
     rng = np.random.default_rng(seed)
     centers = _simplex_centers(len(counts), d, separation)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model as model_mod
 from .calibration import OdinConfig, calibrate_batch_full
-from .data import Dataset, ParetoTailSpec, compute_feature_std, load_csv, make_blobs
+from .data import Dataset, ParetoTailSpec, class_labels, compute_feature_std, load_csv, make_blobs
 from .data import csv_fields, pareto_resample, read_json, train_test_split, write_csv
 from .errors import BoostLabError, ConfigurationError, EmptyInputError, InvalidParameterError
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
@@ -266,12 +266,10 @@ def run_evaluation(
 ) -> MetricsReport:
     """Score a trained model on a test split.
 
-    boost mode: calibrated second-pass profiles feed the prediction log,
-    so both the classification metrics and the OOD-mass scores see the
-    perturb-and-rescore pipeline.
-
-    control mode: classification metrics come from the model's plain
-    softmax predictions; the OOD-mass scores use a copy fine-tuned for
+    One prediction rule for every mode: the classification metrics come
+    from the model's plain softmax. The mode picks only the log behind the
+    OOD-mass (SODC) scores. boost mode: the calibrated second-pass
+    profiles. control mode: the plain softmax of a copy fine-tuned for
     exactly one epoch under the boost sampler, which supplies the
     expected-misclassification profiles. Every step is pure, so the
     caller's model is never modified in either mode.
@@ -285,15 +283,14 @@ def run_evaluation(
 
     if mode == "boost":
         profiles, _ = calibrate_batch_full(model, test.features, odin)
-        return build_metrics_report(_prediction_log(profiles, test.labels))
-
-    if mode != "control":
+        sodc_log = _prediction_log(profiles, test.labels)
+    elif mode == "control":
+        state = epoch_resample(SamplerState("boost", sampler_seed), model, test, odin)
+        tuned, _ = _train_epoch(model, state, test, batch_size, learning_rate)
+        sodc_log = _plain_log(tuned, test)
+    else:
         raise InvalidParameterError("mode must be 'boost' or 'control'")
-
-    state = SamplerState(strategy="boost", rng_seed=sampler_seed)
-    state = epoch_resample(state, model, test, odin)
-    tuned, _ = _train_epoch(model, state, test, batch_size, learning_rate)
-    return build_metrics_report(_plain_log(model, test), sodc_log=_plain_log(tuned, test))
+    return build_metrics_report(_plain_log(model, test), sodc_log=sodc_log)
 
 
 REPORT_FILES = ("report.json", "per_class_metrics.csv", "sampler_history.csv", "embeddings.csv")
@@ -311,10 +308,13 @@ def record_to_report(record: RunRecord) -> dict:
 def write_history_csv(state: SamplerState, true_labels: np.ndarray, path) -> None:
     """One row per (epoch, sample): score, probability, and draw count. The
     score is empty where the sampler calibrated nothing (the baselines)."""
-    n = len(true_labels)
+    labels = class_labels(true_labels, np.iinfo(np.intp).max, "true_labels")  # any class count
+    if any(record.probabilities.shape != labels.shape for record in state.history):
+        raise InvalidParameterError("true_labels must hold one label per sample of the history")
+    n = len(labels)
     # the same two columns open every epoch's rows, so they are formatted once
     sample_column = csv_fields(np.arange(n))
-    true_classes = csv_fields(np.asarray(true_labels, dtype=np.intp))
+    true_classes = csv_fields(labels)
     blocks = ([[str(record.epoch)] * n, sample_column, true_classes, record.predicted,
                record.scores, record.probabilities, record.draw_counts]
               for record in state.history)  # one epoch at a time, so memory stays per epoch
@@ -329,6 +329,8 @@ def _write_record(record: RunRecord, out_dir: str) -> list[str]:
     report_path, per_class_path, history_path, embeddings_path = paths
 
     report = record_to_report(record)
+    if record.config.dataset != "blobs":  # read_run resolves it against the run directory
+        report["config"]["dataset"] = os.path.relpath(record.config.dataset, out_dir)
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
 
@@ -351,8 +353,9 @@ def _write_record(record: RunRecord, out_dir: str) -> list[str]:
 
 def read_run(run_dir) -> tuple[ExperimentConfig, int, ClassifierModel]:
     """The (config, seed, model) of a run directory export_reports wrote:
-    report.json's config block and the checkpoint beside it. A missing or
-    malformed piece raises a typed error naming the file (and the key)."""
+    report.json's config block (a CSV path relative to the run directory)
+    and the checkpoint beside it. A missing or malformed piece raises a
+    typed error naming the file (and the key)."""
     path = os.path.join(run_dir, "report.json")
     report = read_json(path)
     values = report.get("config") if isinstance(report, dict) else None
@@ -361,6 +364,8 @@ def read_run(run_dir) -> tuple[ExperimentConfig, int, ClassifierModel]:
     if "seed" not in values:
         raise InvalidParameterError(f"{path}: config has no key 'seed'")
     seed = values.pop("seed")
+    if isinstance(values.get("dataset"), str) and values["dataset"] != "blobs":
+        values["dataset"] = os.path.normpath(os.path.join(run_dir, values["dataset"]))
     config = load_config(values, path, {})
     if not _fits(seed, "int") or seed not in config.seeds:
         raise InvalidParameterError(f"{path}: seed must be one of {config.seeds}, got {seed!r}")

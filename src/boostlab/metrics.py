@@ -1,11 +1,13 @@
 """Bias and performance measurement.
 
-Per-class accuracy/precision/recall/F1 plus three bias-oriented scores:
-the mean absolute deviation of a per-class metric from its class mean,
-the population standard deviation of the same, and a score-weighted
-correct-classification mass per class (aggregated across classes by
-product, so one weak class collapses the total). Every rate, the ID/OOD
-partition and the never-predicted flags come from one confusion matrix.
+Per-class accuracy (the within-class hit rate, which is also the class's
+recall), precision and F1 plus three bias-oriented scores: the mean
+absolute deviation of a per-class metric from its class mean, the
+population standard deviation of the same, and a score-weighted
+correct-classification mass per class (SODC, aggregated across classes
+by product, so one weak class collapses the total). Every rate, the
+ID/OOD partition and the never-predicted flags come from one confusion
+matrix. Each number is reported under one name.
 
 Internal values are unit-interval fractions; percent scaling happens
 only at export time.
@@ -96,7 +98,7 @@ def sdb(per_class_metric: np.ndarray) -> float:
     return float(np.sqrt(((pm - pm.mean()) ** 2).mean()))
 
 
-METRIC_NAMES = ("accuracy", "f1", "precision", "recall", "sodc")
+METRIC_NAMES = ("accuracy", "f1", "precision", "sodc")
 
 
 @dataclass
@@ -115,10 +117,6 @@ class MetricsReport:
             "per_class": per_class,
             "aggregate": {m: v * k for m, v in self.aggregate.items()},
             "bias": {m: {"mab": v["mab"] * k, "sdb": v["sdb"] * k} for m, v in self.bias.items()},
-            "sodc": {
-                "per_class": {c: vals["sodc"] for c, vals in per_class.items()},
-                "total": self.aggregate["sodc_total"] * k,
-            },
             "ood_partition": {c: dict(counts) for c, counts in self.ood_partition.items()},
             "flags": list(self.flags),
         }
@@ -142,7 +140,7 @@ def build_metrics_report(
     true_totals = confusion.sum(axis=1)
     pred_totals = confusion.sum(axis=0)
 
-    # the within-class hit rate (accuracy) is the recall
+    # the within-class hit rate: each class's accuracy, whose class mean is macro_recall
     recall = np.divide(hits, true_totals, out=np.zeros(nc), where=true_totals > 0)
     # precision is defined as 0 for classes never predicted; flagged below
     precision = np.divide(hits, pred_totals, out=np.zeros(nc), where=pred_totals > 0)
@@ -150,7 +148,7 @@ def build_metrics_report(
     f1 = np.divide(2 * precision * recall, pr_sum, out=np.zeros(nc), where=pr_sum > 0)
     sodc = sodc_per_class(sodc_log)
 
-    vectors = dict(zip(METRIC_NAMES, (recall, f1, precision, recall, sodc)))
+    vectors = dict(zip(METRIC_NAMES, (recall, f1, precision, sodc)))
     per_class = {c: {name: float(v[c]) for name, v in vectors.items()} for c in range(nc)}
     return MetricsReport(
         per_class=per_class,

@@ -301,7 +301,7 @@ def _directional_arm(sampler: str, seeds) -> tuple[float, float]:
             seeds=(seed,),
         )
         record = run_training(config, seed)
-        recalls.append(record.metrics.per_class[1]["recall"])
+        recalls.append(record.metrics.per_class[1]["accuracy"])
         mabs.append(record.metrics.bias["accuracy"]["mab"])
     return float(np.mean(recalls)), float(np.mean(mabs))
 

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import re
 
 import numpy as np
@@ -153,6 +154,23 @@ def test_csv_evaluate_scores_only_the_test_split(tmp_path, capsys):
     scored = sum(c["id"] + c["ood"] for c in evaluated["ood_partition"].values())
     assert scored == 10  # round(40 * 0.25) test rows, not the file's 40
     assert evaluated == report["metrics"]
+
+
+def test_evaluate_finds_a_relative_csv_path_from_another_directory(tmp_path, capsys, monkeypatch):
+    """A CSV run records its dataset relative to the run directory, so
+    evaluate --run works from any working directory."""
+    save_csv(make_blobs([30, 10], 2, 2.5, seed=0), tmp_path / "d.csv")
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--dataset", "d.csv", "--epochs", "2", "--hidden-units", "4",
+            "--seeds", "0", "--out", "r2"]
+    assert run_cli(argv, capsys)[0] == 0
+    report = json.loads((tmp_path / "r2" / "report.json").read_text())
+    assert report["config"]["dataset"] == os.path.join("..", "d.csv")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    code, out = run_cli(["evaluate", "--run", os.path.join("..", "r2")], capsys)
+    assert code == 0
+    assert json.loads(out) == report["metrics"]
 
 
 def test_constant_column_std_is_computed_once_per_run(tmp_path, capsys, caplog):
@@ -398,10 +416,11 @@ def test_checkpoint_layer_of_the_wrong_length_exits_2(tmp_path, capsys):
         ("report.json", lambda doc: doc["config"].update(seed=1), "seed"),  # not in seeds
         ("report.json", lambda doc: doc["config"].update(odin_sign=1), "odin_sign"),
         ("report.json", lambda doc: doc["config"].update(epsilon="x"), "epsilon"),
+        ("report.json", lambda doc: doc["config"].update(dataset=5), "dataset"),
         ("model_seed0.json", None, ""),
     ],
     ids=["no-report", "no-config", "no-seed", "string-seed", "negative-seed", "bool-seed",
-         "unlisted-seed", "unknown-key", "wrong-type", "no-checkpoint"],
+         "unlisted-seed", "unknown-key", "wrong-type", "number-dataset", "no-checkpoint"],
 )
 def test_broken_run_directory_exits_2_naming_file_and_key(tmp_path, capsys, name, edit, key):
     run_dir = _trained_run(tmp_path, capsys)

@@ -37,10 +37,11 @@ class TestDataset:
             ([[1.0], [2.0]], [0, 0], 0),
             ([[1.0], [2.0]], [0, 2], 2),
             ([[1.0], [2.0]], [0, 0], True),
+            ([[1.0], [2.0]], [0, 1], 2.5),
         ],
         ids=["fractional-labels", "nan-label", "text-labels", "text-features", "ragged-rows",
              "inf-feature", "no-feature-column", "scalar-labels", "no-classes",
-             "label-out-of-range", "bool-num-classes"],
+             "label-out-of-range", "bool-num-classes", "fractional-num-classes"],
     )
     def test_bad_labels_and_features_raise_a_typed_error(self, features, labels, num_classes):
         with pytest.raises(InvalidParameterError):
@@ -86,6 +87,15 @@ class TestMakeBlobs:
     def test_non_integer_counts_rejected(self, counts):
         with pytest.raises(InvalidParameterError, match="n_per_class"):
             make_blobs(counts, 2, 2.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "d, separation", [(2.5, 2.0), (True, 2.0), ("2", 2.0), (0, 2.0), (2, 0.0), (2, np.nan)],
+        ids=["fractional-dim", "bool-dim", "text-dim", "zero-dim", "zero-separation",
+             "nan-separation"],
+    )
+    def test_bad_dim_or_separation_rejected(self, d, separation):
+        with pytest.raises(InvalidParameterError, match="d must be an int >= 1"):
+            make_blobs([3, 3], d, separation, seed=0)
 
     def test_equal_pairwise_center_distances(self):
         # recover empirical class means; the simplex layout keeps them equidistant

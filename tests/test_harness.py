@@ -22,7 +22,8 @@ from boostlab.harness import (
     run_experiment,
     run_training,
 )
-from boostlab.model import init_model, train_step
+from boostlab.metrics import PredictionLog, build_metrics_report
+from boostlab.model import forward_batch, init_model, softmax_rows, train_step
 from boostlab.sampler import STRATEGIES, EpochRecord, SamplerState
 from boostlab.scheduler import temperature_at
 
@@ -196,6 +197,30 @@ class TestRunEvaluation:
         bound = np.prod(test.class_counts / test.n)
         assert report.aggregate["sodc_total"] <= bound + 1e-12
 
+    def test_boost_mode_classifies_by_the_plain_softmax(self):
+        # a half-trained model and a large epsilon: the perturbation carries
+        # some test samples across the decision boundary
+        train = make_blobs([30, 20], 2, 2.0, seed=0)
+        test = make_blobs([30, 20], 2, 2.0, seed=1)
+        model = init_model(2, 8, 2, seed=0)
+        for _ in range(20):
+            model, _ = train_step(model, train.features, train.labels, 0.5)
+        odin = OdinConfig(temperature=2.0, epsilon=0.5, grad_std=compute_feature_std(train))
+        report = run_evaluation(model, test, "boost", odin, 32, 0.1, sampler_seed=0)
+
+        plain_profiles = softmax_rows(forward_batch(model, test.features)[1])
+        calibrated, _ = calibrate_batch_full(model, test.features, odin)
+        assert (plain_profiles.argmax(axis=1) != calibrated.argmax(axis=1)).any()
+        plain, scores = (build_metrics_report(PredictionLog(test.labels, p.argmax(axis=1), p))
+                         for p in (plain_profiles, calibrated))
+        assert plain.ood_partition != scores.ood_partition  # the two rules disagree in the report
+
+        for c, values in report.per_class.items():
+            assert values == {**plain.per_class[c], "sodc": scores.per_class[c]["sodc"]}
+        assert report.aggregate == {**plain.aggregate, "sodc_total": scores.aggregate["sodc_total"]}
+        assert report.bias == {**plain.bias, "sodc": scores.bias["sodc"]}
+        assert (report.ood_partition, report.flags) == (plain.ood_partition, plain.flags)
+
     def test_control_mode_leaves_model_unchanged(self):
         model, train, test = train_to_perfection(seed=2)
         snapshot = {
@@ -278,7 +303,6 @@ class TestExportReports:
             "per_class",
             "aggregate",
             "bias",
-            "sodc",
             "ood_partition",
             "flags",
         }
@@ -385,6 +409,19 @@ class TestCsvFilesEqualTheRowWriter:
         assert (tmp_path / "history.csv").read_bytes() == expected
         assert b"\n0,0,0,0,,0.0,0\n" in expected and b",0.30000000000000004," in expected
 
+    @pytest.mark.parametrize(
+        "labels", [[0.7, 1.2, 0.0, 1.9], [0, 1, 0], [[0, 1, 0, 1]]],
+        ids=["fractional", "one-short", "nested"],
+    )
+    def test_history_labels_must_be_one_class_index_per_sample(self, tmp_path, labels):
+        state = SamplerState(strategy="random", rng_seed=0)
+        state.history.append(EpochRecord(
+            epoch=0, scores=np.full(4, np.nan), predicted=np.full(4, -1),
+            probabilities=np.full(4, 0.25), draw_counts=np.zeros(4, dtype=np.int64)))
+        with pytest.raises(InvalidParameterError, match="true_labels"):
+            harness.write_history_csv(state, labels, tmp_path / "history.csv")
+        assert not (tmp_path / "history.csv").exists()
+
     def test_per_class_and_embeddings(self, tmp_path, chunk):
         record = run_training(small_config(blob_counts=(40, 20, 10), test_counts=(9, 5, 3)))
         export_reports([record], str(tmp_path))
@@ -423,7 +460,6 @@ class TestReportSchema:
                 "bias": {
                     "accuracy": {"mab": REFERENCE_ROW["mab"], "sdb": REFERENCE_ROW["sdb"]}
                 },
-                "sodc": {"per_class": {"0": 1.84}, "total": 1.84},
                 "ood_partition": {"0": {"id": 10, "ood": 2}},
                 "flags": [],
             },

@@ -168,13 +168,13 @@ class TestClassificationRates:
         report = build_metrics_report(make_log(labels, labels))
         assert report.aggregate["accuracy"] == 1.0
         np.testing.assert_allclose(rates(report, "precision"), 1.0)
-        np.testing.assert_allclose(rates(report, "recall"), 1.0)
+        np.testing.assert_allclose(rates(report, "accuracy"), 1.0)
         np.testing.assert_allclose(rates(report, "f1"), 1.0)
 
     def test_single_class_always_predicted(self):
         report = build_metrics_report(make_log([0, 0, 1, 1], [0, 0, 0, 0]))
-        assert report.per_class[0]["recall"] == 1.0
-        assert report.per_class[1]["recall"] == 0.0
+        assert report.per_class[0]["accuracy"] == 1.0
+        assert report.per_class[1]["accuracy"] == 0.0
         assert report.per_class[1]["precision"] == 0.0
         assert report.flags == ["class 1: precision reported as 0 (never predicted)"]
 
@@ -188,8 +188,9 @@ class TestClassificationRates:
         report = build_metrics_report(make_log(np.array(y), np.array(yhat), num_classes=3))
         expected = oracle_confusion_metrics(confusion)
         for c in range(3):
-            for name in ("precision", "recall", "f1"):
+            for name in ("precision", "f1"):
                 assert report.per_class[c][name] == pytest.approx(expected[c][name])
+            assert report.per_class[c]["accuracy"] == pytest.approx(expected[c]["recall"])
         assert report.aggregate["accuracy"] == pytest.approx(8 / 10)
 
 
@@ -206,7 +207,7 @@ class TestReport:
         assert report.aggregate["sodc_total"] == pytest.approx(
             np.prod(per_class_sodc), rel=1e-12
         )
-        for name in ("accuracy", "f1", "precision", "recall", "sodc"):
+        for name in ("accuracy", "f1", "precision", "sodc"):
             values = [report.per_class[c][name] for c in range(3)]
             assert report.bias[name]["mab"] == pytest.approx(oracle_mab(values))
             assert report.bias[name]["sdb"] == pytest.approx(oracle_sdb(values))
@@ -225,5 +226,5 @@ class TestReport:
         log = make_log(labels, labels, one_hot_profiles(labels, 2, score=0.9))
         doc = build_metrics_report(log).to_dict()
         assert doc["aggregate"]["accuracy"] == pytest.approx(100.0)
-        assert doc["sodc"]["total"] == pytest.approx(0.45 * 0.45 * 100.0)
+        assert doc["aggregate"]["sodc_total"] == pytest.approx(0.45 * 0.45 * 100.0)
         assert doc["ood_partition"]["0"] == {"id": 2, "ood": 0}

@@ -1,16 +1,20 @@
-"""The README's `boostlab ...` examples must stay commands the CLI accepts.
+"""The README's `boostlab ...` examples must stay commands the CLI accepts,
+and its `report.json` schema must name the keys a report has.
 
 Each command is pulled out of the README's fenced blocks (with `\\`
 continuations joined) and handed to `cli.main`, with the three command
 functions replaced by recorders, so nothing is trained or written.
 """
 
+import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
 from boostlab import cli
+from boostlab.harness import ExperimentConfig, record_to_report, run_training
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +42,20 @@ def test_readme_command_is_accepted(monkeypatch, argv):
     assert called == f"cmd_{argv[0]}"
     if argv[0] != "evaluate":  # its one value is a directory, read when it runs
         cli.build_config(args)  # every value the example sets is in range
+
+
+def parse_schema(text: str) -> dict:
+    """`{a, b: [{c}], d: {e}}` as {"a": None, "b": [{"c": None}], "d": {"e": None}}."""
+    quoted = re.sub(r"(\w+)", r'"\1"', text)
+    return json.loads(re.sub(r'("\w+")(?=\s*[,}])', r"\1: null", quoted))
+
+
+def test_readme_report_schema_names_the_report_keys():
+    [bullet] = re.findall(r"^- `report\.json`: `(\{.*?\})`", README.read_text(encoding="utf-8"),
+                          flags=re.MULTILINE)
+    schema = parse_schema(bullet)
+    config = ExperimentConfig(blob_counts=(20, 10), epochs=1, hidden_units=4)
+    report = record_to_report(run_training(config))
+    assert set(schema) == set(report)
+    assert set(schema["per_epoch"][0]) == set(report["per_epoch"][0])
+    assert set(schema["metrics"]) == set(report["metrics"])

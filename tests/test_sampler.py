@@ -39,6 +39,13 @@ class TestAggregateScores:
         with pytest.raises(EmptyInputError):
             aggregate_class_scores(np.array([]), np.array([], dtype=int), num_classes=2)
 
+    @pytest.mark.parametrize(
+        "num_classes", [2.5, True, "2", 0], ids=["fractional", "bool", "text", "zero"]
+    )
+    def test_bad_class_count_rejected(self, num_classes):
+        with pytest.raises(InvalidParameterError, match="num_classes"):
+            aggregate_class_scores(np.array([0.9, 0.5]), np.array([0, 1]), num_classes)
+
 
 def installed(weights):
     """The distribution install_distribution makes of these weights."""
