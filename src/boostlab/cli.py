@@ -75,7 +75,7 @@ def cmd_evaluate(args) -> int:
     config, seed, model = read_run(args.run)
     _, test, grad_std = build_datasets(config, seed)
     try:
-        report = evaluate_run(model, test, grad_std, config, seed)
+        report = evaluate_run(model, test, grad_std, config)
     except (ConfigurationError, InputShapeError) as exc:  # the checkpoint does not fit the data
         raise type(exc)(f"{os.path.join(args.run, CHECKPOINT.format(seed))}: {exc}") from exc
     print(json.dumps(report.to_dict(), indent=2))

@@ -25,11 +25,16 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether value is a `kind` number (numpy's included) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def class_labels(values, num_classes: int, name: str = "labels") -> np.ndarray:
     """values as an intp array of class indices in [0, num_classes), an int >= 1,
     or InvalidParameterError naming `name`. The one place a label is checked."""
     k = num_classes
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+    if not is_number(k, numbers.Integral) or k < 1:
         raise InvalidParameterError(f"num_classes must be an int >= 1: {k!r}")
     try:
         labels = np.asarray(values)
@@ -110,7 +115,7 @@ def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
         raise InvalidParameterError(f"n_per_class must be a list of ints, got {n_per_class!r}")
     if counts.size == 0 or np.any(counts < 1):
         raise EmptyInputError("every class needs at least one sample")
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1 or not separation > 0:
+    if not (is_number(d, numbers.Integral) and d >= 1 and is_number(separation) and separation > 0):
         raise InvalidParameterError("d must be an int >= 1 and separation positive")
 
     rng = np.random.default_rng(seed)
@@ -140,8 +145,8 @@ class ParetoTailSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.scale > -1.0 - 1e-12:  # written so that NaN fails
-            raise InvalidParameterError(f"pareto scale must be at least -1, got {self.scale}")
+        if not (is_number(self.scale) and self.scale > -1.0 - 1e-12):  # so that NaN fails
+            raise InvalidParameterError(f"pareto scale must be at least -1, got {self.scale!r}")
 
 
 def pareto_tail_counts(class_counts: np.ndarray, spec: ParetoTailSpec) -> np.ndarray:

@@ -171,22 +171,10 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _train_epoch(
-    model: ClassifierModel, state: SamplerState, data: Dataset, batch_size: int, lr: float
-) -> tuple[ClassifierModel, list[float]]:
-    """ceil(n / batch_size) steps on batches drawn from the sampler's
-    current distribution; returns the updated model and per-step losses."""
-    losses = []
-    for _ in range(math.ceil(data.n / batch_size)):
-        idx = draw_batch(state, batch_size)
-        model, loss = train_step(model, data.features[idx], data.labels[idx], lr)
-        losses.append(loss)
-    return model, losses
-
-
-def run_seeds(seed: int) -> tuple[int, int, int]:
-    """The (model, sampler, evaluation) seeds of the run with this seed."""
-    return tuple(int(v) for v in np.random.SeedSequence(seed).generate_state(3))
+def run_seeds(seed: int) -> tuple[int, int]:
+    """The (model, sampler) seeds of the run with this seed. Evaluation
+    draws nothing, so it needs no seed of its own."""
+    return tuple(int(v) for v in np.random.SeedSequence(seed).generate_state(2))
 
 
 def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord:
@@ -197,7 +185,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
     batches. Ends with the run's final evaluation (`evaluate_run`).
     """
     seed = config.seeds[0] if seed is None else seed
-    model_seed, sampler_seed, _ = run_seeds(seed)
+    model_seed, sampler_seed = run_seeds(seed)
 
     train, test, grad_std = build_datasets(config, seed)
     model = model_mod.init_model(
@@ -211,11 +199,16 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
         temp = temperature_at(schedule, epoch)
         odin = OdinConfig(temperature=temp, epsilon=config.epsilon, grad_std=grad_std)
         state = epoch_resample(state, model, train, odin)
-        model, losses = _train_epoch(model, state, train, config.batch_size, config.learning_rate)
-        loss = float(np.mean(losses))
-        per_epoch.append(EpochStats(epoch, loss, temp, _entropy(state.probabilities)))
+        losses = []
+        for _ in range(math.ceil(train.n / config.batch_size)):
+            idx = draw_batch(state, config.batch_size)
+            model, loss = train_step(model, train.features[idx], train.labels[idx],
+                                     config.learning_rate)
+            losses.append(loss)
+        per_epoch.append(EpochStats(epoch, float(np.mean(losses)), temp,
+                                    _entropy(state.probabilities)))
 
-    metrics = evaluate_run(model, test, grad_std, config, seed)
+    metrics = evaluate_run(model, test, grad_std, config)
 
     return RunRecord(
         config=config,
@@ -231,48 +224,25 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
 
 
 def evaluate_run(
-    model: ClassifierModel, test: Dataset, grad_std: np.ndarray, config: ExperimentConfig, seed: int
+    model: ClassifierModel, test: Dataset, grad_std: np.ndarray, config: ExperimentConfig
 ) -> MetricsReport:
-    """The final evaluation of the run with this (config, seed): boost mode
-    for the boost sampler, control mode otherwise, at the schedule's final
-    temperature, perturbing by the train split's std that build_datasets
-    returns."""
+    """The final evaluation of a run under this config: run_evaluation at
+    the schedule's final temperature, perturbing by the train split's std
+    that build_datasets returns. The same for every sampler."""
     temperature = temperature_at(config.schedule(), config.epochs - 1)
-    odin = OdinConfig(temperature, config.epsilon, grad_std=grad_std)
-    mode = "boost" if config.sampler == "boost" else "control"
-    _, _, eval_seed = run_seeds(seed)
-    return run_evaluation(
-        model, test, mode, odin, config.batch_size, config.learning_rate, eval_seed
-    )
+    return run_evaluation(model, test, OdinConfig(temperature, config.epsilon, grad_std=grad_std))
 
 
 def _prediction_log(profiles: np.ndarray, labels: np.ndarray) -> PredictionLog:
     return PredictionLog(labels, profiles.argmax(axis=1), profiles)
 
 
-def _plain_log(model: ClassifierModel, test: Dataset) -> PredictionLog:
-    _, logits = model_mod.forward_batch(model, test.features)
-    return _prediction_log(softmax_rows(logits), test.labels)
+def run_evaluation(model: ClassifierModel, test: Dataset, odin: OdinConfig) -> MetricsReport:
+    """Score a trained model on a test split, one way for every sampler.
 
-
-def run_evaluation(
-    model: ClassifierModel,
-    test: Dataset,
-    mode: str,
-    odin: OdinConfig,
-    batch_size: int,
-    learning_rate: float,
-    sampler_seed: int,
-) -> MetricsReport:
-    """Score a trained model on a test split.
-
-    One prediction rule for every mode: the classification metrics come
-    from the model's plain softmax. The mode picks only the log behind the
-    OOD-mass (SODC) scores. boost mode: the calibrated second-pass
-    profiles. control mode: the plain softmax of a copy fine-tuned for
-    exactly one epoch under the boost sampler, which supplies the
-    expected-misclassification profiles. Every step is pure, so the
-    caller's model is never modified in either mode.
+    The classification metrics come from the model's plain softmax; the
+    OOD-mass (SODC) scores from the calibrated second-pass profiles at
+    `odin`. Both passes are pure, so the caller's model is never modified.
     """
     if test.n == 0:
         raise EmptyInputError("test split is empty")
@@ -281,16 +251,10 @@ def run_evaluation(
             f"model has {model.num_classes} classes but dataset has {test.num_classes}"
         )
 
-    if mode == "boost":
-        profiles, _ = calibrate_batch_full(model, test.features, odin)
-        sodc_log = _prediction_log(profiles, test.labels)
-    elif mode == "control":
-        state = epoch_resample(SamplerState("boost", sampler_seed), model, test, odin)
-        tuned, _ = _train_epoch(model, state, test, batch_size, learning_rate)
-        sodc_log = _plain_log(tuned, test)
-    else:
-        raise InvalidParameterError("mode must be 'boost' or 'control'")
-    return build_metrics_report(_plain_log(model, test), sodc_log=sodc_log)
+    profiles, _ = calibrate_batch_full(model, test.features, odin)
+    plain = softmax_rows(model_mod.forward_batch(model, test.features)[1])
+    return build_metrics_report(_prediction_log(plain, test.labels),
+                                sodc_log=_prediction_log(profiles, test.labels))
 
 
 REPORT_FILES = ("report.json", "per_class_metrics.csv", "sampler_history.csv", "embeddings.csv")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import OdinConfig, calibrate_batch_full
-from .data import Dataset, class_labels
+from .data import Dataset, class_labels, is_number
 from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel
 
@@ -158,7 +158,7 @@ def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
     stream is the one `default_rng([rng_seed, counter]).choice(n,
     batch_size, p=p / p.sum())` gives, bit for bit.
     """
-    if not isinstance(batch_size, numbers.Integral) or isinstance(batch_size, bool):
+    if not is_number(batch_size, numbers.Integral):
         raise InvalidParameterError(f"batch_size must be an int, got {batch_size!r}")
     if batch_size < 1:
         raise InvalidParameterError("batch_size must be at least 1")

@@ -9,8 +9,10 @@ the lower bound in constant per-epoch steps over a configured horizon.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
+from .data import is_number
 from .errors import InvalidParameterError
 
 T_MIN = 1.0
@@ -31,14 +33,13 @@ class TemperatureSchedule:
         # written so that NaN fails each check
         if self.kind not in SCHEDULE_KINDS:
             raise InvalidParameterError(f"kind must be one of {SCHEDULE_KINDS}")
-        if not 1 < self.scale < math.inf:
-            raise InvalidParameterError(f"scale must be finite and above 1, got {self.scale}")
-        if not self.interval_epochs >= 1:
-            raise InvalidParameterError("interval_epochs must be at least 1")
-        if not self.horizon_epochs >= 1:
-            raise InvalidParameterError("horizon_epochs must be at least 1")
-        if not 0 < self.start < math.inf:
-            raise InvalidParameterError(f"start must be finite and positive, got {self.start}")
+        if not (is_number(self.scale) and 1 < self.scale < math.inf):
+            raise InvalidParameterError(f"scale must be finite and above 1, got {self.scale!r}")
+        for name in ("interval_epochs", "horizon_epochs"):
+            if not (is_number(value := getattr(self, name), numbers.Integral) and value >= 1):
+                raise InvalidParameterError(f"{name} must be an int >= 1, got {value!r}")
+        if not (is_number(self.start) and 0 < self.start < math.inf):
+            raise InvalidParameterError(f"start must be finite and positive, got {self.start!r}")
 
 
 def temperature_at(schedule: TemperatureSchedule, epoch: int) -> float:

@@ -432,7 +432,7 @@ def test_criterion_9_protocol_isolation(tmp_path):
     odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=compute_feature_std(train))
 
     snap = snapshot(model)
-    run_evaluation(model, test, "control", odin, 32, learning_rate=0.4, sampler_seed=0)
+    run_evaluation(model, test, odin)
     assert_unchanged(model, snap)
 
     for strategy in STRATEGIES:

@@ -5,7 +5,6 @@ is logged or counted, breaks its runs. This check loads perfbench/run.py,
 writing nothing under perfbench/, and fails here first."""
 
 import importlib.util
-import inspect
 import logging
 import math
 import statistics
@@ -82,17 +81,21 @@ def test_export_calls_the_history_writer_through_the_module(tmp_path, monkeypatc
     assert [str(path) for _, path in calls] == history_paths
 
 
+def tiny_workloads(perfbench_run, out_root):
+    """A train and a compare workload small enough for a unit test."""
+    tiny = {"blob_counts": (24, 8), "epochs": 2, "batch_size": 8, "hidden_units": 4}
+    return [
+        perfbench_run.Workload("train", harness.ExperimentConfig(
+            **tiny, seeds=(0,), out_dir=str(out_root / "train"))),
+        perfbench_run.Workload("compare", harness.ExperimentConfig(
+            **tiny, seeds=(0, 1), out_dir=str(out_root / "compare"))),
+    ]
+
+
 def test_run_op_and_check_op_pass_on_tiny_workloads(perfbench_run, tmp_path):
     # every operation perfbench times goes through run_op and check_op, and its
     # quality numbers read metrics.aggregate and metrics.bias["accuracy"]
-    tiny = {"blob_counts": (24, 8), "epochs": 2, "batch_size": 8, "hidden_units": 4}
-    workloads = [
-        perfbench_run.Workload("train", harness.ExperimentConfig(
-            **tiny, seeds=(0,), out_dir=str(tmp_path / "train"))),
-        perfbench_run.Workload("compare", harness.ExperimentConfig(
-            **tiny, seeds=(0, 1), out_dir=str(tmp_path / "compare"))),
-    ]
-    for wl in workloads:
+    for wl in tiny_workloads(perfbench_run, tmp_path):
         result = perfbench_run.run_op(wl, wl.config)
         assert perfbench_run.check_op(wl, result) == []
         assert result.records
@@ -101,9 +104,26 @@ def test_run_op_and_check_op_pass_on_tiny_workloads(perfbench_run, tmp_path):
             assert math.isfinite(statistics.fmean(read(r) for r in result.records))
 
 
-def test_evaluation_span_is_named_by_the_mode_argument(perfbench_run):
-    # perfbench's evaluate_name takes the mode as run_evaluation's third argument
-    assert list(inspect.signature(harness.run_evaluation).parameters)[2] == "mode"
-    (name,) = [span for m, attr, span, *_ in perfbench_run.trace_targets()
-               if m is harness and attr == "run_evaluation"]
-    assert name(None, None, "control") == "harness.evaluate.control"
+def test_traced_operations_pass_and_train_only_in_the_loop(perfbench_run, tmp_path):
+    # perfbench --trace 1 runs each operation with trace_targets() patched in:
+    # the traced operation must pass check_op, write what the untraced one
+    # writes, open one evaluation span per run, and take no training step
+    # outside the training loops
+    for wl in tiny_workloads(perfbench_run, tmp_path):
+        untraced = perfbench_run.run_op(wl, wl.config)
+        tracer = perfbench_run.Tracer()
+        with tracer.patched(perfbench_run.trace_targets()):
+            result = perfbench_run.run_op(wl, wl.config, tracer.span("bench.op"))
+        assert perfbench_run.check_op(wl, result) == []
+        digest = perfbench_run.artifact_digest
+        assert digest(result.artifacts) == digest(untraced.artifacts)
+
+        evaluations = sum(count for name, count in tracer.calls.items()
+                          if name.startswith("harness.evaluate."))
+        assert evaluations == len(result.records)
+        metrics = perfbench_run.layer_metrics(tracer, result, wl, 0)
+        steps = sum(len(r.sampler_state.history)
+                    * math.ceil(r.train_labels.size / r.config.batch_size)
+                    for r in result.records)
+        assert metrics["model.train_step_calls"] == metrics["sampler.draw_calls"] == steps
+        assert all(math.isfinite(value) for value in metrics.values())

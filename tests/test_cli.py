@@ -84,11 +84,11 @@ def _train_then_evaluate(tmp_path, capsys, flags):
 @pytest.mark.parametrize(
     "run_flags",
     [
-        [],  # boost sampler: boost mode at the final temperature, 5
-        ["--sampler", "random"],  # control mode, with the run's own evaluation seed
+        [],  # boost sampler, scored at the final temperature, 5
+        ["--sampler", "random"],  # a baseline sampler, scored the same way
         ["--temp-kind", "inverse-linear"],  # final temperature 1 + 999/6
     ],
-    ids=["boost", "random-control", "inverse-linear"],
+    ids=["boost", "random", "inverse-linear"],
 )
 def test_evaluate_reproduces_train_metrics(tmp_path, capsys, run_flags):
     flags = ["--blob-counts", "30,10", "--blob-separation", "2.5"] + run_flags

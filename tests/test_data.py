@@ -89,9 +89,11 @@ class TestMakeBlobs:
             make_blobs(counts, 2, 2.0, seed=0)
 
     @pytest.mark.parametrize(
-        "d, separation", [(2.5, 2.0), (True, 2.0), ("2", 2.0), (0, 2.0), (2, 0.0), (2, np.nan)],
+        "d, separation",
+        [(2.5, 2.0), (True, 2.0), ("2", 2.0), (0, 2.0), (2, 0.0), (2, np.nan), (2, "2"),
+         (2, None)],
         ids=["fractional-dim", "bool-dim", "text-dim", "zero-dim", "zero-separation",
-             "nan-separation"],
+             "nan-separation", "text-separation", "none-separation"],
     )
     def test_bad_dim_or_separation_rejected(self, d, separation):
         with pytest.raises(InvalidParameterError, match="d must be an int >= 1"):
@@ -158,6 +160,11 @@ class TestParetoResample:
         data = make_blobs([30], 2, 3.0, seed=9)
         out = pareto_resample(data, ParetoTailSpec(scale=0.0, rng_seed=0))
         assert out is data
+
+    @pytest.mark.parametrize("scale", [-1.5, np.nan, "0", None], ids=repr)
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(InvalidParameterError, match="pareto scale"):
+            ParetoTailSpec(scale=scale)
 
     def test_empty_class_rejected_by_name(self):
         # a rare class can end up with no train samples after a CSV split

@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from boostlab.harness import (
     REPORT_FILES,
     ExperimentConfig,
     build_datasets,
+    evaluate_run,
     export_reports,
     read_run,
     record_to_report,
@@ -85,15 +87,13 @@ class TestRunTraining:
             assert len(record.sampler_state.history) == 2
             assert 0.0 <= record.metrics.aggregate["accuracy"] <= 1.0
 
-    @pytest.mark.parametrize("sampler, mode", [("boost", "boost"), ("random", "control")])
-    def test_final_evaluation_at_last_temperature_with_third_seed(self, sampler, mode):
+    @pytest.mark.parametrize("sampler", STRATEGIES)
+    def test_final_evaluation_at_last_temperature(self, sampler):
         config = small_config(sampler=sampler, epochs=6, learning_rate=0.3)
         record = run_training(config, seed=3)
         _, test, grad_std = build_datasets(config, seed=3)
         odin = OdinConfig(temperature=5.0, epsilon=config.epsilon, grad_std=grad_std)
-        eval_seed = int(np.random.SeedSequence(3).generate_state(3)[2])
-        expected = run_evaluation(record.model, test, mode, odin, 16, 0.3, sampler_seed=eval_seed)
-        assert record.metrics.to_dict() == expected.to_dict()
+        assert record.metrics.to_dict() == run_evaluation(record.model, test, odin).to_dict()
 
     def test_one_class_run_counts_its_uniform_fallback(self, caplog):
         # with one class every inverted boost weight is 0, so every epoch
@@ -180,10 +180,10 @@ class TestBuildDatasets:
 
 
 class TestRunEvaluation:
-    def test_perfect_model_boost_mode(self):
+    def test_perfect_model_scored_by_calibrated_profiles(self):
         model, train, test = train_to_perfection()
         odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(train))
-        report = run_evaluation(model, test, "boost", odin, 32, 0.1, sampler_seed=0)
+        report = run_evaluation(model, test, odin)
         assert [counts["ood"] for counts in report.ood_partition.values()] == [0, 0]
 
         profiles, _ = calibrate_batch_full(model, test.features, odin)
@@ -197,7 +197,7 @@ class TestRunEvaluation:
         bound = np.prod(test.class_counts / test.n)
         assert report.aggregate["sodc_total"] <= bound + 1e-12
 
-    def test_boost_mode_classifies_by_the_plain_softmax(self):
+    def test_classifies_by_the_plain_softmax(self):
         # a half-trained model and a large epsilon: the perturbation carries
         # some test samples across the decision boundary
         train = make_blobs([30, 20], 2, 2.0, seed=0)
@@ -206,7 +206,7 @@ class TestRunEvaluation:
         for _ in range(20):
             model, _ = train_step(model, train.features, train.labels, 0.5)
         odin = OdinConfig(temperature=2.0, epsilon=0.5, grad_std=compute_feature_std(train))
-        report = run_evaluation(model, test, "boost", odin, 32, 0.1, sampler_seed=0)
+        report = run_evaluation(model, test, odin)
 
         plain_profiles = softmax_rows(forward_batch(model, test.features)[1])
         calibrated, _ = calibrate_batch_full(model, test.features, odin)
@@ -221,43 +221,43 @@ class TestRunEvaluation:
         assert report.bias == {**plain.bias, "sodc": scores.bias["sodc"]}
         assert (report.ood_partition, report.flags) == (plain.ood_partition, plain.flags)
 
-    def test_control_mode_leaves_model_unchanged(self):
+    def test_evaluation_leaves_model_unchanged(self):
         model, train, test = train_to_perfection(seed=2)
         snapshot = {
             name: getattr(model, name).copy()
             for name in ("weights_hidden", "bias_hidden", "weights_out", "bias_out")
         }
         odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=compute_feature_std(train))
-        run_evaluation(model, test, "control", odin, 32, learning_rate=0.5, sampler_seed=0)
+        run_evaluation(model, test, odin)
         for name, before in snapshot.items():
             np.testing.assert_array_equal(getattr(model, name), before)
 
-    def test_control_mode_classification_from_plain_predictions(self):
-        # with a perfect model the plain log is perfect regardless of the
-        # one-epoch fine-tune used for the score profiles
-        model, train, test = train_to_perfection(seed=3)
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(train))
-        report = run_evaluation(model, test, "control", odin, 32, 0.1, sampler_seed=0)
-        assert report.aggregate["accuracy"] == 1.0
+    def test_every_sampler_is_scored_alike_and_nothing_trains(self, monkeypatch):
+        # one trained model under configs that differ only in `sampler`
+        config = small_config(epochs=4)
+        record = run_training(config, seed=1)
+        _, test, grad_std = build_datasets(config, seed=1)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("evaluation must not train")
+
+        monkeypatch.setattr(harness, "train_step", no_training)
+        reports = [evaluate_run(record.model, test, grad_std, replace(config, sampler=s)).to_dict()
+                   for s in STRATEGIES]
+        assert reports == [record.metrics.to_dict()] * len(STRATEGIES)
 
     def test_class_count_mismatch(self):
         model, _, _ = train_to_perfection()
         other = make_blobs([5, 5, 5], 2, 3.0, seed=9)
         odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(other))
         with pytest.raises(ConfigurationError):
-            run_evaluation(model, other, "boost", odin, 32, 0.1, sampler_seed=0)
-
-    def test_unknown_mode(self):
-        model, train, test = train_to_perfection()
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(train))
-        with pytest.raises(InvalidParameterError):
-            run_evaluation(model, test, "plain", odin, 32, 0.1, sampler_seed=0)
+            run_evaluation(model, other, odin)
 
     def test_deterministic(self):
         model, train, test = train_to_perfection(seed=4)
         odin = OdinConfig(temperature=3.0, epsilon=0.05, grad_std=compute_feature_std(train))
-        a = run_evaluation(model, test, "control", odin, 32, 0.1, sampler_seed=7)
-        b = run_evaluation(model, test, "control", odin, 32, 0.1, sampler_seed=7)
+        a = run_evaluation(model, test, odin)
+        b = run_evaluation(model, test, odin)
         assert a.to_dict() == b.to_dict()
 
 

@@ -48,6 +48,10 @@ def test_invalid_configs_rejected():
         TemperatureSchedule(scale=1.0)
     with pytest.raises(InvalidParameterError):
         TemperatureSchedule(interval_epochs=0)
+    for bad in ({"scale": "5"}, {"interval_epochs": 2.5}, {"horizon_epochs": 2.5},
+                {"start": "1"}, {"start": True}):
+        with pytest.raises(InvalidParameterError, match=next(iter(bad))):
+            TemperatureSchedule(**bad)
     with pytest.raises(InvalidParameterError):
         TemperatureSchedule(kind="cosine")
     with pytest.raises(InvalidParameterError):
