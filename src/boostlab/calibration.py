@@ -9,10 +9,12 @@ deviation of the training data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import is_number
 from .errors import EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel, forward_batch, input_gradient_batch, softmax_rows
 from .scheduler import T_MAX, T_MIN
@@ -28,15 +30,20 @@ class OdinConfig:
     grad_std: np.ndarray
 
     def __post_init__(self):
-        if not T_MIN <= self.temperature <= T_MAX:
+        # each written so that NaN fails it
+        if not (is_number(self.temperature) and T_MIN <= self.temperature <= T_MAX):
             raise InvalidParameterError(
-                f"temperature must lie in [{T_MIN:g}, {T_MAX:g}], got {self.temperature}"
+                f"temperature must lie in [{T_MIN:g}, {T_MAX:g}], got {self.temperature!r}"
             )
-        if not self.epsilon >= 0:  # written so that NaN fails
-            raise InvalidParameterError(f"epsilon must be non-negative, got {self.epsilon}")
-        self.grad_std = np.asarray(self.grad_std, dtype=np.float64)
-        if not np.all(self.grad_std > 0):
-            raise InvalidParameterError("grad_std entries must be positive")
+        if not (is_number(self.epsilon) and 0 <= self.epsilon < math.inf):
+            raise InvalidParameterError(
+                f"epsilon must be finite and non-negative, got {self.epsilon!r}")
+        try:
+            self.grad_std = np.asarray(self.grad_std, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:  # text, ragged lists, huge ints
+            raise InvalidParameterError(f"grad_std must be numeric: {exc}") from exc
+        if self.grad_std.ndim != 1 or not np.all((self.grad_std > 0) & (self.grad_std < np.inf)):
+            raise InvalidParameterError("grad_std must be a vector of finite, positive entries")
 
 
 def perturb(x: np.ndarray, grad: np.ndarray, config: OdinConfig) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Command-line entry point: train / evaluate / compare.
 
-train and compare take each config value as a flag or from a JSON config
-file (same key names); explicit flags win over file values, which win over
-defaults. evaluate reads the config of the run directory it is given.
+train and compare take each config key as the flag its field declares or
+from a JSON config file; explicit flags win over file values, which win
+over defaults. evaluate reads the config of the run directory it is given.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .data import read_json
 from .errors import BoostLabError, ConfigurationError, InputShapeError
@@ -20,33 +21,21 @@ from .sampler import STRATEGIES
 
 
 def _parse_int_list(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    try:
+        return tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:  # argparse prints the message after the flag's name
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """--config, and a flag for each config key as its field declares it,
+    parsed by the type its annotation names ("| None" left off)."""
+    parsers = {"str": str, "int": int, "float": float, "tuple[int, ...]": _parse_int_list}
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--dataset", help="'blobs' or path to a labeled CSV")
-    p.add_argument("--label-column", dest="label_column", help="label column name for CSV input")
-    p.add_argument("--blob-counts", dest="blob_counts", type=_parse_int_list,
-                   help="per-class sample counts, e.g. 900,100")
-    p.add_argument("--blob-dim", dest="blob_dim", type=int)
-    p.add_argument("--blob-separation", dest="blob_separation", type=float)
-    p.add_argument("--test-counts", dest="test_counts", type=_parse_int_list)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--pareto-scale", dest="pareto_scale", type=float,
-                   help="resample the train split onto a long-tail count curve")
-    p.add_argument("--sampler", choices=STRATEGIES)
-    p.add_argument("--temp-kind", dest="temp_kind", choices=("multiplicative", "inverse-linear"))
-    p.add_argument("--temp-start", dest="temp_start", type=float)
-    p.add_argument("--temp-scale", dest="temp_scale", type=float)
-    p.add_argument("--temp-interval", dest="temp_interval", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--hidden-units", dest="hidden_units", type=int)
-    p.add_argument("--seeds", type=_parse_int_list, help="comma-separated seeds")
-    p.add_argument("--out", dest="out_dir", help="output directory")
+    for f in fields(ExperimentConfig):
+        options = dict(f.metadata)
+        flag = options.pop("flag", "--" + f.name.replace("_", "-"))
+        p.add_argument(flag, dest=f.name, type=parsers[f.type.removesuffix(" | None")], **options)
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -30,12 +30,17 @@ def is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def check_int(value, name: str, minimum: int = 0) -> None:
+    """InvalidParameterError naming `name` unless value is an int (numpy's
+    included, bool not) of at least `minimum`."""
+    if not (is_number(value, numbers.Integral) and value >= minimum):
+        raise InvalidParameterError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 def class_labels(values, num_classes: int, name: str = "labels") -> np.ndarray:
     """values as an intp array of class indices in [0, num_classes), an int >= 1,
     or InvalidParameterError naming `name`. The one place a label is checked."""
-    k = num_classes
-    if not is_number(k, numbers.Integral) or k < 1:
-        raise InvalidParameterError(f"num_classes must be an int >= 1: {k!r}")
+    check_int(num_classes, "num_classes", 1)
     try:
         labels = np.asarray(values)
     except (TypeError, ValueError) as exc:
@@ -117,19 +122,13 @@ def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
         raise EmptyInputError("every class needs at least one sample")
     if not (is_number(d, numbers.Integral) and d >= 1 and is_number(separation) and separation > 0):
         raise InvalidParameterError("d must be an int >= 1 and separation positive")
+    check_int(seed, "seed")
 
     rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(len(counts)), counts.astype(np.intp))  # class after class
     centers = _simplex_centers(len(counts), d, separation)
-    features = []
-    labels = []
-    for cls, count in enumerate(counts):
-        features.append(rng.normal(size=(count, d)) + centers[cls])
-        labels.append(np.full(count, cls, dtype=np.intp))
-    return Dataset(
-        features=np.vstack(features),
-        labels=np.concatenate(labels),
-        num_classes=len(counts),
-    )
+    features = rng.normal(size=(len(labels), d)) + centers[labels]
+    return Dataset(features=features, labels=labels, num_classes=len(counts))
 
 
 @dataclass
@@ -147,6 +146,7 @@ class ParetoTailSpec:
     def __post_init__(self):
         if not (is_number(self.scale) and self.scale > -1.0 - 1e-12):  # so that NaN fails
             raise InvalidParameterError(f"pareto scale must be at least -1, got {self.scale!r}")
+        check_int(self.rng_seed, "rng_seed")
 
 
 def pareto_tail_counts(class_counts: np.ndarray, spec: ParetoTailSpec) -> np.ndarray:
@@ -220,6 +220,7 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple
     """Seeded shuffle split into (train, test)."""
     if not 0 < test_fraction < 1:
         raise InvalidParameterError("test_fraction must lie in (0, 1)")
+    check_int(seed, "seed")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
     n_test = max(1, int(round(dataset.n * test_fraction)))

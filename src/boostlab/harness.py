@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import BoostLabError, ConfigurationError, EmptyInputError, InvalidP
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
 from .model import ClassifierModel, hidden_activations, softmax_rows, train_step
 from .sampler import STRATEGIES, SamplerState, draw_batch, epoch_resample
-from .scheduler import TemperatureSchedule, temperature_at
+from .scheduler import SCHEDULE_KINDS, TemperatureSchedule, temperature_at
 
 
 def _fits(value, annotation: str) -> bool:
@@ -41,28 +41,35 @@ def _fits(value, annotation: str) -> bool:
     return isinstance(value, expected) and not isinstance(value, bool)
 
 
+def _key(default, **metadata):
+    """A config field whose CLI flag takes these argparse keywords ("help",
+    "choices") and, under "flag", a name other than --<field-name>."""
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class ExperimentConfig:
-    dataset: str = "blobs"  # "blobs" or a path to a labeled CSV
-    label_column: str = "label"
-    blob_counts: tuple[int, ...] = (900, 100)
+    dataset: str = _key("blobs", help="'blobs' or path to a labeled CSV")
+    label_column: str = _key("label", help="label column name for CSV input")
+    blob_counts: tuple[int, ...] = _key((900, 100), help="per-class sample counts, e.g. 900,100")
     blob_dim: int = 2
     blob_separation: float = 3.0
     test_counts: tuple[int, ...] | None = None  # blobs only; defaults to blob_counts
     test_fraction: float = 0.25  # csv only
-    pareto_scale: float | None = None  # applied to the train split when set
-    sampler: str = "boost"
-    temp_kind: str = "multiplicative"
+    pareto_scale: float | None = _key(
+        None, help="resample the train split onto a long-tail count curve")
+    sampler: str = _key("boost", choices=STRATEGIES)
+    temp_kind: str = _key("multiplicative", choices=SCHEDULE_KINDS)
     temp_start: float = 1.0
     temp_scale: float = 5.0
     temp_interval: int = 5
     epsilon: float = 0.05
     epochs: int = 20
     batch_size: int = 32
-    learning_rate: float = 0.2
+    learning_rate: float = _key(0.2, flag="--lr")
     hidden_units: int = 16
-    seeds: tuple[int, ...] = (0,)
-    out_dir: str = "runs"
+    seeds: tuple[int, ...] = _key((0,), help="comma-separated seeds")
+    out_dir: str = _key("runs", flag="--out", help="output directory")
 
     def __post_init__(self):
         for f in fields(self):  # a config file can hold any JSON value
@@ -74,8 +81,11 @@ class ExperimentConfig:
             ("sampler", self.sampler in STRATEGIES, f"one of {STRATEGIES}"),
             ("seeds", min(self.seeds, default=-1) >= 0, "one or more non-negative ints"),
             ("seeds", len(set(self.seeds)) == len(self.seeds), "distinct"),
-            ("test_counts", not self.test_counts or len(self.test_counts) == len(self.blob_counts),
-             f"as long as blob_counts ({len(self.blob_counts)})"),
+            ("blob_counts", min(self.blob_counts, default=0) >= 1, "one or more ints >= 1"),
+            ("test_counts", len(self.test_counts or self.blob_counts) == len(self.blob_counts),
+             f"None or as long as blob_counts ({len(self.blob_counts)})"),
+            ("test_counts", self.test_counts is None or min(self.test_counts, default=0) >= 1,
+             "None or one or more ints >= 1"),
             ("blob_dim", self.blob_dim >= 1, "at least 1"),
             ("blob_separation", 0 < self.blob_separation < math.inf, "finite and positive"),
             ("test_fraction", 0 < self.test_fraction < 1, "in (0, 1)"),
@@ -103,11 +113,7 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["blob_counts"] = list(self.blob_counts)
-        doc["seeds"] = list(self.seeds)
-        doc["test_counts"] = list(self.test_counts) if self.test_counts else None
-        return doc
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))

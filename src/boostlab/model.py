@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import class_labels, read_json
+from .data import check_int, class_labels, read_json
 from .errors import (
     BoostLabError,
     EmptyInputError,
@@ -73,6 +73,10 @@ class ClassifierModel:
 
 def init_model(num_features: int, num_hidden: int, num_classes: int, seed: int) -> ClassifierModel:
     """Symmetric small-uniform initialization, reproducible per seed."""
+    check_int(num_features, "num_features", 1)
+    check_int(num_hidden, "num_hidden", 1)
+    check_int(num_classes, "num_classes", 1)
+    check_int(seed, "seed")
     rng = np.random.default_rng(seed)
     s_h = 1.0 / math.sqrt(num_features)
     s_o = 1.0 / math.sqrt(num_hidden)

@@ -13,13 +13,12 @@ variant (re-drawn every epoch).
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibration import OdinConfig, calibrate_batch_full
-from .data import Dataset, class_labels, is_number
+from .data import Dataset, check_int, class_labels
 from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel
 
@@ -63,8 +62,7 @@ class SamplerState:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise InvalidParameterError(f"strategy must be one of {STRATEGIES}")
-        if self.rng_seed < 0:
-            raise InvalidParameterError("rng_seed must be non-negative")
+        check_int(self.rng_seed, "rng_seed")
 
 
 def aggregate_class_scores(
@@ -158,10 +156,7 @@ def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
     stream is the one `default_rng([rng_seed, counter]).choice(n,
     batch_size, p=p / p.sum())` gives, bit for bit.
     """
-    if not is_number(batch_size, numbers.Integral):
-        raise InvalidParameterError(f"batch_size must be an int, got {batch_size!r}")
-    if batch_size < 1:
-        raise InvalidParameterError("batch_size must be at least 1")
+    check_int(batch_size, "batch_size", 1)
     if state.cdf is None:
         raise InvalidParameterError("sampler has no probabilities; resample first")
     if state.degenerate:

@@ -9,10 +9,9 @@ the lower bound in constant per-epoch steps over a configured horizon.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .data import is_number
+from .data import check_int, is_number
 from .errors import InvalidParameterError
 
 T_MIN = 1.0
@@ -36,16 +35,14 @@ class TemperatureSchedule:
         if not (is_number(self.scale) and 1 < self.scale < math.inf):
             raise InvalidParameterError(f"scale must be finite and above 1, got {self.scale!r}")
         for name in ("interval_epochs", "horizon_epochs"):
-            if not (is_number(value := getattr(self, name), numbers.Integral) and value >= 1):
-                raise InvalidParameterError(f"{name} must be an int >= 1, got {value!r}")
+            check_int(getattr(self, name), name, 1)
         if not (is_number(self.start) and 0 < self.start < math.inf):
             raise InvalidParameterError(f"start must be finite and positive, got {self.start!r}")
 
 
 def temperature_at(schedule: TemperatureSchedule, epoch: int) -> float:
     """Temperature for a given epoch; total over all epoch >= 0."""
-    if epoch < 0:
-        raise InvalidParameterError("epoch must be non-negative")
+    check_int(epoch, "epoch")
     if schedule.kind == "multiplicative":
         steps = epoch // schedule.interval_epochs
         try:

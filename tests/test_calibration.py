@@ -118,6 +118,26 @@ class TestOdinConfig:
         with pytest.raises(InvalidParameterError):
             OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("temperature", "5"),
+            ("temperature", True),
+            ("epsilon", "x"),
+            ("epsilon", math.inf),
+            ("epsilon", None),
+            ("grad_std", "abc"),
+            ("grad_std", [1.0, math.inf]),
+            ("grad_std", np.ones((2, 2))),
+            ("grad_std", [[1.0], [1.0, 2.0]]),
+            ("grad_std", 2.0),
+        ],
+    )
+    def test_bad_value_rejected_by_name(self, field, value):
+        values = dict(temperature=1.0, epsilon=0.05, grad_std=np.ones(2))
+        with pytest.raises(InvalidParameterError, match=field):
+            OdinConfig(**{**values, field: value})
+
 
 class TestCalibrateBatch:
     def test_zero_epsilon_reproduces_plain_profile(self, toy_model):

@@ -131,6 +131,39 @@ def test_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--blob-counts", "1,x", "argument --blob-counts: expected comma-separated integers"),
+        ("--test-counts", "2,x", "argument --test-counts: expected comma-separated integers"),
+        ("--blob-counts", "", "boostlab: error: blob_counts must be one or more ints >= 1"),
+        ("--blob-counts", "0,5", "boostlab: error: blob_counts must be one or more ints >= 1"),
+        ("--test-counts", "", "boostlab: error: test_counts must be None or one or more ints"),
+        ("--test-counts", "0,5", "boostlab: error: test_counts must be None or one or more ints"),
+    ],
+    ids=["blob-text", "test-text", "blob-empty", "blob-zero", "test-empty", "test-zero"],
+)
+def test_bad_count_list_exits_2_naming_the_flag(tmp_path, capsys, flag, value, named):
+    out_dir = tmp_path / "run"
+    try:
+        code = main(["train", flag, value, "--out", str(out_dir)])
+    except SystemExit as exc:  # argparse rejects text that is no list of ints
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and named in err and "_parse_int_list" not in err
+    assert not out_dir.exists()
+
+
+def test_each_flag_is_its_config_key_but_lr_and_out():
+    parser = argparse.ArgumentParser()
+    _add_common_flags(parser)
+    flags = {a.dest: a.option_strings for a in parser._actions if a.dest != "help"}
+    renamed = {"learning_rate": ["--lr"], "out_dir": ["--out"]}
+    assert flags == {"config": ["--config"], **{
+        f.name: renamed.get(f.name, ["--" + f.name.replace("_", "-")])
+        for f in dataclasses.fields(ExperimentConfig)}}
+
+
 def test_compare_rejects_unknown_strategy_names(tmp_path, capsys):
     code = main(["compare", "--strategies", "boost,bogus", "--out", str(tmp_path / "cmp")])
     assert code == 2

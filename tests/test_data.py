@@ -4,6 +4,7 @@ import pytest
 from boostlab.data import (
     Dataset,
     ParetoTailSpec,
+    _simplex_centers,
     compute_feature_std,
     load_csv,
     make_blobs,
@@ -20,6 +21,37 @@ from boostlab.errors import (
     NumericOverflowError,
 )
 from boostlab.model import forward_batch, init_model, train_step
+from boostlab.sampler import SamplerState
+from boostlab.scheduler import TemperatureSchedule, temperature_at
+
+BLOBS = make_blobs([6, 3], 2, 2.0, seed=0)
+
+# every integer argument of the public builders: (call with that argument
+# set to v, its name, its least valid value)
+INT_ARGUMENTS = {
+    "make_blobs-seed": (lambda v: make_blobs([3, 3], 2, 2.0, seed=v), "seed", 0),
+    "train_test_split-seed": (lambda v: train_test_split(BLOBS, 0.5, seed=v), "seed", 0),
+    "init_model-features": (lambda v: init_model(v, 3, 2, seed=0), "num_features", 1),
+    "init_model-hidden": (lambda v: init_model(2, v, 2, seed=0), "num_hidden", 1),
+    "init_model-classes": (lambda v: init_model(2, 3, v, seed=0), "num_classes", 1),
+    "init_model-seed": (lambda v: init_model(2, 3, 2, seed=v), "seed", 0),
+    "pareto_resample-seed": (
+        lambda v: pareto_resample(BLOBS, ParetoTailSpec(scale=0.0, rng_seed=v)), "rng_seed", 0),
+    "SamplerState-seed": (lambda v: SamplerState(strategy="boost", rng_seed=v), "rng_seed", 0),
+    "temperature_at-epoch": (lambda v: temperature_at(TemperatureSchedule(), v), "epoch", 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INT_ARGUMENTS))
+@pytest.mark.parametrize(
+    "bad", ["below", 2.5, "3", None, True], ids=["below", "fractional", "text", "none", "bool"]
+)
+def test_integer_argument_out_of_range_rejected_by_name(entry, bad):
+    call, name, least = INT_ARGUMENTS[entry]
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be an int >= {least}"):
+        call(least - 1 if bad == "below" else bad)
+    call(least)  # the least valid value, as a Python int
+    call(np.int64(least + 1))  # and a numpy int
 
 
 class TestDataset:
@@ -67,6 +99,20 @@ class TestMakeBlobs:
         np.testing.assert_array_equal(a.labels, b.labels)
         c = make_blobs([50, 50], 3, 2.0, seed=8)
         assert not np.array_equal(a.features, c.features)
+
+    @pytest.mark.parametrize(
+        "counts, d", [([9, 1], 2), ([5, 4, 3, 2], 4), ([6], 3), (np.array([2, 7], np.uint64), 2)]
+    )
+    def test_equals_one_draw_per_class_in_class_order(self, counts, d):
+        """The reference: each class's rows drawn in turn from the one stream."""
+        rng = np.random.default_rng(7)
+        centers = _simplex_centers(len(counts), d, 2.5)
+        expected = np.vstack([rng.normal(size=(count, d)) + centers[c]
+                              for c, count in enumerate(counts)])
+        data = make_blobs(counts, d, 2.5, seed=7)
+        np.testing.assert_array_equal(data.features, expected)
+        labels = [np.full(count, c) for c, count in enumerate(counts)]
+        np.testing.assert_array_equal(data.labels, np.concatenate(labels))
 
     def test_separable_blobs_trainable_to_full_accuracy(self):
         data = make_blobs([10, 10], 2, 10.0, seed=1)

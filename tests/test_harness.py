@@ -156,6 +156,11 @@ class TestExperimentConfig:
             ("sampler", None, "sampler"),
             ("test_counts", (100,), "test_counts"),
             ("seeds", (0, 0), "seeds"),
+            ("blob_counts", (), "blob_counts"),
+            ("blob_counts", (0, 5), "blob_counts"),
+            ("blob_counts", (-3, 5), "blob_counts"),
+            ("test_counts", (0, 5), "test_counts"),
+            ("test_counts", (), "test_counts"),
         ],
     )
     def test_out_of_range_field_rejected_by_name(self, field, value, named):

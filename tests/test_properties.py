@@ -6,11 +6,12 @@ boost_probabilities, which otherwise return weights in [0, 1], arbitrary
 weights given to install_distribution, which installs a distribution of
 any vector and rejects any other shape, arbitrary labels given to
 aggregate_class_scores, which otherwise returns the class means, arbitrary
-labels given to train_step, loss_and_gradients and input_gradient_batch,
-which otherwise compute what integer labels give, and arbitrary arguments
-to PredictionLog. Every entry point that takes class labels is fuzzed here
-(LABEL_FUZZ). Every rate of a metrics report, its ID/OOD partition, its
-flags and its SODC scores agree with the literal oracles on arbitrary logs."""
+labels given to train_step, loss_and_gradients, input_gradient_batch and
+write_history_csv, which otherwise compute or write what integer labels
+give, and arbitrary arguments to PredictionLog. Every entry point that
+takes class labels is fuzzed here (LABEL_FUZZ). Every rate of a metrics
+report, its ID/OOD partition, its flags and its SODC scores agree with the
+literal oracles on arbitrary logs."""
 
 import inspect
 import math
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from boostlab import data as data_mod
+from boostlab import harness as harness_mod
 from boostlab import metrics as metrics_mod
 from boostlab import model as model_mod
 from boostlab import sampler as sampler_mod
@@ -38,9 +40,9 @@ from boostlab.harness import ExperimentConfig, build_datasets
 from boostlab.metrics import PredictionLog, build_metrics_report
 from boostlab.model import forward_batch, init_model, input_gradient_batch, loss_and_gradients
 from boostlab.model import softmax_rows, train_step
-from boostlab.sampler import PROB_SUM_TOL, SamplerState, aggregate_class_scores
+from boostlab.sampler import PROB_SUM_TOL, EpochRecord, SamplerState, aggregate_class_scores
 from boostlab.sampler import boost_probabilities, install_distribution
-from boostlab.scheduler import temperature_at
+from boostlab.scheduler import SCHEDULE_KINDS, temperature_at
 
 from oracles import oracle_confusion_metrics, oracle_sodc_per_class
 
@@ -63,7 +65,7 @@ FIELDS = {
     "blob_separation": (st.floats(0.1, 10.0), ANY_FLOAT),
     "test_fraction": (st.floats(0.05, 0.95), ANY_FLOAT),
     "pareto_scale": (st.none() | st.floats(-0.9, 3.0), ANY_FLOAT),
-    "temp_kind": (st.sampled_from(["multiplicative", "inverse-linear"]),) * 2,
+    "temp_kind": (st.sampled_from(SCHEDULE_KINDS),) * 2,
     "temp_start": (st.floats(0.5, 20.0), ANY_FLOAT),
     "temp_scale": (st.floats(1.5, 10.0), ANY_FLOAT),
     "temp_interval": (st.integers(1, 6), ANY_INT),
@@ -388,6 +390,35 @@ def test_metrics_report_agrees_with_the_oracles(c, n, data):
     assert report.aggregate["sodc_total"] == pytest.approx(math.prod(sodc), rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_history_csv_takes_class_indices_or_raises_a_typed_error(tmp_path_factory, n, data):
+    state = SamplerState(strategy="random", rng_seed=0)
+    state.history.append(EpochRecord(
+        epoch=0, scores=np.full(n, np.nan), predicted=np.full(n, -1),
+        probabilities=np.full(n, 1 / n), draw_counts=np.arange(n)))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="labels")
+    odd = ANY_INT | ANY_FLOAT | st.text(max_size=4)
+    where = data.draw(st.sampled_from(["nowhere", "label", "labels"]), label="fuzzed")
+    if where == "label":
+        labels[data.draw(st.integers(0, n - 1))] = data.draw(odd, label="label")
+    elif where == "labels":  # any length, or a value that is no list
+        labels = data.draw(odd | ANY_TYPE, label="labels")
+    # write_history_csv takes any class count
+    valid = (isinstance(labels, list) and len(labels) == n
+             and all(is_class_index(v, np.iinfo(np.intp).max) for v in labels))
+    path = tmp_path_factory.mktemp("history") / "history.csv"
+    try:
+        harness_mod.write_history_csv(state, labels, path)
+    except BoostLabError:
+        assert not valid and not path.exists()
+        return
+    assert valid
+    expected = path.with_name("expected.csv")
+    harness_mod.write_history_csv(state, np.array([int(v) for v in labels]), expected)
+    assert path.read_bytes() == expected.read_bytes()
+
+
 # every entry point that takes class labels, and the property test that fuzzes them
 LABEL_FUZZ = {
     Dataset: test_dataset_is_finite_or_raises_a_typed_error,
@@ -396,6 +427,7 @@ LABEL_FUZZ = {
     PredictionLog: test_prediction_log_is_valid_or_raises_a_typed_error,
     **{getattr(model_mod, name): test_model_entry_points_take_class_indices_or_raise_a_typed_error
        for name in MODEL_LABEL_TAKERS},
+    harness_mod.write_history_csv: test_history_csv_takes_class_indices_or_raises_a_typed_error,
 }
 LABEL_PARAMETERS = {"labels", "true_labels", "predicted_labels", "class_index", "class_indices"}
 
@@ -403,7 +435,7 @@ LABEL_PARAMETERS = {"labels", "true_labels", "predicted_labels", "class_index", 
 def test_every_entry_point_that_takes_labels_is_fuzzed():
     public = {  # defined in the module itself, so no import is counted twice
         obj
-        for module in (data_mod, model_mod, sampler_mod, metrics_mod)
+        for module in (data_mod, model_mod, sampler_mod, metrics_mod, harness_mod)
         for name, obj in vars(module).items()
         if callable(obj) and not name.startswith("_") and obj.__module__ == module.__name__
     }
