@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import is_number
+from .data import check_real
 from .errors import EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel, forward_batch, input_gradient_batch, softmax_rows
 from .scheduler import T_MAX, T_MIN
@@ -30,14 +30,9 @@ class OdinConfig:
     grad_std: np.ndarray
 
     def __post_init__(self):
-        # each written so that NaN fails it
-        if not (is_number(self.temperature) and T_MIN <= self.temperature <= T_MAX):
-            raise InvalidParameterError(
-                f"temperature must lie in [{T_MIN:g}, {T_MAX:g}], got {self.temperature!r}"
-            )
-        if not (is_number(self.epsilon) and 0 <= self.epsilon < math.inf):
-            raise InvalidParameterError(
-                f"epsilon must be finite and non-negative, got {self.epsilon!r}")
+        check_real(self.temperature, "temperature", f"in [{T_MIN:g}, {T_MAX:g}]",
+                   lambda v: T_MIN <= v <= T_MAX)
+        check_real(self.epsilon, "epsilon", "finite and non-negative", lambda v: 0 <= v < math.inf)
         try:
             self.grad_std = np.asarray(self.grad_std, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:  # text, ragged lists, huge ints

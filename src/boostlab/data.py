@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
@@ -35,6 +36,13 @@ def check_int(value, name: str, minimum: int = 0) -> None:
     included, bool not) of at least `minimum`."""
     if not (is_number(value, numbers.Integral) and value >= minimum):
         raise InvalidParameterError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def check_real(value, name: str, rule: str, valid) -> None:
+    """InvalidParameterError naming `name` and value unless value is a real
+    number (numpy's included, bool not) that `valid` accepts, as `rule` says."""
+    if not (is_number(value) and valid(value)):
+        raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
 
 
 def class_labels(values, num_classes: int, name: str = "labels") -> np.ndarray:
@@ -120,8 +128,8 @@ def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
         raise InvalidParameterError(f"n_per_class must be a list of ints, got {n_per_class!r}")
     if counts.size == 0 or np.any(counts < 1):
         raise EmptyInputError("every class needs at least one sample")
-    if not (is_number(d, numbers.Integral) and d >= 1 and is_number(separation) and separation > 0):
-        raise InvalidParameterError("d must be an int >= 1 and separation positive")
+    check_int(d, "d", 1)
+    check_real(separation, "separation", "finite and positive", lambda v: 0 < v < math.inf)
     check_int(seed, "seed")
 
     rng = np.random.default_rng(seed)
@@ -131,40 +139,28 @@ def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
     return Dataset(features=features, labels=labels, num_classes=len(counts))
 
 
-@dataclass
-class ParetoTailSpec:
-    """Shape of the long-tail count curve.
-
-    Target count at rank r follows (1 + r) ** -(1 + scale), normalized so
-    rank 0 keeps the anchor (the largest class count). scale = 0 is the
-    harshest of the reference settings; scale = -1 gives a flat curve.
-    """
-
-    scale: float
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not (is_number(self.scale) and self.scale > -1.0 - 1e-12):  # so that NaN fails
-            raise InvalidParameterError(f"pareto scale must be at least -1, got {self.scale!r}")
-        check_int(self.rng_seed, "rng_seed")
-
-
-def pareto_tail_counts(class_counts: np.ndarray, spec: ParetoTailSpec) -> np.ndarray:
-    """Target counts per descending-count rank, anchor preserved at rank 0."""
+def pareto_tail_counts(class_counts: np.ndarray, scale: float) -> np.ndarray:
+    """Target counts per descending-count rank: the count at rank r follows
+    (1 + r) ** -(1 + scale), normalized so rank 0 keeps the anchor (the
+    largest class count). scale = 0 is the harshest of the reference
+    settings; scale = -1 gives a flat curve."""
     anchor = int(np.max(class_counts))
     ranks = np.arange(len(class_counts), dtype=np.float64)
-    curve = (1.0 + ranks) ** -(1.0 + spec.scale)
+    curve = (1.0 + ranks) ** -(1.0 + scale)
     return np.maximum(1, np.round(anchor * curve)).astype(np.intp)
 
 
-def pareto_resample(dataset: Dataset, spec: ParetoTailSpec) -> Dataset:
-    """Reshape class counts onto the tail curve.
+def pareto_resample(dataset: Dataset, scale: float, seed: int) -> Dataset:
+    """Reshape class counts onto the tail curve of `pareto_tail_counts`.
 
     Classes are ranked by count descending; surplus classes are uniformly
     subsampled without replacement, deficit classes uniformly oversampled
     with replacement from their own samples, so every class needs at least
-    one sample.
+    one sample. A scale below -1 (by more than rounding) or a bad seed is
+    rejected whatever the dataset.
     """
+    check_real(scale, "scale", "at least -1", lambda v: v > -1.0 - 1e-12)  # so that NaN fails
+    check_int(seed, "seed")
     if dataset.n == 0:
         raise EmptyInputError("dataset is empty")
     if dataset.num_classes == 1:
@@ -173,9 +169,9 @@ def pareto_resample(dataset: Dataset, spec: ParetoTailSpec) -> Dataset:
     if empty.size:
         raise InsufficientDataError(f"class {int(empty[0])} has no samples to resample from")
 
-    rng = np.random.default_rng(spec.rng_seed)
+    rng = np.random.default_rng(seed)
     order = np.argsort(-dataset.class_counts, kind="stable")  # classes by rank
-    targets = pareto_tail_counts(dataset.class_counts, spec)
+    targets = pareto_tail_counts(dataset.class_counts, scale)
 
     chosen = []
     for rank, cls in enumerate(order):
@@ -218,8 +214,7 @@ def compute_feature_std(train: Dataset) -> np.ndarray:
 
 def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle split into (train, test)."""
-    if not 0 < test_fraction < 1:
-        raise InvalidParameterError("test_fraction must lie in (0, 1)")
+    check_real(test_fraction, "test_fraction", "in (0, 1)", lambda v: 0 < v < 1)
     check_int(seed, "seed")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)

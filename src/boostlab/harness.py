@@ -20,13 +20,13 @@ import numpy as np
 
 from . import model as model_mod
 from .calibration import OdinConfig, calibrate_batch_full
-from .data import Dataset, ParetoTailSpec, class_labels, compute_feature_std, load_csv, make_blobs
+from .data import Dataset, class_labels, compute_feature_std, load_csv, make_blobs
 from .data import csv_fields, pareto_resample, read_json, train_test_split, write_csv
 from .errors import BoostLabError, ConfigurationError, EmptyInputError, InvalidParameterError
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
 from .model import ClassifierModel, hidden_activations, softmax_rows, train_step
 from .sampler import STRATEGIES, SamplerState, draw_batch, epoch_resample
-from .scheduler import SCHEDULE_KINDS, TemperatureSchedule, temperature_at
+from .scheduler import SCHEDULE_KINDS, temperature_at
 
 
 def _fits(value, annotation: str) -> bool:
@@ -89,6 +89,12 @@ class ExperimentConfig:
             ("blob_dim", self.blob_dim >= 1, "at least 1"),
             ("blob_separation", 0 < self.blob_separation < math.inf, "finite and positive"),
             ("test_fraction", 0 < self.test_fraction < 1, "in (0, 1)"),
+            ("pareto_scale", self.pareto_scale is None or self.pareto_scale > -1.0 - 1e-12,
+             "None or at least -1"),
+            ("temp_kind", self.temp_kind in SCHEDULE_KINDS, f"one of {SCHEDULE_KINDS}"),
+            ("temp_start", 0 < self.temp_start < math.inf, "finite and positive"),
+            ("temp_scale", 1 < self.temp_scale < math.inf, "finite and above 1"),
+            ("temp_interval", self.temp_interval >= 1, "at least 1"),
             ("epsilon", 0 <= self.epsilon < math.inf, "finite and non-negative"),
             ("learning_rate", 0 <= self.learning_rate < math.inf, "finite and non-negative"),
             ("epochs", self.epochs >= 1, "at least 1"),
@@ -98,19 +104,6 @@ class ExperimentConfig:
         for name, valid, rule in rules:
             if not valid:
                 raise InvalidParameterError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        # the tail spec and the schedule check their own fields when built
-        if self.pareto_scale is not None:
-            ParetoTailSpec(scale=self.pareto_scale)
-        self.schedule()
-
-    def schedule(self) -> TemperatureSchedule:
-        return TemperatureSchedule(
-            kind=self.temp_kind,
-            start=self.temp_start,
-            scale=self.temp_scale,
-            interval_epochs=self.temp_interval,
-            horizon_epochs=self.epochs,
-        )
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
@@ -168,7 +161,7 @@ def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Datase
         train, test = train_test_split(full, config.test_fraction, seed)
 
     if config.pareto_scale is not None:
-        train = pareto_resample(train, ParetoTailSpec(scale=config.pareto_scale, rng_seed=seed))
+        train = pareto_resample(train, config.pareto_scale, seed)
     return train, test, compute_feature_std(train)
 
 
@@ -197,12 +190,11 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
     model = model_mod.init_model(
         train.num_features, config.hidden_units, train.num_classes, model_seed
     )
-    schedule = config.schedule()
     state = SamplerState(strategy=config.sampler, rng_seed=sampler_seed)
 
     per_epoch = []
     for epoch in range(config.epochs):
-        temp = temperature_at(schedule, epoch)
+        temp = temperature_at(config, epoch)
         odin = OdinConfig(temperature=temp, epsilon=config.epsilon, grad_std=grad_std)
         state = epoch_resample(state, model, train, odin)
         losses = []
@@ -235,7 +227,7 @@ def evaluate_run(
     """The final evaluation of a run under this config: run_evaluation at
     the schedule's final temperature, perturbing by the train split's std
     that build_datasets returns. The same for every sampler."""
-    temperature = temperature_at(config.schedule(), config.epochs - 1)
+    temperature = temperature_at(config, config.epochs - 1)
     return run_evaluation(model, test, OdinConfig(temperature, config.epsilon, grad_std=grad_std))
 
 

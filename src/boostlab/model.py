@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_int, class_labels, read_json
+from .data import check_int, check_real, class_labels, read_json
 from .errors import (
     BoostLabError,
     EmptyInputError,
@@ -182,8 +182,8 @@ def train_step(
     Returns a new model on a new parameter vector; the input model is left
     untouched. The reported loss is evaluated before the update.
     """
-    if learning_rate < 0:
-        raise InvalidParameterError("learning_rate must be non-negative")
+    check_real(learning_rate, "learning_rate", "finite and non-negative",
+               lambda v: 0 <= v < math.inf)
 
     loss, grad = loss_and_gradients(model, features, labels)
     updated = ClassifierModel(

@@ -52,16 +52,17 @@ class SamplerState:
 
     strategy: str
     rng_seed: int
-    history: list[EpochRecord] = field(default_factory=list)
-    draw_count: int = 0
-    degenerate_draws: int = 0
+    history: list[EpochRecord] = field(default_factory=list, init=False)
+    draw_count: int = field(default=0, init=False)
+    degenerate_draws: int = field(default=0, init=False)
     probabilities: np.ndarray | None = field(default=None, init=False)
     cdf: np.ndarray | None = field(default=None, init=False, repr=False)
     degenerate: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise InvalidParameterError(f"strategy must be one of {STRATEGIES}")
+            raise InvalidParameterError(
+                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         check_int(self.rng_seed, "rng_seed")
 
 

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from boostlab.calibration import OdinConfig, perturb
-from boostlab.data import Dataset, ParetoTailSpec, compute_feature_std, make_blobs
+from boostlab.data import Dataset, compute_feature_std, make_blobs
 from boostlab.data import pareto_resample, pareto_tail_counts
 from boostlab.harness import (
     REPORT_FILES,
@@ -42,7 +42,7 @@ from boostlab.sampler import (
     epoch_resample,
     install_distribution,
 )
-from boostlab.scheduler import TemperatureSchedule, temperature_at
+from boostlab.scheduler import temperature_at
 
 from oracles import (
     fd_input_gradient,
@@ -259,26 +259,26 @@ def test_criterion_4_sampler_statistics():
 
 
 def test_criterion_5_scheduler():
-    defaults = TemperatureSchedule()
+    defaults = ExperimentConfig()
     trace = [temperature_at(defaults, e) for e in (0, 5, 10, 15, 20, 25)]
     assert trace == [1.0, 5.0, 25.0, 125.0, 625.0, 1000.0]
 
     rng = np.random.default_rng(55)
     for _ in range(1000):
         kind = "multiplicative" if rng.random() < 0.5 else "inverse-linear"
-        sched = TemperatureSchedule(
-            kind=kind,
-            start=float(rng.uniform(0.5, 20.0)),
-            scale=float(rng.uniform(1.01, 30.0)),
-            interval_epochs=int(rng.integers(1, 12)),
-            horizon_epochs=int(rng.integers(1, 50)),
+        sched = ExperimentConfig(
+            temp_kind=kind,
+            temp_start=float(rng.uniform(0.5, 20.0)),
+            temp_scale=float(rng.uniform(1.01, 30.0)),
+            temp_interval=int(rng.integers(1, 12)),
+            epochs=int(rng.integers(1, 50)),
         )
         values = [temperature_at(sched, e) for e in range(70)]
         assert all(1.0 <= v <= 1000.0 for v in values)
         if kind == "multiplicative":
             assert all(b >= a for a, b in zip(values, values[1:]))
             for e in range(70):
-                assert values[e] == values[(e // sched.interval_epochs) * sched.interval_epochs]
+                assert values[e] == values[(e // sched.temp_interval) * sched.temp_interval]
         else:
             assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -330,13 +330,12 @@ def test_criterion_6_directional_debiasing():
 
 def test_criterion_7_long_tail_robustness():
     base_counts = (300, 300, 300, 300)
-    spec = ParetoTailSpec(scale=0.0, rng_seed=0)
-    resampled = pareto_resample(make_blobs(base_counts, 3, 1.5, seed=0), spec)
+    resampled = pareto_resample(make_blobs(base_counts, 3, 1.5, seed=0), 0.0, 0)
     ranked = np.sort(resampled.class_counts)[::-1]
     assert ranked[0] == max(base_counts)  # anchor preserved
     assert all(b <= a for a, b in zip(ranked, ranked[1:]))
     np.testing.assert_array_equal(
-        pareto_tail_counts(np.array(base_counts), spec), [300, 150, 100, 75]
+        pareto_tail_counts(np.array(base_counts), 0.0), [300, 150, 100, 75]
     )
 
     def arm(sampler):

@@ -154,6 +154,28 @@ def test_bad_count_list_exits_2_naming_the_flag(tmp_path, capsys, flag, value, n
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, values, error",
+    [
+        (["--temp-start", "0"], {}, "temp_start must be finite and positive, got 0.0"),
+        (["--temp-scale", "1"], {}, "temp_scale must be finite and above 1, got 1.0"),
+        (["--temp-interval", "0"], {}, "temp_interval must be at least 1, got 0"),
+        (["--pareto-scale", "-2"], {}, "pareto_scale must be None or at least -1, got -2.0"),
+        ([], {"temp_kind": "x"}, "temp_kind must be one of ('multiplicative', 'inverse-linear'), "
+                                 "got 'x'"),
+    ],
+    ids=["temp-start", "temp-scale", "temp-interval", "pareto-scale", "temp-kind-in-a-file"],
+)
+def test_bad_schedule_or_tail_value_exits_2_naming_its_key(tmp_path, capsys, flags, values, error):
+    out_dir = tmp_path / "run"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(values))
+    assert main(["train", "--config", str(cfg_path), *flags, "--out", str(out_dir)]) == 2
+    source = f"{cfg_path}: " if values else ""
+    assert capsys.readouterr().err == f"boostlab: error: {source}{error}\n"
+    assert not out_dir.exists()
+
+
 def test_each_flag_is_its_config_key_but_lr_and_out():
     parser = argparse.ArgumentParser()
     _add_common_flags(parser)

@@ -1,9 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from boostlab.data import (
     Dataset,
-    ParetoTailSpec,
     _simplex_centers,
     compute_feature_std,
     load_csv,
@@ -20,25 +21,27 @@ from boostlab.errors import (
     InvalidParameterError,
     NumericOverflowError,
 )
+from boostlab.harness import ExperimentConfig
 from boostlab.model import forward_batch, init_model, train_step
 from boostlab.sampler import SamplerState
-from boostlab.scheduler import TemperatureSchedule, temperature_at
+from boostlab.scheduler import temperature_at
 
 BLOBS = make_blobs([6, 3], 2, 2.0, seed=0)
+MODEL = init_model(2, 3, 2, seed=0)
 
 # every integer argument of the public builders: (call with that argument
 # set to v, its name, its least valid value)
 INT_ARGUMENTS = {
+    "make_blobs-d": (lambda v: make_blobs([3, 3], v, 2.0, seed=0), "d", 1),
     "make_blobs-seed": (lambda v: make_blobs([3, 3], 2, 2.0, seed=v), "seed", 0),
     "train_test_split-seed": (lambda v: train_test_split(BLOBS, 0.5, seed=v), "seed", 0),
     "init_model-features": (lambda v: init_model(v, 3, 2, seed=0), "num_features", 1),
     "init_model-hidden": (lambda v: init_model(2, v, 2, seed=0), "num_hidden", 1),
     "init_model-classes": (lambda v: init_model(2, 3, v, seed=0), "num_classes", 1),
     "init_model-seed": (lambda v: init_model(2, 3, 2, seed=v), "seed", 0),
-    "pareto_resample-seed": (
-        lambda v: pareto_resample(BLOBS, ParetoTailSpec(scale=0.0, rng_seed=v)), "rng_seed", 0),
+    "pareto_resample-seed": (lambda v: pareto_resample(BLOBS, 0.0, v), "seed", 0),
     "SamplerState-seed": (lambda v: SamplerState(strategy="boost", rng_seed=v), "rng_seed", 0),
-    "temperature_at-epoch": (lambda v: temperature_at(TemperatureSchedule(), v), "epoch", 0),
+    "temperature_at-epoch": (lambda v: temperature_at(ExperimentConfig(), v), "epoch", 0),
 }
 
 
@@ -52,6 +55,34 @@ def test_integer_argument_out_of_range_rejected_by_name(entry, bad):
         call(least - 1 if bad == "below" else bad)
     call(least)  # the least valid value, as a Python int
     call(np.int64(least + 1))  # and a numpy int
+
+
+# every float argument of the public builders: (call with that argument set
+# to v, its name, its out-of-range values, a valid value)
+FLOAT_ARGUMENTS = {
+    "make_blobs-separation": (
+        lambda v: make_blobs([3, 3], 2, v, seed=0), "separation", (0.0, -1.0, np.inf), 2.0),
+    "train_test_split-fraction": (
+        lambda v: train_test_split(BLOBS, v, seed=0), "test_fraction", (0.0, 1.0, np.inf), 0.5),
+    "train_step-rate": (
+        lambda v: train_step(MODEL, BLOBS.features, BLOBS.labels, v), "learning_rate",
+        (-0.1, np.inf), 0.1),
+    "pareto_resample-scale": (lambda v: pareto_resample(BLOBS, v, 0), "scale", (-1.5,), 0.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_ARGUMENTS))
+@pytest.mark.parametrize(
+    "bad", ["out-of-range", np.nan, "0.5", None, True], ids=["range", "nan", "text", "none", "bool"]
+)
+def test_float_argument_out_of_range_rejected_by_name_and_value(entry, bad):
+    call, name, out_of_range, valid = FLOAT_ARGUMENTS[entry]
+    for value in out_of_range if bad == "out-of-range" else (bad,):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+            call(value)
+    call(valid)  # a Python float
+    call(np.float64(valid))  # and a numpy float
 
 
 class TestDataset:
@@ -142,7 +173,9 @@ class TestMakeBlobs:
              "nan-separation", "text-separation", "none-separation"],
     )
     def test_bad_dim_or_separation_rejected(self, d, separation):
-        with pytest.raises(InvalidParameterError, match="d must be an int >= 1"):
+        named, value = ("d", d) if separation == 2.0 else ("separation", separation)
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{named} must be .*, got {re.escape(repr(value))}$"):
             make_blobs([3, 3], d, separation, seed=0)
 
     def test_equal_pairwise_center_distances(self):
@@ -158,17 +191,16 @@ class TestMakeBlobs:
 class TestParetoResample:
     def test_flat_curve_keeps_balanced_counts(self):
         data = make_blobs([80, 80, 80], 2, 3.0, seed=2)
-        out = pareto_resample(data, ParetoTailSpec(scale=-1.0, rng_seed=0))
+        out = pareto_resample(data, -1.0, 0)
         np.testing.assert_array_equal(np.sort(out.class_counts), [80, 80, 80])
         np.testing.assert_array_equal(out.class_counts, data.class_counts)
 
     def test_steep_curve_counts(self):
         data = make_blobs([100, 80, 60, 40], 2, 3.0, seed=3)
-        spec = ParetoTailSpec(scale=0.0, rng_seed=1)
-        targets = pareto_tail_counts(data.class_counts, spec)
+        targets = pareto_tail_counts(data.class_counts, 0.0)
         # curve (1+r)^-1 anchored at 100
         np.testing.assert_array_equal(targets, [100, 50, 33, 25])
-        out = pareto_resample(data, spec)
+        out = pareto_resample(data, 0.0, 1)
         ranked = np.sort(out.class_counts)[::-1]
         assert ranked[0] == 100
         assert all(b <= a for a, b in zip(ranked, ranked[1:]))
@@ -176,7 +208,7 @@ class TestParetoResample:
     def test_reference_scales_accepted(self):
         data = make_blobs([50, 30, 20], 2, 3.0, seed=4)
         for scale in (-0.5, -0.2, 0.0):
-            out = pareto_resample(data, ParetoTailSpec(scale=scale, rng_seed=0))
+            out = pareto_resample(data, scale, 0)
             ranked = np.sort(out.class_counts)[::-1]
             assert ranked[0] == 50
             assert all(b <= a for a, b in zip(ranked, ranked[1:]))
@@ -184,7 +216,7 @@ class TestParetoResample:
 
     def test_oversampling_draws_only_from_own_class(self):
         data = make_blobs([60, 5], 2, 3.0, seed=6)
-        out = pareto_resample(data, ParetoTailSpec(scale=-0.9, rng_seed=2))
+        out = pareto_resample(data, -0.9, 2)
         # deficit class grew; every resampled point must exist in the source class
         source = {tuple(row) for row in data.features[data.labels == 1]}
         for row in out.features[out.labels == 1]:
@@ -192,31 +224,39 @@ class TestParetoResample:
 
     def test_subsampling_never_duplicates(self):
         data = make_blobs([100, 100], 2, 3.0, seed=7)
-        out = pareto_resample(data, ParetoTailSpec(scale=0.0, rng_seed=3))
+        out = pareto_resample(data, 0.0, 3)
         minority = out.features[out.labels == np.argmin(out.class_counts)]
         assert len({tuple(r) for r in minority}) == len(minority)
 
     def test_deterministic(self):
         data = make_blobs([90, 40, 20], 2, 3.0, seed=8)
-        a = pareto_resample(data, ParetoTailSpec(scale=-0.2, rng_seed=9))
-        b = pareto_resample(data, ParetoTailSpec(scale=-0.2, rng_seed=9))
+        a = pareto_resample(data, -0.2, 9)
+        b = pareto_resample(data, -0.2, 9)
         np.testing.assert_array_equal(a.features, b.features)
 
     def test_single_class_returned_unchanged(self):
         data = make_blobs([30], 2, 3.0, seed=9)
-        out = pareto_resample(data, ParetoTailSpec(scale=0.0, rng_seed=0))
+        out = pareto_resample(data, 0.0, 0)
         assert out is data
 
     @pytest.mark.parametrize("scale", [-1.5, np.nan, "0", None], ids=repr)
     def test_bad_scale_rejected(self, scale):
-        with pytest.raises(InvalidParameterError, match="pareto scale"):
-            ParetoTailSpec(scale=scale)
+        with pytest.raises(InvalidParameterError, match="^scale must be at least -1"):
+            pareto_resample(BLOBS, scale, 0)
+
+    @pytest.mark.parametrize("scale, seed, named", [(-1.5, 0, "scale"), (0.0, -1, "seed")])
+    def test_bad_scale_or_seed_rejected_before_the_early_exits(self, scale, seed, named):
+        empty = Dataset(features=np.zeros((0, 2)), labels=[], num_classes=2)
+        one_class = make_blobs([30], 2, 3.0, seed=9)
+        for data in (empty, one_class):
+            with pytest.raises(InvalidParameterError, match=f"^{named} must"):
+                pareto_resample(data, scale, seed)
 
     def test_empty_class_rejected_by_name(self):
         # a rare class can end up with no train samples after a CSV split
         data = Dataset(features=np.arange(4.0)[:, None], labels=[0, 0, 2, 2], num_classes=3)
         with pytest.raises(InsufficientDataError, match="class 1"):
-            pareto_resample(data, ParetoTailSpec(scale=0.0, rng_seed=0))
+            pareto_resample(data, 0.0, 0)
 
 
 class TestFeatureStd:

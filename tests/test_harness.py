@@ -2,7 +2,8 @@ import csv
 import json
 import logging
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -65,9 +66,8 @@ class TestRunTraining:
     def test_temperature_trace_matches_schedule(self):
         config = small_config(epochs=8, temp_interval=2)
         record = run_training(config)
-        schedule = config.schedule()
         for stats in record.per_epoch:
-            assert stats.temperature == temperature_at(schedule, stats.epoch)
+            assert stats.temperature == temperature_at(config, stats.epoch)
 
     def test_identical_seed_gives_identical_report(self):
         config = small_config()
@@ -113,59 +113,70 @@ class TestRunTraining:
         assert [r.seed for r in records] == [0, 1, 2]
 
 
+# one or more values each config key rejects; the error must name that key
+# and the value, whatever else the key's value feeds
+BAD_FIELD_VALUES = [
+    ("seeds", (-1,)),
+    ("seeds", (0, -2)),
+    ("epsilon", math.nan),
+    ("epsilon", math.inf),
+    ("epsilon", -0.1),
+    ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
+    ("learning_rate", -1.0),
+    ("blob_separation", math.nan),
+    ("blob_separation", math.inf),
+    ("blob_separation", 0.0),
+    ("blob_separation", -2.0),
+    ("blob_dim", 0),
+    ("test_fraction", 0.0),
+    ("test_fraction", 1.0),
+    ("test_fraction", math.nan),
+    ("pareto_scale", math.nan),
+    ("pareto_scale", -1.5),
+    ("temp_scale", math.nan),
+    ("temp_scale", 1.0),
+    ("temp_scale", math.inf),
+    ("temp_start", math.nan),
+    ("temp_start", 0.0),
+    ("temp_start", math.inf),
+    ("temp_interval", 0),
+    ("epsilon", "x"),
+    ("blob_counts", 5),
+    ("seeds", [0, "1"]),
+    ("test_counts", (3, 2.5)),
+    ("epochs", 2.0),
+    ("learning_rate", True),
+    ("sampler", None),
+    ("test_counts", (100,)),
+    ("seeds", (0, 0)),
+    ("blob_counts", ()),
+    ("blob_counts", (0, 5)),
+    ("blob_counts", (-3, 5)),
+    ("test_counts", (0, 5)),
+    ("test_counts", ()),
+    ("temp_kind", "x"),
+    ("batch_size", 0),
+    ("hidden_units", 0),
+]
+NO_RULE_FIELDS = {"dataset", "label_column", "out_dir"}  # any string is read as given
+
+
 class TestExperimentConfig:
     def test_hidden_units_below_one_rejected(self):
         for bad in (0, -3):
             with pytest.raises(InvalidParameterError):
                 small_config(hidden_units=bad)
 
-    @pytest.mark.parametrize(
-        "field, value, named",
-        [
-            ("seeds", (-1,), "seeds"),
-            ("seeds", (0, -2), "seeds"),
-            ("epsilon", math.nan, "epsilon"),
-            ("epsilon", math.inf, "epsilon"),
-            ("epsilon", -0.1, "epsilon"),
-            ("learning_rate", math.nan, "learning_rate"),
-            ("learning_rate", math.inf, "learning_rate"),
-            ("learning_rate", -1.0, "learning_rate"),
-            ("blob_separation", math.nan, "blob_separation"),
-            ("blob_separation", math.inf, "blob_separation"),
-            ("blob_separation", 0.0, "blob_separation"),
-            ("blob_separation", -2.0, "blob_separation"),
-            ("blob_dim", 0, "blob_dim"),
-            ("test_fraction", 0.0, "test_fraction"),
-            ("test_fraction", 1.0, "test_fraction"),
-            ("test_fraction", math.nan, "test_fraction"),
-            ("pareto_scale", math.nan, "pareto scale"),
-            ("pareto_scale", -1.5, "pareto scale"),
-            ("temp_scale", math.nan, "scale"),
-            ("temp_scale", 1.0, "scale"),
-            ("temp_scale", math.inf, "scale"),
-            ("temp_start", math.nan, "start"),
-            ("temp_start", 0.0, "start"),
-            ("temp_start", math.inf, "start"),
-            ("temp_interval", 0, "interval_epochs"),
-            ("epsilon", "x", "epsilon"),
-            ("blob_counts", 5, "blob_counts"),
-            ("seeds", [0, "1"], "seeds"),
-            ("test_counts", (3, 2.5), "test_counts"),
-            ("epochs", 2.0, "epochs"),
-            ("learning_rate", True, "learning_rate"),
-            ("sampler", None, "sampler"),
-            ("test_counts", (100,), "test_counts"),
-            ("seeds", (0, 0), "seeds"),
-            ("blob_counts", (), "blob_counts"),
-            ("blob_counts", (0, 5), "blob_counts"),
-            ("blob_counts", (-3, 5), "blob_counts"),
-            ("test_counts", (0, 5), "test_counts"),
-            ("test_counts", (), "test_counts"),
-        ],
-    )
-    def test_out_of_range_field_rejected_by_name(self, field, value, named):
-        with pytest.raises(InvalidParameterError, match=named):
+    @pytest.mark.parametrize("field, value", BAD_FIELD_VALUES)
+    def test_out_of_range_field_rejected_by_name(self, field, value):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
             small_config(**{field: value})
+
+    def test_every_field_with_a_rule_has_a_rejected_value(self):
+        names = {f.name for f in fields(ExperimentConfig)}
+        assert names - NO_RULE_FIELDS == {field for field, _ in BAD_FIELD_VALUES}
 
 
 class TestBuildDatasets:

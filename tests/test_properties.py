@@ -98,8 +98,7 @@ def test_config_is_valid_or_rejected_with_a_typed_error(fuzzed, data):
     assert grad_std.shape == (train.num_features,)
     assert np.isfinite(grad_std).all() and (grad_std > 0).all()
 
-    schedule = config.schedule()
-    temperatures = [temperature_at(schedule, epoch) for epoch in range(config.epochs)]
+    temperatures = [temperature_at(config, epoch) for epoch in range(config.epochs)]
     assert all(1.0 <= t <= 1000.0 for t in temperatures)
 
 

@@ -6,6 +6,7 @@ continuations joined) and handed to `cli.main`, with the three command
 functions replaced by recorders, so nothing is trained or written.
 """
 
+import importlib
 import json
 import re
 import shlex
@@ -59,3 +60,23 @@ def test_readme_report_schema_names_the_report_keys():
     assert set(schema) == set(report)
     assert set(schema["per_epoch"][0]) == set(report["per_epoch"][0])
     assert set(schema["metrics"]) == set(report["metrics"])
+
+
+def box_rows() -> list[tuple[str, str]]:
+    """(module, contents) of each row of the "What's in the box" table."""
+    section = README.read_text(encoding="utf-8").split("## What's in the box")[1].split("\n## ")[0]
+    return re.findall(r"^\| `(boostlab\.\w+)` \| (.*) \|$", section, flags=re.MULTILINE)
+
+
+@pytest.mark.parametrize("module, contents", box_rows(), ids=[m for m, _ in box_rows()])
+def test_readme_box_names_only_attributes_of_its_module(module, contents):
+    # a call like `pareto_resample(dataset, scale, seed)` names pareto_resample
+    names = re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", contents)
+    missing = [name for name in names if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_readme_box_has_a_row_per_module():
+    modules = {p.stem for p in (README.parent / "src" / "boostlab").glob("*.py")}
+    rows = {module for module, _ in box_rows()}
+    assert rows == {f"boostlab.{m}" for m in modules - {"__init__", "errors"}}

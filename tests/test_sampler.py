@@ -47,6 +47,21 @@ class TestAggregateScores:
             aggregate_class_scores(np.array([0.9, 0.5]), np.array([0, 1]), num_classes)
 
 
+class TestSamplerState:
+    @pytest.mark.parametrize("strategy", ["bogus", None, "Boost"])
+    def test_unknown_strategy_rejected_with_its_value(self, strategy):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^strategy must be one of .*, got {strategy!r}$"):
+            SamplerState(strategy=strategy, rng_seed=0)
+
+    @pytest.mark.parametrize("counter", ["history", "draw_count", "degenerate_draws"])
+    def test_counters_start_empty_and_are_no_constructor_option(self, counter):
+        state = SamplerState(strategy="boost", rng_seed=0)
+        assert (state.history, state.draw_count, state.degenerate_draws) == ([], 0, 0)
+        with pytest.raises(TypeError, match=counter):
+            SamplerState(strategy="boost", rng_seed=0, **{counter: 0})
+
+
 def installed(weights):
     """The distribution install_distribution makes of these weights."""
     state = SamplerState(strategy="boost", rng_seed=0)
