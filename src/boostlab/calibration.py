@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_real
+from .data import check_real, float_array
 from .errors import EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel, forward_batch, input_gradient_batch, softmax_rows
 from .scheduler import T_MAX, T_MIN
@@ -33,10 +33,7 @@ class OdinConfig:
         check_real(self.temperature, "temperature", f"in [{T_MIN:g}, {T_MAX:g}]",
                    lambda v: T_MIN <= v <= T_MAX)
         check_real(self.epsilon, "epsilon", "finite and non-negative", lambda v: 0 <= v < math.inf)
-        try:
-            self.grad_std = np.asarray(self.grad_std, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:  # text, ragged lists, huge ints
-            raise InvalidParameterError(f"grad_std must be numeric: {exc}") from exc
+        self.grad_std = float_array(self.grad_std, "grad_std")
         if self.grad_std.ndim != 1 or not np.all((self.grad_std > 0) & (self.grad_std < np.inf)):
             raise InvalidParameterError("grad_std must be a vector of finite, positive entries")
 
@@ -48,8 +45,8 @@ def perturb(x: np.ndarray, grad: np.ndarray, config: OdinConfig) -> np.ndarray:
     The sign is taken first, then divided by the per-feature std (taking
     the sign after division would make the division a no-op).
     """
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
+    x = float_array(x, "x")
+    grad = float_array(grad, "grad")
     if x.shape != grad.shape:
         raise InputShapeError(f"x {x.shape} and grad {grad.shape} must have equal shape")
     if not np.all(np.isfinite(grad)):
@@ -72,7 +69,7 @@ def calibrate_batch_full(
     (needed by the sampler's weighting formula); row i belongs to sample i.
     The model is never modified.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = float_array(features, "features")
     if features.size == 0:
         raise EmptyInputError("calibration requires at least one sample")
     if features.ndim != 2:

@@ -45,6 +45,21 @@ def check_real(value, name: str, rule: str, valid) -> None:
         raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
 
 
+def float_array(values, name: str) -> np.ndarray:
+    """values as a float64 array, or InvalidParameterError naming `name` unless
+    they are ints or floats: the array form of check_real's rule, and the one
+    place a numeric array is converted. Ragged rows, text, None, bools, complex
+    numbers and ints past 64 bits fail; a float64 array comes back as itself.
+    What a non-finite value means is left to the caller."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # rows of unequal length
+        raise InvalidParameterError(f"{name} must be numeric, got ragged rows") from exc
+    if array.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"{name} must be numeric, got dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)
+
+
 def class_labels(values, num_classes: int, name: str = "labels") -> np.ndarray:
     """values as an intp array of class indices in [0, num_classes), an int >= 1,
     or InvalidParameterError naming `name`. The one place a label is checked."""
@@ -73,10 +88,7 @@ class Dataset:
 
     def __post_init__(self):
         self.labels = class_labels(self.labels, self.num_classes)
-        try:
-            self.features = np.asarray(self.features, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:  # text, ragged rows, huge ints
-            raise InvalidParameterError(f"features must be numeric: {exc}") from exc
+        self.features = float_array(self.features, "features")
         if self.features.ndim != 2 or self.labels.shape != self.features.shape[:1]:
             raise InvalidParameterError("features and labels must align")
         if self.num_features < 1:
@@ -139,15 +151,20 @@ def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
     return Dataset(features=features, labels=labels, num_classes=len(counts))
 
 
-def pareto_tail_counts(class_counts: np.ndarray, scale: float) -> np.ndarray:
+def pareto_tail_counts(class_counts, scale: float) -> np.ndarray:
     """Target counts per descending-count rank: the count at rank r follows
     (1 + r) ** -(1 + scale), normalized so rank 0 keeps the anchor (the
     largest class count). scale = 0 is the harshest of the reference
-    settings; scale = -1 gives a flat curve."""
-    anchor = int(np.max(class_counts))
-    ranks = np.arange(len(class_counts), dtype=np.float64)
+    settings; scale = -1 gives a flat curve, and a scale below it (by more
+    than rounding) is rejected."""
+    counts = np.asarray(class_counts)
+    if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu" or counts.min() < 0:
+        raise InvalidParameterError(
+            f"class_counts must be a non-empty vector of ints >= 0, got {class_counts!r}")
+    check_real(scale, "scale", "at least -1", lambda v: v > -1.0 - 1e-12)  # so that NaN fails
+    ranks = np.arange(len(counts), dtype=np.float64)
     curve = (1.0 + ranks) ** -(1.0 + scale)
-    return np.maximum(1, np.round(anchor * curve)).astype(np.intp)
+    return np.maximum(1, np.round(int(counts.max()) * curve)).astype(np.intp)
 
 
 def pareto_resample(dataset: Dataset, scale: float, seed: int) -> Dataset:
@@ -156,10 +173,9 @@ def pareto_resample(dataset: Dataset, scale: float, seed: int) -> Dataset:
     Classes are ranked by count descending; surplus classes are uniformly
     subsampled without replacement, deficit classes uniformly oversampled
     with replacement from their own samples, so every class needs at least
-    one sample. A scale below -1 (by more than rounding) or a bad seed is
-    rejected whatever the dataset.
+    one sample. A bad scale or seed is rejected whatever the dataset.
     """
-    check_real(scale, "scale", "at least -1", lambda v: v > -1.0 - 1e-12)  # so that NaN fails
+    targets = pareto_tail_counts(dataset.class_counts, scale)
     check_int(seed, "seed")
     if dataset.n == 0:
         raise EmptyInputError("dataset is empty")
@@ -171,7 +187,6 @@ def pareto_resample(dataset: Dataset, scale: float, seed: int) -> Dataset:
 
     rng = np.random.default_rng(seed)
     order = np.argsort(-dataset.class_counts, kind="stable")  # classes by rank
-    targets = pareto_tail_counts(dataset.class_counts, scale)
 
     chosen = []
     for rank, cls in enumerate(order):

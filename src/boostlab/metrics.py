@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import class_labels
+from .data import class_labels, float_array
 from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
 
 PROFILE_SUM_TOL = 1e-9
@@ -34,10 +34,7 @@ class PredictionLog:
     profiles: np.ndarray  # [n x num_classes]
 
     def __post_init__(self):
-        try:
-            self.profiles = np.asarray(self.profiles, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParameterError(f"profiles must be numeric: {exc}") from exc
+        self.profiles = float_array(self.profiles, "profiles")
         if self.profiles.ndim != 2 or self.profiles.shape[1] == 0:
             raise InputShapeError(
                 f"profiles must be an [n x classes] matrix, got shape {self.profiles.shape}"
@@ -79,12 +76,12 @@ def sodc_per_class(log: PredictionLog) -> np.ndarray:
 
 def sodc_total(per_class: np.ndarray) -> float:
     """Product across classes; any zero entry annihilates the total."""
-    return float(np.prod(np.asarray(per_class, dtype=np.float64)))
+    return float(np.prod(float_array(per_class, "per_class")))
 
 
 def mab(per_class_metric: np.ndarray) -> float:
     """Mean absolute deviation of a per-class metric from its class mean."""
-    pm = np.asarray(per_class_metric, dtype=np.float64)
+    pm = float_array(per_class_metric, "per_class_metric")
     if pm.size == 0:
         raise EmptyInputError("per-class metric vector is empty")
     return float(np.abs(pm - pm.mean()).mean())
@@ -92,7 +89,7 @@ def mab(per_class_metric: np.ndarray) -> float:
 
 def sdb(per_class_metric: np.ndarray) -> float:
     """Population standard deviation of a per-class metric (divisor = class count)."""
-    pm = np.asarray(per_class_metric, dtype=np.float64)
+    pm = float_array(per_class_metric, "per_class_metric")
     if pm.size == 0:
         raise EmptyInputError("per-class metric vector is empty")
     return float(np.sqrt(((pm - pm.mean()) ** 2).mean()))

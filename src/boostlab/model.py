@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_int, check_real, class_labels, read_json
+from .data import check_int, check_real, class_labels, float_array, read_json
 from .errors import (
     BoostLabError,
     EmptyInputError,
@@ -51,7 +51,7 @@ class ClassifierModel:
     bias_out: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.params = np.asarray(self.params, dtype=np.float64)
+        self.params = float_array(self.params, "params")
         d, h, c = self.num_features, self.num_hidden, self.num_classes
         size = h * d + h + c * h + c
         if self.params.shape != (size,):
@@ -92,7 +92,7 @@ def init_model(num_features: int, num_hidden: int, num_classes: int, seed: int) 
 def forward_batch(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations and logits for a [n x features] matrix, one row
     per sample. The only place the layer formula is written."""
-    features = np.asarray(features, dtype=np.float64)
+    features = float_array(features, "features")
     if features.ndim != 2 or features.shape[1] != model.num_features:
         raise InputShapeError(
             f"expected [n x {model.num_features}] feature matrix, got shape {features.shape}"
@@ -108,8 +108,9 @@ def hidden_activations(model: ClassifierModel, features: np.ndarray) -> np.ndarr
 
 def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """exp(z_c/T) / sum_j exp(z_j/T) along the last axis, computed with
-    max-subtraction. The caller guarantees T > 0 and finite logits."""
-    scaled = logits / temperature
+    max-subtraction at a finite, positive T. The caller guarantees finite logits."""
+    check_real(temperature, "temperature", "finite and positive", lambda v: 0 < v < math.inf)
+    scaled = float_array(logits, "logits") / temperature
     scaled -= scaled.max(axis=-1, keepdims=True)
     e = np.exp(scaled)
     return e / e.sum(axis=-1, keepdims=True)
@@ -126,6 +127,9 @@ def input_gradient_batch(
     caller already has: hidden activations and TS-softmax profiles at the
     same temperature. Row i targets class_indices[i]. With p = softmax(z / T):
     dS_c/dz = (p_c / T) * (e_c - p), dz/dh = W_out, dh/da = 1 - h^2, da/dx = W_hidden."""
+    check_real(temperature, "temperature", "finite and positive", lambda v: 0 < v < math.inf)
+    hidden = float_array(hidden, "hidden")
+    probs = float_array(probs, "probs")
     class_indices = class_labels(class_indices, model.num_classes, "class_indices")
     rows = np.arange(hidden.shape[0])
     p_c = probs[rows, class_indices]
@@ -145,7 +149,7 @@ def loss_and_gradients(
     """Mean cross-entropy of the plain (T=1) softmax over a batch and its
     gradient w.r.t. `model.params`, from one forward pass. The gradient is
     one vector laid out like `params`; `model.layer_views` splits it."""
-    features = np.asarray(features, dtype=np.float64)
+    features = float_array(features, "features")
     labels = class_labels(labels, model.num_classes)
     if features.size == 0 or labels.size == 0:
         raise EmptyInputError("a training batch must not be empty")
@@ -214,10 +218,10 @@ def model_from_dict(doc) -> ClassifierModel:
         )
     try:
         d, h, c = (operator.index(doc["dims"][k]) for k in ("features", "hidden", "classes"))
-        layers = [np.asarray(doc[name], dtype=np.float64) for name in LAYERS]
+        layers = [float_array(doc[name], name) for name in LAYERS]
     except KeyError as exc:
         raise InvalidParameterError(f"checkpoint has no key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # dims that are no mapping of ints
         raise InvalidParameterError(f"checkpoint value of the wrong type: {exc}") from exc
     if min(d, h, c) < 1:
         raise InvalidParameterError(f"checkpoint dims must be positive, got {doc['dims']}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import OdinConfig, calibrate_batch_full
-from .data import Dataset, check_int, class_labels
+from .data import Dataset, check_int, class_labels, float_array
 from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel
 
@@ -71,7 +71,7 @@ def aggregate_class_scores(
 ) -> np.ndarray:
     """Arithmetic mean of calibrated max-scores per true class; classes
     with no samples carry the mean of the present classes."""
-    max_scores = np.asarray(max_scores, dtype=np.float64)
+    max_scores = float_array(max_scores, "max_scores")
     if max_scores.size == 0:
         raise EmptyInputError("no scores to aggregate")
     labels = class_labels(labels, num_classes)
@@ -101,8 +101,8 @@ def boost_probabilities(
     is 1 - raw. `install_distribution` turns the weights into a
     distribution.
     """
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    s = np.asarray(aggregates, dtype=np.float64)
+    logits = np.atleast_2d(float_array(logits, "logits"))
+    s = float_array(aggregates, "aggregates")
     if logits.ndim != 2:
         raise InvalidParameterError("logits must be an [n x c] matrix")
     n, c = logits.shape
@@ -130,7 +130,7 @@ def install_distribution(state: SamplerState, weights: np.ndarray) -> None:
     the next install. Weights that are not finite, have a negative entry,
     or whose sum is not in (0, inf) (all zero, say) are replaced by the
     uniform distribution, with one warning."""
-    given = np.asarray(weights, dtype=np.float64)
+    given = float_array(weights, "weights")
     if given.ndim != 1:
         raise InputShapeError(f"sampling weights must be a vector, got shape {given.shape}")
     if given.size == 0:

@@ -1,12 +1,21 @@
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+from boostlab import calibration as calibration_mod
+from boostlab import data as data_mod
+from boostlab import harness as harness_mod
+from boostlab import metrics as metrics_mod
+from boostlab import model as model_mod
+from boostlab import sampler as sampler_mod
+from boostlab.calibration import OdinConfig, calibrate_batch_full, perturb
 from boostlab.data import (
     Dataset,
     _simplex_centers,
     compute_feature_std,
+    float_array,
     load_csv,
     make_blobs,
     pareto_resample,
@@ -21,9 +30,26 @@ from boostlab.errors import (
     InvalidParameterError,
     NumericOverflowError,
 )
-from boostlab.harness import ExperimentConfig
-from boostlab.model import forward_batch, init_model, train_step
-from boostlab.sampler import SamplerState
+from boostlab.harness import ExperimentConfig, evaluate_run
+from boostlab.metrics import PredictionLog, mab, sdb, sodc_total
+from boostlab.model import (
+    ClassifierModel,
+    forward_batch,
+    hidden_activations,
+    init_model,
+    input_gradient_batch,
+    loss_and_gradients,
+    model_from_dict,
+    model_to_dict,
+    softmax_rows,
+    train_step,
+)
+from boostlab.sampler import (
+    SamplerState,
+    aggregate_class_scores,
+    boost_probabilities,
+    install_distribution,
+)
 from boostlab.scheduler import temperature_at
 
 BLOBS = make_blobs([6, 3], 2, 2.0, seed=0)
@@ -68,6 +94,13 @@ FLOAT_ARGUMENTS = {
         lambda v: train_step(MODEL, BLOBS.features, BLOBS.labels, v), "learning_rate",
         (-0.1, np.inf), 0.1),
     "pareto_resample-scale": (lambda v: pareto_resample(BLOBS, v, 0), "scale", (-1.5,), 0.0),
+    "pareto_tail_counts-scale": (
+        lambda v: pareto_tail_counts([5, 3, 1], v), "scale", (-3.0, -1.5), 0.0),
+    "softmax_rows-temperature": (
+        lambda v: softmax_rows([[1.0, 2.0]], v), "temperature", (0.0, -1.0, np.inf), 2.0),
+    "input_gradient_batch-temperature": (
+        lambda v: input_gradient_batch(MODEL, [[0.5, 0.0, -0.5]], [[0.25, 0.75]], [1], v),
+        "temperature", (0.0, -1.0, np.inf), 2.0),
 }
 
 
@@ -83,6 +116,121 @@ def test_float_argument_out_of_range_rejected_by_name_and_value(entry, bad):
             call(value)
     call(valid)  # a Python float
     call(np.float64(valid))  # and a numpy float
+
+
+ODIN = OdinConfig(2.0, 0.1, [1.0, 2.0])
+ROWS = [[1, 2], [0, -1]]  # two samples of MODEL's two features
+
+
+def _installed(weights):
+    state = SamplerState(strategy="boost", rng_seed=0)
+    install_distribution(state, weights)
+    return state.probabilities
+
+
+def _checkpoint(layer):
+    return model_from_dict({**model_to_dict(MODEL), "weights_hidden": layer}).params
+
+
+# every numeric-array parameter: (the function, the parameter's name, a call
+# with it set to v that returns what the result holds, a valid value of ints)
+FLOAT_ARRAY_ARGUMENTS = {
+    "Dataset-features": (Dataset, "features", lambda v: Dataset(v, [0, 1], 2).features, ROWS),
+    "ClassifierModel-params": (
+        ClassifierModel, "params", lambda v: ClassifierModel(v, 2, 3, 2).params,
+        list(range(-8, 9))),
+    "forward_batch-features": (forward_batch, "features", lambda v: forward_batch(MODEL, v), ROWS),
+    "hidden_activations-features": (
+        hidden_activations, "features", lambda v: hidden_activations(MODEL, v), ROWS),
+    "loss_and_gradients-features": (
+        loss_and_gradients, "features", lambda v: loss_and_gradients(MODEL, v, [0, 1]), ROWS),
+    "train_step-features": (
+        train_step, "features",
+        lambda v: (lambda model, loss: (model.params, loss))(*train_step(MODEL, v, [0, 1], 0.1)),
+        ROWS),
+    "softmax_rows-logits": (softmax_rows, "logits", lambda v: softmax_rows(v, 2.0), [[1, 2, 3]]),
+    "input_gradient_batch-hidden": (
+        input_gradient_batch, "hidden",
+        lambda v: input_gradient_batch(MODEL, v, [[0.25, 0.75]], [1], 2.0), [[0, 1, -1]]),
+    "input_gradient_batch-probs": (
+        input_gradient_batch, "probs",
+        lambda v: input_gradient_batch(MODEL, [[0.5, 0.0, -0.5]], v, [1], 2.0), [[0, 1]]),
+    "model_from_dict-layer": (model_from_dict, "weights_hidden", _checkpoint, [1, 0, -1, 2, 0, 1]),
+    "OdinConfig-grad_std": (
+        OdinConfig, "grad_std", lambda v: OdinConfig(2.0, 0.1, v).grad_std, [1, 2]),
+    "evaluate_run-grad_std": (
+        evaluate_run, "grad_std",
+        lambda v: evaluate_run(MODEL, BLOBS, v, ExperimentConfig(epochs=1)).to_dict(), [1, 2]),
+    "perturb-x": (perturb, "x", lambda v: perturb(v, [[1.0, -1.0]], ODIN), [[1, 2]]),
+    "perturb-grad": (perturb, "grad", lambda v: perturb([[1.0, 2.0]], v, ODIN), [[1, -1]]),
+    "calibrate_batch_full-features": (
+        calibrate_batch_full, "features", lambda v: calibrate_batch_full(MODEL, v, ODIN), ROWS),
+    "aggregate_class_scores-max_scores": (
+        aggregate_class_scores, "max_scores", lambda v: aggregate_class_scores(v, [0, 1], 2),
+        [1, 0]),
+    "boost_probabilities-logits": (
+        boost_probabilities, "logits", lambda v: boost_probabilities(v, [0, 1], [0.5, 1.0]),
+        ROWS),
+    "boost_probabilities-aggregates": (
+        boost_probabilities, "aggregates", lambda v: boost_probabilities([[1.0, 2.0]], [0], v),
+        [1, 1]),
+    "install_distribution-weights": (install_distribution, "weights", _installed, [1, 2]),
+    "PredictionLog-profiles": (
+        PredictionLog, "profiles", lambda v: PredictionLog([0], [0], v).profiles, [[1, 0]]),
+    "mab-per_class_metric": (mab, "per_class_metric", mab, [1, 2, 4]),
+    "sdb-per_class_metric": (sdb, "per_class_metric", sdb, [1, 2, 4]),
+    "sodc_total-per_class": (sodc_total, "per_class", sodc_total, [1, 2]),
+}
+FLOAT_ARRAY_PARAMETERS = {
+    "features", "params", "logits", "hidden", "probs", "grad_std", "x", "grad", "max_scores",
+    "aggregates", "weights", "profiles", "per_class_metric", "per_class",
+}
+NOT_NUMERIC = {
+    "text": "abc",
+    "none": [None, 0.5],
+    "numeric-text": ["1.5"],
+    "bool": [True, False],
+    "complex": [1j],
+    "ragged": [[1.0], [2.0, 3.0]],
+    "huge-int": [[10**400]],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_ARRAY_ARGUMENTS))
+@pytest.mark.parametrize("bad", sorted(NOT_NUMERIC))
+def test_numeric_array_argument_rejects_what_is_not_numeric_by_name(entry, bad):
+    _, name, call, _ = FLOAT_ARRAY_ARGUMENTS[entry]
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be numeric"):
+        call(NOT_NUMERIC[bad])
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_ARRAY_ARGUMENTS))
+def test_numeric_array_argument_takes_a_list_of_ints_as_floats(entry):
+    _, _, call, ints = FLOAT_ARRAY_ARGUMENTS[entry]
+    np.testing.assert_equal(call(ints), call(np.array(ints, dtype=np.float64)))
+
+
+def test_every_numeric_array_parameter_is_fuzzed():
+    modules = (data_mod, model_mod, calibration_mod, sampler_mod, metrics_mod, harness_mod)
+    public = {  # defined in the module itself, so no import is counted twice
+        obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if callable(obj) and not name.startswith("_") and obj.__module__ == module.__name__
+    }
+    takers = {(obj, parameter) for obj in public
+              for parameter in FLOAT_ARRAY_PARAMETERS & set(inspect.signature(obj).parameters)}
+    fuzzed = {(obj, name) for obj, name, _, _ in FLOAT_ARRAY_ARGUMENTS.values()}
+    # a report's per_class is a dict of each class's rates, not an array
+    assert takers - fuzzed == {(metrics_mod.MetricsReport, "per_class")}
+
+
+def test_float_array_converts_ints_and_returns_a_float64_array_as_itself():
+    values = np.arange(3.0)
+    assert float_array(values, "values") is values
+    converted = float_array(np.arange(3, dtype=np.uint8), "values")
+    assert converted.dtype == np.float64
+    np.testing.assert_array_equal(converted, values)
 
 
 class TestDataset:
@@ -243,6 +391,14 @@ class TestParetoResample:
     def test_bad_scale_rejected(self, scale):
         with pytest.raises(InvalidParameterError, match="^scale must be at least -1"):
             pareto_resample(BLOBS, scale, 0)
+
+    @pytest.mark.parametrize(
+        "counts", ["x", None, [], "ab", [[1, 2]], [5, -1], [5.0, 3.0], [True, False]],
+        ids=["text", "none", "empty", "text-pair", "matrix", "negative", "floats", "bools"],
+    )
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(InvalidParameterError, match="^class_counts must be a non-empty"):
+            pareto_tail_counts(counts, 0.0)
 
     @pytest.mark.parametrize("scale, seed, named", [(-1.5, 0, "scale"), (0.0, -1, "seed")])
     def test_bad_scale_or_seed_rejected_before_the_early_exits(self, scale, seed, named):
