@@ -60,6 +60,14 @@ def float_array(values, name: str) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
+def check_finite(array: np.ndarray, name: str) -> None:
+    """InvalidParameterError naming `name` if a value of the float array is
+    NaN or infinite. Its min and max are NaN or infinite where any value is,
+    and finding them copies nothing."""
+    if array.size and not (math.isfinite(array.min()) and math.isfinite(array.max())):
+        raise InvalidParameterError(f"{name} must be finite")
+
+
 def class_labels(values, num_classes: int, name: str = "labels") -> np.ndarray:
     """values as an intp array of class indices in [0, num_classes), an int >= 1,
     or InvalidParameterError naming `name`. The one place a label is checked."""
@@ -93,10 +101,7 @@ class Dataset:
             raise InvalidParameterError("features and labels must align")
         if self.num_features < 1:
             raise InvalidParameterError("features need at least one column")
-        # min and max are NaN or infinite where any value is, and copy nothing
-        extremes = [self.features.min(), self.features.max()] if self.features.size else []
-        if not np.isfinite(extremes).all():
-            raise InvalidParameterError("features must be finite")
+        check_finite(self.features, "features")
         self.class_counts = np.bincount(self.labels, minlength=self.num_classes)
 
     @property

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import class_labels, float_array
+from .data import check_finite, class_labels, float_array
 from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
 
 PROFILE_SUM_TOL = 1e-9
@@ -76,22 +76,28 @@ def sodc_per_class(log: PredictionLog) -> np.ndarray:
 
 def sodc_total(per_class: np.ndarray) -> float:
     """Product across classes; any zero entry annihilates the total."""
-    return float(np.prod(float_array(per_class, "per_class")))
+    per_class = float_array(per_class, "per_class")
+    check_finite(per_class, "per_class")
+    return float(np.prod(per_class))
+
+
+def _per_class_metric(values) -> np.ndarray:
+    pm = float_array(values, "per_class_metric")
+    if pm.size == 0:
+        raise EmptyInputError("per-class metric vector is empty")
+    check_finite(pm, "per_class_metric")
+    return pm
 
 
 def mab(per_class_metric: np.ndarray) -> float:
     """Mean absolute deviation of a per-class metric from its class mean."""
-    pm = float_array(per_class_metric, "per_class_metric")
-    if pm.size == 0:
-        raise EmptyInputError("per-class metric vector is empty")
+    pm = _per_class_metric(per_class_metric)
     return float(np.abs(pm - pm.mean()).mean())
 
 
 def sdb(per_class_metric: np.ndarray) -> float:
     """Population standard deviation of a per-class metric (divisor = class count)."""
-    pm = float_array(per_class_metric, "per_class_metric")
-    if pm.size == 0:
-        raise EmptyInputError("per-class metric vector is empty")
+    pm = _per_class_metric(per_class_metric)
     return float(np.sqrt(((pm - pm.mean()) ** 2).mean()))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_int, check_real, class_labels, float_array, read_json
+from .data import check_finite, check_int, check_real, class_labels, float_array, read_json
 from .errors import (
     BoostLabError,
     EmptyInputError,
@@ -91,12 +91,14 @@ def init_model(num_features: int, num_hidden: int, num_classes: int, seed: int) 
 
 def forward_batch(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations and logits for a [n x features] matrix, one row
-    per sample. The only place the layer formula is written."""
+    per sample. The only place the layer formula is written, and so the one
+    place features enter the network: they must be finite."""
     features = float_array(features, "features")
     if features.ndim != 2 or features.shape[1] != model.num_features:
         raise InputShapeError(
             f"expected [n x {model.num_features}] feature matrix, got shape {features.shape}"
         )
+    check_finite(features, "features")
     hidden = np.tanh(features @ model.weights_hidden.T + model.bias_hidden)
     return hidden, hidden @ model.weights_out.T + model.bias_out
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import OdinConfig, calibrate_batch_full
-from .data import Dataset, check_int, class_labels, float_array
+from .data import Dataset, check_finite, check_int, class_labels, float_array
 from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel
 
@@ -35,7 +35,12 @@ PROB_SUM_TOL = 1e-9
 
 @dataclass
 class EpochRecord:
-    """Everything the sampler knew and did during one epoch."""
+    """Everything the sampler knew and did during one epoch.
+
+    A baseline's scores, predictions and distribution are the same every
+    epoch on one split, so its records share one read-only copy of each and
+    only `draw_counts` is new per epoch. A boost record's arrays are its own.
+    """
 
     epoch: int
     scores: np.ndarray  # calibrated max-score per sample (nan for baselines)
@@ -74,6 +79,7 @@ def aggregate_class_scores(
     max_scores = float_array(max_scores, "max_scores")
     if max_scores.size == 0:
         raise EmptyInputError("no scores to aggregate")
+    check_finite(max_scores, "max_scores")
     labels = class_labels(labels, num_classes)
     if max_scores.ndim != 1 or labels.shape != max_scores.shape:
         raise InvalidParameterError("scores and labels must align")
@@ -205,23 +211,31 @@ def epoch_resample(
         # the weight uses the true class, so a confidently misclassified
         # sample carries near-maximal weight: that is what makes the sampler
         # target misclassified rare-class data
-        weights = boost_probabilities(perturbed_logits, dataset.labels, aggregates)
+        install_distribution(
+            state, boost_probabilities(perturbed_logits, dataset.labels, aggregates))
+        recorded = sample_scores, predicted, state.probabilities
     else:
-        weights = _baseline_weights(state, dataset)
-        predicted = np.full(n, -1, dtype=np.intp)
-        sample_scores = np.full(n, np.nan)
         if state.strategy in STATIC_STRATEGIES:
             state.draw_count = 0  # replay the epoch-0 stream
+        install_distribution(state, _baseline_weights(state, dataset))
+        recorded = _baseline_record_arrays(state)
 
-    install_distribution(state, weights)
-    state.history.append(
-        EpochRecord(
-            epoch=len(state.history),
-            scores=sample_scores,
-            predicted=predicted,
-            probabilities=state.probabilities,
-            draw_counts=np.zeros(n, dtype=np.int64),
-        )
-    )
+    state.history.append(EpochRecord(len(state.history), *recorded, np.zeros(n, dtype=np.int64)))
     return state
 
+
+def _baseline_record_arrays(state: SamplerState) -> tuple[np.ndarray, ...]:
+    """The NaN scores, -1 predictions and installed distribution a baseline
+    epoch records, read-only: the previous record's own arrays when they hold
+    exactly these values, so that a run keeps one copy and not one per epoch."""
+    n = state.probabilities.size
+    arrays = (np.full(n, np.nan), np.full(n, -1, dtype=np.intp), state.probabilities)
+    if state.history:
+        last = state.history[-1]
+        previous = (last.scores, last.predicted, last.probabilities)
+        if all(a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+               for a, b in zip(arrays, previous)):
+            arrays = previous
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays

@@ -82,11 +82,14 @@ def test_export_calls_the_history_writer_through_the_module(tmp_path, monkeypatc
 
 
 def tiny_workloads(perfbench_run, out_root):
-    """A train and a compare workload small enough for a unit test."""
+    """Two train workloads, boost and a baseline whose records share their
+    fixed arrays, and a compare workload, small enough for a unit test."""
     tiny = {"blob_counts": (24, 8), "epochs": 2, "batch_size": 8, "hidden_units": 4}
     return [
         perfbench_run.Workload("train", harness.ExperimentConfig(
             **tiny, seeds=(0,), out_dir=str(out_root / "train"))),
+        perfbench_run.Workload("train", harness.ExperimentConfig(
+            **tiny, sampler="stratified", seeds=(0,), out_dir=str(out_root / "stratified"))),
         perfbench_run.Workload("compare", harness.ExperimentConfig(
             **tiny, seeds=(0, 1), out_dir=str(out_root / "compare"))),
     ]

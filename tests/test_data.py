@@ -204,6 +204,29 @@ def test_numeric_array_argument_rejects_what_is_not_numeric_by_name(entry, bad):
         call(NOT_NUMERIC[bad])
 
 
+# the entries whose values must be finite: there a NaN or an infinity is
+# rejected by name before any arithmetic, so no RuntimeWarning escapes
+MUST_BE_FINITE = (
+    "Dataset-features", "forward_batch-features", "hidden_activations-features",
+    "loss_and_gradients-features", "train_step-features", "calibrate_batch_full-features",
+    "aggregate_class_scores-max_scores", "boost_probabilities-logits", "mab-per_class_metric",
+    "sdb-per_class_metric", "sodc_total-per_class",
+)
+NOT_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+
+
+@pytest.mark.parametrize("entry", MUST_BE_FINITE)
+@pytest.mark.parametrize("bad", sorted(NOT_FINITE))
+def test_numeric_array_argument_rejects_what_is_not_finite_by_name(entry, bad):
+    _, name, call, valid = FLOAT_ARRAY_ARGUMENTS[entry]
+    values = np.array(valid, dtype=np.float64)
+    values.flat[0] = NOT_FINITE[bad]
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be finite$"):
+        call(values)
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be finite$"):
+        call(values.tolist())
+
+
 @pytest.mark.parametrize("entry", sorted(FLOAT_ARRAY_ARGUMENTS))
 def test_numeric_array_argument_takes_a_list_of_ints_as_floats(entry):
     _, _, call, ints = FLOAT_ARRAY_ARGUMENTS[entry]

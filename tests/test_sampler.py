@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -243,6 +245,10 @@ class TestDrawBatch:
             draw_batch(state, 4)
 
 
+BASELINES = tuple(s for s in STRATEGIES if s != "boost")
+FIXED_PER_EPOCH = ("scores", "predicted", "probabilities")  # a baseline's, on one split
+
+
 class TestEpochResample:
     def _setup(self, counts=(30, 10), seed=0):
         data = make_blobs(list(counts), 2, 3.0, seed=seed)
@@ -310,6 +316,62 @@ class TestEpochResample:
         np.testing.assert_array_equal(state.history[0].scores, frozen[0])
         np.testing.assert_array_equal(state.history[0].probabilities, frozen[1])
         np.testing.assert_array_equal(state.history[0].draw_counts, frozen[2])
+
+    @pytest.mark.parametrize("strategy", BASELINES)
+    def test_baseline_records_share_one_read_only_copy(self, strategy):
+        data, model, odin = self._setup()
+        state = SamplerState(strategy=strategy, rng_seed=0)
+        for _ in range(3):
+            epoch_resample(state, model, data, odin)
+            draw_batch(state, 8)
+        first = state.history[0]
+        for record in state.history:
+            for name in FIXED_PER_EPOCH:
+                assert getattr(record, name) is getattr(first, name)
+                assert not getattr(record, name).flags.writeable
+        counts = [record.draw_counts for record in state.history]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(counts, 2))
+        assert [int(c.sum()) for c in counts] == [8, 8, 8]
+        assert np.isnan(first.scores).all() and (first.predicted == -1).all()
+        with pytest.raises(ValueError, match="read-only"):
+            first.probabilities[0] = 1.0
+
+    @pytest.mark.parametrize("strategy", BASELINES)
+    def test_baseline_record_on_another_split_holds_that_splits_distribution(self, strategy):
+        data, model, odin = self._setup(counts=(30, 10))
+        other = make_blobs([12, 24], 2, 3.0, seed=1)
+        state = SamplerState(strategy=strategy, rng_seed=0)
+        for split in (data, other, other):
+            epoch_resample(state, model, split, odin)
+        first, second, third = state.history
+        expected = (np.ones(other.n) if strategy.endswith("random")
+                    else 1.0 / other.class_counts[other.labels])
+        np.testing.assert_array_equal(second.probabilities, expected / expected.sum())
+        assert second.scores.shape == second.predicted.shape == (other.n,)
+        assert all(getattr(second, name) is not getattr(first, name) for name in FIXED_PER_EPOCH)
+        assert all(getattr(third, name) is getattr(second, name) for name in FIXED_PER_EPOCH)
+
+    def test_boost_records_share_nothing(self):
+        data, model, odin = self._setup()
+        state = SamplerState(strategy="boost", rng_seed=0)
+        for _ in range(3):
+            epoch_resample(state, model, data, odin)
+        arrays = [getattr(record, name) for record in state.history
+                  for name in FIXED_PER_EPOCH + ("draw_counts",)]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+        assert all(array.flags.writeable for array in arrays)
+
+    @pytest.mark.parametrize("strategy", BASELINES)
+    def test_baseline_history_holds_one_copy_plus_draw_counts(self, strategy):
+        data, model, odin = self._setup()
+        state = SamplerState(strategy=strategy, rng_seed=0)
+        epochs = 6
+        for _ in range(epochs):
+            epoch_resample(state, model, data, odin)
+        unique = {id(array): array.nbytes for record in state.history
+                  for array in (record.scores, record.predicted, record.probabilities,
+                                record.draw_counts)}
+        assert sum(unique.values()) <= (epochs + 3) * data.n * 8
 
     def test_static_replay_stream_equals_generator_choice(self):
         data, model, odin = self._setup()
