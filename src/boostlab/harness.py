@@ -21,7 +21,7 @@ import numpy as np
 from . import model as model_mod
 from .calibration import OdinConfig, calibrate_batch_full
 from .data import Dataset, class_labels, compute_feature_std, load_csv, make_blobs
-from .data import csv_fields, pareto_resample, read_json, train_test_split, write_csv
+from .data import csv_fields, is_number, pareto_resample, read_json, train_test_split, write_csv
 from .errors import BoostLabError, ConfigurationError, EmptyInputError, InvalidParameterError
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
 from .model import ClassifierModel, hidden_activations, softmax_rows, train_step
@@ -37,8 +37,9 @@ def _fits(value, annotation: str) -> bool:
         return kind != annotation
     if kind == "tuple[int, ...]":  # a list is welcome too: JSON has no tuples
         return isinstance(value, (tuple, list)) and all(_fits(v, "int") for v in value)
-    expected = {"str": str, "int": numbers.Integral, "float": numbers.Real}[kind]
-    return isinstance(value, expected) and not isinstance(value, bool)
+    if kind == "str":
+        return isinstance(value, str)
+    return is_number(value, numbers.Integral if kind == "int" else numbers.Real)
 
 
 def _key(default, **metadata):
@@ -129,18 +130,10 @@ def load_config(values, source, flags: dict) -> ExperimentConfig:
 
 
 @dataclass
-class EpochStats:
-    epoch: int
-    loss: float
-    temperature: float
-    sampling_entropy: float
-
-
-@dataclass
 class RunRecord:
     config: ExperimentConfig
     seed: int
-    per_epoch: list[EpochStats]
+    epoch_losses: list[float]  # mean training loss per epoch; the rest is in the sampler history
     metrics: MetricsReport
     sampler_state: SamplerState
     train_labels: np.ndarray
@@ -192,26 +185,24 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
     )
     state = SamplerState(strategy=config.sampler, rng_seed=sampler_seed)
 
-    per_epoch = []
+    epoch_losses = []
     for epoch in range(config.epochs):
-        temp = temperature_at(config, epoch)
-        odin = OdinConfig(temperature=temp, epsilon=config.epsilon, grad_std=grad_std)
-        state = epoch_resample(state, model, train, odin)
+        odin = OdinConfig(temperature_at(config, epoch), config.epsilon, grad_std=grad_std)
+        epoch_resample(state, model, train, odin)
         losses = []
         for _ in range(math.ceil(train.n / config.batch_size)):
             idx = draw_batch(state, config.batch_size)
             model, loss = train_step(model, train.features[idx], train.labels[idx],
                                      config.learning_rate)
             losses.append(loss)
-        per_epoch.append(EpochStats(epoch, float(np.mean(losses)), temp,
-                                    _entropy(state.probabilities)))
+        epoch_losses.append(float(np.mean(losses)))
 
     metrics = evaluate_run(model, test, grad_std, config)
 
     return RunRecord(
         config=config,
         seed=seed,
-        per_epoch=per_epoch,
+        epoch_losses=epoch_losses,
         metrics=metrics,
         sampler_state=state,
         train_labels=train.labels,
@@ -260,9 +251,13 @@ CHECKPOINT = "model_seed{}.json"  # beside a run's REPORT_FILES, named by the ru
 
 
 def record_to_report(record: RunRecord) -> dict:
+    """report.json's content: a per_epoch row per sampler history record."""
+    epochs = zip(record.sampler_state.history, record.epoch_losses, strict=True)
     return {
         "config": {**record.config.to_dict(), "seed": record.seed},
-        "per_epoch": [asdict(s) for s in record.per_epoch],
+        "per_epoch": [{"epoch": h.epoch, "loss": loss,
+                       "temperature": temperature_at(record.config, h.epoch),
+                       "sampling_entropy": _entropy(h.probabilities)} for h, loss in epochs],
         "metrics": record.metrics.to_dict(),
     }
 

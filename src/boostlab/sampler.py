@@ -189,8 +189,9 @@ def epoch_resample(
     model: ClassifierModel,
     dataset: Dataset,
     config: OdinConfig,
-) -> SamplerState:
-    """Recompute the sampling distribution for the coming epoch.
+) -> None:
+    """Install `state`'s sampling distribution for the coming epoch and
+    append that epoch's record to its history.
 
     The boost path calibrates the full split; calibration is pure, so the
     trainer's parameters are never touched. History is append-only: one
@@ -221,7 +222,6 @@ def epoch_resample(
         recorded = _baseline_record_arrays(state)
 
     state.history.append(EpochRecord(len(state.history), *recorded, np.zeros(n, dtype=np.int64)))
-    return state
 
 
 def _baseline_record_arrays(state: SamplerState) -> tuple[np.ndarray, ...]:

@@ -118,6 +118,16 @@ class TestOdinConfig:
         with pytest.raises(InvalidParameterError):
             OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("epsilon, grad_std", [(0.1, [1e-320, 1.0]), (1e300, [1e-10])])
+    def test_std_that_overflows_the_perturbation_step_rejected(self, epsilon, grad_std):
+        # each entry is finite and positive, but epsilon / grad_std is not finite
+        with pytest.raises(InvalidParameterError, match="grad_std"):
+            OdinConfig(temperature=2.0, epsilon=epsilon, grad_std=grad_std)
+
+    def test_zero_epsilon_accepts_a_tiny_std(self):
+        cfg = OdinConfig(temperature=2.0, epsilon=0.0, grad_std=[1e-320, 1.0])
+        assert perturb(np.ones(2), np.ones(2), cfg).tolist() == [1.0, 1.0]
+
     @pytest.mark.parametrize(
         "field, value",
         [

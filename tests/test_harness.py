@@ -59,15 +59,29 @@ def train_to_perfection(counts=(30, 20), sep=8.0, seed=0):
 class TestRunTraining:
     def test_single_epoch_random_has_uniform_entropy(self):
         record = run_training(small_config(sampler="random", epochs=1))
-        assert len(record.per_epoch) == 1
+        [row] = record_to_report(record)["per_epoch"]
         n = sum(record.config.blob_counts)
-        assert record.per_epoch[0].sampling_entropy == pytest.approx(math.log(n))
+        assert row["sampling_entropy"] == pytest.approx(math.log(n))
 
     def test_temperature_trace_matches_schedule(self):
         config = small_config(epochs=8, temp_interval=2)
-        record = run_training(config)
-        for stats in record.per_epoch:
-            assert stats.temperature == temperature_at(config, stats.epoch)
+        rows = record_to_report(run_training(config))["per_epoch"]
+        assert [row["epoch"] for row in rows] == list(range(8))
+        for row in rows:
+            assert row["temperature"] == temperature_at(config, row["epoch"])
+
+    @pytest.mark.parametrize("sampler", STRATEGIES)
+    def test_per_epoch_rows_are_the_history_with_the_loop_losses(self, sampler):
+        record = run_training(small_config(sampler=sampler, epochs=3))
+        rows = record_to_report(record)["per_epoch"]
+        history = record.sampler_state.history
+        assert len(rows) == len(history) == len(record.epoch_losses) == 3
+        for e, (row, h) in enumerate(zip(rows, history)):
+            p = h.probabilities[h.probabilities > 0]
+            assert list(row) == ["epoch", "loss", "temperature", "sampling_entropy"]
+            assert row["epoch"] == h.epoch == e
+            assert row["sampling_entropy"] == pytest.approx(-(p @ np.log(p)), rel=1e-12)
+            assert row["loss"] == record.epoch_losses[e]
 
     def test_identical_seed_gives_identical_report(self):
         config = small_config()

@@ -1,5 +1,6 @@
 """The README's `boostlab ...` examples must stay commands the CLI accepts,
-and its `report.json` schema must name the keys a report has.
+its `report.json` schema must name the keys a report has, and the ESS its
+intro quotes for the `train` example must be what that run measures.
 
 Each command is pulled out of the README's fenced blocks (with `\\`
 continuations joined) and handed to `cli.main`, with the three command
@@ -12,6 +13,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boostlab import cli
@@ -43,6 +45,32 @@ def test_readme_command_is_accepted(monkeypatch, argv):
     assert called == f"cmd_{argv[0]}"
     if argv[0] != "evaluate":  # its one value is a directory, read when it runs
         cli.build_config(args)  # every value the example sets is in range
+
+
+def intro_ess_claims() -> tuple[int, int, dict[int, int]]:
+    """(seed, n, {epoch: ESS}) the README intro states for the `train` example."""
+    intro = " ".join(README.read_text(encoding="utf-8").split("\n## ")[0].split())
+    seed, n = map(int, re.search(r"\(seed (\d+), n = (\d+)\)", intro).groups())
+    values, first, last = re.search(r"is ((?:\d+, )+\d+) over epochs (\d+)-(\d+)", intro).groups()
+    values = [int(v) for v in values.split(", ")]
+    assert len(values) == int(last) - int(first) + 1
+    claims = dict(zip(range(int(first), int(last) + 1), values))
+    a, b, epoch_a, epoch_b = map(int, re.search(
+        r"and (\d+) and (\d+) at epochs (\d+) and (\d+)", intro).groups())
+    return seed, n, {**claims, epoch_a: a, epoch_b: b}
+
+
+def test_readme_intro_ess_is_the_train_examples(monkeypatch):
+    seed, n, claims = intro_ess_claims()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_train", lambda args: calls.append(args) or 0)
+    [argv] = [argv for argv in COMMANDS if argv[0] == "train"]
+    assert cli.main(argv) == 0
+    config = cli.build_config(calls[0])
+    assert sum(config.blob_counts) == n and seed in config.seeds
+    history = run_training(config, seed).sampler_state.history
+    measured = {e: round(1 / np.sum(history[e].probabilities ** 2)) for e in claims}
+    assert measured == claims
 
 
 def parse_schema(text: str) -> dict:
