@@ -1,10 +1,14 @@
 """Confidence calibration: temperature-scaled softmax plus gradient-sign
-input perturbation.
+input perturbation, and the schedule that sets the temperature per epoch.
 
 The (score, perturb, rescore) pipeline sharpens the gap between confident
 and ambiguous samples. The perturbation direction follows the sign of the
 score gradient scaled elementwise by the inverse per-feature standard
 deviation of the training data.
+
+Temperatures lie in [T_MIN, T_MAX] = [1, 1000]. The multiplicative schedule
+multiplies the temperature by a constant factor every temp_interval epochs,
+clamped to that range; the inverse-linear one walks from 1000 down to 1.
 """
 
 from __future__ import annotations
@@ -14,10 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_real, float_array
+from .data import check_int, check_real, float_array
 from .errors import EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel, forward_batch, input_gradient_batch, softmax_rows
-from .scheduler import T_MAX, T_MIN
+
+T_MIN = 1.0
+T_MAX = 1000.0
+
+SCHEDULE_KINDS = ("multiplicative", "inverse-linear")
 
 
 @dataclass
@@ -84,3 +92,21 @@ def calibrate_batch_full(
     grads = input_gradient_batch(model, hidden, probs, probs.argmax(axis=1), config.temperature)
     _, perturbed_logits = forward_batch(model, perturb(features, grads, config))
     return softmax_rows(perturbed_logits, config.temperature), perturbed_logits
+
+
+def temperature_at(config, epoch: int) -> float:
+    """Temperature for a given epoch under an ExperimentConfig's schedule
+    (its temp_kind, temp_start, temp_scale and temp_interval, with its
+    epochs as the inverse-linear horizon); total over all epoch >= 0."""
+    check_int(epoch, "epoch")
+    if config.temp_kind == "multiplicative":
+        steps = epoch // config.temp_interval
+        try:
+            value = config.temp_start * config.temp_scale**steps
+        except OverflowError:  # scale**steps is past 1.8e308: weigh start in log space
+            log_value = math.log(config.temp_start) + steps * math.log(config.temp_scale)
+            value = T_MAX if log_value > math.log(T_MAX) else math.exp(log_value)
+    else:
+        frac = min(epoch, config.epochs) / config.epochs
+        value = T_MAX - (T_MAX - T_MIN) * frac
+    return float(min(max(value, T_MIN), T_MAX))

@@ -19,14 +19,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import model as model_mod
-from .calibration import OdinConfig, calibrate_batch_full
+from .calibration import SCHEDULE_KINDS, OdinConfig, calibrate_batch_full, temperature_at
 from .data import Dataset, class_labels, compute_feature_std, load_csv, make_blobs
 from .data import csv_fields, is_number, pareto_resample, read_json, train_test_split, write_csv
 from .errors import BoostLabError, ConfigurationError, EmptyInputError, InvalidParameterError
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
 from .model import ClassifierModel, hidden_activations, softmax_rows, train_step
 from .sampler import STRATEGIES, SamplerState, draw_batch, epoch_resample
-from .scheduler import SCHEDULE_KINDS, temperature_at
 
 
 def _fits(value, annotation: str) -> bool:
@@ -172,7 +171,7 @@ def run_seeds(seed: int) -> tuple[int, int]:
 def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord:
     """Train one model under the configured sampling strategy.
 
-    Per epoch: the scheduler sets the temperature, the sampler rebuilds
+    Per epoch: the schedule sets the temperature, the sampler rebuilds
     its distribution, and the trainer consumes ceil(n / batch_size) drawn
     batches. Ends with the run's final evaluation (`evaluate_run`).
     """
@@ -318,8 +317,9 @@ def read_run(run_dir) -> tuple[ExperimentConfig, int, ClassifierModel]:
     values = report.get("config") if isinstance(report, dict) else None
     if not isinstance(values, dict):
         raise InvalidParameterError(f"{path}: report has no 'config' object")
-    if "seed" not in values:
-        raise InvalidParameterError(f"{path}: config has no key 'seed'")
+    for key in (*CONFIG_KEYS, "seed"):  # a missing key would fall back to its default
+        if key not in values:
+            raise InvalidParameterError(f"{path}: config has no key '{key}'")
     seed = values.pop("seed")
     if isinstance(values.get("dataset"), str) and values["dataset"] != "blobs":
         values["dataset"] = os.path.normpath(os.path.join(run_dir, values["dataset"]))

@@ -58,8 +58,7 @@ class ClassifierModel:
             raise InputShapeError(
                 f"a {d}-{h}-{c} model has {size} parameters, got shape {self.params.shape}"
             )
-        if not np.isfinite(self.params).all():
-            raise InvalidParameterError("model parameters must be finite")
+        check_finite(self.params, "params")
         self.weights_hidden, self.bias_hidden, self.weights_out, self.bias_out = (
             self.layer_views(self.params)
         )

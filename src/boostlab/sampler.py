@@ -121,8 +121,7 @@ def boost_probabilities(
         raise InvalidParameterError(f"aggregates must hold one score per class ({c})")
     if not np.all((s > 0) & (s <= 1)):  # written so that NaN fails
         raise InvalidParameterError("aggregate scores must lie in (0, 1]")
-    if not np.isfinite(logits).all():
-        raise InvalidParameterError("logits must be finite")
+    check_finite(logits, "logits")
 
     with np.errstate(over="ignore"):  # a gap past the float range exps to 0, as it should
         shifted = logits - logits.max(axis=1, keepdims=True)  # overflow guard
@@ -226,16 +225,14 @@ def epoch_resample(
 
 def _baseline_record_arrays(state: SamplerState) -> tuple[np.ndarray, ...]:
     """The NaN scores, -1 predictions and installed distribution a baseline
-    epoch records, read-only: the previous record's own arrays when they hold
-    exactly these values, so that a run keeps one copy and not one per epoch."""
+    epoch records, read-only. A baseline's scores and predictions are fixed
+    by n, so when the previous record drew from an equal distribution its own
+    arrays are reused, and a run keeps one copy and not one per epoch."""
+    if state.history and np.array_equal(state.history[-1].probabilities, state.probabilities):
+        last = state.history[-1]
+        return last.scores, last.predicted, last.probabilities
     n = state.probabilities.size
     arrays = (np.full(n, np.nan), np.full(n, -1, dtype=np.intp), state.probabilities)
-    if state.history:
-        last = state.history[-1]
-        previous = (last.scores, last.predicted, last.probabilities)
-        if all(a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
-               for a, b in zip(arrays, previous)):
-            arrays = previous
     for array in arrays:
         array.setflags(write=False)
     return arrays

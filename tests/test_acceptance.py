@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from boostlab.calibration import OdinConfig, perturb
+from boostlab.calibration import OdinConfig, perturb, temperature_at
 from boostlab.data import Dataset, compute_feature_std, make_blobs
 from boostlab.data import pareto_resample, pareto_tail_counts
 from boostlab.harness import (
@@ -42,7 +42,6 @@ from boostlab.sampler import (
     epoch_resample,
     install_distribution,
 )
-from boostlab.scheduler import temperature_at
 
 from oracles import (
     fd_input_gradient,

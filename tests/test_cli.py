@@ -469,13 +469,16 @@ def test_checkpoint_layer_of_the_wrong_length_exits_2(tmp_path, capsys):
         ("report.json", lambda doc: doc["config"].update(seed=-1), "seed"),
         ("report.json", lambda doc: doc["config"].update(seed=True), "seed"),
         ("report.json", lambda doc: doc["config"].update(seed=1), "seed"),  # not in seeds
+        ("report.json", lambda doc: doc["config"].pop("epochs"), "epochs"),
+        ("report.json", lambda doc: doc["config"].pop("temp_scale"), "temp_scale"),
         ("report.json", lambda doc: doc["config"].update(odin_sign=1), "odin_sign"),
         ("report.json", lambda doc: doc["config"].update(epsilon="x"), "epsilon"),
         ("report.json", lambda doc: doc["config"].update(dataset=5), "dataset"),
         ("model_seed0.json", None, ""),
     ],
     ids=["no-report", "no-config", "no-seed", "string-seed", "negative-seed", "bool-seed",
-         "unlisted-seed", "unknown-key", "wrong-type", "number-dataset", "no-checkpoint"],
+         "unlisted-seed", "no-epochs", "no-temp-scale", "unknown-key", "wrong-type",
+         "number-dataset", "no-checkpoint"],
 )
 def test_broken_run_directory_exits_2_naming_file_and_key(tmp_path, capsys, name, edit, key):
     run_dir = _trained_run(tmp_path, capsys)

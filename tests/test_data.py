@@ -10,7 +10,7 @@ from boostlab import harness as harness_mod
 from boostlab import metrics as metrics_mod
 from boostlab import model as model_mod
 from boostlab import sampler as sampler_mod
-from boostlab.calibration import OdinConfig, calibrate_batch_full, perturb
+from boostlab.calibration import OdinConfig, calibrate_batch_full, perturb, temperature_at
 from boostlab.data import (
     Dataset,
     _simplex_centers,
@@ -50,7 +50,6 @@ from boostlab.sampler import (
     boost_probabilities,
     install_distribution,
 )
-from boostlab.scheduler import temperature_at
 
 BLOBS = make_blobs([6, 3], 2, 2.0, seed=0)
 MODEL = init_model(2, 3, 2, seed=0)
@@ -207,10 +206,11 @@ def test_numeric_array_argument_rejects_what_is_not_numeric_by_name(entry, bad):
 # the entries whose values must be finite: there a NaN or an infinity is
 # rejected by name before any arithmetic, so no RuntimeWarning escapes
 MUST_BE_FINITE = (
-    "Dataset-features", "forward_batch-features", "hidden_activations-features",
-    "loss_and_gradients-features", "train_step-features", "calibrate_batch_full-features",
-    "aggregate_class_scores-max_scores", "boost_probabilities-logits", "mab-per_class_metric",
-    "sdb-per_class_metric", "sodc_total-per_class",
+    "ClassifierModel-params", "Dataset-features", "forward_batch-features",
+    "hidden_activations-features", "loss_and_gradients-features", "train_step-features",
+    "calibrate_batch_full-features", "aggregate_class_scores-max_scores",
+    "boost_probabilities-logits", "mab-per_class_metric", "sdb-per_class_metric",
+    "sodc_total-per_class",
 )
 NOT_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from boostlab import data, harness
-from boostlab.calibration import OdinConfig, calibrate_batch_full
+from boostlab.calibration import OdinConfig, calibrate_batch_full, temperature_at
 from boostlab.data import Dataset, compute_feature_std, make_blobs, save_csv
 from boostlab.errors import ConfigurationError, InvalidParameterError
 from boostlab.harness import (
@@ -28,7 +28,6 @@ from boostlab.harness import (
 from boostlab.metrics import PredictionLog, build_metrics_report
 from boostlab.model import forward_batch, init_model, softmax_rows, train_step
 from boostlab.sampler import STRATEGIES, EpochRecord, SamplerState
-from boostlab.scheduler import temperature_at
 
 from oracles import HISTORY_HEADER, oracle_csv_bytes, oracle_history_rows, oracle_sodc_per_class
 

@@ -28,6 +28,7 @@ from boostlab import harness as harness_mod
 from boostlab import metrics as metrics_mod
 from boostlab import model as model_mod
 from boostlab import sampler as sampler_mod
+from boostlab.calibration import SCHEDULE_KINDS, temperature_at
 from boostlab.data import Dataset, compute_feature_std, load_csv
 from boostlab.errors import (
     BoostLabError,
@@ -42,7 +43,6 @@ from boostlab.model import forward_batch, init_model, input_gradient_batch, loss
 from boostlab.model import softmax_rows, train_step
 from boostlab.sampler import PROB_SUM_TOL, EpochRecord, SamplerState, aggregate_class_scores
 from boostlab.sampler import boost_probabilities, install_distribution
-from boostlab.scheduler import SCHEDULE_KINDS, temperature_at
 
 from oracles import oracle_confusion_metrics, oracle_sodc_per_class
 

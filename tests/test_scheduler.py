@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from boostlab.calibration import temperature_at
 from boostlab.errors import InvalidParameterError
 from boostlab.harness import ExperimentConfig
-from boostlab.scheduler import temperature_at
 
 
 def test_default_trace():
