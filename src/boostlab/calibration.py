@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_int, check_real, float_array
+from .data import check_finite, check_int, check_real, float_array
 from .errors import EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel, forward_batch, input_gradient_batch, softmax_rows
 
@@ -61,8 +61,7 @@ def perturb(x: np.ndarray, grad: np.ndarray, config: OdinConfig) -> np.ndarray:
     grad = float_array(grad, "grad")
     if x.shape != grad.shape:
         raise InputShapeError(f"x {x.shape} and grad {grad.shape} must have equal shape")
-    if not np.all(np.isfinite(grad)):
-        raise InputShapeError("gradient must be finite")
+    check_finite(grad, "grad")
     if config.grad_std.shape != x.shape[-1:]:
         raise InputShapeError(
             f"grad_std of shape {config.grad_std.shape} needs one entry per feature of x {x.shape}"

@@ -62,9 +62,8 @@ def float_array(values, name: str) -> np.ndarray:
 
 def check_finite(array: np.ndarray, name: str) -> None:
     """InvalidParameterError naming `name` if a value of the float array is
-    NaN or infinite. Its min and max are NaN or infinite where any value is,
-    and finding them copies nothing."""
-    if array.size and not (math.isfinite(array.min()) and math.isfinite(array.max())):
+    NaN or infinite."""
+    if not np.isfinite(array).all():
         raise InvalidParameterError(f"{name} must be finite")
 
 
@@ -319,15 +318,9 @@ CHUNK_FIELDS = 1 << 13  # fields formatted at a time, so memory stays per chunk
 
 
 def csv_fields(column: np.ndarray) -> list[str]:
-    """The text write_csv writes for each value of a numeric column: ints by
-    str, floats by repr, which is their shortest round-trip form, and NaN,
-    which marks a missing value, as an empty field."""
-    values = column.tolist()
-    if column.dtype.kind != "f":
-        return list(map(str, values))
-    if np.isnan(column).any():
-        return ["" if v != v else repr(v) for v in values]
-    return list(map(repr, values))
+    """The text write_csv writes for each value of a numeric column: its
+    repr, which is an int's digits and a float's shortest round-trip form."""
+    return list(map(repr, column.tolist()))
 
 
 def write_csv(path, header, blocks) -> None:

@@ -262,17 +262,21 @@ def record_to_report(record: RunRecord) -> dict:
 
 
 def write_history_csv(state: SamplerState, true_labels: np.ndarray, path) -> None:
-    """One row per (epoch, sample): score, probability, and draw count. The
-    score is empty where the sampler calibrated nothing (the baselines)."""
+    """One row per (epoch, sample): prediction, score, probability, and draw
+    count. A record that calibrated nothing (a baseline's, whose scores and
+    predictions are None) has predicted_class -1 and an empty score."""
     labels = class_labels(true_labels, np.iinfo(np.intp).max, "true_labels")  # any class count
     if any(record.probabilities.shape != labels.shape for record in state.history):
         raise InvalidParameterError("true_labels must hold one label per sample of the history")
     n = len(labels)
-    # the same two columns open every epoch's rows, so they are formatted once
+    # columns that are the same from epoch to epoch are formatted once
     sample_column = csv_fields(np.arange(n))
     true_classes = csv_fields(labels)
-    blocks = ([[str(record.epoch)] * n, sample_column, true_classes, record.predicted,
-               record.scores, record.probabilities, record.draw_counts]
+    no_prediction, no_score = ["-1"] * n, [""] * n
+    blocks = ([[str(record.epoch)] * n, sample_column, true_classes,
+               no_prediction if record.predicted is None else record.predicted,
+               no_score if record.scores is None else record.scores,
+               record.probabilities, record.draw_counts]
               for record in state.history)  # one epoch at a time, so memory stays per epoch
     header = ["epoch", "sample_id", "true_class", "predicted_class",
               "calibrated_score", "sampling_probability", "times_drawn"]

@@ -109,10 +109,15 @@ def hidden_activations(model: ClassifierModel, features: np.ndarray) -> np.ndarr
 
 def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """exp(z_c/T) / sum_j exp(z_j/T) along the last axis, computed with
-    max-subtraction at a finite, positive T. The caller guarantees finite logits."""
+    max-subtraction at a finite, positive T. The caller guarantees finite
+    logits; a T so small that z/T overflows raises NumericOverflowError."""
     check_real(temperature, "temperature", "finite and positive", lambda v: 0 < v < math.inf)
-    scaled = float_array(logits, "logits") / temperature
-    scaled -= scaled.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowing z/T is reported below
+        scaled = float_array(logits, "logits") / temperature
+        if not np.isfinite(scaled).all():
+            raise NumericOverflowError("logits / temperature overflows float64 at "
+                                       f"temperature {temperature!r}")
+        scaled -= scaled.max(axis=-1, keepdims=True)  # a gap past the float range exps to 0
     e = np.exp(scaled)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -134,11 +139,12 @@ def input_gradient_batch(
     class_indices = class_labels(class_indices, model.num_classes, "class_indices")
     rows = np.arange(hidden.shape[0])
     p_c = probs[rows, class_indices]
-    # dS_c/dz, shape [n x classes]
-    dscore_dlogit = -probs * (p_c / temperature)[:, np.newaxis]
-    dscore_dlogit[rows, class_indices] += p_c / temperature
-    grad_hidden = (dscore_dlogit @ model.weights_out) * (1.0 - hidden**2)
-    grads = grad_hidden @ model.weights_hidden
+    with np.errstate(all="ignore"):  # a non-finite gradient is reported below
+        # dS_c/dz, shape [n x classes]
+        dscore_dlogit = -probs * (p_c / temperature)[:, np.newaxis]
+        dscore_dlogit[rows, class_indices] += p_c / temperature
+        grad_hidden = (dscore_dlogit @ model.weights_out) * (1.0 - hidden**2)
+        grads = grad_hidden @ model.weights_hidden
     if not np.all(np.isfinite(grads)):
         raise NumericOverflowError("non-finite values in input gradient")
     return grads

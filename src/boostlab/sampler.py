@@ -37,14 +37,15 @@ PROB_SUM_TOL = 1e-9
 class EpochRecord:
     """Everything the sampler knew and did during one epoch.
 
-    A baseline's scores, predictions and distribution are the same every
-    epoch on one split, so its records share one read-only copy of each and
-    only `draw_counts` is new per epoch. A boost record's arrays are its own.
+    The baselines calibrate nothing, so their `scores` and `predicted` are
+    None. A baseline's distribution is the same every epoch on one split, so
+    its records share one read-only copy of it and only `draw_counts` is new
+    per epoch. A boost record's arrays are its own.
     """
 
     epoch: int
-    scores: np.ndarray  # calibrated max-score per sample (nan for baselines)
-    predicted: np.ndarray  # predicted class per sample (-1 for baselines)
+    scores: np.ndarray | None  # calibrated max-score per sample; None for baselines
+    predicted: np.ndarray | None  # predicted class per sample; None for baselines
     probabilities: np.ndarray
     draw_counts: np.ndarray
 
@@ -218,21 +219,10 @@ def epoch_resample(
         if state.strategy in STATIC_STRATEGIES:
             state.draw_count = 0  # replay the epoch-0 stream
         install_distribution(state, _baseline_weights(state, dataset))
-        recorded = _baseline_record_arrays(state)
+        # an unchanged distribution is the last record's: one copy per split, not per epoch
+        if state.history and np.array_equal(state.history[-1].probabilities, state.probabilities):
+            state.probabilities = state.history[-1].probabilities
+        state.probabilities.setflags(write=False)
+        recorded = None, None, state.probabilities
 
     state.history.append(EpochRecord(len(state.history), *recorded, np.zeros(n, dtype=np.int64)))
-
-
-def _baseline_record_arrays(state: SamplerState) -> tuple[np.ndarray, ...]:
-    """The NaN scores, -1 predictions and installed distribution a baseline
-    epoch records, read-only. A baseline's scores and predictions are fixed
-    by n, so when the previous record drew from an equal distribution its own
-    arrays are reused, and a run keeps one copy and not one per epoch."""
-    if state.history and np.array_equal(state.history[-1].probabilities, state.probabilities):
-        last = state.history[-1]
-        return last.scores, last.predicted, last.probabilities
-    n = state.probabilities.size
-    arrays = (np.full(n, np.nan), np.full(n, -1, dtype=np.intp), state.probabilities)
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays

@@ -172,11 +172,13 @@ HISTORY_HEADER = ["epoch", "sample_id", "true_class", "predicted_class",
 
 
 def oracle_history_rows(state, true_labels):
-    """sampler_history.csv's rows, one Python row per (epoch, sample), with a
-    NaN score (nothing calibrated) as None."""
+    """sampler_history.csv's rows, one Python row per (epoch, sample). A record
+    that calibrated nothing (None scores and predictions) predicts -1 and
+    scores None, an empty field."""
     true_labels = [int(v) for v in true_labels]
+    n = len(true_labels)
     for record in state.history:
-        scores = [None if math.isnan(s) else s for s in record.scores.tolist()]
-        yield from zip(repeat(record.epoch), range(len(true_labels)), true_labels,
-                       record.predicted.tolist(), scores, record.probabilities.tolist(),
-                       record.draw_counts.tolist())
+        predicted = [-1] * n if record.predicted is None else record.predicted.tolist()
+        scores = [None] * n if record.scores is None else record.scores.tolist()
+        yield from zip(repeat(record.epoch), range(n), true_labels, predicted, scores,
+                       record.probabilities.tolist(), record.draw_counts.tolist())

@@ -5,8 +5,13 @@ import pytest
 
 from boostlab import calibration, model as model_mod
 from boostlab.calibration import OdinConfig, calibrate_batch_full, perturb
-from boostlab.errors import EmptyInputError, InputShapeError, InvalidParameterError
-from boostlab.model import forward_batch, softmax_rows
+from boostlab.errors import (
+    EmptyInputError,
+    InputShapeError,
+    InvalidParameterError,
+    NumericOverflowError,
+)
+from boostlab.model import forward_batch, init_model, softmax_rows
 
 from oracles import oracle_ts_softmax
 
@@ -54,6 +59,17 @@ class TestTsSoftmax:
         for logits in grid:
             values = [entropy(softmax_rows(logits, t)) for t in (1.0, 2.0, 5.0, 50.0, 1000.0)]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_tiny_temperature_whose_logit_gap_overflows_gives_a_one_hot_row(self):
+        # z / T is finite, the gap between its entries is not: it exps to 0
+        _, logits = forward_batch(init_model(2, 3, 2, seed=0), [[1.0, 0.5]])
+        np.testing.assert_array_equal(softmax_rows(logits, 1e-308), [[0.0, 1.0]])
+
+    @pytest.mark.parametrize("temperature", [1e-309, 5e-324])
+    def test_temperature_that_overflows_the_logits_raises_naming_it(self, temperature):
+        _, logits = forward_batch(init_model(2, 3, 2, seed=0), [[1.0, 0.5]])
+        with pytest.raises(NumericOverflowError, match=f"at temperature {temperature!r}$"):
+            softmax_rows(logits, temperature)
 
     def test_argmax_invariant_under_temperature(self):
         rng = np.random.default_rng(6)
@@ -200,6 +216,11 @@ class TestCalibrateBatch:
         cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(1))
         with pytest.raises(EmptyInputError):
             calibrate_batch_full(toy_model, np.empty((0, 1)), cfg)
+
+    def test_one_sample_as_a_vector_rejected(self, toy_model):
+        cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(1))
+        with pytest.raises(InputShapeError, match=r"features must be a \[n x d\] matrix"):
+            calibrate_batch_full(toy_model, [0.4], cfg)
 
     def test_one_first_pass_and_one_rescore(self, toy_model, monkeypatch):
         # one forward + TS-softmax on the inputs, one on the perturbed inputs;

@@ -334,8 +334,9 @@ def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, values, n
         ({"epsilon": "x"}, []),
         ({"epochs": 0}, []),
         ({"blob_counts": [5, 5, 5]}, ["--test-counts", "1,2"]),  # the file's value breaks the rule
+        ([], []),
     ],
-    ids=["wrong-type", "out-of-range", "with-a-flag"],
+    ids=["wrong-type", "out-of-range", "with-a-flag", "not-an-object"],
 )
 def test_bad_config_file_value_names_the_file(tmp_path, capsys, values, flags):
     cfg_path = tmp_path / "config.json"

@@ -208,7 +208,7 @@ def test_numeric_array_argument_rejects_what_is_not_numeric_by_name(entry, bad):
 MUST_BE_FINITE = (
     "ClassifierModel-params", "Dataset-features", "forward_batch-features",
     "hidden_activations-features", "loss_and_gradients-features", "train_step-features",
-    "calibrate_batch_full-features", "aggregate_class_scores-max_scores",
+    "perturb-grad", "calibrate_batch_full-features", "aggregate_class_scores-max_scores",
     "boost_probabilities-logits", "mab-per_class_metric", "sdb-per_class_metric",
     "sodc_total-per_class",
 )
@@ -272,10 +272,12 @@ class TestDataset:
             ([[1.0], [2.0]], [0, 2], 2),
             ([[1.0], [2.0]], [0, 0], True),
             ([[1.0], [2.0]], [0, 1], 2.5),
+            ([[1.0], [2.0]], [[0], [1, 0]], 2),
         ],
         ids=["fractional-labels", "nan-label", "text-labels", "text-features", "ragged-rows",
              "inf-feature", "no-feature-column", "scalar-labels", "no-classes",
-             "label-out-of-range", "bool-num-classes", "fractional-num-classes"],
+             "label-out-of-range", "bool-num-classes", "fractional-num-classes",
+             "ragged-labels"],
     )
     def test_bad_labels_and_features_raise_a_typed_error(self, features, labels, num_classes):
         with pytest.raises(InvalidParameterError):
@@ -430,6 +432,11 @@ class TestParetoResample:
         for data in (empty, one_class):
             with pytest.raises(InvalidParameterError, match=f"^{named} must"):
                 pareto_resample(data, scale, seed)
+
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(features=np.zeros((0, 2)), labels=[], num_classes=2)
+        with pytest.raises(EmptyInputError, match="^dataset is empty$"):
+            pareto_resample(empty, 0.0, 0)
 
     def test_empty_class_rejected_by_name(self):
         # a rare class can end up with no train samples after a CSV split

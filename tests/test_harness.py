@@ -11,7 +11,7 @@ import pytest
 from boostlab import data, harness
 from boostlab.calibration import OdinConfig, calibrate_batch_full, temperature_at
 from boostlab.data import Dataset, compute_feature_std, make_blobs, save_csv
-from boostlab.errors import ConfigurationError, InvalidParameterError
+from boostlab.errors import ConfigurationError, EmptyInputError, InvalidParameterError
 from boostlab.harness import (
     REPORT_FILES,
     ExperimentConfig,
@@ -282,6 +282,12 @@ class TestRunEvaluation:
         with pytest.raises(ConfigurationError):
             run_evaluation(model, other, odin)
 
+    def test_empty_test_split_rejected(self):
+        empty = Dataset(features=np.zeros((0, 2)), labels=[], num_classes=2)
+        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=np.ones(2))
+        with pytest.raises(EmptyInputError, match="^test split is empty$"):
+            run_evaluation(init_model(2, 3, 2, seed=0), empty, odin)
+
     def test_deterministic(self):
         model, train, test = train_to_perfection(seed=4)
         odin = OdinConfig(temperature=3.0, epsilon=0.05, grad_std=compute_feature_std(train))
@@ -313,6 +319,11 @@ class TestExportReports:
         paths = export_reports([record], str(out))
         assert sorted(p.name for p in out.iterdir()) == sorted([*REPORT_FILES, "model_seed0.json"])
         assert len(paths) == 5
+
+    def test_no_records_rejected(self, tmp_path):
+        with pytest.raises(EmptyInputError, match="^no records to export$"):
+            export_reports([], str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
 
     def test_read_run_gives_back_the_records_config_seed_and_model(self, tmp_path):
         records = run_experiment(small_config(seeds=(0, 1), epochs=1, pareto_scale=0.0))
@@ -387,10 +398,11 @@ class TestExportReports:
             cols = list(zip(*rows[epoch.epoch * n : (epoch.epoch + 1) * n]))
             assert ints(cols[0]) == [epoch.epoch] * n and ints(cols[1]) == list(range(n))
             np.testing.assert_array_equal(ints(cols[2]), record.train_labels)
-            np.testing.assert_array_equal(ints(cols[3]), epoch.predicted)
             if sampler == "random":  # nothing was calibrated
-                assert set(cols[4]) == {""}
+                assert epoch.scores is None and epoch.predicted is None
+                assert set(cols[3]) == {"-1"} and set(cols[4]) == {""}
             else:
+                np.testing.assert_array_equal(ints(cols[3]), epoch.predicted)
                 np.testing.assert_array_equal(floats(cols[4]), epoch.scores)
             np.testing.assert_array_equal(floats(cols[5]), epoch.probabilities)
             np.testing.assert_array_equal(ints(cols[6]), epoch.draw_counts)
@@ -425,18 +437,22 @@ class TestCsvFilesEqualTheRowWriter:
         rows = oracle_history_rows(record.sampler_state, record.train_labels)
         assert path.read_bytes() == oracle_csv_bytes(HISTORY_HEADER, rows)
 
-    def test_history_whose_scores_mix_nan_and_floats(self, tmp_path, chunk):
-        scores = np.array([np.nan, 0.1 + 0.2, -0.0, 5e-324, 1e22, np.nan, 1 / 3, np.inf])
+    def test_history_of_edge_floats_and_an_uncalibrated_record(self, tmp_path, chunk):
+        scores = np.array([0.1 + 0.2, -0.0, 5e-324, 1e22, 1 / 3, np.inf])
         state = SamplerState(strategy="boost", rng_seed=0)
         for epoch in range(2):
             state.history.append(EpochRecord(
-                epoch=epoch, scores=scores[::1 - 2 * epoch], predicted=np.arange(8) % 3,
-                probabilities=np.linspace(0, 0.25, 8), draw_counts=np.arange(8) * 1000))
-        labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+                epoch=epoch, scores=scores[::1 - 2 * epoch], predicted=np.arange(6) % 3,
+                probabilities=np.linspace(0, 0.25, 6), draw_counts=np.arange(6) * 1000))
+        state.history.append(EpochRecord(  # a baseline's: nothing calibrated
+            epoch=2, scores=None, predicted=None, probabilities=np.full(6, 0.125),
+            draw_counts=np.arange(6)))
+        labels = np.array([0, 1, 2, 0, 1, 2])
         harness.write_history_csv(state, labels, tmp_path / "history.csv")
         expected = oracle_csv_bytes(HISTORY_HEADER, oracle_history_rows(state, labels))
         assert (tmp_path / "history.csv").read_bytes() == expected
-        assert b"\n0,0,0,0,,0.0,0\n" in expected and b",0.30000000000000004," in expected
+        assert b",0.30000000000000004," in expected and b",5e-324," in expected
+        assert b"\n2,5,2,-1,,0.125,5\n" in expected
 
     @pytest.mark.parametrize(
         "labels", [[0.7, 1.2, 0.0, 1.9], [0, 1, 0], [[0, 1, 0, 1]]],
@@ -445,7 +461,7 @@ class TestCsvFilesEqualTheRowWriter:
     def test_history_labels_must_be_one_class_index_per_sample(self, tmp_path, labels):
         state = SamplerState(strategy="random", rng_seed=0)
         state.history.append(EpochRecord(
-            epoch=0, scores=np.full(4, np.nan), predicted=np.full(4, -1),
+            epoch=0, scores=None, predicted=None,
             probabilities=np.full(4, 0.25), draw_counts=np.zeros(4, dtype=np.int64)))
         with pytest.raises(InvalidParameterError, match="true_labels"):
             harness.write_history_csv(state, labels, tmp_path / "history.csv")

@@ -6,7 +6,12 @@ import pytest
 
 from boostlab import model as model_mod
 from boostlab.data import make_blobs
-from boostlab.errors import EmptyInputError, InputShapeError, InvalidParameterError
+from boostlab.errors import (
+    EmptyInputError,
+    InputShapeError,
+    InvalidParameterError,
+    NumericOverflowError,
+)
 from boostlab.model import (
     LAYERS,
     ClassifierModel,
@@ -114,6 +119,22 @@ class TestInputGradient:
             denom = max(np.abs(fd).max(), 1e-8)
             assert np.abs(g - fd).max() / denom < 1e-4
 
+    def test_saturated_softmax_at_a_tiny_temperature_has_zero_gradient(self):
+        model = init_model(2, 3, 2, seed=0)
+        hidden, logits = forward_batch(model, [[1.0, 0.5]])
+        probs = softmax_rows(logits, 1e-308)
+        for c in (0, 1):
+            np.testing.assert_array_equal(
+                input_gradient_batch(model, hidden, probs, [c], 1e-308), [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("temperature", [1e-309, 5e-324])
+    def test_temperature_that_overflows_the_gradient_raises_only_a_typed_error(self, temperature):
+        # the suite turns a RuntimeWarning into an error, so none may come first
+        model = init_model(2, 3, 2, seed=0)
+        hidden, logits = forward_batch(model, [[1.0, 0.5]])
+        probs = softmax_rows(logits, 1e-308)
+        with pytest.raises(NumericOverflowError, match="non-finite values in input gradient"):
+            input_gradient_batch(model, hidden, probs, [1], temperature)
 
     @pytest.mark.parametrize(
         "class_index", [9, -1, 0.5], ids=["too-large", "negative", "fractional"]
@@ -271,8 +292,9 @@ class TestCheckpoint:
             ('{"dims": {"features": -1, "hidden": 0, "classes": 2}, "weights_hidden": [], '
              '"bias_hidden": [], "weights_out": [], "bias_out": [0, 0]}',
              InvalidParameterError, "dims"),
+            ('{"dims": 5}', InvalidParameterError, "checkpoint value of the wrong type"),
         ],
-        ids=["truncated", "no-keys", "not-an-object", "negative-dims"],
+        ids=["truncated", "no-keys", "not-an-object", "negative-dims", "dims-not-a-mapping"],
     )
     def test_malformed_checkpoint_names_the_file(self, tmp_path, text, error, named):
         path = tmp_path / "bad.json"

@@ -394,7 +394,7 @@ def test_metrics_report_agrees_with_the_oracles(c, n, data):
 def test_history_csv_takes_class_indices_or_raises_a_typed_error(tmp_path_factory, n, data):
     state = SamplerState(strategy="random", rng_seed=0)
     state.history.append(EpochRecord(
-        epoch=0, scores=np.full(n, np.nan), predicted=np.full(n, -1),
+        epoch=0, scores=None, predicted=None,
         probabilities=np.full(n, 1 / n), draw_counts=np.arange(n)))
     labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="labels")
     odd = ANY_INT | ANY_FLOAT | st.text(max_size=4)

@@ -41,6 +41,10 @@ class TestAggregateScores:
         with pytest.raises(EmptyInputError):
             aggregate_class_scores(np.array([]), np.array([], dtype=int), num_classes=2)
 
+    def test_misaligned_labels_rejected(self):
+        with pytest.raises(InvalidParameterError, match="^scores and labels must align$"):
+            aggregate_class_scores([0.5, 0.5, 0.5], [0, 1], num_classes=2)
+
     @pytest.mark.parametrize(
         "num_classes", [2.5, True, "2", 0], ids=["fractional", "bool", "text", "zero"]
     )
@@ -123,10 +127,11 @@ class TestBoostProbabilities:
             ([[1.0, 0.0], [0.0, 1.0]], ["a", "b"], [0.5, 0.5], InvalidParameterError),
             ([[1.0, 0.0], [0.0, 1.0]], [0, 1], [0.5, 0.5, 0.5], InvalidParameterError),
             (np.empty((0, 2)), np.empty(0, dtype=int), [0.5, 0.5], EmptyInputError),
+            (np.zeros((1, 2, 2)), [0], [0.5, 0.5], InvalidParameterError),
         ],
         ids=["nan-logit", "inf-logit", "class-index-too-large", "negative-class-index",
              "fractional-class-index", "text-class-index", "aggregates-longer-than-classes",
-             "no-samples"],
+             "no-samples", "three-dim-logits"],
     )
     def test_bad_input_raises_a_typed_error(self, logits, class_index, aggregates, error):
         with pytest.raises(error):
@@ -246,7 +251,7 @@ class TestDrawBatch:
 
 
 BASELINES = tuple(s for s in STRATEGIES if s != "boost")
-FIXED_PER_EPOCH = ("scores", "predicted", "probabilities")  # a baseline's, on one split
+RECORD_ARRAYS = ("scores", "predicted", "probabilities", "draw_counts")
 
 
 class TestEpochResample:
@@ -326,13 +331,12 @@ class TestEpochResample:
             draw_batch(state, 8)
         first = state.history[0]
         for record in state.history:
-            for name in FIXED_PER_EPOCH:
-                assert getattr(record, name) is getattr(first, name)
-                assert not getattr(record, name).flags.writeable
+            assert record.scores is None and record.predicted is None  # nothing calibrated
+            assert record.probabilities is first.probabilities
+        assert not first.probabilities.flags.writeable
         counts = [record.draw_counts for record in state.history]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(counts, 2))
         assert [int(c.sum()) for c in counts] == [8, 8, 8]
-        assert np.isnan(first.scores).all() and (first.predicted == -1).all()
         with pytest.raises(ValueError, match="read-only"):
             first.probabilities[0] = 1.0
 
@@ -347,9 +351,10 @@ class TestEpochResample:
         expected = (np.ones(other.n) if strategy.endswith("random")
                     else 1.0 / other.class_counts[other.labels])
         np.testing.assert_array_equal(second.probabilities, expected / expected.sum())
-        assert second.scores.shape == second.predicted.shape == (other.n,)
-        assert all(getattr(second, name) is not getattr(first, name) for name in FIXED_PER_EPOCH)
-        assert all(getattr(third, name) is getattr(second, name) for name in FIXED_PER_EPOCH)
+        assert second.scores is None and second.predicted is None
+        assert second.probabilities is not first.probabilities
+        assert not second.probabilities.flags.writeable
+        assert third.probabilities is second.probabilities
 
     def test_boost_records_share_nothing(self):
         data, model, odin = self._setup()
@@ -357,7 +362,7 @@ class TestEpochResample:
         for _ in range(3):
             epoch_resample(state, model, data, odin)
         arrays = [getattr(record, name) for record in state.history
-                  for name in FIXED_PER_EPOCH + ("draw_counts",)]
+                  for name in RECORD_ARRAYS]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
         assert all(array.flags.writeable for array in arrays)
 
@@ -368,10 +373,9 @@ class TestEpochResample:
         epochs = 6
         for _ in range(epochs):
             epoch_resample(state, model, data, odin)
-        unique = {id(array): array.nbytes for record in state.history
-                  for array in (record.scores, record.predicted, record.probabilities,
-                                record.draw_counts)}
-        assert sum(unique.values()) <= (epochs + 3) * data.n * 8
+        arrays = (getattr(record, name) for record in state.history for name in RECORD_ARRAYS)
+        unique = {id(array): array.nbytes for array in arrays if array is not None}
+        assert sum(unique.values()) <= (epochs + 1) * data.n * 8
 
     def test_static_replay_stream_equals_generator_choice(self):
         data, model, odin = self._setup()
