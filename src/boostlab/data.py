@@ -251,9 +251,10 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple
 def load_csv(path, label_column: str) -> Dataset:
     """Read a labeled dataset: header row, one label column, the remaining
     columns finite numeric features. Labels are assigned class indices in
-    numeric order when every label is an integer, lexicographic otherwise."""
+    numeric order when every label is an integer, lexicographic otherwise.
+    A leading UTF-8 byte-order mark, as Excel writes, is skipped."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

@@ -157,11 +157,6 @@ def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Datase
     return train, test, compute_feature_std(train)
 
 
-def _entropy(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
-
-
 def run_seeds(seed: int) -> tuple[int, int]:
     """The (model, sampler) seeds of the run with this seed. Evaluation
     draws nothing, so it needs no seed of its own."""
@@ -256,7 +251,7 @@ def record_to_report(record: RunRecord) -> dict:
         "config": {**record.config.to_dict(), "seed": record.seed},
         "per_epoch": [{"epoch": h.epoch, "loss": loss,
                        "temperature": temperature_at(record.config, h.epoch),
-                       "sampling_entropy": _entropy(h.probabilities)} for h, loss in epochs],
+                       "ess": 1.0 / float((h.probabilities ** 2).sum())} for h, loss in epochs],
         "metrics": record.metrics.to_dict(),
     }
 
@@ -358,6 +353,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
 def run_comparison(config: ExperimentConfig, strategies=STRATEGIES) -> dict:
     """Train every strategy over the configured seeds; returns mean
     aggregate metrics per strategy, percent-scaled."""
+    if not strategies:
+        raise InvalidParameterError(f"name at least one strategy from {STRATEGIES}")
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise InvalidParameterError(f"unknown strategies {unknown}; choose from {STRATEGIES}")

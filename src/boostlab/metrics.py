@@ -129,12 +129,14 @@ def build_metrics_report(
     log: PredictionLog, sodc_log: PredictionLog | None = None
 ) -> MetricsReport:
     """Assemble the full report from a classification log and an optional
-    separate log supplying the score profiles used for the OOD-mass scores."""
+    log of the same samples supplying the profiles for the OOD-mass scores."""
     sodc_log = sodc_log if sodc_log is not None else log
     if sodc_log.num_classes != log.num_classes:
         raise ConfigurationError(
             f"log has {log.num_classes} classes but sodc_log has {sodc_log.num_classes}"
         )
+    if not np.array_equal(sodc_log.true_labels, log.true_labels):
+        raise ConfigurationError("sodc_log must hold the true labels of log's samples")
 
     nc = log.num_classes
     cells = np.bincount(log.true_labels * nc + log.predicted_labels, minlength=nc * nc)

@@ -52,16 +52,15 @@ class EpochRecord:
 
 @dataclass
 class SamplerState:
-    """The distribution `install_distribution` set last (`probabilities`
-    and its `cdf`, `degenerate` when uniform stood in for the weights) and
-    the counters that make every draw reproducible."""
+    """The `cdf` of the distribution `install_distribution` set last (which
+    `epoch_resample` records; `degenerate` when uniform stood in for the
+    weights) and the counters that make every draw reproducible."""
 
     strategy: str
     rng_seed: int
     history: list[EpochRecord] = field(default_factory=list, init=False)
     draw_count: int = field(default=0, init=False)
     degenerate_draws: int = field(default=0, init=False)
-    probabilities: np.ndarray | None = field(default=None, init=False)
     cdf: np.ndarray | None = field(default=None, init=False, repr=False)
     degenerate: bool = field(default=False, init=False)
 
@@ -131,11 +130,11 @@ def boost_probabilities(
     return np.clip(1.0 - raw, 0.0, None)
 
 
-def install_distribution(state: SamplerState, weights: np.ndarray) -> None:
+def install_distribution(state: SamplerState, weights: np.ndarray) -> np.ndarray:
     """Make `weights / weights.sum()` the distribution draws come from until
-    the next install. Weights that are not finite, have a negative entry,
-    or whose sum is not in (0, inf) (all zero, say) are replaced by the
-    uniform distribution, with one warning."""
+    the next install, and return it. Weights that are not finite, have a
+    negative entry, or whose sum is not in (0, inf) (all zero, say) are
+    replaced by the uniform distribution, with one warning."""
     given = float_array(weights, "weights")
     if given.ndim != 1:
         raise InputShapeError(f"sampling weights must be a vector, got shape {given.shape}")
@@ -151,8 +150,8 @@ def install_distribution(state: SamplerState, weights: np.ndarray) -> None:
     # instead of once per draw
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    state.probabilities = p
     state.cdf = cdf
+    return p
 
 
 def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
@@ -212,17 +211,17 @@ def epoch_resample(
         # the weight uses the true class, so a confidently misclassified
         # sample carries near-maximal weight: that is what makes the sampler
         # target misclassified rare-class data
-        install_distribution(
+        p = install_distribution(
             state, boost_probabilities(perturbed_logits, dataset.labels, aggregates))
-        recorded = sample_scores, predicted, state.probabilities
+        recorded = sample_scores, predicted, p
     else:
         if state.strategy in STATIC_STRATEGIES:
             state.draw_count = 0  # replay the epoch-0 stream
-        install_distribution(state, _baseline_weights(state, dataset))
+        p = install_distribution(state, _baseline_weights(state, dataset))
         # an unchanged distribution is the last record's: one copy per split, not per epoch
-        if state.history and np.array_equal(state.history[-1].probabilities, state.probabilities):
-            state.probabilities = state.history[-1].probabilities
-        state.probabilities.setflags(write=False)
-        recorded = None, None, state.probabilities
+        if state.history and np.array_equal(state.history[-1].probabilities, p):
+            p = state.history[-1].probabilities
+        p.setflags(write=False)
+        recorded = None, None, p
 
     state.history.append(EpochRecord(len(state.history), *recorded, np.zeros(n, dtype=np.int64)))

@@ -122,9 +122,7 @@ ROWS = [[1, 2], [0, -1]]  # two samples of MODEL's two features
 
 
 def _installed(weights):
-    state = SamplerState(strategy="boost", rng_seed=0)
-    install_distribution(state, weights)
-    return state.probabilities
+    return install_distribution(SamplerState(strategy="boost", rng_seed=0), weights)
 
 
 def _checkpoint(layer):
@@ -520,6 +518,19 @@ class TestCsv:
         ds = load_csv(path, "y")
         np.testing.assert_array_equal(ds.features, [[1.5, -2.0], [0.25, 300.0]])
         np.testing.assert_array_equal(ds.labels, [0, 1])
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,x\n1,0.5\n0,-2\n")
+        ds = load_csv(path, "label")
+        np.testing.assert_array_equal(ds.labels, [1, 0])
+        np.testing.assert_array_equal(ds.features, [[0.5], [-2.0]])
+
+    def test_byte_order_mark_past_the_start_is_kept(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x,\xef\xbb\xbflabel\n0.5,1\n")
+        with pytest.raises(CsvParseError, match="no column named 'label'"):
+            load_csv(path, "label")
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "bad.csv"

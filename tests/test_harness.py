@@ -4,6 +4,7 @@ import logging
 import math
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,11 +57,11 @@ def train_to_perfection(counts=(30, 20), sep=8.0, seed=0):
 
 
 class TestRunTraining:
-    def test_single_epoch_random_has_uniform_entropy(self):
+    def test_single_epoch_random_has_uniform_ess(self):
         record = run_training(small_config(sampler="random", epochs=1))
         [row] = record_to_report(record)["per_epoch"]
         n = sum(record.config.blob_counts)
-        assert row["sampling_entropy"] == pytest.approx(math.log(n))
+        assert row["ess"] == pytest.approx(n)
 
     def test_temperature_trace_matches_schedule(self):
         config = small_config(epochs=8, temp_interval=2)
@@ -76,10 +77,9 @@ class TestRunTraining:
         history = record.sampler_state.history
         assert len(rows) == len(history) == len(record.epoch_losses) == 3
         for e, (row, h) in enumerate(zip(rows, history)):
-            p = h.probabilities[h.probabilities > 0]
-            assert list(row) == ["epoch", "loss", "temperature", "sampling_entropy"]
+            assert list(row) == ["epoch", "loss", "temperature", "ess"]
             assert row["epoch"] == h.epoch == e
-            assert row["sampling_entropy"] == pytest.approx(-(p @ np.log(p)), rel=1e-12)
+            assert row["ess"] == pytest.approx(1 / np.sum(h.probabilities ** 2), rel=1e-12)
             assert row["loss"] == record.epoch_losses[e]
 
     def test_identical_seed_gives_identical_report(self):
@@ -304,6 +304,13 @@ class TestRunComparison:
             run_comparison(small_config(), ("boost", "bogus"))
         assert calls == []
 
+    def test_no_strategy_rejected(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_training", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidParameterError, match="^name at least one strategy"):
+            run_comparison(small_config(), ())
+        assert calls == []
+
     def test_repeated_strategy_rejected_before_any_training(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "run_training", lambda *a, **k: calls.append(a))
@@ -372,7 +379,7 @@ class TestExportReports:
         save_csv(make_blobs([5, 3], 2, 3.0, seed=0), paths[-1])
         assert len(paths) == 5 + 10 + 1
         for path in paths:
-            assert b"\r" not in open(path, "rb").read(), path
+            assert b"\r" not in Path(path).read_bytes(), path
 
     @pytest.mark.parametrize("sampler", ["boost", "random"])
     def test_csv_artifacts_read_back_to_the_record(self, tmp_path, sampler):
@@ -498,7 +505,7 @@ class TestReportSchema:
         """A published-style result row must slot into the report layout."""
         fixture = {
             "config": {"sampler": "boost", "seed": 0},
-            "per_epoch": [{"epoch": 0, "loss": 1.0, "temperature": 1.0, "sampling_entropy": 0.0}],
+            "per_epoch": [{"epoch": 0, "loss": 1.0, "temperature": 1.0, "ess": 1.0}],
             "metrics": {
                 "per_class": {"0": {"accuracy": 84.44}},
                 "aggregate": {"accuracy": REFERENCE_ROW["accuracy"]},

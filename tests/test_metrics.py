@@ -221,6 +221,16 @@ class TestReport:
         with pytest.raises(ConfigurationError, match="log has 2 classes but sodc_log has 3"):
             build_metrics_report(log, make_log(labels, labels, one_hot_profiles(labels, 3)))
 
+    @pytest.mark.parametrize("sodc_labels", [[1] * 6, [1, 0, 1, 0], [0, 1, 0]],
+                             ids=["other-samples", "same-length", "shorter"])
+    def test_logs_of_different_samples_rejected(self, sodc_labels):
+        labels = np.array([0, 1, 0, 1])
+        log = make_log(labels, labels, one_hot_profiles(labels, 2))
+        sodc_labels = np.array(sodc_labels)
+        sodc_log = make_log(sodc_labels, sodc_labels, one_hot_profiles(sodc_labels, 2))
+        with pytest.raises(ConfigurationError, match="^sodc_log must hold the true labels"):
+            build_metrics_report(log, sodc_log)
+
     def test_percent_export(self):
         labels = np.array([0, 1, 0, 1])
         log = make_log(labels, labels, one_hot_profiles(labels, 2, score=0.9))

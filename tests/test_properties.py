@@ -192,9 +192,8 @@ def test_boost_probabilities_are_a_distribution_or_raise_a_typed_error(n, c, dat
     assert weights.shape == (n,) and ((weights >= 0) & (weights <= 1)).all()
     as_ints = np.array([int(v) for v in class_index])
     np.testing.assert_array_equal(weights, boost_probabilities(logits, as_ints, aggregates))
-    state = SamplerState(strategy="boost", rng_seed=0)
-    install_distribution(state, weights)
-    assert abs(state.probabilities.sum() - 1.0) <= PROB_SUM_TOL
+    p = install_distribution(SamplerState(strategy="boost", rng_seed=0), weights)
+    assert abs(p.sum() - 1.0) <= PROB_SUM_TOL
 
 
 @settings(max_examples=300, deadline=None)
@@ -205,8 +204,8 @@ def test_install_distribution_always_installs_a_distribution(weights):
         with pytest.raises(EmptyInputError):
             install_distribution(state, np.array(weights))
         return
-    install_distribution(state, np.array(weights))
-    p, cdf = state.probabilities, state.cdf
+    p = install_distribution(state, np.array(weights))
+    cdf = state.cdf
     assert p.shape == cdf.shape == (len(weights),)
     assert np.isfinite(p).all() and (p >= 0).all() and abs(p.sum() - 1.0) <= PROB_SUM_TOL
     assert (np.diff(cdf) >= 0).all() and cdf[-1] == 1.0
@@ -231,10 +230,10 @@ def test_install_distribution_takes_a_vector_or_raises_a_shape_error(weights):
         assert state.cdf is None
         return
     try:
-        install_distribution(state, weights)
+        p = install_distribution(state, weights)
     except EmptyInputError:
         return
-    assert state.probabilities.shape == state.cdf.shape == weights.shape
+    assert p.shape == state.cdf.shape == weights.shape
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,7 +13,6 @@ import re
 import shlex
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from boostlab import cli
@@ -68,8 +67,8 @@ def test_readme_intro_ess_is_the_train_examples(monkeypatch):
     assert cli.main(argv) == 0
     config = cli.build_config(calls[0])
     assert sum(config.blob_counts) == n and seed in config.seeds
-    history = run_training(config, seed).sampler_state.history
-    measured = {e: round(1 / np.sum(history[e].probabilities ** 2)) for e in claims}
+    rows = record_to_report(run_training(config, seed))["per_epoch"]
+    measured = {e: round(rows[e]["ess"]) for e in claims}
     assert measured == claims
 
 

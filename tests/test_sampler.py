@@ -70,9 +70,7 @@ class TestSamplerState:
 
 def installed(weights):
     """The distribution install_distribution makes of these weights."""
-    state = SamplerState(strategy="boost", rng_seed=0)
-    install_distribution(state, weights)
-    return state.probabilities
+    return install_distribution(SamplerState(strategy="boost", rng_seed=0), weights)
 
 
 class TestBoostProbabilities:
@@ -154,9 +152,9 @@ class TestInstallDistribution:
 
     def test_all_zero_weights_fall_back_to_uniform_with_one_warning(self, caplog):
         state = SamplerState(strategy="boost", rng_seed=0)
-        install_distribution(state, np.zeros(4))
+        p = install_distribution(state, np.zeros(4))
         assert state.degenerate
-        np.testing.assert_array_equal(state.probabilities, np.full(4, 0.25))
+        np.testing.assert_array_equal(p, np.full(4, 0.25))
         np.testing.assert_array_equal(state.cdf, [0.25, 0.5, 0.75, 1.0])
         assert [r.name for r in caplog.records] == ["boostlab.sampler"]
         install_distribution(state, np.ones(4))
@@ -271,7 +269,7 @@ class TestEpochResample:
         data, model, odin = self._setup()
         state = SamplerState(strategy="random", rng_seed=0)
         epoch_resample(state, model, data, odin)
-        np.testing.assert_allclose(state.probabilities, 1.0 / data.n)
+        np.testing.assert_allclose(state.history[-1].probabilities, 1.0 / data.n)
 
     def test_stratified_weights(self):
         data, model, odin = self._setup(counts=(90, 10))
@@ -279,14 +277,14 @@ class TestEpochResample:
         epoch_resample(state, model, data, odin)
         expected = 1.0 / data.class_counts[data.labels]
         expected /= expected.sum()
-        np.testing.assert_allclose(state.probabilities, expected)
+        np.testing.assert_allclose(state.history[-1].probabilities, expected)
 
     def test_boost_with_constant_model_is_uniform(self, zero_model):
         data = make_blobs([6, 6], 2, 3.0, seed=1)
         odin = OdinConfig(temperature=1.0, epsilon=0.0, grad_std=compute_feature_std(data))
         state = SamplerState(strategy="boost", rng_seed=0)
         epoch_resample(state, zero_model, data, odin)
-        np.testing.assert_allclose(state.probabilities, 1.0 / data.n, atol=1e-12)
+        np.testing.assert_allclose(state.history[-1].probabilities, 1.0 / data.n, atol=1e-12)
 
     def test_probabilities_valid_for_every_strategy(self):
         data, model, odin = self._setup(counts=(25, 15, 10))
@@ -295,8 +293,9 @@ class TestEpochResample:
             state = SamplerState(strategy=strategy, rng_seed=2)
             for _ in range(3):
                 epoch_resample(state, model, data, odin)
-                assert np.all(state.probabilities >= 0)
-                assert abs(state.probabilities.sum() - 1.0) < 1e-9
+                p = state.history[-1].probabilities
+                assert np.all(p >= 0)
+                assert abs(p.sum() - 1.0) < 1e-9
 
     def test_caller_model_untouched(self):
         data, model, odin = self._setup()
@@ -382,7 +381,7 @@ class TestEpochResample:
         state = SamplerState(strategy="stratified", rng_seed=6)
         for _ in range(2):  # the second epoch replays counters 0..99
             epoch_resample(state, model, data, odin)
-            p = state.probabilities
+            p = state.history[-1].probabilities
             for k in range(100):
                 expected = np.random.default_rng([6, k]).choice(data.n, 8, p=p / p.sum())
                 np.testing.assert_array_equal(draw_batch(state, 8), expected)
@@ -433,7 +432,7 @@ class TestEpochResample:
         odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=compute_feature_std(planted))
         state = SamplerState(strategy="boost", rng_seed=21)
         epoch_resample(state, model, planted, odin)
-        assert np.argmax(state.probabilities) == planted.n - 1
+        assert np.argmax(state.history[-1].probabilities) == planted.n - 1
 
 
 class TestHistoryExport:
