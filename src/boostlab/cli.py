@@ -29,12 +29,15 @@ def _parse_int_list(text: str) -> tuple:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     """--config, and a flag for each config key as its field declares it,
-    parsed by the type its annotation names ("| None" left off)."""
+    parsed by the type its annotation names ("| None" left off), with the
+    field's rule at the end of its help."""
     parsers = {"str": str, "int": int, "float": float, "tuple[int, ...]": _parse_int_list}
     p.add_argument("--config", help="JSON config file; flags override its values")
     for f in fields(ExperimentConfig):
         options = dict(f.metadata)
         flag = options.pop("flag", "--" + f.name.replace("_", "-"))
+        if rule := options.pop("rule"):
+            options["help"] = f"{options['help']}; {rule[0]}" if "help" in options else rule[0]
         p.add_argument(flag, dest=f.name, type=parsers[f.type.removesuffix(" | None")], **options)
 
 

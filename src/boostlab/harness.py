@@ -41,34 +41,48 @@ def _fits(value, annotation: str) -> bool:
     return is_number(value, numbers.Integral if kind == "int" else numbers.Real)
 
 
-def _key(default, **metadata):
-    """A config field whose CLI flag takes these argparse keywords ("help",
-    "choices") and, under "flag", a name other than --<field-name>."""
-    return field(default=default, metadata=metadata)
+def _key(default, rule=None, **argparse_kwargs):
+    """A config field: its default; its rule, a (text, test) pair that its
+    value must pass unless it is the None a "| None" field takes; and its
+    CLI flag's argparse keywords ("help", "choices") and, under "flag", a
+    name other than --<field-name>. Given choices, the rule is one of them."""
+    if choices := argparse_kwargs.get("choices"):
+        rule = (f"one of {choices}", lambda v: v in choices)
+    return field(default=default, metadata={"rule": rule, **argparse_kwargs})
+
+
+# rules that more than one key follows, each written so that NaN fails it
+AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+COUNTS = ("one or more ints >= 1", lambda v: min(v, default=0) >= 1)
+POSITIVE = ("finite and positive", lambda v: 0 < v < math.inf)
+NON_NEGATIVE = ("finite and non-negative", lambda v: 0 <= v < math.inf)
 
 
 @dataclass
 class ExperimentConfig:
     dataset: str = _key("blobs", help="'blobs' or path to a labeled CSV")
     label_column: str = _key("label", help="label column name for CSV input")
-    blob_counts: tuple[int, ...] = _key((900, 100), help="per-class sample counts, e.g. 900,100")
-    blob_dim: int = 2
-    blob_separation: float = 3.0
-    test_counts: tuple[int, ...] | None = None  # blobs only; defaults to blob_counts
-    test_fraction: float = 0.25  # csv only
-    pareto_scale: float | None = _key(
-        None, help="resample the train split onto a long-tail count curve")
+    blob_counts: tuple[int, ...] = _key((900, 100), COUNTS,
+                                        help="per-class sample counts, e.g. 900,100")
+    blob_dim: int = _key(2, AT_LEAST_1)
+    blob_separation: float = _key(3.0, POSITIVE)
+    test_counts: tuple[int, ...] | None = _key(None, COUNTS)  # blobs only; defaults to blob_counts
+    test_fraction: float = _key(0.25, ("in (0, 1)", lambda v: 0 < v < 1))  # csv only
+    pareto_scale: float | None = _key(None, ("at least -1", lambda v: v > -1.0 - 1e-12),
+                                      help="resample the train split onto a long-tail count curve")
     sampler: str = _key("boost", choices=STRATEGIES)
     temp_kind: str = _key("multiplicative", choices=SCHEDULE_KINDS)
-    temp_start: float = 1.0
-    temp_scale: float = 5.0
-    temp_interval: int = 5
-    epsilon: float = 0.05
-    epochs: int = 20
-    batch_size: int = 32
-    learning_rate: float = _key(0.2, flag="--lr")
-    hidden_units: int = 16
-    seeds: tuple[int, ...] = _key((0,), help="comma-separated seeds")
+    temp_start: float = _key(1.0, POSITIVE)
+    temp_scale: float = _key(5.0, ("finite and above 1", lambda v: 1 < v < math.inf))
+    temp_interval: int = _key(5, AT_LEAST_1)
+    epsilon: float = _key(0.05, NON_NEGATIVE)
+    epochs: int = _key(20, AT_LEAST_1)
+    batch_size: int = _key(32, AT_LEAST_1)
+    learning_rate: float = _key(0.2, NON_NEGATIVE, flag="--lr")
+    hidden_units: int = _key(16, AT_LEAST_1)
+    seeds: tuple[int, ...] = _key((0,), ("one or more non-negative ints",
+                                         lambda v: min(v, default=-1) >= 0),
+                                  help="comma-separated seeds")
     out_dir: str = _key("runs", flag="--out", help="output directory")
 
     def __post_init__(self):
@@ -76,34 +90,15 @@ class ExperimentConfig:
             if not _fits(value := getattr(self, f.name), f.type):
                 raise InvalidParameterError(f"{f.name} must be of type {f.type}, got {value!r}")
             if isinstance(value, (tuple, list)):  # numpy ints become ints, for JSON
-                setattr(self, f.name, tuple(int(v) for v in value))
-        rules = (  # each written so that NaN fails it
-            ("sampler", self.sampler in STRATEGIES, f"one of {STRATEGIES}"),
-            ("seeds", min(self.seeds, default=-1) >= 0, "one or more non-negative ints"),
-            ("seeds", len(set(self.seeds)) == len(self.seeds), "distinct"),
-            ("blob_counts", min(self.blob_counts, default=0) >= 1, "one or more ints >= 1"),
-            ("test_counts", len(self.test_counts or self.blob_counts) == len(self.blob_counts),
-             f"None or as long as blob_counts ({len(self.blob_counts)})"),
-            ("test_counts", self.test_counts is None or min(self.test_counts, default=0) >= 1,
-             "None or one or more ints >= 1"),
-            ("blob_dim", self.blob_dim >= 1, "at least 1"),
-            ("blob_separation", 0 < self.blob_separation < math.inf, "finite and positive"),
-            ("test_fraction", 0 < self.test_fraction < 1, "in (0, 1)"),
-            ("pareto_scale", self.pareto_scale is None or self.pareto_scale > -1.0 - 1e-12,
-             "None or at least -1"),
-            ("temp_kind", self.temp_kind in SCHEDULE_KINDS, f"one of {SCHEDULE_KINDS}"),
-            ("temp_start", 0 < self.temp_start < math.inf, "finite and positive"),
-            ("temp_scale", 1 < self.temp_scale < math.inf, "finite and above 1"),
-            ("temp_interval", self.temp_interval >= 1, "at least 1"),
-            ("epsilon", 0 <= self.epsilon < math.inf, "finite and non-negative"),
-            ("learning_rate", 0 <= self.learning_rate < math.inf, "finite and non-negative"),
-            ("epochs", self.epochs >= 1, "at least 1"),
-            ("batch_size", self.batch_size >= 1, "at least 1"),
-            ("hidden_units", self.hidden_units >= 1, "at least 1"),
-        )
-        for name, valid, rule in rules:
-            if not valid:
-                raise InvalidParameterError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                setattr(self, f.name, value := tuple(int(v) for v in value))
+            if (rule := f.metadata["rule"]) and value is not None and not rule[1](value):
+                text = "None or " + rule[0] if f.type.endswith(" | None") else rule[0]
+                raise InvalidParameterError(f"{f.name} must be {text}, got {value!r}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise InvalidParameterError(f"seeds must be distinct, got {self.seeds!r}")
+        if len(self.test_counts or self.blob_counts) != len(self.blob_counts):
+            raise InvalidParameterError(f"test_counts must be None or as long as blob_counts "
+                                        f"({len(self.blob_counts)}), got {self.test_counts!r}")
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
@@ -168,7 +163,8 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
 
     Per epoch: the schedule sets the temperature, the sampler rebuilds
     its distribution, and the trainer consumes ceil(n / batch_size) drawn
-    batches. Ends with the run's final evaluation (`evaluate_run`).
+    batches. Ends with the run's final evaluation (`evaluate_run`). No
+    numpy warning leaks: a step that diverges raises NumericOverflowError.
     """
     seed = config.seeds[0] if seed is None else seed
     model_seed, sampler_seed = run_seeds(seed)
@@ -180,18 +176,19 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
     state = SamplerState(strategy=config.sampler, rng_seed=sampler_seed)
 
     epoch_losses = []
-    for epoch in range(config.epochs):
-        odin = OdinConfig(temperature_at(config, epoch), config.epsilon, grad_std=grad_std)
-        epoch_resample(state, model, train, odin)
-        losses = []
-        for _ in range(math.ceil(train.n / config.batch_size)):
-            idx = draw_batch(state, config.batch_size)
-            model, loss = train_step(model, train.features[idx], train.labels[idx],
-                                     config.learning_rate)
-            losses.append(loss)
-        epoch_losses.append(float(np.mean(losses)))
+    with np.errstate(all="ignore"):  # each stage checks its own results for non-finite values
+        for epoch in range(config.epochs):
+            odin = OdinConfig(temperature_at(config, epoch), config.epsilon, grad_std=grad_std)
+            epoch_resample(state, model, train, odin)
+            losses = []
+            for _ in range(math.ceil(train.n / config.batch_size)):
+                idx = draw_batch(state, config.batch_size)
+                model, loss = train_step(model, train.features[idx], train.labels[idx],
+                                         config.learning_rate)
+                losses.append(loss)
+            epoch_losses.append(float(np.mean(losses)))
 
-    metrics = evaluate_run(model, test, grad_std, config)
+        metrics = evaluate_run(model, test, grad_std, config)
 
     return RunRecord(
         config=config,

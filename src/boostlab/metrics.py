@@ -6,8 +6,9 @@ absolute deviation of a per-class metric from its class mean, the
 population standard deviation of the same, and a score-weighted
 correct-classification mass per class (SODC, aggregated across classes
 by product, so one weak class collapses the total). Every rate, the
-ID/OOD partition and the never-predicted flags come from one confusion
-matrix. Each number is reported under one name.
+ID/OOD partition and the flags (classes never predicted, classes with no
+samples) come from one confusion matrix. Each number is reported under
+one name.
 
 Internal values are unit-interval fractions; percent scaling happens
 only at export time.
@@ -169,7 +170,9 @@ def build_metrics_report(
             str(c): {"id": int(hits[c]), "ood": int(true_totals[c] - hits[c])} for c in range(nc)
         },
         flags=[
-            f"class {c}: precision reported as 0 (never predicted)"
-            for c in np.flatnonzero(pred_totals == 0)
+            *(f"class {c}: precision reported as 0 (never predicted)"
+              for c in np.flatnonzero(pred_totals == 0)),
+            *(f"class {c}: no test samples; its accuracy, F1 and SODC are reported as 0"
+              for c in np.flatnonzero(true_totals == 0)),
         ],
     )

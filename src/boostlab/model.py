@@ -191,16 +191,21 @@ def train_step(
     """One gradient-descent step on mean cross-entropy.
 
     Returns a new model on a new parameter vector; the input model is left
-    untouched. The reported loss is evaluated before the update.
+    untouched. The reported loss is evaluated before the update. A step
+    that leaves a non-finite parameter raises NumericOverflowError.
     """
     check_real(learning_rate, "learning_rate", "finite and non-negative",
                lambda v: 0 <= v < math.inf)
 
     loss, grad = loss_and_gradients(model, features, labels)
-    updated = ClassifierModel(
-        model.params - learning_rate * grad, model.num_features, model.num_hidden,
-        model.num_classes,
-    )
+    try:
+        updated = ClassifierModel(
+            model.params - learning_rate * grad, model.num_features, model.num_hidden,
+            model.num_classes,
+        )
+    except InvalidParameterError as exc:  # a float vector of the right shape is not finite
+        raise NumericOverflowError(f"training diverged: a step at learning_rate "
+                                   f"{learning_rate!r} left non-finite parameters") from exc
     return updated, loss
 
 

@@ -131,6 +131,43 @@ def test_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_diverging_run_exits_2_with_a_one_line_error(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    argv = ["train", "--blob-counts", "60,20", "--epochs", "3", "--hidden-units", "4",
+            "--lr", "1e308", "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("boostlab: error: training diverged: a step at "
+                                       "learning_rate 1e+308 left non-finite parameters\n")
+    assert not out_dir.exists()
+
+
+def test_class_missing_from_the_test_split_is_flagged(tmp_path, capsys):
+    csv_path = tmp_path / "rare.csv"
+    save_csv(make_blobs([40, 1], 2, 3.0, 0), csv_path)
+    out_dir = tmp_path / "run"
+    argv = ["train", "--dataset", str(csv_path), "--epochs", "2", "--hidden-units", "4",
+            "--seeds", "1", "--out", str(out_dir)]
+    assert run_cli(argv, capsys)[0] == 0
+    metrics = json.loads((out_dir / "report.json").read_text())["metrics"]
+    assert metrics["ood_partition"]["1"] == {"id": 0, "ood": 0}
+    assert metrics["per_class"]["1"]["accuracy"] == 0.0
+    assert metrics["flags"][-1] == (
+        "class 1: no test samples; its accuracy, F1 and SODC are reported as 0")
+
+
+def test_train_help_shows_each_key_rule(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no line breaks inside a help text
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    usage = capsys.readouterr().out
+    ruled = [f for f in dataclasses.fields(ExperimentConfig) if f.metadata["rule"]]
+    assert len(ruled) == 17
+    for f in ruled:
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        help_text = re.search(rf"^  {flag} \S+\s+(.*)$", usage, re.M).group(1)
+        assert help_text.endswith(f.metadata["rule"][0])
+
+
 @pytest.mark.parametrize(
     "flag, value, named",
     [

@@ -12,7 +12,12 @@ import pytest
 from boostlab import data, harness
 from boostlab.calibration import OdinConfig, calibrate_batch_full, temperature_at
 from boostlab.data import Dataset, compute_feature_std, make_blobs, save_csv
-from boostlab.errors import ConfigurationError, EmptyInputError, InvalidParameterError
+from boostlab.errors import (
+    ConfigurationError,
+    EmptyInputError,
+    InvalidParameterError,
+    NumericOverflowError,
+)
 from boostlab.harness import (
     REPORT_FILES,
     ExperimentConfig,
@@ -121,56 +126,66 @@ class TestRunTraining:
         for entry in state.history:
             np.testing.assert_array_equal(entry.probabilities, np.full(60, 1 / 60))
 
+    def test_a_diverging_step_raises_naming_the_learning_rate(self):
+        # no numpy warning on the way: the suite turns each into an error
+        with pytest.raises(NumericOverflowError, match=r"^training diverged: a step at "
+                           r"learning_rate 1e\+308 left non-finite parameters$"):
+            run_training(small_config(learning_rate=1e308))
+
     def test_run_experiment_covers_all_seeds(self):
         records = run_experiment(small_config(seeds=(0, 1, 2), epochs=1))
         assert [r.seed for r in records] == [0, 1, 2]
 
 
-# one or more values each config key rejects; the error must name that key
-# and the value, whatever else the key's value feeds
+# one or more values each config key rejects, each with its whole message:
+# the key, its rule and the value, whatever else the key's value feeds
 BAD_FIELD_VALUES = [
-    ("seeds", (-1,)),
-    ("seeds", (0, -2)),
-    ("epsilon", math.nan),
-    ("epsilon", math.inf),
-    ("epsilon", -0.1),
-    ("learning_rate", math.nan),
-    ("learning_rate", math.inf),
-    ("learning_rate", -1.0),
-    ("blob_separation", math.nan),
-    ("blob_separation", math.inf),
-    ("blob_separation", 0.0),
-    ("blob_separation", -2.0),
-    ("blob_dim", 0),
-    ("test_fraction", 0.0),
-    ("test_fraction", 1.0),
-    ("test_fraction", math.nan),
-    ("pareto_scale", math.nan),
-    ("pareto_scale", -1.5),
-    ("temp_scale", math.nan),
-    ("temp_scale", 1.0),
-    ("temp_scale", math.inf),
-    ("temp_start", math.nan),
-    ("temp_start", 0.0),
-    ("temp_start", math.inf),
-    ("temp_interval", 0),
-    ("epsilon", "x"),
-    ("blob_counts", 5),
-    ("seeds", [0, "1"]),
-    ("test_counts", (3, 2.5)),
-    ("epochs", 2.0),
-    ("learning_rate", True),
-    ("sampler", None),
-    ("test_counts", (100,)),
-    ("seeds", (0, 0)),
-    ("blob_counts", ()),
-    ("blob_counts", (0, 5)),
-    ("blob_counts", (-3, 5)),
-    ("test_counts", (0, 5)),
-    ("test_counts", ()),
-    ("temp_kind", "x"),
-    ("batch_size", 0),
-    ("hidden_units", 0),
+    ("seeds", (-1,), "seeds must be one or more non-negative ints, got (-1,)"),
+    ("seeds", (0, -2), "seeds must be one or more non-negative ints, got (0, -2)"),
+    ("seeds", (), "seeds must be one or more non-negative ints, got ()"),
+    ("epsilon", math.nan, "epsilon must be finite and non-negative, got nan"),
+    ("epsilon", math.inf, "epsilon must be finite and non-negative, got inf"),
+    ("epsilon", -0.1, "epsilon must be finite and non-negative, got -0.1"),
+    ("learning_rate", math.nan, "learning_rate must be finite and non-negative, got nan"),
+    ("learning_rate", math.inf, "learning_rate must be finite and non-negative, got inf"),
+    ("learning_rate", -1.0, "learning_rate must be finite and non-negative, got -1.0"),
+    ("blob_separation", math.nan, "blob_separation must be finite and positive, got nan"),
+    ("blob_separation", math.inf, "blob_separation must be finite and positive, got inf"),
+    ("blob_separation", 0.0, "blob_separation must be finite and positive, got 0.0"),
+    ("blob_separation", -2.0, "blob_separation must be finite and positive, got -2.0"),
+    ("blob_dim", 0, "blob_dim must be at least 1, got 0"),
+    ("test_fraction", 0.0, "test_fraction must be in (0, 1), got 0.0"),
+    ("test_fraction", 1.0, "test_fraction must be in (0, 1), got 1.0"),
+    ("test_fraction", math.nan, "test_fraction must be in (0, 1), got nan"),
+    ("pareto_scale", math.nan, "pareto_scale must be None or at least -1, got nan"),
+    ("pareto_scale", -1.5, "pareto_scale must be None or at least -1, got -1.5"),
+    ("temp_scale", math.nan, "temp_scale must be finite and above 1, got nan"),
+    ("temp_scale", 1.0, "temp_scale must be finite and above 1, got 1.0"),
+    ("temp_scale", math.inf, "temp_scale must be finite and above 1, got inf"),
+    ("temp_start", math.nan, "temp_start must be finite and positive, got nan"),
+    ("temp_start", 0.0, "temp_start must be finite and positive, got 0.0"),
+    ("temp_start", math.inf, "temp_start must be finite and positive, got inf"),
+    ("temp_interval", 0, "temp_interval must be at least 1, got 0"),
+    ("epsilon", "x", "epsilon must be of type float, got 'x'"),
+    ("blob_counts", 5, "blob_counts must be of type tuple[int, ...], got 5"),
+    ("seeds", [0, '1'], "seeds must be of type tuple[int, ...], got [0, '1']"),
+    ("test_counts", (3, 2.5), "test_counts must be of type tuple[int, ...] | None, got (3, 2.5)"),
+    ("epochs", 2.0, "epochs must be of type int, got 2.0"),
+    ("learning_rate", True, "learning_rate must be of type float, got True"),
+    ("sampler", None, "sampler must be of type str, got None"),
+    ("sampler", "x",
+     "sampler must be one of ('boost', 'random', 'dynamic-random', 'stratified', "
+     "'dynamic-stratified'), got 'x'"),
+    ("test_counts", (100,), "test_counts must be None or as long as blob_counts (2), got (100,)"),
+    ("seeds", (0, 0), "seeds must be distinct, got (0, 0)"),
+    ("blob_counts", (), "blob_counts must be one or more ints >= 1, got ()"),
+    ("blob_counts", (0, 5), "blob_counts must be one or more ints >= 1, got (0, 5)"),
+    ("blob_counts", (-3, 5), "blob_counts must be one or more ints >= 1, got (-3, 5)"),
+    ("test_counts", (0, 5), "test_counts must be None or one or more ints >= 1, got (0, 5)"),
+    ("test_counts", (), "test_counts must be None or one or more ints >= 1, got ()"),
+    ("temp_kind", "x", "temp_kind must be one of ('multiplicative', 'inverse-linear'), got 'x'"),
+    ("batch_size", 0, "batch_size must be at least 1, got 0"),
+    ("hidden_units", 0, "hidden_units must be at least 1, got 0"),
 ]
 NO_RULE_FIELDS = {"dataset", "label_column", "out_dir"}  # any string is read as given
 
@@ -181,15 +196,18 @@ class TestExperimentConfig:
             with pytest.raises(InvalidParameterError):
                 small_config(hidden_units=bad)
 
-    @pytest.mark.parametrize("field, value", BAD_FIELD_VALUES)
-    def test_out_of_range_field_rejected_by_name(self, field, value):
-        with pytest.raises(InvalidParameterError,
-                           match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
+    @pytest.mark.parametrize("field, value, message", BAD_FIELD_VALUES)
+    def test_out_of_range_field_rejected_by_name(self, field, value, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             small_config(**{field: value})
+
+    def test_several_broken_rules_are_named_by_the_first_key_in_field_order(self):
+        with pytest.raises(InvalidParameterError, match="^blob_dim must be at least 1, got 0$"):
+            small_config(hidden_units=0, seeds=(1, 1), sampler="x", blob_dim=0)
 
     def test_every_field_with_a_rule_has_a_rejected_value(self):
         names = {f.name for f in fields(ExperimentConfig)}
-        assert names - NO_RULE_FIELDS == {field for field, _ in BAD_FIELD_VALUES}
+        assert names - NO_RULE_FIELDS == {field for field, _, _ in BAD_FIELD_VALUES}
 
 
 class TestBuildDatasets:

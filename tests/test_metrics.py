@@ -178,6 +178,14 @@ class TestClassificationRates:
         assert report.per_class[1]["precision"] == 0.0
         assert report.flags == ["class 1: precision reported as 0 (never predicted)"]
 
+    def test_class_with_no_samples_is_flagged_and_scored_0(self):
+        report = build_metrics_report(make_log([0, 0, 0], [0, 0, 0], num_classes=2))
+        assert report.per_class[1] == {"accuracy": 0.0, "f1": 0.0, "precision": 0.0, "sodc": 0.0}
+        assert report.aggregate["macro_recall"] == 0.5
+        assert report.flags == [
+            "class 1: precision reported as 0 (never predicted)",
+            "class 1: no test samples; its accuracy, F1 and SODC are reported as 0"]
+
     def test_three_class_confusion_matrix(self):
         confusion = [[2, 1, 0], [0, 3, 0], [1, 0, 3]]
         y, yhat = [], []

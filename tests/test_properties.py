@@ -383,7 +383,11 @@ def test_metrics_report_agrees_with_the_oracles(c, n, data):
         counts = report.ood_partition[str(k)]
         assert (counts["id"], counts["id"] + counts["ood"]) == (cells[k, k], true.count(k))
     never_predicted = sorted(set(range(c)) - set(predicted))
-    assert [int(flag.split()[1].rstrip(":")) for flag in report.flags] == never_predicted
+    no_samples = sorted(set(range(c)) - set(true))
+    assert report.flags == [
+        *(f"class {k}: precision reported as 0 (never predicted)" for k in never_predicted),
+        *(f"class {k}: no test samples; its accuracy, F1 and SODC are reported as 0"
+          for k in no_samples)]
     assert report.aggregate["accuracy"] == pytest.approx(sum(cells[k, k] for k in range(c)) / n)
     assert report.aggregate["sodc_total"] == pytest.approx(math.prod(sodc), rel=1e-12)
 
