@@ -116,13 +116,13 @@ def _simplex_centers(num_classes: int, dim: int, separation: float) -> np.ndarra
     """Class centers on a regular simplex with pairwise distance `separation`.
 
     Built by projecting the standard-basis vertices onto the complement of
-    the all-ones direction. When dim is smaller than num_classes - 1 the
-    simplex coordinates are truncated, so pairwise distances are only
-    approximately equal.
+    the all-ones direction. At dim >= num_classes - 1 every pairwise
+    distance is `separation`. Below that the simplex coordinates are
+    truncated to the first dim, so distances differ and classes can share a
+    center: (3, 1, 3.0) puts classes 1 and 2 on one point, (4, 2, 3.0)
+    classes 2 and 3.
     """
     k = num_classes
-    if k == 1:
-        return np.zeros((1, dim))
     centered = np.eye(k) - 1.0 / k
     basis = np.zeros((k, k))
     basis[:, 0] = 1.0
@@ -138,7 +138,9 @@ def _simplex_centers(num_classes: int, dim: int, separation: float) -> np.ndarra
 
 def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
     """Isotropic unit-variance Gaussian blobs, one per class, centered on a
-    scaled simplex so pairwise class geometry is uniform."""
+    scaled simplex: at d >= the class count - 1 every pair of centers is
+    `separation` apart; at a smaller d some pairs are closer and some share
+    a center (see _simplex_centers)."""
     counts = np.asarray(n_per_class)
     if counts.ndim != 1 or counts.size and counts.dtype.kind not in "iu":
         raise InvalidParameterError(f"n_per_class must be a list of ints, got {n_per_class!r}")
@@ -176,8 +178,9 @@ def pareto_resample(dataset: Dataset, scale: float, seed: int) -> Dataset:
 
     Classes are ranked by count descending; surplus classes are uniformly
     subsampled without replacement, deficit classes uniformly oversampled
-    with replacement from their own samples, so every class needs at least
-    one sample. A bad scale or seed is rejected whatever the dataset.
+    with replacement from their own samples. A class with no samples ranks
+    last and stays empty, so every other class keeps its target and draws.
+    A bad scale or seed is rejected whatever the dataset.
     """
     targets = pareto_tail_counts(dataset.class_counts, scale)
     check_int(seed, "seed")
@@ -185,9 +188,6 @@ def pareto_resample(dataset: Dataset, scale: float, seed: int) -> Dataset:
         raise EmptyInputError("dataset is empty")
     if dataset.num_classes == 1:
         return dataset
-    empty = np.flatnonzero(dataset.class_counts == 0)
-    if empty.size:
-        raise InsufficientDataError(f"class {int(empty[0])} has no samples to resample from")
 
     rng = np.random.default_rng(seed)
     order = np.argsort(-dataset.class_counts, kind="stable")  # classes by rank
@@ -195,7 +195,7 @@ def pareto_resample(dataset: Dataset, scale: float, seed: int) -> Dataset:
     chosen = []
     for rank, cls in enumerate(order):
         idx = np.flatnonzero(dataset.labels == cls)
-        target = int(targets[rank])
+        target = int(targets[rank]) if idx.size else 0  # nothing to draw from
         if target <= len(idx):
             picked = rng.choice(idx, size=target, replace=False)
         else:

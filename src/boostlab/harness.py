@@ -22,7 +22,8 @@ from . import model as model_mod
 from .calibration import SCHEDULE_KINDS, OdinConfig, calibrate_batch_full, temperature_at
 from .data import Dataset, class_labels, compute_feature_std, load_csv, make_blobs
 from .data import csv_fields, is_number, pareto_resample, read_json, train_test_split, write_csv
-from .errors import BoostLabError, ConfigurationError, EmptyInputError, InvalidParameterError
+from .errors import BoostLabError, ConfigurationError, EmptyInputError
+from .errors import InvalidParameterError, NumericOverflowError
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
 from .model import ClassifierModel, hidden_activations, softmax_rows, train_step
 from .sampler import STRATEGIES, SamplerState, draw_batch, epoch_resample
@@ -149,7 +150,12 @@ def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Datase
 
     if config.pareto_scale is not None:
         train = pareto_resample(train, config.pareto_scale, seed)
-    return train, test, compute_feature_std(train)
+    try:
+        return train, test, compute_feature_std(train)
+    except NumericOverflowError as exc:
+        if config.dataset != "blobs":
+            raise
+        raise NumericOverflowError(f"blob_separation {config.blob_separation!r}: {exc}") from exc
 
 
 def run_seeds(seed: int) -> tuple[int, int]:

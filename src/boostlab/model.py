@@ -209,38 +209,32 @@ def train_step(
     return updated, loss
 
 
-# --- checkpoint format: flat JSON, layer name -> row-major values ---------
+# --- checkpoint format: JSON {dims, params}, params as laid out in memory ---
 
 
 def model_to_dict(model: ClassifierModel) -> dict:
     dims = dict(features=model.num_features, hidden=model.num_hidden, classes=model.num_classes)
-    layers = zip(LAYERS, model.layer_views(model.params))
-    return {"dims": dims, "activation": "tanh", **{k: v.ravel().tolist() for k, v in layers}}
+    return {"dims": dims, "params": model.params.tolist()}
 
 
 def model_from_dict(doc) -> ClassifierModel:
-    """Inverse of model_to_dict. A missing key, a value of the wrong type
-    and a layer of the wrong length each raise a typed error."""
+    """Inverse of model_to_dict. A missing or unknown key and a value of the
+    wrong type each raise a typed error; ClassifierModel checks the params."""
     if not isinstance(doc, dict):
         raise InvalidParameterError("a checkpoint must be a JSON object")
-    activation = doc.get("activation", "tanh")
-    if activation != "tanh":
-        raise InvalidParameterError(
-            f"unsupported activation {activation!r}; only 'tanh' is implemented"
-        )
+    unknown = sorted(set(doc) - {"dims", "params"})
+    if unknown:
+        raise InvalidParameterError(f"checkpoint has an unknown key {unknown[0]!r}")
     try:
         d, h, c = (operator.index(doc["dims"][k]) for k in ("features", "hidden", "classes"))
-        layers = [float_array(doc[name], name) for name in LAYERS]
+        params = doc["params"]
     except KeyError as exc:
         raise InvalidParameterError(f"checkpoint has no key {exc}") from exc
     except TypeError as exc:  # dims that are no mapping of ints
         raise InvalidParameterError(f"checkpoint value of the wrong type: {exc}") from exc
     if min(d, h, c) < 1:
         raise InvalidParameterError(f"checkpoint dims must be positive, got {doc['dims']}")
-    for name, values, size in zip(LAYERS, layers, (h * d, h, c * h, c)):
-        if values.shape != (size,):
-            raise InputShapeError(f"{name} must hold {size} values, got shape {values.shape}")
-    return ClassifierModel(np.concatenate(layers), d, h, c)
+    return ClassifierModel(params, d, h, c)
 
 
 def save_model(model: ClassifierModel, path) -> None:

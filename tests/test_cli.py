@@ -141,6 +141,31 @@ def test_diverging_run_exits_2_with_a_one_line_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_overflowing_blob_separation_exits_2_naming_the_key(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    argv = ["train", "--blob-counts", "60,20", "--epochs", "3", "--blob-separation", "1e160",
+            "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("boostlab: error: blob_separation 1e+160: feature std "
+                                       "overflows float64; rescale the features\n")
+    assert not out_dir.exists()
+
+
+def test_long_tail_resampling_keeps_a_class_with_no_train_samples_empty(tmp_path, capsys):
+    csv_path = tmp_path / "rare3.csv"
+    save_csv(make_blobs([40, 30, 1], 2, 3.0, 0), csv_path)  # seed 0 puts class 2 in test
+    out_dir = tmp_path / "run"
+    argv = ["train", "--dataset", str(csv_path), "--pareto-scale", "0", "--epochs", "2",
+            "--seeds", "0", "--out", str(out_dir)]
+    assert run_cli(argv, capsys)[0] == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["metrics"]["ood_partition"]["2"] == {"id": 0, "ood": 1}
+    history = np.loadtxt(out_dir / "sampler_history.csv", delimiter=",", skiprows=1)
+    train_labels = history[history[:, 0] == 0, 2].astype(int)
+    # 29 and 24 train samples: class 0 keeps its count, class 1 gets 29 / 2 rounded to even
+    np.testing.assert_array_equal(np.bincount(train_labels, minlength=3), [29, 14, 0])
+
+
 def test_class_missing_from_the_test_split_is_flagged(tmp_path, capsys):
     csv_path = tmp_path / "rare.csv"
     save_csv(make_blobs([40, 1], 2, 3.0, 0), csv_path)
@@ -490,11 +515,25 @@ def test_checkpoint_without_keys_exits_2_naming_file_and_key(tmp_path, capsys):
     _evaluate_fails_naming(run_dir, capsys, model_path, "dims")
 
 
-def test_checkpoint_layer_of_the_wrong_length_exits_2(tmp_path, capsys):
+def test_checkpoint_params_of_the_wrong_length_exits_2(tmp_path, capsys):
     run_dir = _trained_run(tmp_path, capsys)
     model_path = run_dir / "model_seed0.json"
-    _edit_json(model_path, lambda doc: doc.update(bias_out=doc["bias_out"][:-1]))
-    _evaluate_fails_naming(run_dir, capsys, model_path, "bias_out")
+    _edit_json(model_path, lambda doc: doc.update(params=doc["params"][:-1]))
+    _evaluate_fails_naming(run_dir, capsys, model_path,
+                           "a 2-4-2 model has 22 parameters, got shape (21,)")
+
+
+def test_checkpoint_in_the_per_layer_format_exits_2_naming_activation(tmp_path, capsys):
+    run_dir = _trained_run(tmp_path, capsys)
+    model_path = run_dir / "model_seed0.json"
+
+    def to_layers(doc):
+        params = doc.pop("params")
+        doc.update(activation="tanh", weights_hidden=params[:8], bias_hidden=params[8:12],
+                   weights_out=params[12:20], bias_out=params[20:])
+
+    _edit_json(model_path, to_layers)
+    _evaluate_fails_naming(run_dir, capsys, model_path, "unknown key 'activation'")
 
 
 @pytest.mark.parametrize(

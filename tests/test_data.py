@@ -125,8 +125,8 @@ def _installed(weights):
     return install_distribution(SamplerState(strategy="boost", rng_seed=0), weights)
 
 
-def _checkpoint(layer):
-    return model_from_dict({**model_to_dict(MODEL), "weights_hidden": layer}).params
+def _checkpoint(params):
+    return model_from_dict({**model_to_dict(MODEL), "params": params}).params
 
 
 # every numeric-array parameter: (the function, the parameter's name, a call
@@ -152,7 +152,7 @@ FLOAT_ARRAY_ARGUMENTS = {
     "input_gradient_batch-probs": (
         input_gradient_batch, "probs",
         lambda v: input_gradient_batch(MODEL, [[0.5, 0.0, -0.5]], v, [1], 2.0), [[0, 1]]),
-    "model_from_dict-layer": (model_from_dict, "weights_hidden", _checkpoint, [1, 0, -1, 2, 0, 1]),
+    "model_from_dict-params": (model_from_dict, "params", _checkpoint, list(range(-8, 9))),
     "OdinConfig-grad_std": (
         OdinConfig, "grad_std", lambda v: OdinConfig(2.0, 0.1, v).grad_std, [1, 2]),
     "evaluate_run-grad_std": (
@@ -204,11 +204,11 @@ def test_numeric_array_argument_rejects_what_is_not_numeric_by_name(entry, bad):
 # the entries whose values must be finite: there a NaN or an infinity is
 # rejected by name before any arithmetic, so no RuntimeWarning escapes
 MUST_BE_FINITE = (
-    "ClassifierModel-params", "Dataset-features", "forward_batch-features",
-    "hidden_activations-features", "loss_and_gradients-features", "train_step-features",
-    "perturb-grad", "calibrate_batch_full-features", "aggregate_class_scores-max_scores",
-    "boost_probabilities-logits", "mab-per_class_metric", "sdb-per_class_metric",
-    "sodc_total-per_class",
+    "ClassifierModel-params", "model_from_dict-params", "Dataset-features",
+    "forward_batch-features", "hidden_activations-features", "loss_and_gradients-features",
+    "train_step-features", "perturb-grad", "calibrate_batch_full-features",
+    "aggregate_class_scores-max_scores", "boost_probabilities-logits", "mab-per_class_metric",
+    "sdb-per_class_metric", "sodc_total-per_class",
 )
 NOT_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 
@@ -358,6 +358,25 @@ class TestMakeBlobs:
         d12 = np.linalg.norm(means[1] - means[2])
         np.testing.assert_allclose([d01, d02, d12], 6.0, atol=0.15)
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("extra_dims", [0, 1, 2])
+    def test_centers_are_separation_apart_from_k_minus_1_dims(self, k, extra_dims):
+        centers = _simplex_centers(k, k - 1 + extra_dims, 2.5)
+        pairs = np.triu_indices(k, 1)
+        distances = np.linalg.norm(centers[pairs[0]] - centers[pairs[1]], axis=1)
+        np.testing.assert_allclose(distances, 2.5, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "k, d, shared", [(3, 1, (1, 2)), (4, 2, (2, 3)), (2, 3, None), (1, 3, None)])
+    def test_centers_below_k_minus_1_dims_can_coincide(self, k, d, shared):
+        centers = _simplex_centers(k, d, 3.0)
+        assert centers.shape == (k, d)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)  # equal up to rounding
+                 if np.linalg.norm(centers[i] - centers[j]) < 1e-12 * 3.0]
+        assert pairs == ([shared] if shared else [])
+        if k == 1:
+            np.testing.assert_array_equal(centers, np.zeros((1, d)))
+
 
 class TestParetoResample:
     def test_flat_curve_keeps_balanced_counts(self):
@@ -436,11 +455,23 @@ class TestParetoResample:
         with pytest.raises(EmptyInputError, match="^dataset is empty$"):
             pareto_resample(empty, 0.0, 0)
 
-    def test_empty_class_rejected_by_name(self):
+    @pytest.mark.parametrize("scale", [0.0, 0.5])
+    def test_empty_last_class_stays_empty_and_the_rest_resample_as_without_it(self, scale):
         # a rare class can end up with no train samples after a CSV split
-        data = Dataset(features=np.arange(4.0)[:, None], labels=[0, 0, 2, 2], num_classes=3)
-        with pytest.raises(InsufficientDataError, match="class 1"):
-            pareto_resample(data, 0.0, 0)
+        data = make_blobs([50, 20, 9], 2, 2.5, 3)
+        wider = Dataset(data.features, data.labels, num_classes=4)
+        expected, got = pareto_resample(data, scale, 7), pareto_resample(wider, scale, 7)
+        np.testing.assert_array_equal(got.features, expected.features)
+        np.testing.assert_array_equal(got.labels, expected.labels)
+        np.testing.assert_array_equal(got.class_counts, [*expected.class_counts, 0])
+
+    def test_empty_middle_class_stays_empty_and_the_rest_resample_as_without_it(self):
+        features = np.arange(4.0)[:, None]
+        got = pareto_resample(Dataset(features, [0, 0, 2, 2], num_classes=3), 0.0, 0)
+        expected = pareto_resample(Dataset(features, [0, 0, 1, 1], num_classes=2), 0.0, 0)
+        np.testing.assert_array_equal(got.features, expected.features)
+        np.testing.assert_array_equal(got.labels, 2 * expected.labels)
+        np.testing.assert_array_equal(got.class_counts, [2, 0, 1])
 
 
 class TestFeatureStd:

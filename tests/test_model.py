@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,19 +269,22 @@ class TestCheckpoint:
     def test_dict_form_is_flat_row_major(self):
         model = init_model(2, 3, 2, seed=1)
         doc = model_to_dict(model)
+        assert set(doc) == {"dims", "params"}
         assert doc["dims"] == {"features": 2, "hidden": 3, "classes": 2}
-        assert len(doc["weights_hidden"]) == 6
-        assert doc["weights_hidden"][:2] == model.weights_hidden[0].tolist()
-        np.testing.assert_array_equal(
-            model_from_dict(doc).weights_out, model.weights_out
-        )
+        assert doc["params"] == model.params.tolist()
+        assert doc["params"][:2] == model.weights_hidden[0].tolist()  # LAYERS order, row-major
+        assert doc["params"][9:12] == model.weights_out[0].tolist()
+        np.testing.assert_array_equal(model_from_dict(doc).weights_out, model.weights_out)
 
-    def test_unknown_activation_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value", [("activation", "relu"), ("activation", "tanh"), ("weights_hidden", [0.0])]
+    )
+    def test_unknown_key_rejected_by_name(self, tmp_path, key, value):
         doc = model_to_dict(init_model(2, 3, 2, seed=1))
-        doc["activation"] = "relu"
-        path = tmp_path / "relu.json"
+        doc[key] = value
+        path = tmp_path / "extra.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(InvalidParameterError, match="relu"):
+        with pytest.raises(InvalidParameterError, match=f"unknown key '{key}'$"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -288,13 +292,15 @@ class TestCheckpoint:
         [
             ('{"dims": ', InvalidParameterError, "not valid JSON"),
             ("{}", InvalidParameterError, "dims"),
+            ('{"dims": {"features": 1, "hidden": 1, "classes": 2}}', InvalidParameterError,
+             "no key 'params'"),
             ("[1, 2]", InvalidParameterError, "JSON object"),
-            ('{"dims": {"features": -1, "hidden": 0, "classes": 2}, "weights_hidden": [], '
-             '"bias_hidden": [], "weights_out": [], "bias_out": [0, 0]}',
-             InvalidParameterError, "dims"),
+            ('{"dims": {"features": -1, "hidden": 0, "classes": 2}, "params": [0, 0]}',
+             InvalidParameterError, "dims must be positive"),
             ('{"dims": 5}', InvalidParameterError, "checkpoint value of the wrong type"),
         ],
-        ids=["truncated", "no-keys", "not-an-object", "negative-dims", "dims-not-a-mapping"],
+        ids=["truncated", "no-keys", "no-params", "not-an-object", "negative-dims",
+             "dims-not-a-mapping"],
     )
     def test_malformed_checkpoint_names_the_file(self, tmp_path, text, error, named):
         path = tmp_path / "bad.json"
@@ -303,13 +309,17 @@ class TestCheckpoint:
             load_model(path)
         assert str(path) in str(info.value)
 
-    def test_layer_of_the_wrong_length_names_the_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit, shape", [(list.pop, "(16,)"), (lambda p: p.append(0.0), "(18,)")],
+        ids=["one-short", "one-long"],
+    )
+    def test_params_of_the_wrong_length_rejected(self, tmp_path, edit, shape):
         doc = model_to_dict(init_model(2, 3, 2, seed=1))
-        doc["weights_hidden"].append(0.0)
-        doc["bias_hidden"].pop()  # the total still matches; each layer is checked
+        edit(doc["params"])
         path = tmp_path / "short.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(InputShapeError, match="weights_hidden"):
+        message = f"^{re.escape(f'{path}: a 2-3-2 model has 17 parameters, got shape {shape}')}$"
+        with pytest.raises(InputShapeError, match=message):
             load_model(path)
 
     def test_save_load_save_byte_identical(self, tmp_path):
@@ -317,7 +327,7 @@ class TestCheckpoint:
         save_model(init_model(3, 5, 4, seed=9), first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
-        assert json.loads(first.read_text())["activation"] == "tanh"
+        assert set(json.loads(first.read_text())) == {"dims", "params"}
 
     def test_init_reproducible(self):
         a = init_model(4, 6, 3, seed=123)
