@@ -271,14 +271,21 @@ def write_history_csv(state: SamplerState, true_labels: np.ndarray, path) -> Non
     sample_column = csv_fields(np.arange(n))
     true_classes = csv_fields(labels)
     no_prediction, no_score = ["-1"] * n, [""] * n
-    blocks = ([[str(record.epoch)] * n, sample_column, true_classes,
-               no_prediction if record.predicted is None else record.predicted,
-               no_score if record.scores is None else record.scores,
-               record.probabilities, record.draw_counts]
-              for record in state.history)  # one epoch at a time, so memory stays per epoch
+
+    def blocks():  # one epoch at a time, so memory stays per epoch
+        last = probabilities = None
+        for record in state.history:
+            if record.probabilities is not last:  # a baseline's records share theirs: format
+                last = record.probabilities       # it once; a boost record's goes in chunks
+                probabilities = last if record.scores is not None else csv_fields(last)
+            yield [[str(record.epoch)] * n, sample_column, true_classes,
+                   no_prediction if record.predicted is None else record.predicted,
+                   no_score if record.scores is None else record.scores,
+                   probabilities, record.draw_counts]
+
     header = ["epoch", "sample_id", "true_class", "predicted_class",
               "calibrated_score", "sampling_probability", "times_drawn"]
-    write_csv(path, header, blocks)
+    write_csv(path, header, blocks())
 
 
 def _write_record(record: RunRecord, out_dir: str) -> list[str]:

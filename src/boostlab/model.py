@@ -98,8 +98,12 @@ def forward_batch(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndar
             f"expected [n x {model.num_features}] feature matrix, got shape {features.shape}"
         )
     check_finite(features, "features")
-    hidden = np.tanh(features @ model.weights_hidden.T + model.bias_hidden)
-    return hidden, hidden @ model.weights_out.T + model.bias_out
+    hidden = features @ model.weights_hidden.T  # each [n x ...] intermediate is one buffer
+    hidden += model.bias_hidden
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ model.weights_out.T
+    logits += model.bias_out
+    return hidden, logits
 
 
 def hidden_activations(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
@@ -120,6 +124,16 @@ def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
         scaled -= scaled.max(axis=-1, keepdims=True)  # a gap past the float range exps to 0
     e = np.exp(scaled)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _hidden_delta(model: ClassifierModel, delta_out: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """(delta_out @ W_out) * (1 - hidden**2): a delta at the logits taken back
+    through the readout and the tanh, in two [n x hidden] buffers."""
+    slope = hidden**2
+    np.subtract(1.0, slope, out=slope)
+    delta = delta_out @ model.weights_out
+    delta *= slope
+    return delta
 
 
 def input_gradient_batch(
@@ -143,8 +157,7 @@ def input_gradient_batch(
         # dS_c/dz, shape [n x classes]
         dscore_dlogit = -probs * (p_c / temperature)[:, np.newaxis]
         dscore_dlogit[rows, class_indices] += p_c / temperature
-        grad_hidden = (dscore_dlogit @ model.weights_out) * (1.0 - hidden**2)
-        grads = grad_hidden @ model.weights_hidden
+        grads = _hidden_delta(model, dscore_dlogit, hidden) @ model.weights_hidden
     if not np.all(np.isfinite(grads)):
         raise NumericOverflowError("non-finite values in input gradient")
     return grads
@@ -172,7 +185,7 @@ def loss_and_gradients(
     delta_out = e / norm
     delta_out[rows, labels] -= 1.0
     delta_out /= features.shape[0]
-    delta_hidden = (delta_out @ model.weights_out) * (1.0 - hidden**2)
+    delta_hidden = _hidden_delta(model, delta_out, hidden)
     grad = np.empty_like(model.params)
     g_weights_hidden, g_bias_hidden, g_weights_out, g_bias_out = model.layer_views(grad)
     np.matmul(delta_hidden.T, features, out=g_weights_hidden)

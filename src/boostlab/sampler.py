@@ -41,6 +41,10 @@ class EpochRecord:
     None. A baseline's distribution is the same every epoch on one split, so
     its records share one read-only copy of it and only `draw_counts` is new
     per epoch. A boost record's arrays are its own.
+
+    Integer columns are narrow: `predicted` in the smallest unsigned type
+    that holds a class index (uint8 up to 256 classes), `draw_counts` int32;
+    so a boost record costs 8 + 1 + 8 + 4 = 21 bytes per sample there.
     """
 
     epoch: int
@@ -172,7 +176,9 @@ def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
     indices = state.cdf.searchsorted(uniform, side="right")
     state.draw_count += 1
     if state.history:
-        np.add.at(state.history[-1].draw_counts, indices, 1)
+        counts = state.history[-1].draw_counts
+        # a 1 of the counts' dtype: a Python 1 takes ufunc.at's casting path, 4x slower
+        np.add.at(counts, indices, counts.dtype.type(1))
     return indices
 
 
@@ -205,7 +211,7 @@ def epoch_resample(
 
     if state.strategy == "boost":
         profiles, perturbed_logits = calibrate_batch_full(model, dataset.features, config)
-        predicted = profiles.argmax(axis=1)
+        predicted = profiles.argmax(axis=1).astype(np.min_scalar_type(dataset.num_classes - 1))
         sample_scores = profiles.max(axis=1)
         aggregates = aggregate_class_scores(sample_scores, dataset.labels, dataset.num_classes)
         # the weight uses the true class, so a confidently misclassified
@@ -224,4 +230,4 @@ def epoch_resample(
         p.setflags(write=False)
         recorded = None, None, p
 
-    state.history.append(EpochRecord(len(state.history), *recorded, np.zeros(n, dtype=np.int64)))
+    state.history.append(EpochRecord(len(state.history), *recorded, np.zeros(n, dtype=np.int32)))

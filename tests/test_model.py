@@ -239,6 +239,72 @@ class TestTrainStep:
             assert np.abs(grad - expected).max() / denom < 1e-4
 
 
+def parent_forward(model, x):
+    """forward_batch as written out of place, one temporary per operation."""
+    hidden = np.tanh(x @ model.weights_hidden.T + model.bias_hidden)
+    return hidden, hidden @ model.weights_out.T + model.bias_out
+
+
+def parent_input_gradient(model, hidden, probs, class_indices, t):
+    rows = np.arange(hidden.shape[0])
+    p_c = probs[rows, class_indices]
+    dscore_dlogit = -probs * (p_c / t)[:, np.newaxis]
+    dscore_dlogit[rows, class_indices] += p_c / t
+    return ((dscore_dlogit @ model.weights_out) * (1.0 - hidden**2)) @ model.weights_hidden
+
+
+def parent_loss_and_gradients(model, x, labels):
+    hidden, logits = parent_forward(model, x)
+    rows = np.arange(x.shape[0])
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    norm = e.sum(axis=1, keepdims=True)
+    loss = float(-(shifted - np.log(norm))[rows, labels].mean())
+    delta_out = e / norm
+    delta_out[rows, labels] -= 1.0
+    delta_out /= x.shape[0]
+    delta_hidden = (delta_out @ model.weights_out) * (1.0 - hidden**2)
+    grad = np.concatenate([(delta_hidden.T @ x).ravel(), delta_hidden.sum(axis=0),
+                           (delta_out.T @ hidden).ravel(), delta_out.sum(axis=0)])
+    return loss, grad
+
+
+class TestInPlacePassesMatchOutOfPlace:
+    """The passes build each [n x ...] intermediate in one buffer; that must
+    give the bits the plain out-of-place expressions give, on the shapes the
+    benchmark workloads run (2-16-2 blobs, 32-64-10 wide CSV)."""
+
+    SHAPES = [(2, 16, 2, 10_000), (32, 64, 10, 6_700)]
+
+    @pytest.fixture(params=SHAPES, ids=["2-16-2", "32-64-10"])
+    def case(self, request):
+        d, h, c, n = request.param
+        rng = np.random.default_rng(d * h * c)
+        model = _random_model(rng, d, h, c)
+        return model, rng.normal(scale=2.0, size=(n, d)), rng.integers(0, c, size=n)
+
+    def test_forward(self, case):
+        model, x, _ = case
+        for got, expected in zip(forward_batch(model, x), parent_forward(model, x)):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("t", [1.0, 7.5, 1000.0])
+    def test_input_gradient(self, case, t):
+        model, x, _ = case
+        hidden, logits = forward_batch(model, x)
+        probs = softmax_rows(logits, t)
+        targets = probs.argmax(axis=1)
+        assert np.array_equal(input_gradient_batch(model, hidden, probs, targets, t),
+                              parent_input_gradient(model, hidden, probs, targets, t))
+
+    @pytest.mark.parametrize("rows", [32, None], ids=["batch", "split"])
+    def test_loss_and_gradients(self, case, rows):
+        model, x, labels = case
+        loss, grad = loss_and_gradients(model, x[:rows], labels[:rows])
+        expected_loss, expected_grad = parent_loss_and_gradients(model, x[:rows], labels[:rows])
+        assert loss == expected_loss and np.array_equal(grad, expected_grad)
+
+
 class TestParameterVector:
     def test_layers_are_views_of_the_vector(self, toy_model):
         for layer in toy_model.layer_views(toy_model.params):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from boostlab import data as data_mod
+from boostlab import harness as harness_mod
 from boostlab.calibration import OdinConfig
-from boostlab.data import Dataset, compute_feature_std, make_blobs
+from boostlab.data import Dataset, compute_feature_std, csv_fields, make_blobs
 from boostlab.errors import ConfigurationError, EmptyInputError, InvalidParameterError
 from boostlab.harness import write_history_csv
-from boostlab.model import init_model, train_step
+from boostlab.model import ClassifierModel, init_model, train_step
 from boostlab.sampler import (
     STRATEGIES,
+    EpochRecord,
     SamplerState,
     aggregate_class_scores,
     boost_probabilities,
@@ -374,7 +377,34 @@ class TestEpochResample:
             epoch_resample(state, model, data, odin)
         arrays = (getattr(record, name) for record in state.history for name in RECORD_ARRAYS)
         unique = {id(array): array.nbytes for array in arrays if array is not None}
-        assert sum(unique.values()) <= (epochs + 1) * data.n * 8
+        assert sum(unique.values()) == data.n * 8 + epochs * data.n * 4  # float64 p, int32 counts
+
+    def test_boost_history_holds_21_bytes_per_sample_and_epoch(self):
+        data, model, odin = self._setup()  # 2 classes: predicted is uint8
+        state = SamplerState(strategy="boost", rng_seed=0)
+        epochs = 6
+        for _ in range(epochs):
+            epoch_resample(state, model, data, odin)
+        arrays = (getattr(record, name) for record in state.history for name in RECORD_ARRAYS)
+        unique = {id(array): array.nbytes for array in arrays}
+        assert sum(unique.values()) == epochs * data.n * (8 + 1 + 8 + 4)
+
+    @pytest.mark.parametrize("num_classes, dtype", [(1, np.uint8), (256, np.uint8),
+                                                    (257, np.uint16)])
+    def test_predicted_holds_every_class_index(self, num_classes, dtype):
+        rng = np.random.default_rng(num_classes)
+        data = Dataset(features=rng.normal(size=(2 * num_classes, 2)),
+                       labels=np.arange(2 * num_classes) % num_classes, num_classes=num_classes)
+        model = init_model(2, 4, num_classes, seed=0)
+        params = model.params.copy()
+        params[-1] += 50.0  # the last class wins every sample, the one past uint8 at 257
+        model = ClassifierModel(params, 2, 4, num_classes)
+        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=compute_feature_std(data))
+        state = SamplerState(strategy="boost", rng_seed=0)
+        epoch_resample(state, model, data, odin)
+        predicted = state.history[0].predicted
+        assert predicted.dtype == dtype
+        np.testing.assert_array_equal(predicted, np.full(data.n, num_classes - 1))
 
     def test_static_replay_stream_equals_generator_choice(self):
         data, model, odin = self._setup()
@@ -436,6 +466,48 @@ class TestEpochResample:
 
 
 class TestHistoryExport:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_formats_a_shared_distribution_once(self, tmp_path, monkeypatch, strategy):
+        data = make_blobs([12, 8], 2, 3.0, seed=12)
+        model = init_model(2, 4, 2, seed=12)
+        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(data))
+        state = SamplerState(strategy=strategy, rng_seed=13)
+        epochs = 5
+        for _ in range(epochs):
+            epoch_resample(state, model, data, odin)
+        formatted = []
+
+        def counting(column):
+            formatted.append(len(column))
+            return csv_fields(column)
+
+        monkeypatch.setattr(data_mod, "csv_fields", counting)
+        monkeypatch.setattr(harness_mod, "csv_fields", counting)
+        write_history_csv(state, data.labels, tmp_path / "history.csv")
+        # the ids and the labels once; then per epoch a boost record's four
+        # arrays, or a baseline's counts and, once for all, its distribution
+        per_epoch = 4 if strategy == "boost" else 1
+        shared = 0 if strategy == "boost" else 1
+        assert sum(formatted) == data.n * (2 + shared + per_epoch * epochs)
+
+    def test_narrow_integers_write_the_bytes_of_their_int64_copies(self, tmp_path):
+        state, wide = (SamplerState(strategy="boost", rng_seed=0) for _ in range(2))
+        for epoch, dtype in enumerate([np.uint8, np.uint16]):
+            top = np.iinfo(dtype).max
+            predicted = np.array([0, 1, top - 1, top], dtype=dtype)
+            counts = np.array([0, 7, 2**31 - 2, 2**31 - 1], dtype=np.int32)
+            probabilities = np.full(4, 0.25)
+            scores = np.linspace(0.2, 0.9, 4)
+            state.history.append(EpochRecord(epoch, scores, predicted, probabilities, counts))
+            wide.history.append(EpochRecord(epoch, scores, predicted.astype(np.int64),
+                                            probabilities, counts.astype(np.int64)))
+        labels = np.array([0, 1, 0, 1])
+        write_history_csv(state, labels, tmp_path / "narrow.csv")
+        write_history_csv(wide, labels, tmp_path / "wide.csv")
+        narrow = (tmp_path / "narrow.csv").read_bytes()
+        assert narrow == (tmp_path / "wide.csv").read_bytes()
+        assert b",65535," in narrow and narrow.endswith(b",2147483647\n")
+
     def test_csv_shape_and_columns(self, tmp_path):
         data = make_blobs([12, 8], 2, 3.0, seed=12)
         model = init_model(2, 4, 2, seed=12)
