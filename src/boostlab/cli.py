@@ -15,7 +15,7 @@ from dataclasses import fields
 
 from .data import read_json
 from .errors import BoostLabError, ConfigurationError, InputShapeError
-from .harness import CHECKPOINT, CONFIG_KEYS, ExperimentConfig, build_datasets, evaluate_run
+from .harness import CHECKPOINT, CONFIG_KEYS, ExperimentConfig, build_datasets, run_evaluation
 from .harness import export_reports, load_config, read_run, run_comparison, run_experiment
 from .sampler import STRATEGIES
 
@@ -67,7 +67,7 @@ def cmd_evaluate(args) -> int:
     config, seed, model = read_run(args.run)
     _, test, grad_std = build_datasets(config, seed)
     try:
-        report = evaluate_run(model, test, grad_std, config)
+        report = run_evaluation(model, test, grad_std, config)
     except (ConfigurationError, InputShapeError) as exc:  # the checkpoint does not fit the data
         raise type(exc)(f"{os.path.join(args.run, CHECKPOINT.format(seed))}: {exc}") from exc
     print(json.dumps(report.to_dict(), indent=2))
@@ -117,7 +117,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BoostLabError, OSError) as exc:  # OSError names the missing or unreadable file
+    # OSError names the missing or unreadable file; MemoryError (numpy's
+    # _ArrayMemoryError too) an allocation past what the machine has
+    except (BoostLabError, OSError, MemoryError) as exc:
         print(f"boostlab: error: {exc}", file=sys.stderr)
         return 2
 

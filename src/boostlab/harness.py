@@ -132,8 +132,7 @@ class RunRecord:
     metrics: MetricsReport
     sampler_state: SamplerState
     train_labels: np.ndarray
-    test_labels: np.ndarray
-    embeddings: np.ndarray  # hidden activations per test sample
+    test: Dataset
     model: ClassifierModel
 
 
@@ -169,7 +168,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
 
     Per epoch: the schedule sets the temperature, the sampler rebuilds
     its distribution, and the trainer consumes ceil(n / batch_size) drawn
-    batches. Ends with the run's final evaluation (`evaluate_run`). No
+    batches. Ends with the run's final evaluation (`run_evaluation`). No
     numpy warning leaks: a step that diverges raises NumericOverflowError.
     """
     seed = config.seeds[0] if seed is None else seed
@@ -194,7 +193,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
                 losses.append(loss)
             epoch_losses.append(float(np.mean(losses)))
 
-        metrics = evaluate_run(model, test, grad_std, config)
+        metrics = run_evaluation(model, test, grad_std, config)
 
     return RunRecord(
         config=config,
@@ -203,33 +202,22 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
         metrics=metrics,
         sampler_state=state,
         train_labels=train.labels,
-        test_labels=test.labels,
-        embeddings=hidden_activations(model, test.features),
+        test=test,
         model=model,
     )
 
 
-def evaluate_run(
+def run_evaluation(
     model: ClassifierModel, test: Dataset, grad_std: np.ndarray, config: ExperimentConfig
 ) -> MetricsReport:
-    """The final evaluation of a run under this config: run_evaluation at
-    the schedule's final temperature, perturbing by the train split's std
-    that build_datasets returns. The same for every sampler."""
-    temperature = temperature_at(config, config.epochs - 1)
-    return run_evaluation(model, test, OdinConfig(temperature, config.epsilon, grad_std=grad_std))
-
-
-def _prediction_log(profiles: np.ndarray, labels: np.ndarray) -> PredictionLog:
-    return PredictionLog(labels, profiles.argmax(axis=1), profiles)
-
-
-def run_evaluation(model: ClassifierModel, test: Dataset, odin: OdinConfig) -> MetricsReport:
-    """Score a trained model on a test split, one way for every sampler.
+    """The final evaluation of a run under this config, one way for every sampler.
 
     The classification metrics come from the model's plain softmax; the
-    OOD-mass (SODC) scores from the calibrated second-pass profiles at
-    `odin`. Both passes are pure, so the caller's model is never modified.
+    OOD-mass (SODC) scores from the calibrated second-pass profiles at the
+    schedule's final temperature, perturbed by the train split's std that
+    build_datasets returns. Both passes are pure: the model is not modified.
     """
+    odin = OdinConfig(temperature_at(config, config.epochs - 1), config.epsilon, grad_std=grad_std)
     if test.n == 0:
         raise EmptyInputError("test split is empty")
     if model.num_classes != test.num_classes:
@@ -239,8 +227,8 @@ def run_evaluation(model: ClassifierModel, test: Dataset, odin: OdinConfig) -> M
 
     profiles, _ = calibrate_batch_full(model, test.features, odin)
     plain = softmax_rows(model_mod.forward_batch(model, test.features)[1])
-    return build_metrics_report(_prediction_log(plain, test.labels),
-                                sodc_log=_prediction_log(profiles, test.labels))
+    logs = [PredictionLog(test.labels, p.argmax(axis=1), p) for p in (plain, profiles)]
+    return build_metrics_report(logs[0], sodc_log=logs[1])
 
 
 REPORT_FILES = ("report.json", "per_class_metrics.csv", "sampler_history.csv", "embeddings.csv")
@@ -307,8 +295,9 @@ def _write_record(record: RunRecord, out_dir: str) -> list[str]:
 
     write_history_csv(record.sampler_state, record.train_labels, history_path)
 
-    hidden = [f"h_{j}" for j in range(record.embeddings.shape[1])]
-    columns = [np.arange(len(record.test_labels)), record.test_labels, *record.embeddings.T]
+    embeddings = hidden_activations(record.model, record.test.features)
+    hidden = [f"h_{j}" for j in range(embeddings.shape[1])]
+    columns = [np.arange(record.test.n), record.test.labels, *embeddings.T]
     write_csv(embeddings_path, ["sample_id", "true_class", *hidden], [columns])
 
     paths.append(os.path.join(out_dir, CHECKPOINT.format(record.seed)))

@@ -427,10 +427,11 @@ def test_criterion_9_protocol_isolation(tmp_path):
     train = make_blobs([60, 40], 2, 3.0, seed=91)
     test = make_blobs([30, 30], 2, 3.0, seed=92)
     model = init_model(2, 8, 2, seed=91)
-    odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=compute_feature_std(train))
+    grad_std = compute_feature_std(train)
+    odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=grad_std)
 
     snap = snapshot(model)
-    run_evaluation(model, test, odin)
+    run_evaluation(model, test, grad_std, ExperimentConfig(temp_start=5.0, epsilon=0.05, epochs=1))
     assert_unchanged(model, snap)
 
     for strategy in STRATEGIES:

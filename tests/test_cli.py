@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from boostlab import cli
 from boostlab.cli import _add_common_flags, build_config, main
 from boostlab.data import Dataset, make_blobs, save_csv
 from boostlab.errors import BoostLabError
@@ -138,6 +139,22 @@ def test_diverging_run_exits_2_with_a_one_line_error(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == ("boostlab: error: training diverged: a step at "
                                        "learning_rate 1e+308 left non-finite parameters\n")
+    assert not out_dir.exists()
+
+
+def test_allocation_past_the_machine_exits_2_with_a_one_line_error(tmp_path, capsys, monkeypatch):
+    # numpy raises a MemoryError subclass for an array no machine can hold
+    # (say --hidden-units 1000000000000); raised here, nothing is allocated
+    def too_big(config):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                          "(1000000000000, 2) and data type float64")
+
+    monkeypatch.setattr(cli, "run_experiment", too_big)
+    out_dir = tmp_path / "run"
+    assert main(["train", "--blob-counts", "20,10", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("boostlab: error: Unable to allocate 14.6 TiB for an array with shape "
+                   "(1000000000000, 2) and data type float64\n")
     assert not out_dir.exists()
 
 

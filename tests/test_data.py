@@ -30,7 +30,7 @@ from boostlab.errors import (
     InvalidParameterError,
     NumericOverflowError,
 )
-from boostlab.harness import ExperimentConfig, evaluate_run
+from boostlab.harness import ExperimentConfig, run_evaluation
 from boostlab.metrics import PredictionLog, mab, sdb, sodc_total
 from boostlab.model import (
     ClassifierModel,
@@ -155,9 +155,9 @@ FLOAT_ARRAY_ARGUMENTS = {
     "model_from_dict-params": (model_from_dict, "params", _checkpoint, list(range(-8, 9))),
     "OdinConfig-grad_std": (
         OdinConfig, "grad_std", lambda v: OdinConfig(2.0, 0.1, v).grad_std, [1, 2]),
-    "evaluate_run-grad_std": (
-        evaluate_run, "grad_std",
-        lambda v: evaluate_run(MODEL, BLOBS, v, ExperimentConfig(epochs=1)).to_dict(), [1, 2]),
+    "run_evaluation-grad_std": (
+        run_evaluation, "grad_std",
+        lambda v: run_evaluation(MODEL, BLOBS, v, ExperimentConfig(epochs=1)).to_dict(), [1, 2]),
     "perturb-x": (perturb, "x", lambda v: perturb(v, [[1.0, -1.0]], ODIN), [[1, 2]]),
     "perturb-grad": (perturb, "grad", lambda v: perturb([[1.0, 2.0]], v, ODIN), [[1, -1]]),
     "calibrate_batch_full-features": (

@@ -22,7 +22,6 @@ from boostlab.harness import (
     REPORT_FILES,
     ExperimentConfig,
     build_datasets,
-    evaluate_run,
     export_reports,
     read_run,
     record_to_report,
@@ -32,7 +31,8 @@ from boostlab.harness import (
     run_training,
 )
 from boostlab.metrics import PredictionLog, build_metrics_report
-from boostlab.model import forward_batch, init_model, softmax_rows, train_step
+from boostlab.model import forward_batch, hidden_activations, init_model, softmax_rows
+from boostlab.model import train_step
 from boostlab.sampler import STRATEGIES, EpochRecord, SamplerState
 
 from oracles import HISTORY_HEADER, oracle_csv_bytes, oracle_history_rows, oracle_sodc_per_class
@@ -50,6 +50,11 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def final_at(temperature, epsilon):
+    """A config whose final evaluation calibrates at this temperature and epsilon."""
+    return ExperimentConfig(temp_start=temperature, epsilon=epsilon, epochs=1)
 
 
 def train_to_perfection(counts=(30, 20), sep=8.0, seed=0):
@@ -110,8 +115,8 @@ class TestRunTraining:
         config = small_config(sampler=sampler, epochs=6, learning_rate=0.3)
         record = run_training(config, seed=3)
         _, test, grad_std = build_datasets(config, seed=3)
-        odin = OdinConfig(temperature=5.0, epsilon=config.epsilon, grad_std=grad_std)
-        assert record.metrics.to_dict() == run_evaluation(record.model, test, odin).to_dict()
+        report = run_evaluation(record.model, test, grad_std, final_at(5.0, config.epsilon))
+        assert record.metrics.to_dict() == report.to_dict()
 
     def test_one_class_run_counts_its_uniform_fallback(self, caplog):
         # with one class every inverted boost weight is 0, so every epoch
@@ -229,10 +234,11 @@ class TestBuildDatasets:
 class TestRunEvaluation:
     def test_perfect_model_scored_by_calibrated_profiles(self):
         model, train, test = train_to_perfection()
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(train))
-        report = run_evaluation(model, test, odin)
+        grad_std = compute_feature_std(train)
+        report = run_evaluation(model, test, grad_std, final_at(2.0, 0.05))
         assert [counts["ood"] for counts in report.ood_partition.values()] == [0, 0]
 
+        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=grad_std)
         profiles, _ = calibrate_batch_full(model, test.features, odin)
         predicted = profiles.argmax(axis=1).tolist()
         profiles = profiles.tolist()
@@ -252,9 +258,10 @@ class TestRunEvaluation:
         model = init_model(2, 8, 2, seed=0)
         for _ in range(20):
             model, _ = train_step(model, train.features, train.labels, 0.5)
-        odin = OdinConfig(temperature=2.0, epsilon=0.5, grad_std=compute_feature_std(train))
-        report = run_evaluation(model, test, odin)
+        grad_std = compute_feature_std(train)
+        report = run_evaluation(model, test, grad_std, final_at(2.0, 0.5))
 
+        odin = OdinConfig(temperature=2.0, epsilon=0.5, grad_std=grad_std)
         plain_profiles = softmax_rows(forward_batch(model, test.features)[1])
         calibrated, _ = calibrate_batch_full(model, test.features, odin)
         assert (plain_profiles.argmax(axis=1) != calibrated.argmax(axis=1)).any()
@@ -274,8 +281,7 @@ class TestRunEvaluation:
             name: getattr(model, name).copy()
             for name in ("weights_hidden", "bias_hidden", "weights_out", "bias_out")
         }
-        odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=compute_feature_std(train))
-        run_evaluation(model, test, odin)
+        run_evaluation(model, test, compute_feature_std(train), final_at(5.0, 0.05))
         for name, before in snapshot.items():
             np.testing.assert_array_equal(getattr(model, name), before)
 
@@ -289,28 +295,27 @@ class TestRunEvaluation:
             raise AssertionError("evaluation must not train")
 
         monkeypatch.setattr(harness, "train_step", no_training)
-        reports = [evaluate_run(record.model, test, grad_std, replace(config, sampler=s)).to_dict()
+        reports = [run_evaluation(record.model, test, grad_std, replace(config, sampler=s))
                    for s in STRATEGIES]
+        reports = [report.to_dict() for report in reports]
         assert reports == [record.metrics.to_dict()] * len(STRATEGIES)
 
     def test_class_count_mismatch(self):
         model, _, _ = train_to_perfection()
         other = make_blobs([5, 5, 5], 2, 3.0, seed=9)
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(other))
         with pytest.raises(ConfigurationError):
-            run_evaluation(model, other, odin)
+            run_evaluation(model, other, compute_feature_std(other), final_at(2.0, 0.05))
 
     def test_empty_test_split_rejected(self):
         empty = Dataset(features=np.zeros((0, 2)), labels=[], num_classes=2)
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=np.ones(2))
         with pytest.raises(EmptyInputError, match="^test split is empty$"):
-            run_evaluation(init_model(2, 3, 2, seed=0), empty, odin)
+            run_evaluation(init_model(2, 3, 2, seed=0), empty, np.ones(2), final_at(2.0, 0.05))
 
     def test_deterministic(self):
         model, train, test = train_to_perfection(seed=4)
-        odin = OdinConfig(temperature=3.0, epsilon=0.05, grad_std=compute_feature_std(train))
-        a = run_evaluation(model, test, odin)
-        b = run_evaluation(model, test, odin)
+        grad_std, config = compute_feature_std(train), final_at(3.0, 0.05)
+        a = run_evaluation(model, test, grad_std, config)
+        b = run_evaluation(model, test, grad_std, config)
         assert a.to_dict() == b.to_dict()
 
 
@@ -335,6 +340,24 @@ class TestRunComparison:
         with pytest.raises(InvalidParameterError, match="distinct"):
             run_comparison(small_config(), ("boost", "boost", "random"))
         assert calls == []
+
+    def test_embeddings_are_computed_at_export_only(self, monkeypatch, tmp_path):
+        # compare exports nothing, so it never computes a test split's
+        # embeddings; export computes them once per record it writes
+        calls = []
+
+        def counted(model, features):
+            calls.append(len(features))
+            return hidden_activations(model, features)
+
+        monkeypatch.setattr(harness, "hidden_activations", counted)
+        config = small_config(seeds=(0, 1), epochs=1)
+        run_comparison(config)
+        assert calls == []
+        records = run_experiment(config)
+        assert calls == []
+        export_reports(records, str(tmp_path))
+        assert calls == [record.test.n for record in records]
 
 
 class TestExportReports:
@@ -433,9 +456,10 @@ class TestExportReports:
             np.testing.assert_array_equal(ints(cols[6]), epoch.draw_counts)
 
         rows, cols = columns("embeddings.csv")
-        assert ints(cols[0]) == list(range(len(record.test_labels)))
-        np.testing.assert_array_equal(ints(cols[1]), record.test_labels)
-        np.testing.assert_array_equal([floats(row[2:]) for row in rows], record.embeddings)
+        assert ints(cols[0]) == list(range(len(record.test.labels)))
+        np.testing.assert_array_equal(ints(cols[1]), record.test.labels)
+        embeddings = hidden_activations(record.model, record.test.features)
+        np.testing.assert_array_equal([floats(row[2:]) for row in rows], embeddings)
 
     def test_exports_byte_identical_across_runs(self, tmp_path):
         config = small_config()
@@ -500,9 +524,10 @@ class TestCsvFilesEqualTheRowWriter:
         expected = oracle_csv_bytes(["class", "metric", "value_percent"], rows)
         assert (tmp_path / "per_class_metrics.csv").read_bytes() == expected
 
-        hidden = [f"h_{j}" for j in range(record.embeddings.shape[1])]
-        labels = record.test_labels.tolist()
-        rows = ([i, labels[i], *h.tolist()] for i, h in enumerate(record.embeddings))
+        embeddings = hidden_activations(record.model, record.test.features)
+        hidden = [f"h_{j}" for j in range(embeddings.shape[1])]
+        labels = record.test.labels.tolist()
+        rows = ([i, labels[i], *h.tolist()] for i, h in enumerate(embeddings))
         expected = oracle_csv_bytes(["sample_id", "true_class", *hidden], rows)
         assert (tmp_path / "embeddings.csv").read_bytes() == expected
 
