@@ -42,12 +42,13 @@ class OdinConfig:
                    lambda v: T_MIN <= v <= T_MAX)
         check_real(self.epsilon, "epsilon", "finite and non-negative", lambda v: 0 <= v < math.inf)
         self.grad_std = float_array(self.grad_std, "grad_std")
+        if self.grad_std.ndim != 1 or not ((self.grad_std > 0) & (self.grad_std < np.inf)).all():
+            raise InvalidParameterError("grad_std must be a vector of finite, positive entries")
         with np.errstate(all="ignore"):  # perturb's step, which a subnormal std overflows
             step = self.epsilon / self.grad_std
-        valid = (self.grad_std > 0) & (self.grad_std < np.inf) & np.isfinite(step)
-        if self.grad_std.ndim != 1 or not valid.all():
-            raise InvalidParameterError("grad_std must be a vector of finite, positive entries "
-                                        "that keep epsilon / grad_std finite")
+        if not np.isfinite(step).all():
+            raise InvalidParameterError(f"epsilon {self.epsilon!r}: epsilon / grad_std overflows "
+                                        "float64; lower epsilon or rescale the features")
 
 
 def perturb(x: np.ndarray, grad: np.ndarray, config: OdinConfig) -> np.ndarray:

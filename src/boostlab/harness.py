@@ -152,9 +152,9 @@ def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Datase
     try:
         return train, test, compute_feature_std(train)
     except NumericOverflowError as exc:
-        if config.dataset != "blobs":
-            raise
-        raise NumericOverflowError(f"blob_separation {config.blob_separation!r}: {exc}") from exc
+        source = (f"blob_separation {config.blob_separation!r}" if config.dataset == "blobs"
+                  else config.dataset)
+        raise NumericOverflowError(f"{source}: {exc}") from exc
 
 
 def run_seeds(seed: int) -> tuple[int, int]:

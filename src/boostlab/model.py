@@ -71,20 +71,14 @@ class ClassifierModel:
 
 
 def init_model(num_features: int, num_hidden: int, num_classes: int, seed: int) -> ClassifierModel:
-    """Symmetric small-uniform initialization, reproducible per seed."""
+    """Each parameter uniform in +-1/sqrt(its layer's fan-in), drawn in LAYERS order from `seed`."""
     check_int(num_features, "num_features", 1)
     check_int(num_hidden, "num_hidden", 1)
     check_int(num_classes, "num_classes", 1)
     check_int(seed, "seed")
-    rng = np.random.default_rng(seed)
-    s_h = 1.0 / math.sqrt(num_features)
-    s_o = 1.0 / math.sqrt(num_hidden)
-    params = np.concatenate([
-        rng.uniform(-s_h, s_h, size=num_hidden * num_features),
-        rng.uniform(-s_h, s_h, size=num_hidden),
-        rng.uniform(-s_o, s_o, size=num_classes * num_hidden),
-        rng.uniform(-s_o, s_o, size=num_classes),
-    ])
+    bound = np.repeat([1.0 / math.sqrt(num_features), 1.0 / math.sqrt(num_hidden)],
+                      [num_hidden * (num_features + 1), num_classes * (num_hidden + 1)])
+    params = np.random.default_rng(seed).uniform(-bound, bound)
     return ClassifierModel(params, num_features, num_hidden, num_classes)
 
 

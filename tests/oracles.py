@@ -11,6 +11,7 @@ import math
 from itertools import repeat
 
 import mpmath
+import numpy as np
 
 mpmath.mp.dps = 50
 
@@ -113,6 +114,20 @@ def fd_parameter_gradients(model, features, labels, h=1e-6):
             grad[k] = (up - down) / (2 * h)
         grads[name] = grad
     return grads
+
+
+def oracle_init_params(d, h, c, seed):
+    """A d-h-c model's initial parameter vector drawn layer by layer from one
+    generator: weights_hidden and bias_hidden uniform in +-1/sqrt(d), then
+    weights_out and bias_out uniform in +-1/sqrt(h)."""
+    rng = np.random.default_rng(seed)
+    s_h, s_o = 1.0 / math.sqrt(d), 1.0 / math.sqrt(h)
+    return np.concatenate([
+        rng.uniform(-s_h, s_h, size=h * d),
+        rng.uniform(-s_h, s_h, size=h),
+        rng.uniform(-s_o, s_o, size=c * h),
+        rng.uniform(-s_o, s_o, size=c),
+    ])
 
 
 def oracle_boost_weights(raw_confidences):

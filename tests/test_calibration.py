@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,7 +139,9 @@ class TestOdinConfig:
     @pytest.mark.parametrize("epsilon, grad_std", [(0.1, [1e-320, 1.0]), (1e300, [1e-10])])
     def test_std_that_overflows_the_perturbation_step_rejected(self, epsilon, grad_std):
         # each entry is finite and positive, but epsilon / grad_std is not finite
-        with pytest.raises(InvalidParameterError, match="grad_std"):
+        message = (f"epsilon {epsilon!r}: epsilon / grad_std overflows float64; "
+                   "lower epsilon or rescale the features")
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             OdinConfig(temperature=2.0, epsilon=epsilon, grad_std=grad_std)
 
     def test_zero_epsilon_accepts_a_tiny_std(self):

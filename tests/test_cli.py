@@ -168,6 +168,31 @@ def test_overflowing_blob_separation_exits_2_naming_the_key(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_overflowing_csv_feature_std_exits_2_naming_the_file(tmp_path, capsys):
+    csv_path = tmp_path / "big.csv"
+    features = np.column_stack([np.tile([1e308, -1e308], 4), np.arange(8.0)])
+    save_csv(Dataset(features, np.tile([0, 1], 4), 2), csv_path)
+    out_dir = tmp_path / "run"
+    argv = ["train", "--dataset", str(csv_path), "--epochs", "1", "--hidden-units", "2",
+            "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"boostlab: error: {csv_path}: feature std "
+                                       "overflows float64; rescale the features\n")
+    assert not out_dir.exists()
+
+
+def test_epsilon_that_overflows_the_perturbation_step_exits_2_naming_the_key(tmp_path, capsys):
+    # the train split's std is small enough at seed 0 that epsilon / std is infinite
+    out_dir = tmp_path / "run"
+    argv = ["train", "--blob-counts", "20,10", "--epochs", "1", "--hidden-units", "4",
+            "--epsilon", "1.7e308", "--seeds", "0", "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("boostlab: error: epsilon 1.7e+308: epsilon / grad_std "
+                                       "overflows float64; lower epsilon or rescale the "
+                                       "features\n")
+    assert not out_dir.exists()
+
+
 def test_long_tail_resampling_keeps_a_class_with_no_train_samples_empty(tmp_path, capsys):
     csv_path = tmp_path / "rare3.csv"
     save_csv(make_blobs([40, 30, 1], 2, 3.0, 0), csv_path)  # seed 0 puts class 2 in test

@@ -32,6 +32,7 @@ from oracles import (
     fd_input_gradient,
     fd_parameter_gradients,
     oracle_cross_entropy,
+    oracle_init_params,
     oracle_forward_mp,
 )
 
@@ -400,3 +401,10 @@ class TestCheckpoint:
         b = init_model(4, 6, 3, seed=123)
         np.testing.assert_array_equal(a.weights_hidden, b.weights_hidden)
         assert math.isclose(a.bias_out[0], b.bias_out[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40])
+    @pytest.mark.parametrize("d, h, c", [(2, 16, 2), (32, 64, 10), (4, 16, 4), (1, 1, 1)])
+    def test_init_draws_the_layer_by_layer_stream(self, d, h, c, seed):
+        # every artifact of a run descends from these bytes
+        params = init_model(d, h, c, seed).params
+        assert params.tobytes() == oracle_init_params(d, h, c, seed).tobytes()
