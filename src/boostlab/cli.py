@@ -65,9 +65,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config, seed, model = read_run(args.run)
-    _, test, grad_std = build_datasets(config, seed)
+    _, test, step = build_datasets(config, seed)
     try:
-        report = run_evaluation(model, test, grad_std, config)
+        report = run_evaluation(model, test, step, config)
     except (ConfigurationError, InputShapeError) as exc:  # the checkpoint does not fit the data
         raise type(exc)(f"{os.path.join(args.run, CHECKPOINT.format(seed))}: {exc}") from exc
     print(json.dumps(report.to_dict(), indent=2))

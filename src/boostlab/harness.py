@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import model as model_mod
-from .calibration import SCHEDULE_KINDS, OdinConfig, calibrate_batch_full, temperature_at
+from .calibration import SCHEDULE_KINDS, calibrate_batch_full, temperature_at
 from .data import Dataset, class_labels, compute_feature_std, load_csv, make_blobs
 from .data import csv_fields, is_number, pareto_resample, read_json, train_test_split, write_csv
 from .errors import BoostLabError, ConfigurationError, EmptyInputError
@@ -54,7 +54,7 @@ def _key(default, rule=None, **argparse_kwargs):
 
 # rules that more than one key follows, each written so that NaN fails it
 AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
-COUNTS = ("one or more ints >= 1", lambda v: min(v, default=0) >= 1)
+COUNTS = ("one or more ints >= 1 and < 2**63", lambda v: min(v, default=0) >= 1 and max(v) < 2**63)
 POSITIVE = ("finite and positive", lambda v: 0 < v < math.inf)
 NON_NEGATIVE = ("finite and non-negative", lambda v: 0 <= v < math.inf)
 
@@ -137,8 +137,9 @@ class RunRecord:
 
 
 def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset, np.ndarray]:
-    """Materialize the (train, test) pair a run will see, and the train
-    split's per-feature std, which perturbs both training and evaluation."""
+    """Materialize the (train, test) pair a run will see, and the run's
+    perturbation step, epsilon over the train split's per-feature std, which
+    perturbs both training and evaluation."""
     if config.dataset == "blobs":
         train = make_blobs(config.blob_counts, config.blob_dim, config.blob_separation, seed)
         test_counts = config.test_counts or config.blob_counts
@@ -150,11 +151,17 @@ def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Datase
     if config.pareto_scale is not None:
         train = pareto_resample(train, config.pareto_scale, seed)
     try:
-        return train, test, compute_feature_std(train)
+        std = compute_feature_std(train)
     except NumericOverflowError as exc:
         source = (f"blob_separation {config.blob_separation!r}" if config.dataset == "blobs"
                   else config.dataset)
         raise NumericOverflowError(f"{source}: {exc}") from exc
+    with np.errstate(over="ignore"):  # a tiny std overflows the step: reported below
+        step = config.epsilon / std
+    if not np.isfinite(step).all():
+        raise InvalidParameterError(f"epsilon {config.epsilon!r}: epsilon / grad_std overflows "
+                                    "float64; lower epsilon or rescale the features")
+    return train, test, step
 
 
 def run_seeds(seed: int) -> tuple[int, int]:
@@ -174,7 +181,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
     seed = config.seeds[0] if seed is None else seed
     model_seed, sampler_seed = run_seeds(seed)
 
-    train, test, grad_std = build_datasets(config, seed)
+    train, test, step = build_datasets(config, seed)
     model = model_mod.init_model(
         train.num_features, config.hidden_units, train.num_classes, model_seed
     )
@@ -183,8 +190,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
     epoch_losses = []
     with np.errstate(all="ignore"):  # each stage checks its own results for non-finite values
         for epoch in range(config.epochs):
-            odin = OdinConfig(temperature_at(config, epoch), config.epsilon, grad_std=grad_std)
-            epoch_resample(state, model, train, odin)
+            epoch_resample(state, model, train, temperature_at(config, epoch), step)
             losses = []
             for _ in range(math.ceil(train.n / config.batch_size)):
                 idx = draw_batch(state, config.batch_size)
@@ -193,7 +199,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
                 losses.append(loss)
             epoch_losses.append(float(np.mean(losses)))
 
-        metrics = run_evaluation(model, test, grad_std, config)
+        metrics = run_evaluation(model, test, step, config)
 
     return RunRecord(
         config=config,
@@ -208,16 +214,15 @@ def run_training(config: ExperimentConfig, seed: int | None = None) -> RunRecord
 
 
 def run_evaluation(
-    model: ClassifierModel, test: Dataset, grad_std: np.ndarray, config: ExperimentConfig
+    model: ClassifierModel, test: Dataset, step: np.ndarray, config: ExperimentConfig
 ) -> MetricsReport:
     """The final evaluation of a run under this config, one way for every sampler.
 
     The classification metrics come from the model's plain softmax; the
     OOD-mass (SODC) scores from the calibrated second-pass profiles at the
-    schedule's final temperature, perturbed by the train split's std that
-    build_datasets returns. Both passes are pure: the model is not modified.
+    schedule's final temperature, perturbed by the step that build_datasets
+    returns. Both passes are pure: the model is not modified.
     """
-    odin = OdinConfig(temperature_at(config, config.epochs - 1), config.epsilon, grad_std=grad_std)
     if test.n == 0:
         raise EmptyInputError("test split is empty")
     if model.num_classes != test.num_classes:
@@ -225,7 +230,8 @@ def run_evaluation(
             f"model has {model.num_classes} classes but dataset has {test.num_classes}"
         )
 
-    profiles, _ = calibrate_batch_full(model, test.features, odin)
+    temperature = temperature_at(config, config.epochs - 1)
+    profiles, _ = calibrate_batch_full(model, test.features, temperature, step)
     plain = softmax_rows(model_mod.forward_batch(model, test.features)[1])
     logs = [PredictionLog(test.labels, p.argmax(axis=1), p) for p in (plain, profiles)]
     return build_metrics_report(logs[0], sodc_log=logs[1])

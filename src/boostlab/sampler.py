@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import OdinConfig, calibrate_batch_full
+from .calibration import calibrate_batch_full
 from .data import Dataset, check_finite, check_int, class_labels, float_array
 from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel
@@ -193,7 +193,8 @@ def epoch_resample(
     state: SamplerState,
     model: ClassifierModel,
     dataset: Dataset,
-    config: OdinConfig,
+    temperature: float,
+    step: np.ndarray,
 ) -> None:
     """Install `state`'s sampling distribution for the coming epoch and
     append that epoch's record to its history.
@@ -210,7 +211,8 @@ def epoch_resample(
     n = dataset.n
 
     if state.strategy == "boost":
-        profiles, perturbed_logits = calibrate_batch_full(model, dataset.features, config)
+        profiles, perturbed_logits = calibrate_batch_full(
+            model, dataset.features, temperature, step)
         predicted = profiles.argmax(axis=1).astype(np.min_scalar_type(dataset.num_classes - 1))
         sample_scores = profiles.max(axis=1)
         aggregates = aggregate_class_scores(sample_scores, dataset.labels, dataset.num_classes)

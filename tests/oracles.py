@@ -16,11 +16,17 @@ import numpy as np
 mpmath.mp.dps = 50
 
 
-def oracle_forward(weights_hidden, bias_hidden, weights_out, bias_out, x):
-    """Two-layer tanh network evaluated with scalar loops."""
+def oracle_hidden(weights_hidden, bias_hidden, x):
+    """The tanh hidden layer of oracle_forward."""
     hidden = []
     for row, b in zip(weights_hidden, bias_hidden):
         hidden.append(math.tanh(sum(w * v for w, v in zip(row, x)) + b))
+    return hidden
+
+
+def oracle_forward(weights_hidden, bias_hidden, weights_out, bias_out, x):
+    """Two-layer tanh network evaluated with scalar loops."""
+    hidden = oracle_hidden(weights_hidden, bias_hidden, x)
     logits = []
     for row, b in zip(weights_out, bias_out):
         logits.append(sum(w * h for w, h in zip(row, hidden)) + b)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from boostlab.calibration import OdinConfig, perturb, temperature_at
+from boostlab.calibration import perturb, temperature_at
 from boostlab.data import Dataset, compute_feature_std, make_blobs
 from boostlab.data import pareto_resample, pareto_tail_counts
 from boostlab.harness import (
@@ -89,16 +89,14 @@ def test_criterion_1_equation_fidelity():
     np.testing.assert_allclose(hp, [0.502500, 0.497500], atol=1e-5)
 
     # input perturbation
-    cfg = OdinConfig(temperature=1.0, epsilon=0.0, grad_std=np.ones(2))
     x = np.array([0.3, -0.1])
-    np.testing.assert_array_equal(perturb(x, np.array([1.0, -1.0]), cfg), x)
-    cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(2))
+    np.testing.assert_array_equal(perturb(x, np.array([1.0, -1.0]), 0.0 / np.ones(2)), x)
     np.testing.assert_allclose(
-        perturb(np.array([0.2, 0.7]), np.array([2.0, -3.0]), cfg), [0.15, 0.75], atol=1e-12
+        perturb(np.array([0.2, 0.7]), np.array([2.0, -3.0]), 0.05 / np.ones(2)), [0.15, 0.75],
+        atol=1e-12
     )
-    cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.array([0.5]))
     np.testing.assert_allclose(
-        perturb(np.array([0.2]), np.array([2.0]), cfg), [0.1], atol=1e-12
+        perturb(np.array([0.2]), np.array([2.0]), 0.05 / np.array([0.5])), [0.1], atol=1e-12
     )
 
     # inverted class-weighted sampling probabilities: boost weights,
@@ -244,11 +242,11 @@ def test_criterion_4_sampler_statistics():
     # distribution validity for every strategy across epochs
     data = make_blobs([30, 20, 10], 2, 2.5, seed=45)
     model = init_model(2, 8, 3, seed=45)
-    odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(data))
+    odin = (2.0, 0.05 / compute_feature_std(data))
     for strategy in STRATEGIES:
         state = SamplerState(strategy=strategy, rng_seed=46)
         for _ in range(4):
-            epoch_resample(state, model, data, odin)
+            epoch_resample(state, model, data, *odin)
             draw_batch(state, 16)
             p = state.history[-1].probabilities
             assert np.all(p >= 0)
@@ -427,16 +425,15 @@ def test_criterion_9_protocol_isolation(tmp_path):
     train = make_blobs([60, 40], 2, 3.0, seed=91)
     test = make_blobs([30, 30], 2, 3.0, seed=92)
     model = init_model(2, 8, 2, seed=91)
-    grad_std = compute_feature_std(train)
-    odin = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=grad_std)
+    odin = (5.0, 0.05 / compute_feature_std(train))
 
     snap = snapshot(model)
-    run_evaluation(model, test, grad_std, ExperimentConfig(temp_start=5.0, epsilon=0.05, epochs=1))
+    run_evaluation(model, test, odin[1], ExperimentConfig(temp_start=5.0, epochs=1))
     assert_unchanged(model, snap)
 
     for strategy in STRATEGIES:
         state = SamplerState(strategy=strategy, rng_seed=93)
-        epoch_resample(state, model, train, odin)
+        epoch_resample(state, model, train, *odin)
         assert_unchanged(model, snap)
 
     # end-to-end byte determinism per (config, seed)

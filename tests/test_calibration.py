@@ -1,11 +1,10 @@
 import math
-import re
 
 import numpy as np
 import pytest
 
 from boostlab import calibration, model as model_mod
-from boostlab.calibration import OdinConfig, calibrate_batch_full, perturb, temperature_at
+from boostlab.calibration import calibrate_batch_full, perturb, temperature_at
 from boostlab.errors import (
     EmptyInputError,
     InputShapeError,
@@ -83,97 +82,63 @@ class TestTsSoftmax:
 
 
 class TestPerturb:
-    def test_zero_epsilon_is_identity(self):
+    def test_zero_step_is_identity(self):
         x = np.array([0.3, -0.7])
-        cfg = OdinConfig(temperature=1.0, epsilon=0.0, grad_std=np.ones(2))
-        np.testing.assert_array_equal(perturb(x, np.array([1.0, -2.0]), cfg), x)
+        np.testing.assert_array_equal(perturb(x, np.array([1.0, -2.0]), 0.0 / np.ones(2)), x)
 
     def test_sign_arithmetic(self):
-        cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(2))
-        out = perturb(np.array([0.2, 0.7]), np.array([2.0, -3.0]), cfg)
+        out = perturb(np.array([0.2, 0.7]), np.array([2.0, -3.0]), 0.05 / np.ones(2))
         np.testing.assert_allclose(out, [0.15, 0.75], atol=1e-12)
 
     def test_std_scaling(self):
-        # 0.2 - 0.05 * sign(2) / 0.5
-        cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.array([0.5]))
-        out = perturb(np.array([0.2]), np.array([2.0]), cfg)
+        # 0.2 - sign(2) * 0.05 / 0.5
+        out = perturb(np.array([0.2]), np.array([2.0]), 0.05 / np.array([0.5]))
         np.testing.assert_allclose(out, [0.1], atol=1e-12)
 
     def test_length_mismatch(self):
-        cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(2))
         with pytest.raises(InputShapeError):
-            perturb(np.array([0.1, 0.2]), np.array([1.0]), cfg)
+            perturb(np.array([0.1, 0.2]), np.array([1.0]), 0.05 / np.ones(2))
 
-    def test_std_of_the_wrong_length_names_both_lengths(self):
-        cfg = OdinConfig(temperature=1.0, epsilon=0.1, grad_std=np.ones(3))
+    def test_step_of_the_wrong_length_names_both_lengths(self):
+        step = 0.1 / np.ones(3)
         with pytest.raises(InputShapeError, match=r"\(3,\).*\(2, 2\)"):
-            perturb(np.zeros((2, 2)), np.ones((2, 2)), cfg)
+            perturb(np.zeros((2, 2)), np.ones((2, 2)), step)
         model = model_mod.init_model(2, 4, 2, seed=0)
         with pytest.raises(InputShapeError, match=r"\(3,\).*\(2, 2\)"):
-            calibrate_batch_full(model, np.zeros((2, 2)), cfg)
-
-
-class TestOdinConfig:
-    def test_temperature_bounds(self):
-        with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=0.5, epsilon=0.05, grad_std=np.ones(1))
-        with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=1001.0, epsilon=0.05, grad_std=np.ones(1))
-        OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(1))
-        OdinConfig(temperature=1000.0, epsilon=0.05, grad_std=np.ones(1))
-
-    def test_epsilon_and_std_validation(self):
-        with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=1.0, epsilon=-0.1, grad_std=np.ones(1))
-        with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.array([1.0, 0.0]))
-
-    def test_nan_epsilon_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=1.0, epsilon=float("nan"), grad_std=np.ones(1))
-
-    def test_nan_grad_std_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.array([1.0, np.nan]))
-
-    @pytest.mark.parametrize("epsilon, grad_std", [(0.1, [1e-320, 1.0]), (1e300, [1e-10])])
-    def test_std_that_overflows_the_perturbation_step_rejected(self, epsilon, grad_std):
-        # each entry is finite and positive, but epsilon / grad_std is not finite
-        message = (f"epsilon {epsilon!r}: epsilon / grad_std overflows float64; "
-                   "lower epsilon or rescale the features")
-        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
-            OdinConfig(temperature=2.0, epsilon=epsilon, grad_std=grad_std)
-
-    def test_zero_epsilon_accepts_a_tiny_std(self):
-        cfg = OdinConfig(temperature=2.0, epsilon=0.0, grad_std=[1e-320, 1.0])
-        assert perturb(np.ones(2), np.ones(2), cfg).tolist() == [1.0, 1.0]
+            calibrate_batch_full(model, np.zeros((2, 2)), 1.0, step)
 
     @pytest.mark.parametrize(
-        "field, value",
+        "step",
         [
-            ("temperature", "5"),
-            ("temperature", True),
-            ("epsilon", "x"),
-            ("epsilon", math.inf),
-            ("epsilon", None),
-            ("grad_std", "abc"),
-            ("grad_std", [1.0, math.inf]),
-            ("grad_std", np.ones((2, 2))),
-            ("grad_std", [[1.0], [1.0, 2.0]]),
-            ("grad_std", 2.0),
+            -0.1 / np.ones(1),  # a negative epsilon
+            float("nan") / np.ones(1),  # a NaN epsilon
+            math.inf / np.ones(1),  # an infinite epsilon
+            0.05 / np.array([1.0, np.nan]),  # a NaN std entry
+            [0.05, math.inf],  # an infinite step entry
+            "abc",
+            np.ones((2, 2)),
+            [[1.0], [1.0, 2.0]],
+            2.0,
+            None,
         ],
     )
-    def test_bad_value_rejected_by_name(self, field, value):
-        values = dict(temperature=1.0, epsilon=0.05, grad_std=np.ones(2))
-        with pytest.raises(InvalidParameterError, match=field):
-            OdinConfig(**{**values, field: value})
+    def test_bad_step_rejected_by_name(self, step):
+        with pytest.raises(InvalidParameterError, match="^step must be"):
+            perturb(np.ones((1, 2)), np.ones((1, 2)), step)
 
 
 class TestCalibrateBatch:
+    def test_temperature_bounds(self, toy_model):
+        X, step = np.array([[0.3]]), 0.05 / np.ones(1)
+        for temperature in (0.5, 1001.0):
+            with pytest.raises(InvalidParameterError, match="^temperature must be in"):
+                calibrate_batch_full(toy_model, X, temperature, step)
+        calibrate_batch_full(toy_model, X, 1.0, step)
+        calibrate_batch_full(toy_model, X, 1000.0, step)
+
     def test_zero_epsilon_reproduces_plain_profile(self, toy_model):
         X = np.array([[0.3], [-0.8]])
-        cfg = OdinConfig(temperature=2.0, epsilon=0.0, grad_std=np.ones(1))
-        profiles, _ = calibrate_batch_full(toy_model, X, cfg)
+        profiles, _ = calibrate_batch_full(toy_model, X, 2.0, 0.0 / np.ones(1))
         assert profiles.shape == (2, 2)
         for i, profile in enumerate(profiles):
             expected = softmax_rows(forward_batch(toy_model, X[i][None])[1][0], 2.0)
@@ -181,25 +146,21 @@ class TestCalibrateBatch:
 
     def test_constant_model_gives_uniform_profiles(self, zero_model):
         X = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
-        cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(2))
-        profiles, _ = calibrate_batch_full(zero_model, X, cfg)
+        profiles, _ = calibrate_batch_full(zero_model, X, 1.0, 0.05 / np.ones(2))
         np.testing.assert_allclose(profiles, np.full((3, 2), 0.5), atol=1e-12)
 
     def test_small_epsilon_does_not_raise_max_score(self, toy_model):
         # the subtractive sign descends the target score to first order
         X = np.array([[0.6]])
         for eps in (1e-4, 1e-3):
-            cfg0 = OdinConfig(temperature=1.0, epsilon=0.0, grad_std=np.ones(1))
-            cfg = OdinConfig(temperature=1.0, epsilon=eps, grad_std=np.ones(1))
-            first = calibrate_batch_full(toy_model, X, cfg0)[0][0].max()
-            second = calibrate_batch_full(toy_model, X, cfg)[0][0].max()
+            first = calibrate_batch_full(toy_model, X, 1.0, 0.0 / np.ones(1))[0][0].max()
+            second = calibrate_batch_full(toy_model, X, 1.0, eps / np.ones(1))[0][0].max()
             assert second <= first + 1e-6
 
     def test_profiles_normalized_and_max_consistent(self, toy_model):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(20, 1))
-        cfg = OdinConfig(temperature=5.0, epsilon=0.05, grad_std=np.array([0.7]))
-        profiles, logits = calibrate_batch_full(toy_model, X, cfg)
+        profiles, logits = calibrate_batch_full(toy_model, X, 5.0, 0.05 / np.array([0.7]))
         assert profiles.shape == logits.shape == (20, 2)
         np.testing.assert_allclose(profiles.sum(axis=1), 1.0, atol=1e-9)
         # the max class callers derive from the profiles is the perturbed logits' argmax
@@ -211,20 +172,17 @@ class TestCalibrateBatch:
             name: getattr(toy_model, name).copy()
             for name in ("weights_hidden", "bias_hidden", "weights_out", "bias_out")
         }
-        cfg = OdinConfig(temperature=10.0, epsilon=0.05, grad_std=np.ones(1))
-        calibrate_batch_full(toy_model, X, cfg)
+        calibrate_batch_full(toy_model, X, 10.0, 0.05 / np.ones(1))
         for name, before in snapshot.items():
             np.testing.assert_array_equal(getattr(toy_model, name), before)
 
     def test_empty_batch_rejected(self, toy_model):
-        cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(1))
         with pytest.raises(EmptyInputError):
-            calibrate_batch_full(toy_model, np.empty((0, 1)), cfg)
+            calibrate_batch_full(toy_model, np.empty((0, 1)), 1.0, 0.05 / np.ones(1))
 
     def test_one_sample_as_a_vector_rejected(self, toy_model):
-        cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(1))
         with pytest.raises(InputShapeError, match=r"features must be a \[n x d\] matrix"):
-            calibrate_batch_full(toy_model, [0.4], cfg)
+            calibrate_batch_full(toy_model, [0.4], 1.0, 0.05 / np.ones(1))
 
     def test_one_first_pass_and_one_rescore(self, toy_model, monkeypatch):
         # one forward + TS-softmax on the inputs, one on the perturbed inputs;
@@ -240,14 +198,12 @@ class TestCalibrateBatch:
             monkeypatch.setattr(model_mod, name, counted)
             monkeypatch.setattr(calibration, name, counted)
         X = np.array([[0.4], [-0.2], [1.1]])
-        cfg = OdinConfig(temperature=3.0, epsilon=0.05, grad_std=np.ones(1))
-        calibrate_batch_full(toy_model, X, cfg)
+        calibrate_batch_full(toy_model, X, 3.0, 0.05 / np.ones(1))
         assert calls == {"forward_batch": 2, "softmax_rows": 2}
 
     def test_full_variant_returns_perturbed_logits(self, toy_model):
         X = np.array([[0.4], [-0.2]])
-        cfg = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=np.ones(1))
-        profiles, logits = calibrate_batch_full(toy_model, X, cfg)
+        profiles, logits = calibrate_batch_full(toy_model, X, 1.0, 0.05 / np.ones(1))
         assert logits.shape == (2, 2)
         for profile, row in zip(profiles, logits):
             np.testing.assert_allclose(profile, softmax_rows(row, 1.0), atol=1e-12)

@@ -65,7 +65,7 @@ def _train_then_evaluate_each_run(tmp_path, capsys, flags, seeds="0"):
     """Train for 6 epochs, then evaluate every run directory train wrote.
     Returns one (report.json, evaluate stdout) pair, parsed, per run."""
     out_dir = tmp_path / "run"
-    flags = flags + ["--hidden-units", "4", "--seeds", seeds, "--epochs", "6"]
+    flags = ["--hidden-units", "4", "--seeds", seeds, "--epochs", "6"] + flags  # flags win
     assert run_cli(["train", "--out", str(out_dir)] + flags, capsys)[0] == 0
     pairs = []
     for report_path in sorted(out_dir.rglob("report.json")):
@@ -88,8 +88,9 @@ def _train_then_evaluate(tmp_path, capsys, flags):
         [],  # boost sampler, scored at the final temperature, 5
         ["--sampler", "random"],  # a baseline sampler, scored the same way
         ["--temp-kind", "inverse-linear"],  # final temperature 1 + 999/6
+        ["--blob-dim", "1", "--hidden-units", "1"],  # a checkpoint whose layers are 1 wide
     ],
-    ids=["boost", "random", "inverse-linear"],
+    ids=["boost", "random", "inverse-linear", "one-feature-one-hidden-unit"],
 )
 def test_evaluate_reproduces_train_metrics(tmp_path, capsys, run_flags):
     flags = ["--blob-counts", "30,10", "--blob-separation", "2.5"] + run_flags
@@ -255,6 +256,18 @@ def test_bad_count_list_exits_2_naming_the_flag(tmp_path, capsys, flag, value, n
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2 and named in err and "_parse_int_list" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--blob-counts", "blob_counts must be one or more ints >= 1 and < 2**63"),
+    ("--test-counts", "test_counts must be None or one or more ints >= 1 and < 2**63"),
+])
+def test_count_past_64_bits_exits_2_naming_its_key(tmp_path, capsys, flag, message):
+    out_dir = tmp_path / "run"
+    assert main(["train", flag, "100000000000000000000,10", "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"boostlab: error: {message}, got (100000000000000000000, 10)\n")
     assert not out_dir.exists()
 
 

@@ -10,7 +10,7 @@ from boostlab import harness as harness_mod
 from boostlab import metrics as metrics_mod
 from boostlab import model as model_mod
 from boostlab import sampler as sampler_mod
-from boostlab.calibration import OdinConfig, calibrate_batch_full, perturb, temperature_at
+from boostlab.calibration import calibrate_batch_full, perturb, temperature_at
 from boostlab.data import (
     Dataset,
     _simplex_centers,
@@ -48,6 +48,7 @@ from boostlab.sampler import (
     SamplerState,
     aggregate_class_scores,
     boost_probabilities,
+    epoch_resample,
     install_distribution,
 )
 
@@ -100,6 +101,9 @@ FLOAT_ARGUMENTS = {
     "input_gradient_batch-temperature": (
         lambda v: input_gradient_batch(MODEL, [[0.5, 0.0, -0.5]], [[0.25, 0.75]], [1], v),
         "temperature", (0.0, -1.0, np.inf), 2.0),
+    "calibrate_batch_full-temperature": (
+        lambda v: calibrate_batch_full(MODEL, ROWS, v, STEP), "temperature",
+        (0.0, -1.0, np.inf), 2.0),
 }
 
 
@@ -117,7 +121,7 @@ def test_float_argument_out_of_range_rejected_by_name_and_value(entry, bad):
     call(np.float64(valid))  # and a numpy float
 
 
-ODIN = OdinConfig(2.0, 0.1, [1.0, 2.0])
+STEP = 0.1 / np.array([1.0, 2.0])  # epsilon 0.1 over a std per feature of MODEL's two
 ROWS = [[1, 2], [0, -1]]  # two samples of MODEL's two features
 
 
@@ -127,6 +131,12 @@ def _installed(weights):
 
 def _checkpoint(params):
     return model_from_dict({**model_to_dict(MODEL), "params": params}).params
+
+
+def _resampled(step):
+    state = SamplerState(strategy="boost", rng_seed=0)
+    epoch_resample(state, MODEL, BLOBS, 2.0, step)
+    return state.history[-1].probabilities
 
 
 # every numeric-array parameter: (the function, the parameter's name, a call
@@ -153,15 +163,18 @@ FLOAT_ARRAY_ARGUMENTS = {
         input_gradient_batch, "probs",
         lambda v: input_gradient_batch(MODEL, [[0.5, 0.0, -0.5]], v, [1], 2.0), [[0, 1]]),
     "model_from_dict-params": (model_from_dict, "params", _checkpoint, list(range(-8, 9))),
-    "OdinConfig-grad_std": (
-        OdinConfig, "grad_std", lambda v: OdinConfig(2.0, 0.1, v).grad_std, [1, 2]),
-    "run_evaluation-grad_std": (
-        run_evaluation, "grad_std",
+    "run_evaluation-step": (
+        run_evaluation, "step",
         lambda v: run_evaluation(MODEL, BLOBS, v, ExperimentConfig(epochs=1)).to_dict(), [1, 2]),
-    "perturb-x": (perturb, "x", lambda v: perturb(v, [[1.0, -1.0]], ODIN), [[1, 2]]),
-    "perturb-grad": (perturb, "grad", lambda v: perturb([[1.0, 2.0]], v, ODIN), [[1, -1]]),
+    "perturb-x": (perturb, "x", lambda v: perturb(v, [[1.0, -1.0]], STEP), [[1, 2]]),
+    "perturb-grad": (perturb, "grad", lambda v: perturb([[1.0, 2.0]], v, STEP), [[1, -1]]),
+    "perturb-step": (perturb, "step", lambda v: perturb([[1.0, 2.0]], [[1.0, -1.0]], v), [1, 2]),
     "calibrate_batch_full-features": (
-        calibrate_batch_full, "features", lambda v: calibrate_batch_full(MODEL, v, ODIN), ROWS),
+        calibrate_batch_full, "features", lambda v: calibrate_batch_full(MODEL, v, 2.0, STEP),
+        ROWS),
+    "calibrate_batch_full-step": (
+        calibrate_batch_full, "step", lambda v: calibrate_batch_full(MODEL, ROWS, 2.0, v), [1, 2]),
+    "epoch_resample-step": (epoch_resample, "step", _resampled, [1, 2]),
     "aggregate_class_scores-max_scores": (
         aggregate_class_scores, "max_scores", lambda v: aggregate_class_scores(v, [0, 1], 2),
         [1, 0]),
@@ -179,7 +192,7 @@ FLOAT_ARRAY_ARGUMENTS = {
     "sodc_total-per_class": (sodc_total, "per_class", sodc_total, [1, 2]),
 }
 FLOAT_ARRAY_PARAMETERS = {
-    "features", "params", "logits", "hidden", "probs", "grad_std", "x", "grad", "max_scores",
+    "features", "params", "logits", "hidden", "probs", "step", "x", "grad", "max_scores",
     "aggregates", "weights", "profiles", "per_class_metric", "per_class",
 }
 NOT_NUMERIC = {

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from boostlab import data, harness
-from boostlab.calibration import OdinConfig, calibrate_batch_full, temperature_at
+from boostlab.calibration import calibrate_batch_full, temperature_at
 from boostlab.data import Dataset, compute_feature_std, make_blobs, save_csv
 from boostlab.errors import (
     ConfigurationError,
@@ -35,7 +35,8 @@ from boostlab.model import forward_batch, hidden_activations, init_model, softma
 from boostlab.model import train_step
 from boostlab.sampler import STRATEGIES, EpochRecord, SamplerState
 
-from oracles import HISTORY_HEADER, oracle_csv_bytes, oracle_history_rows, oracle_sodc_per_class
+from oracles import HISTORY_HEADER, oracle_csv_bytes, oracle_hidden, oracle_history_rows
+from oracles import oracle_sodc_per_class
 
 
 def small_config(**overrides):
@@ -52,9 +53,9 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def final_at(temperature, epsilon):
-    """A config whose final evaluation calibrates at this temperature and epsilon."""
-    return ExperimentConfig(temp_start=temperature, epsilon=epsilon, epochs=1)
+def final_at(temperature):
+    """A config whose final evaluation calibrates at this temperature."""
+    return ExperimentConfig(temp_start=temperature, epochs=1)
 
 
 def train_to_perfection(counts=(30, 20), sep=8.0, seed=0):
@@ -114,8 +115,8 @@ class TestRunTraining:
     def test_final_evaluation_at_last_temperature(self, sampler):
         config = small_config(sampler=sampler, epochs=6, learning_rate=0.3)
         record = run_training(config, seed=3)
-        _, test, grad_std = build_datasets(config, seed=3)
-        report = run_evaluation(record.model, test, grad_std, final_at(5.0, config.epsilon))
+        _, test, step = build_datasets(config, seed=3)
+        report = run_evaluation(record.model, test, step, final_at(5.0))
         assert record.metrics.to_dict() == report.to_dict()
 
     def test_one_class_run_counts_its_uniform_fallback(self, caplog):
@@ -183,11 +184,16 @@ BAD_FIELD_VALUES = [
      "'dynamic-stratified'), got 'x'"),
     ("test_counts", (100,), "test_counts must be None or as long as blob_counts (2), got (100,)"),
     ("seeds", (0, 0), "seeds must be distinct, got (0, 0)"),
-    ("blob_counts", (), "blob_counts must be one or more ints >= 1, got ()"),
-    ("blob_counts", (0, 5), "blob_counts must be one or more ints >= 1, got (0, 5)"),
-    ("blob_counts", (-3, 5), "blob_counts must be one or more ints >= 1, got (-3, 5)"),
-    ("test_counts", (0, 5), "test_counts must be None or one or more ints >= 1, got (0, 5)"),
-    ("test_counts", (), "test_counts must be None or one or more ints >= 1, got ()"),
+    ("blob_counts", (), "blob_counts must be one or more ints >= 1 and < 2**63, got ()"),
+    ("blob_counts", (0, 5), "blob_counts must be one or more ints >= 1 and < 2**63, got (0, 5)"),
+    ("blob_counts", (-3, 5), "blob_counts must be one or more ints >= 1 and < 2**63, got (-3, 5)"),
+    ("blob_counts", (2**63, 5),
+     "blob_counts must be one or more ints >= 1 and < 2**63, got (9223372036854775808, 5)"),
+    ("test_counts", (0, 5),
+     "test_counts must be None or one or more ints >= 1 and < 2**63, got (0, 5)"),
+    ("test_counts", (), "test_counts must be None or one or more ints >= 1 and < 2**63, got ()"),
+    ("test_counts", (5, 2**63),
+     "test_counts must be None or one or more ints >= 1 and < 2**63, got (5, 9223372036854775808)"),
     ("temp_kind", "x", "temp_kind must be one of ('multiplicative', 'inverse-linear'), got 'x'"),
     ("batch_size", 0, "batch_size must be at least 1, got 0"),
     ("hidden_units", 0, "hidden_units must be at least 1, got 0"),
@@ -216,9 +222,24 @@ class TestExperimentConfig:
 
 
 class TestBuildDatasets:
-    def test_returns_train_split_std(self):
-        train, _, grad_std = build_datasets(small_config(), seed=0)
-        np.testing.assert_array_equal(grad_std, compute_feature_std(train))
+    def test_returns_epsilon_over_the_train_split_std(self):
+        config = small_config(epsilon=0.07)
+        train, _, step = build_datasets(config, seed=0)
+        np.testing.assert_array_equal(step, config.epsilon / compute_feature_std(train))
+
+    @pytest.mark.parametrize("epsilon, std", [(0.1, [1e-320, 1.0]), (1e300, [1e-10])])
+    def test_std_that_overflows_the_perturbation_step_rejected(self, monkeypatch, epsilon, std):
+        # each std entry is finite and positive, but epsilon / std is not finite
+        monkeypatch.setattr(harness, "compute_feature_std", lambda train: np.array(std))
+        message = (f"epsilon {epsilon!r}: epsilon / grad_std overflows float64; "
+                   "lower epsilon or rescale the features")
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            build_datasets(small_config(epsilon=epsilon), seed=0)
+
+    def test_zero_epsilon_accepts_a_tiny_std(self, monkeypatch):
+        monkeypatch.setattr(harness, "compute_feature_std", lambda train: np.array([1e-320, 1.0]))
+        _, _, step = build_datasets(small_config(epsilon=0.0), seed=0)
+        assert step.tolist() == [0.0, 0.0]
 
     def test_pareto_applies_to_train_only(self):
         config = small_config(
@@ -234,12 +255,11 @@ class TestBuildDatasets:
 class TestRunEvaluation:
     def test_perfect_model_scored_by_calibrated_profiles(self):
         model, train, test = train_to_perfection()
-        grad_std = compute_feature_std(train)
-        report = run_evaluation(model, test, grad_std, final_at(2.0, 0.05))
+        step = 0.05 / compute_feature_std(train)
+        report = run_evaluation(model, test, step, final_at(2.0))
         assert [counts["ood"] for counts in report.ood_partition.values()] == [0, 0]
 
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=grad_std)
-        profiles, _ = calibrate_batch_full(model, test.features, odin)
+        profiles, _ = calibrate_batch_full(model, test.features, 2.0, step)
         predicted = profiles.argmax(axis=1).tolist()
         profiles = profiles.tolist()
         expected = 1.0
@@ -258,12 +278,11 @@ class TestRunEvaluation:
         model = init_model(2, 8, 2, seed=0)
         for _ in range(20):
             model, _ = train_step(model, train.features, train.labels, 0.5)
-        grad_std = compute_feature_std(train)
-        report = run_evaluation(model, test, grad_std, final_at(2.0, 0.5))
+        step = 0.5 / compute_feature_std(train)
+        report = run_evaluation(model, test, step, final_at(2.0))
 
-        odin = OdinConfig(temperature=2.0, epsilon=0.5, grad_std=grad_std)
         plain_profiles = softmax_rows(forward_batch(model, test.features)[1])
-        calibrated, _ = calibrate_batch_full(model, test.features, odin)
+        calibrated, _ = calibrate_batch_full(model, test.features, 2.0, step)
         assert (plain_profiles.argmax(axis=1) != calibrated.argmax(axis=1)).any()
         plain, scores = (build_metrics_report(PredictionLog(test.labels, p.argmax(axis=1), p))
                          for p in (plain_profiles, calibrated))
@@ -281,7 +300,7 @@ class TestRunEvaluation:
             name: getattr(model, name).copy()
             for name in ("weights_hidden", "bias_hidden", "weights_out", "bias_out")
         }
-        run_evaluation(model, test, compute_feature_std(train), final_at(5.0, 0.05))
+        run_evaluation(model, test, 0.05 / compute_feature_std(train), final_at(5.0))
         for name, before in snapshot.items():
             np.testing.assert_array_equal(getattr(model, name), before)
 
@@ -289,13 +308,13 @@ class TestRunEvaluation:
         # one trained model under configs that differ only in `sampler`
         config = small_config(epochs=4)
         record = run_training(config, seed=1)
-        _, test, grad_std = build_datasets(config, seed=1)
+        _, test, step = build_datasets(config, seed=1)
 
         def no_training(*args, **kwargs):
             raise AssertionError("evaluation must not train")
 
         monkeypatch.setattr(harness, "train_step", no_training)
-        reports = [run_evaluation(record.model, test, grad_std, replace(config, sampler=s))
+        reports = [run_evaluation(record.model, test, step, replace(config, sampler=s))
                    for s in STRATEGIES]
         reports = [report.to_dict() for report in reports]
         assert reports == [record.metrics.to_dict()] * len(STRATEGIES)
@@ -304,18 +323,18 @@ class TestRunEvaluation:
         model, _, _ = train_to_perfection()
         other = make_blobs([5, 5, 5], 2, 3.0, seed=9)
         with pytest.raises(ConfigurationError):
-            run_evaluation(model, other, compute_feature_std(other), final_at(2.0, 0.05))
+            run_evaluation(model, other, 0.05 / compute_feature_std(other), final_at(2.0))
 
     def test_empty_test_split_rejected(self):
         empty = Dataset(features=np.zeros((0, 2)), labels=[], num_classes=2)
         with pytest.raises(EmptyInputError, match="^test split is empty$"):
-            run_evaluation(init_model(2, 3, 2, seed=0), empty, np.ones(2), final_at(2.0, 0.05))
+            run_evaluation(init_model(2, 3, 2, seed=0), empty, 0.05 / np.ones(2), final_at(2.0))
 
     def test_deterministic(self):
         model, train, test = train_to_perfection(seed=4)
-        grad_std, config = compute_feature_std(train), final_at(3.0, 0.05)
-        a = run_evaluation(model, test, grad_std, config)
-        b = run_evaluation(model, test, grad_std, config)
+        step, config = 0.05 / compute_feature_std(train), final_at(3.0)
+        a = run_evaluation(model, test, step, config)
+        b = run_evaluation(model, test, step, config)
         assert a.to_dict() == b.to_dict()
 
 
@@ -340,6 +359,24 @@ class TestRunComparison:
         with pytest.raises(InvalidParameterError, match="distinct"):
             run_comparison(small_config(), ("boost", "boost", "random"))
         assert calls == []
+
+    def test_summary_is_the_percent_mean_of_each_strategys_runs(self, monkeypatch):
+        runs = {}
+
+        def captured(config):
+            runs[config.sampler] = run_experiment(config)
+            return runs[config.sampler]
+
+        monkeypatch.setattr(harness, "run_experiment", captured)
+        summary = run_comparison(small_config(seeds=(0, 1), epochs=2), ("boost", "random"))
+        for strategy, records in runs.items():
+            expected = {k: 100.0 * np.mean([r.metrics.aggregate[k] for r in records])
+                        for k in records[0].metrics.aggregate}
+            for bias in ("mab", "sdb"):
+                expected[f"{bias}_accuracy"] = 100.0 * np.mean(
+                    [r.metrics.bias["accuracy"][bias] for r in records])
+            assert summary[strategy] == pytest.approx(expected, rel=1e-12)
+        assert set(summary) == set(runs) == {"boost", "random"}
 
     def test_embeddings_are_computed_at_export_only(self, monkeypatch, tmp_path):
         # compare exports nothing, so it never computes a test split's
@@ -460,6 +497,10 @@ class TestExportReports:
         np.testing.assert_array_equal(ints(cols[1]), record.test.labels)
         embeddings = hidden_activations(record.model, record.test.features)
         np.testing.assert_array_equal([floats(row[2:]) for row in rows], embeddings)
+        model = record.model  # and they are the hidden layer, by the scalar oracle
+        hidden = [oracle_hidden(model.weights_hidden, model.bias_hidden, x)
+                  for x in record.test.features]
+        np.testing.assert_allclose([floats(row[2:]) for row in rows], hidden, rtol=0, atol=1e-12)
 
     def test_exports_byte_identical_across_runs(self, tmp_path):
         config = small_config()

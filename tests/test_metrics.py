@@ -239,6 +239,26 @@ class TestReport:
         with pytest.raises(ConfigurationError, match="^sodc_log must hold the true labels"):
             build_metrics_report(log, sodc_log)
 
+    def test_percent_export_of_every_rate_is_the_oracles_times_100(self):
+        y = [0, 0, 0, 1, 1, 2, 2, 2, 2]
+        yhat = [0, 1, 0, 1, 2, 2, 0, 2, 2]
+        profiles = one_hot_profiles(np.array(yhat), 3, score=0.8)
+        doc = build_metrics_report(make_log(y, yhat, profiles)).to_dict()
+
+        confusion = [[sum(t == r and p == c for t, p in zip(y, yhat)) for c in range(3)]
+                     for r in range(3)]
+        rates = oracle_confusion_metrics(confusion)
+        expected = [{"accuracy": rates[c]["recall"], "f1": rates[c]["f1"],
+                     "precision": rates[c]["precision"],
+                     "sodc": oracle_sodc_per_class(y, yhat, profiles, c)} for c in range(3)]
+        for c in range(3):
+            assert doc["per_class"][str(c)] == pytest.approx(
+                {name: 100 * v for name, v in expected[c].items()}, rel=1e-12)
+        for name in expected[0]:
+            values = [row[name] for row in expected]
+            assert doc["bias"][name] == pytest.approx(
+                {"mab": 100 * oracle_mab(values), "sdb": 100 * oracle_sdb(values)}, rel=1e-12)
+
     def test_percent_export(self):
         labels = np.array([0, 1, 0, 1])
         log = make_log(labels, labels, one_hot_profiles(labels, 2, score=0.9))

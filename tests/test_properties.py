@@ -90,13 +90,17 @@ def test_config_is_valid_or_rejected_with_a_typed_error(fuzzed, data):
         return
 
     try:
-        train, test, grad_std = build_datasets(config, config.seeds[0])
+        train, test, step = build_datasets(config, config.seeds[0])
     except NumericOverflowError:  # e.g. a separation of 1e300 overflows the feature std
+        return
+    except InvalidParameterError as exc:  # an epsilon near the float range overflows the step
+        assert str(exc).startswith(f"epsilon {config.epsilon!r}: epsilon / grad_std overflows")
         return
     for split in (train, test):
         assert np.isfinite(split.features).all()
-    assert grad_std.shape == (train.num_features,)
-    assert np.isfinite(grad_std).all() and (grad_std > 0).all()
+    assert step.shape == (train.num_features,)
+    assert (step == config.epsilon / compute_feature_std(train)).all()
+    assert np.isfinite(step).all() and (step >= 0).all()
 
     temperatures = [temperature_at(config, epoch) for epoch in range(config.epochs)]
     assert all(1.0 <= t <= 1000.0 for t in temperatures)

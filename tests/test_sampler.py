@@ -6,7 +6,6 @@ from scipy import stats
 
 from boostlab import data as data_mod
 from boostlab import harness as harness_mod
-from boostlab.calibration import OdinConfig
 from boostlab.data import Dataset, compute_feature_std, csv_fields, make_blobs
 from boostlab.errors import ConfigurationError, EmptyInputError, InvalidParameterError
 from boostlab.harness import write_history_csv
@@ -259,34 +258,34 @@ class TestEpochResample:
     def _setup(self, counts=(30, 10), seed=0):
         data = make_blobs(list(counts), 2, 3.0, seed=seed)
         model = init_model(2, 8, len(counts), seed=seed)
-        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=compute_feature_std(data))
+        odin = (1.0, 0.05 / compute_feature_std(data))
         return data, model, odin
 
     def test_class_count_mismatch(self):
         data, _, odin = self._setup(counts=(10, 10, 10))
         model = init_model(2, 8, 2, seed=0)
         with pytest.raises(ConfigurationError, match="model has 2 classes but dataset has 3"):
-            epoch_resample(SamplerState(strategy="boost", rng_seed=0), model, data, odin)
+            epoch_resample(SamplerState(strategy="boost", rng_seed=0), model, data, *odin)
 
     def test_random_strategy_uniform(self):
         data, model, odin = self._setup()
         state = SamplerState(strategy="random", rng_seed=0)
-        epoch_resample(state, model, data, odin)
+        epoch_resample(state, model, data, *odin)
         np.testing.assert_allclose(state.history[-1].probabilities, 1.0 / data.n)
 
     def test_stratified_weights(self):
         data, model, odin = self._setup(counts=(90, 10))
         state = SamplerState(strategy="stratified", rng_seed=0)
-        epoch_resample(state, model, data, odin)
+        epoch_resample(state, model, data, *odin)
         expected = 1.0 / data.class_counts[data.labels]
         expected /= expected.sum()
         np.testing.assert_allclose(state.history[-1].probabilities, expected)
 
     def test_boost_with_constant_model_is_uniform(self, zero_model):
         data = make_blobs([6, 6], 2, 3.0, seed=1)
-        odin = OdinConfig(temperature=1.0, epsilon=0.0, grad_std=compute_feature_std(data))
+        odin = (1.0, 0.0 / compute_feature_std(data))
         state = SamplerState(strategy="boost", rng_seed=0)
-        epoch_resample(state, zero_model, data, odin)
+        epoch_resample(state, zero_model, data, *odin)
         np.testing.assert_allclose(state.history[-1].probabilities, 1.0 / data.n, atol=1e-12)
 
     def test_probabilities_valid_for_every_strategy(self):
@@ -295,7 +294,7 @@ class TestEpochResample:
         for strategy in STRATEGIES:
             state = SamplerState(strategy=strategy, rng_seed=2)
             for _ in range(3):
-                epoch_resample(state, model, data, odin)
+                epoch_resample(state, model, data, *odin)
                 p = state.history[-1].probabilities
                 assert np.all(p >= 0)
                 assert abs(p.sum() - 1.0) < 1e-9
@@ -307,18 +306,18 @@ class TestEpochResample:
             for name in ("weights_hidden", "bias_hidden", "weights_out", "bias_out")
         }
         state = SamplerState(strategy="boost", rng_seed=0)
-        epoch_resample(state, model, data, odin)
+        epoch_resample(state, model, data, *odin)
         for name, before in snapshot.items():
             np.testing.assert_array_equal(getattr(model, name), before)
 
     def test_history_append_only(self):
         data, model, odin = self._setup()
         state = SamplerState(strategy="boost", rng_seed=0)
-        epoch_resample(state, model, data, odin)
+        epoch_resample(state, model, data, *odin)
         draw_batch(state, 8)
         first = state.history[0]
         frozen = (first.scores.copy(), first.probabilities.copy(), first.draw_counts.copy())
-        epoch_resample(state, model, data, odin)
+        epoch_resample(state, model, data, *odin)
         assert len(state.history) == 2
         np.testing.assert_array_equal(state.history[0].scores, frozen[0])
         np.testing.assert_array_equal(state.history[0].probabilities, frozen[1])
@@ -329,7 +328,7 @@ class TestEpochResample:
         data, model, odin = self._setup()
         state = SamplerState(strategy=strategy, rng_seed=0)
         for _ in range(3):
-            epoch_resample(state, model, data, odin)
+            epoch_resample(state, model, data, *odin)
             draw_batch(state, 8)
         first = state.history[0]
         for record in state.history:
@@ -348,7 +347,7 @@ class TestEpochResample:
         other = make_blobs([12, 24], 2, 3.0, seed=1)
         state = SamplerState(strategy=strategy, rng_seed=0)
         for split in (data, other, other):
-            epoch_resample(state, model, split, odin)
+            epoch_resample(state, model, split, *odin)
         first, second, third = state.history
         expected = (np.ones(other.n) if strategy.endswith("random")
                     else 1.0 / other.class_counts[other.labels])
@@ -362,7 +361,7 @@ class TestEpochResample:
         data, model, odin = self._setup()
         state = SamplerState(strategy="boost", rng_seed=0)
         for _ in range(3):
-            epoch_resample(state, model, data, odin)
+            epoch_resample(state, model, data, *odin)
         arrays = [getattr(record, name) for record in state.history
                   for name in RECORD_ARRAYS]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
@@ -374,7 +373,7 @@ class TestEpochResample:
         state = SamplerState(strategy=strategy, rng_seed=0)
         epochs = 6
         for _ in range(epochs):
-            epoch_resample(state, model, data, odin)
+            epoch_resample(state, model, data, *odin)
         arrays = (getattr(record, name) for record in state.history for name in RECORD_ARRAYS)
         unique = {id(array): array.nbytes for array in arrays if array is not None}
         assert sum(unique.values()) == data.n * 8 + epochs * data.n * 4  # float64 p, int32 counts
@@ -384,7 +383,7 @@ class TestEpochResample:
         state = SamplerState(strategy="boost", rng_seed=0)
         epochs = 6
         for _ in range(epochs):
-            epoch_resample(state, model, data, odin)
+            epoch_resample(state, model, data, *odin)
         arrays = (getattr(record, name) for record in state.history for name in RECORD_ARRAYS)
         unique = {id(array): array.nbytes for array in arrays}
         assert sum(unique.values()) == epochs * data.n * (8 + 1 + 8 + 4)
@@ -399,9 +398,9 @@ class TestEpochResample:
         params = model.params.copy()
         params[-1] += 50.0  # the last class wins every sample, the one past uint8 at 257
         model = ClassifierModel(params, 2, 4, num_classes)
-        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=compute_feature_std(data))
+        odin = (1.0, 0.05 / compute_feature_std(data))
         state = SamplerState(strategy="boost", rng_seed=0)
-        epoch_resample(state, model, data, odin)
+        epoch_resample(state, model, data, *odin)
         predicted = state.history[0].predicted
         assert predicted.dtype == dtype
         np.testing.assert_array_equal(predicted, np.full(data.n, num_classes - 1))
@@ -410,7 +409,7 @@ class TestEpochResample:
         data, model, odin = self._setup()
         state = SamplerState(strategy="stratified", rng_seed=6)
         for _ in range(2):  # the second epoch replays counters 0..99
-            epoch_resample(state, model, data, odin)
+            epoch_resample(state, model, data, *odin)
             p = state.history[-1].probabilities
             for k in range(100):
                 expected = np.random.default_rng([6, k]).choice(data.n, 8, p=p / p.sum())
@@ -419,9 +418,9 @@ class TestEpochResample:
     def test_static_strategies_freeze_epoch0_selection(self):
         data, model, odin = self._setup()
         state = SamplerState(strategy="random", rng_seed=4)
-        epoch_resample(state, model, data, odin)
+        epoch_resample(state, model, data, *odin)
         epoch0 = [draw_batch(state, 10) for _ in range(3)]
-        epoch_resample(state, model, data, odin)
+        epoch_resample(state, model, data, *odin)
         epoch1 = [draw_batch(state, 10) for _ in range(3)]
         for a, b in zip(epoch0, epoch1):
             np.testing.assert_array_equal(a, b)
@@ -429,9 +428,9 @@ class TestEpochResample:
     def test_dynamic_strategies_redraw_each_epoch(self):
         data, model, odin = self._setup()
         state = SamplerState(strategy="dynamic-random", rng_seed=4)
-        epoch_resample(state, model, data, odin)
+        epoch_resample(state, model, data, *odin)
         epoch0 = draw_batch(state, 10)
-        epoch_resample(state, model, data, odin)
+        epoch_resample(state, model, data, *odin)
         epoch1 = draw_batch(state, 10)
         assert not np.array_equal(epoch0, epoch1)
 
@@ -442,9 +441,9 @@ class TestEpochResample:
         model = init_model(2, 8, 2, seed=10)
         for _ in range(60):
             model, _ = train_step(model, data.features, data.labels, 0.3)
-        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=compute_feature_std(data))
+        odin = (1.0, 0.05 / compute_feature_std(data))
         state = SamplerState(strategy="boost", rng_seed=11)
-        epoch_resample(state, model, data, odin)
+        epoch_resample(state, model, data, *odin)
         draws = draw_batch(state, 10_000)
         minority_fraction = (data.labels[draws] == 1).mean()
         assert minority_fraction > 0.1
@@ -459,9 +458,9 @@ class TestEpochResample:
         centre0 = features[data.labels == 0].mean(axis=0)
         features[-1] = centre0
         planted = Dataset(features=features, labels=data.labels, num_classes=2)
-        odin = OdinConfig(temperature=1.0, epsilon=0.05, grad_std=compute_feature_std(planted))
+        odin = (1.0, 0.05 / compute_feature_std(planted))
         state = SamplerState(strategy="boost", rng_seed=21)
-        epoch_resample(state, model, planted, odin)
+        epoch_resample(state, model, planted, *odin)
         assert np.argmax(state.history[-1].probabilities) == planted.n - 1
 
 
@@ -470,11 +469,11 @@ class TestHistoryExport:
     def test_formats_a_shared_distribution_once(self, tmp_path, monkeypatch, strategy):
         data = make_blobs([12, 8], 2, 3.0, seed=12)
         model = init_model(2, 4, 2, seed=12)
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(data))
+        odin = (2.0, 0.05 / compute_feature_std(data))
         state = SamplerState(strategy=strategy, rng_seed=13)
         epochs = 5
         for _ in range(epochs):
-            epoch_resample(state, model, data, odin)
+            epoch_resample(state, model, data, *odin)
         formatted = []
 
         def counting(column):
@@ -511,10 +510,10 @@ class TestHistoryExport:
     def test_csv_shape_and_columns(self, tmp_path):
         data = make_blobs([12, 8], 2, 3.0, seed=12)
         model = init_model(2, 4, 2, seed=12)
-        odin = OdinConfig(temperature=2.0, epsilon=0.05, grad_std=compute_feature_std(data))
+        odin = (2.0, 0.05 / compute_feature_std(data))
         state = SamplerState(strategy="boost", rng_seed=13)
         for _ in range(2):
-            epoch_resample(state, model, data, odin)
+            epoch_resample(state, model, data, *odin)
             draw_batch(state, 16)
         path = tmp_path / "history.csv"
         write_history_csv(state, data.labels, path)
