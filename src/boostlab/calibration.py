@@ -17,12 +17,13 @@ import math
 
 import numpy as np
 
-from .data import check_finite, check_int, check_real, float_array
+from .data import NON_NEGATIVE_INT, check, check_finite, float_array, is_number
 from .errors import EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel, forward_batch, input_gradient_batch, softmax_rows
 
 T_MIN = 1.0
 T_MAX = 1000.0
+TEMPERATURE = (f"in [{T_MIN:g}, {T_MAX:g}]", lambda v: is_number(v) and T_MIN <= v <= T_MAX)
 
 SCHEDULE_KINDS = ("multiplicative", "inverse-linear")
 
@@ -58,8 +59,7 @@ def calibrate_batch_full(
     [n x c] and the perturbed-pass logits [n x c] (needed by the sampler's
     weighting formula); row i belongs to sample i. The model is never modified.
     """
-    check_real(temperature, "temperature", f"in [{T_MIN:g}, {T_MAX:g}]",
-               lambda v: T_MIN <= v <= T_MAX)
+    check(temperature, "temperature", TEMPERATURE)
     features = float_array(features, "features")
     if features.size == 0:
         raise EmptyInputError("calibration requires at least one sample")
@@ -77,7 +77,7 @@ def temperature_at(config, epoch: int) -> float:
     """Temperature for a given epoch under an ExperimentConfig's schedule
     (its temp_kind, temp_start, temp_scale and temp_interval, with its
     epochs as the inverse-linear horizon); total over all epoch >= 0."""
-    check_int(epoch, "epoch")
+    check(epoch, "epoch", NON_NEGATIVE_INT)
     if config.temp_kind == "multiplicative":
         steps = epoch // config.temp_interval
         try:

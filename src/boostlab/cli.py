@@ -36,8 +36,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     for f in fields(ExperimentConfig):
         options = dict(f.metadata)
         flag = options.pop("flag", "--" + f.name.replace("_", "-"))
-        if rule := options.pop("rule"):
-            options["help"] = f"{options['help']}; {rule[0]}" if "help" in options else rule[0]
+        rule = options.pop("rule")[0]
+        options["help"] = f"{options['help']}; {rule}" if "help" in options else rule
         p.add_argument(flag, dest=f.name, type=parsers[f.type.removesuffix(" | None")], **options)
 
 

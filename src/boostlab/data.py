@@ -31,23 +31,30 @@ def is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def check_int(value, name: str, minimum: int = 0) -> None:
-    """InvalidParameterError naming `name` unless value is an int (numpy's
-    included, bool not) of at least `minimum`."""
-    if not (is_number(value, numbers.Integral) and value >= minimum):
-        raise InvalidParameterError(f"{name} must be an int >= {minimum}, got {value!r}")
+def check(value, name: str, rule) -> None:
+    """InvalidParameterError naming `name` and value unless the test of `rule`,
+    a (text, test) pair, accepts value; the test checks the value's type too."""
+    if not rule[1](value):
+        raise InvalidParameterError(f"{name} must be {rule[0]}, got {value!r}")
 
 
-def check_real(value, name: str, rule: str, valid) -> None:
-    """InvalidParameterError naming `name` and value unless value is a real
-    number (numpy's included, bool not) that `valid` accepts, as `rule` says."""
-    if not (is_number(value) and valid(value)):
-        raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
+# the rules a config key and a function argument share, each written so that NaN fails it
+NON_NEGATIVE_INT = ("an int >= 0", lambda v: is_number(v, numbers.Integral) and v >= 0)
+POSITIVE_INT = ("an int >= 1", lambda v: is_number(v, numbers.Integral) and v >= 1)
+POSITIVE = ("finite and positive", lambda v: is_number(v) and 0 < v < math.inf)
+NON_NEGATIVE = ("finite and non-negative", lambda v: is_number(v) and 0 <= v < math.inf)
+FRACTION = ("in (0, 1)", lambda v: is_number(v) and 0 < v < 1)
+TAIL_SCALE = ("at least -1", lambda v: is_number(v) and v > -1.0 - 1e-12)
+
+
+def one_of(choices: tuple) -> tuple:
+    """The rule of a value that must be one of the strings `choices`."""
+    return f"one of {choices}", lambda v: isinstance(v, str) and v in choices
 
 
 def float_array(values, name: str) -> np.ndarray:
     """values as a float64 array, or InvalidParameterError naming `name` unless
-    they are ints or floats: the array form of check_real's rule, and the one
+    they are ints or floats: the array form of the real-number rules, and the one
     place a numeric array is converted. Ragged rows, text, None, bools, complex
     numbers and ints past 64 bits fail; a float64 array comes back as itself.
     What a non-finite value means is left to the caller."""
@@ -70,7 +77,7 @@ def check_finite(array: np.ndarray, name: str) -> None:
 def class_labels(values, num_classes: int, name: str = "labels") -> np.ndarray:
     """values as an intp array of class indices in [0, num_classes), an int >= 1,
     or InvalidParameterError naming `name`. The one place a label is checked."""
-    check_int(num_classes, "num_classes", 1)
+    check(num_classes, "num_classes", POSITIVE_INT)
     try:
         labels = np.asarray(values)
     except (TypeError, ValueError) as exc:
@@ -146,9 +153,9 @@ def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
         raise InvalidParameterError(f"n_per_class must be a list of ints, got {n_per_class!r}")
     if counts.size == 0 or np.any(counts < 1):
         raise EmptyInputError("every class needs at least one sample")
-    check_int(d, "d", 1)
-    check_real(separation, "separation", "finite and positive", lambda v: 0 < v < math.inf)
-    check_int(seed, "seed")
+    check(d, "d", POSITIVE_INT)
+    check(separation, "separation", POSITIVE)
+    check(seed, "seed", NON_NEGATIVE_INT)
 
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(len(counts)), counts.astype(np.intp))  # class after class
@@ -167,7 +174,7 @@ def pareto_tail_counts(class_counts, scale: float) -> np.ndarray:
     if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu" or counts.min() < 0:
         raise InvalidParameterError(
             f"class_counts must be a non-empty vector of ints >= 0, got {class_counts!r}")
-    check_real(scale, "scale", "at least -1", lambda v: v > -1.0 - 1e-12)  # so that NaN fails
+    check(scale, "scale", TAIL_SCALE)
     ranks = np.arange(len(counts), dtype=np.float64)
     curve = (1.0 + ranks) ** -(1.0 + scale)
     return np.maximum(1, np.round(int(counts.max()) * curve)).astype(np.intp)
@@ -183,7 +190,7 @@ def pareto_resample(dataset: Dataset, scale: float, seed: int) -> Dataset:
     A bad scale or seed is rejected whatever the dataset.
     """
     targets = pareto_tail_counts(dataset.class_counts, scale)
-    check_int(seed, "seed")
+    check(seed, "seed", NON_NEGATIVE_INT)
     if dataset.n == 0:
         raise EmptyInputError("dataset is empty")
     if dataset.num_classes == 1:
@@ -233,8 +240,8 @@ def compute_feature_std(train: Dataset) -> np.ndarray:
 
 def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle split into (train, test)."""
-    check_real(test_fraction, "test_fraction", "in (0, 1)", lambda v: 0 < v < 1)
-    check_int(seed, "seed")
+    check(test_fraction, "test_fraction", FRACTION)
+    check(seed, "seed", NON_NEGATIVE_INT)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
     n_test = max(1, int(round(dataset.n * test_fraction)))

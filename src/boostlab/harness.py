@@ -20,8 +20,9 @@ import numpy as np
 
 from . import model as model_mod
 from .calibration import SCHEDULE_KINDS, calibrate_batch_full, temperature_at
-from .data import Dataset, class_labels, compute_feature_std, load_csv, make_blobs
-from .data import csv_fields, is_number, pareto_resample, read_json, train_test_split, write_csv
+from .data import FRACTION, NON_NEGATIVE, POSITIVE, POSITIVE_INT, TAIL_SCALE, Dataset, check
+from .data import class_labels, compute_feature_std, csv_fields, is_number, load_csv, make_blobs
+from .data import one_of, pareto_resample, read_json, train_test_split, write_csv
 from .errors import BoostLabError, ConfigurationError, EmptyInputError
 from .errors import InvalidParameterError, NumericOverflowError
 from .metrics import MetricsReport, PredictionLog, build_metrics_report
@@ -29,72 +30,62 @@ from .model import ClassifierModel, hidden_activations, softmax_rows, train_step
 from .sampler import STRATEGIES, SamplerState, draw_batch, epoch_resample
 
 
-def _fits(value, annotation: str) -> bool:
-    """Whether a config value has the type its field's annotation names:
-    "str", "int", "float" or "tuple[int, ...]", any of them "| None"."""
-    kind = annotation.removesuffix(" | None")
-    if value is None:
-        return kind != annotation
-    if kind == "tuple[int, ...]":  # a list is welcome too: JSON has no tuples
-        return isinstance(value, (tuple, list)) and all(_fits(v, "int") for v in value)
-    if kind == "str":
-        return isinstance(value, str)
-    return is_number(value, numbers.Integral if kind == "int" else numbers.Real)
-
-
 def _key(default, rule=None, **argparse_kwargs):
     """A config field: its default; its rule, a (text, test) pair that its
-    value must pass unless it is the None a "| None" field takes; and its
+    value must pass, which takes None too where the default is None; and its
     CLI flag's argparse keywords ("help", "choices") and, under "flag", a
     name other than --<field-name>. Given choices, the rule is one of them."""
     if choices := argparse_kwargs.get("choices"):
-        rule = (f"one of {choices}", lambda v: v in choices)
+        rule = one_of(choices)
+    if default is None:
+        rule = "None or " + rule[0], lambda v, test=rule[1]: v is None or test(v)
     return field(default=default, metadata={"rule": rule, **argparse_kwargs})
 
 
-# rules that more than one key follows, each written so that NaN fails it
-AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
-COUNTS = ("one or more ints >= 1 and < 2**63", lambda v: min(v, default=0) >= 1 and max(v) < 2**63)
-POSITIVE = ("finite and positive", lambda v: 0 < v < math.inf)
-NON_NEGATIVE = ("finite and non-negative", lambda v: 0 <= v < math.inf)
+def _ints(value) -> bool:  # ints in a tuple, or in a list as JSON has no tuples
+    return isinstance(value, (tuple, list)) and all(is_number(v, numbers.Integral) for v in value)
+
+
+COUNTS = ("one or more ints >= 1 and < 2**63",
+          lambda v: _ints(v) and min(v, default=0) >= 1 and max(v) < 2**63)
+TEXT = ("a string", lambda v: isinstance(v, str))
 
 
 @dataclass
 class ExperimentConfig:
-    dataset: str = _key("blobs", help="'blobs' or path to a labeled CSV")
-    label_column: str = _key("label", help="label column name for CSV input")
+    dataset: str = _key("blobs", TEXT, help="'blobs' or path to a labeled CSV")
+    label_column: str = _key("label", TEXT, help="label column name for CSV input")
     blob_counts: tuple[int, ...] = _key((900, 100), COUNTS,
                                         help="per-class sample counts, e.g. 900,100")
-    blob_dim: int = _key(2, AT_LEAST_1)
+    blob_dim: int = _key(2, POSITIVE_INT)
     blob_separation: float = _key(3.0, POSITIVE)
     test_counts: tuple[int, ...] | None = _key(None, COUNTS)  # blobs only; defaults to blob_counts
-    test_fraction: float = _key(0.25, ("in (0, 1)", lambda v: 0 < v < 1))  # csv only
-    pareto_scale: float | None = _key(None, ("at least -1", lambda v: v > -1.0 - 1e-12),
+    test_fraction: float = _key(0.25, FRACTION)  # csv only
+    pareto_scale: float | None = _key(None, TAIL_SCALE,
                                       help="resample the train split onto a long-tail count curve")
     sampler: str = _key("boost", choices=STRATEGIES)
     temp_kind: str = _key("multiplicative", choices=SCHEDULE_KINDS)
     temp_start: float = _key(1.0, POSITIVE)
-    temp_scale: float = _key(5.0, ("finite and above 1", lambda v: 1 < v < math.inf))
-    temp_interval: int = _key(5, AT_LEAST_1)
+    temp_scale: float = _key(5.0, ("finite and above 1",
+                                   lambda v: is_number(v) and 1 < v < math.inf))
+    temp_interval: int = _key(5, POSITIVE_INT)
     epsilon: float = _key(0.05, NON_NEGATIVE)
-    epochs: int = _key(20, AT_LEAST_1)
-    batch_size: int = _key(32, AT_LEAST_1)
+    epochs: int = _key(20, POSITIVE_INT)
+    batch_size: int = _key(32, POSITIVE_INT)
     learning_rate: float = _key(0.2, NON_NEGATIVE, flag="--lr")
-    hidden_units: int = _key(16, AT_LEAST_1)
+    hidden_units: int = _key(16, POSITIVE_INT)
     seeds: tuple[int, ...] = _key((0,), ("one or more non-negative ints",
-                                         lambda v: min(v, default=-1) >= 0),
+                                         lambda v: _ints(v) and min(v, default=-1) >= 0),
                                   help="comma-separated seeds")
-    out_dir: str = _key("runs", flag="--out", help="output directory")
+    out_dir: str = _key("runs", TEXT, flag="--out", help="output directory")
 
     def __post_init__(self):
         for f in fields(self):  # a config file can hold any JSON value
-            if not _fits(value := getattr(self, f.name), f.type):
-                raise InvalidParameterError(f"{f.name} must be of type {f.type}, got {value!r}")
-            if isinstance(value, (tuple, list)):  # numpy ints become ints, for JSON
-                setattr(self, f.name, value := tuple(int(v) for v in value))
-            if (rule := f.metadata["rule"]) and value is not None and not rule[1](value):
-                text = "None or " + rule[0] if f.type.endswith(" | None") else rule[0]
-                raise InvalidParameterError(f"{f.name} must be {text}, got {value!r}")
+            check(value := getattr(self, f.name), f.name, f.metadata["rule"])
+            if isinstance(value, (tuple, list)):  # numpy numbers become Python's, for JSON
+                setattr(self, f.name, tuple(int(v) for v in value))
+            elif isinstance(value, np.generic):
+                setattr(self, f.name, value.item())
         if len(set(self.seeds)) < len(self.seeds):
             raise InvalidParameterError(f"seeds must be distinct, got {self.seeds!r}")
         if len(self.test_counts or self.blob_counts) != len(self.blob_counts):
@@ -136,13 +127,29 @@ class RunRecord:
     model: ClassifierModel
 
 
+MAX_ELEMENTS = np.iinfo(np.intp).max // 8  # float64s in the largest array numpy can index
+
+
+def _check_sizes(config: ExperimentConfig, **elements) -> None:
+    """InvalidParameterError naming the first key, in the order given, whose
+    largest array would hold more float64s (`elements[key]`, counted in Python
+    ints) than numpy can index; called before those arrays are allocated."""
+    for key, size in elements.items():
+        check(getattr(config, key), key, ("small enough for numpy to index the arrays it sizes",
+                                          lambda _: size <= MAX_ELEMENTS))
+
+
 def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset, np.ndarray]:
     """Materialize the (train, test) pair a run will see, and the run's
     perturbation step, epsilon over the train split's per-feature std, which
-    perturbs both training and evaluation."""
+    perturbs both training and evaluation. A key that sizes an array past
+    numpy's index range is rejected first."""
     if config.dataset == "blobs":
-        train = make_blobs(config.blob_counts, config.blob_dim, config.blob_separation, seed)
         test_counts = config.test_counts or config.blob_counts
+        n = max(sum(config.blob_counts), sum(test_counts))
+        _check_sizes(config, blob_counts=sum(config.blob_counts), test_counts=sum(test_counts),
+                     blob_dim=n * config.blob_dim)
+        train = make_blobs(config.blob_counts, config.blob_dim, config.blob_separation, seed)
         test = make_blobs(test_counts, config.blob_dim, config.blob_separation, seed + 10_000)
     else:
         full = load_csv(config.dataset, config.label_column)
@@ -150,6 +157,10 @@ def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Datase
 
     if config.pareto_scale is not None:
         train = pareto_resample(train, config.pareto_scale, seed)
+    d, c, h = train.num_features, train.num_classes, config.hidden_units
+    _check_sizes(config,  # a split's hidden activations or the parameters; a batch's widest array
+                 hidden_units=max(max(train.n, test.n) * h, h * (d + c + 1) + c),
+                 batch_size=config.batch_size * max(d, c, h))
     try:
         std = compute_feature_std(train)
     except NumericOverflowError as exc:
@@ -328,8 +339,8 @@ def read_run(run_dir) -> tuple[ExperimentConfig, int, ClassifierModel]:
     if isinstance(values.get("dataset"), str) and values["dataset"] != "blobs":
         values["dataset"] = os.path.normpath(os.path.join(run_dir, values["dataset"]))
     config = load_config(values, path, {})
-    if not _fits(seed, "int") or seed not in config.seeds:
-        raise InvalidParameterError(f"{path}: seed must be one of {config.seeds}, got {seed!r}")
+    check(seed, f"{path}: seed", (f"one of {config.seeds}",
+                                  lambda v: is_number(v, numbers.Integral) and v in config.seeds))
     return config, seed, model_mod.load_model(os.path.join(run_dir, CHECKPOINT.format(seed)))
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_finite, check_int, check_real, class_labels, float_array, read_json
+from .data import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, check, check_finite
+from .data import class_labels, float_array, read_json
 from .errors import (
     BoostLabError,
     EmptyInputError,
@@ -72,10 +72,10 @@ class ClassifierModel:
 
 def init_model(num_features: int, num_hidden: int, num_classes: int, seed: int) -> ClassifierModel:
     """Each parameter uniform in +-1/sqrt(its layer's fan-in), drawn in LAYERS order from `seed`."""
-    check_int(num_features, "num_features", 1)
-    check_int(num_hidden, "num_hidden", 1)
-    check_int(num_classes, "num_classes", 1)
-    check_int(seed, "seed")
+    check(num_features, "num_features", POSITIVE_INT)
+    check(num_hidden, "num_hidden", POSITIVE_INT)
+    check(num_classes, "num_classes", POSITIVE_INT)
+    check(seed, "seed", NON_NEGATIVE_INT)
     bound = np.repeat([1.0 / math.sqrt(num_features), 1.0 / math.sqrt(num_hidden)],
                       [num_hidden * (num_features + 1), num_classes * (num_hidden + 1)])
     params = np.random.default_rng(seed).uniform(-bound, bound)
@@ -109,7 +109,7 @@ def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """exp(z_c/T) / sum_j exp(z_j/T) along the last axis, computed with
     max-subtraction at a finite, positive T. The caller guarantees finite
     logits; a T so small that z/T overflows raises NumericOverflowError."""
-    check_real(temperature, "temperature", "finite and positive", lambda v: 0 < v < math.inf)
+    check(temperature, "temperature", POSITIVE)
     with np.errstate(over="ignore"):  # an overflowing z/T is reported below
         scaled = float_array(logits, "logits") / temperature
         if not np.isfinite(scaled).all():
@@ -141,7 +141,7 @@ def input_gradient_batch(
     caller already has: hidden activations and TS-softmax profiles at the
     same temperature. Row i targets class_indices[i]. With p = softmax(z / T):
     dS_c/dz = (p_c / T) * (e_c - p), dz/dh = W_out, dh/da = 1 - h^2, da/dx = W_hidden."""
-    check_real(temperature, "temperature", "finite and positive", lambda v: 0 < v < math.inf)
+    check(temperature, "temperature", POSITIVE)
     hidden = float_array(hidden, "hidden")
     probs = float_array(probs, "probs")
     class_indices = class_labels(class_indices, model.num_classes, "class_indices")
@@ -201,8 +201,7 @@ def train_step(
     untouched. The reported loss is evaluated before the update. A step
     that leaves a non-finite parameter raises NumericOverflowError.
     """
-    check_real(learning_rate, "learning_rate", "finite and non-negative",
-               lambda v: 0 <= v < math.inf)
+    check(learning_rate, "learning_rate", NON_NEGATIVE)
 
     loss, grad = loss_and_gradients(model, features, labels)
     try:
@@ -225,23 +224,23 @@ def model_to_dict(model: ClassifierModel) -> dict:
 
 
 def model_from_dict(doc) -> ClassifierModel:
-    """Inverse of model_to_dict. A missing or unknown key and a value of the
-    wrong type each raise a typed error; ClassifierModel checks the params."""
+    """Inverse of model_to_dict. A missing or unknown key, a value of the wrong
+    type and a dim below 1 each raise a typed error; ClassifierModel checks the params."""
     if not isinstance(doc, dict):
         raise InvalidParameterError("a checkpoint must be a JSON object")
     unknown = sorted(set(doc) - {"dims", "params"})
     if unknown:
         raise InvalidParameterError(f"checkpoint has an unknown key {unknown[0]!r}")
     try:
-        d, h, c = (operator.index(doc["dims"][k]) for k in ("features", "hidden", "classes"))
+        dims = {k: doc["dims"][k] for k in ("features", "hidden", "classes")}
         params = doc["params"]
     except KeyError as exc:
         raise InvalidParameterError(f"checkpoint has no key {exc}") from exc
-    except TypeError as exc:  # dims that are no mapping of ints
+    except TypeError as exc:  # dims that are no mapping
         raise InvalidParameterError(f"checkpoint value of the wrong type: {exc}") from exc
-    if min(d, h, c) < 1:
-        raise InvalidParameterError(f"checkpoint dims must be positive, got {doc['dims']}")
-    return ClassifierModel(params, d, h, c)
+    for key, value in dims.items():
+        check(value, f"dims[{key!r}]", POSITIVE_INT)
+    return ClassifierModel(params, *dims.values())
 
 
 def save_model(model: ClassifierModel, path) -> None:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import calibrate_batch_full
-from .data import Dataset, check_finite, check_int, class_labels, float_array
+from .data import NON_NEGATIVE_INT, POSITIVE_INT, Dataset, check, check_finite, class_labels
+from .data import float_array, one_of
 from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel
 
@@ -69,10 +70,8 @@ class SamplerState:
     degenerate: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise InvalidParameterError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        check_int(self.rng_seed, "rng_seed")
+        check(self.strategy, "strategy", one_of(STRATEGIES))
+        check(self.rng_seed, "rng_seed", NON_NEGATIVE_INT)
 
 
 def aggregate_class_scores(
@@ -166,7 +165,7 @@ def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
     stream is the one `default_rng([rng_seed, counter]).choice(n,
     batch_size, p=p / p.sum())` gives, bit for bit.
     """
-    check_int(batch_size, "batch_size", 1)
+    check(batch_size, "batch_size", POSITIVE_INT)
     if state.cdf is None:
         raise InvalidParameterError("sampler has no probabilities; resample first")
     if state.degenerate:

@@ -228,9 +228,7 @@ def test_train_help_shows_each_key_rule(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["train", "--help"])
     usage = capsys.readouterr().out
-    ruled = [f for f in dataclasses.fields(ExperimentConfig) if f.metadata["rule"]]
-    assert len(ruled) == 17
-    for f in ruled:
+    for f in dataclasses.fields(ExperimentConfig):  # every key has a rule
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
         help_text = re.search(rf"^  {flag} \S+\s+(.*)$", usage, re.M).group(1)
         assert help_text.endswith(f.metadata["rule"][0])
@@ -271,12 +269,37 @@ def test_count_past_64_bits_exits_2_naming_its_key(tmp_path, capsys, flag, messa
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--hidden-units", "100000000000000000000", "hidden_units"),
+    ("--blob-dim", "100000000000000000000", "blob_dim"),
+    ("--batch-size", "100000000000000000000", "batch_size"),
+    ("--blob-counts", "9223372036854775807,10", "blob_counts"),
+])
+def test_size_past_numpys_index_range_exits_2_naming_its_key(tmp_path, capsys, flag, value, key):
+    shown = f"({value.replace(',', ', ')})" if "," in value else value
+    message = f"boostlab: error: {key} must be small enough for numpy to index the arrays it sizes"
+    out_dir = tmp_path / "train"
+    argv = ["train", "--blob-counts", "20,10", "--epochs", "1", flag, value, "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"{message}, got {shown}\n")
+    assert not out_dir.exists()
+    # and evaluate, from a run whose report.json holds that value
+    run = tmp_path / "run"
+    assert main(["train", "--blob-counts", "20,10", "--epochs", "1", "--out", str(run)]) == 0
+    report = json.loads((run / "report.json").read_text())
+    report["config"][key] = json.loads(f"[{value}]") if "," in value else int(value)
+    (run / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["evaluate", "--run", str(run)]) == 2
+    assert capsys.readouterr() == ("", f"{message}, got {shown}\n")
+
+
 @pytest.mark.parametrize(
     "flags, values, error",
     [
         (["--temp-start", "0"], {}, "temp_start must be finite and positive, got 0.0"),
         (["--temp-scale", "1"], {}, "temp_scale must be finite and above 1, got 1.0"),
-        (["--temp-interval", "0"], {}, "temp_interval must be at least 1, got 0"),
+        (["--temp-interval", "0"], {}, "temp_interval must be an int >= 1, got 0"),
         (["--pareto-scale", "-2"], {}, "pareto_scale must be None or at least -1, got -2.0"),
         ([], {"temp_kind": "x"}, "temp_kind must be one of ('multiplicative', 'inverse-linear'), "
                                  "got 'x'"),

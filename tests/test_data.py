@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 
 import numpy as np
@@ -48,6 +49,7 @@ from boostlab.sampler import (
     SamplerState,
     aggregate_class_scores,
     boost_probabilities,
+    draw_batch,
     epoch_resample,
     install_distribution,
 )
@@ -119,6 +121,53 @@ def test_float_argument_out_of_range_rejected_by_name_and_value(entry, bad):
             call(value)
     call(valid)  # a Python float
     call(np.float64(valid))  # and a numpy float
+
+
+def _drawn(batch_size):
+    state = SamplerState(strategy="boost", rng_seed=0)
+    install_distribution(state, np.ones(4))
+    return draw_batch(state, batch_size)
+
+
+# each config key whose rule a function argument shares: (a call with that
+# argument set to v, values on both sides of the rule's bounds)
+SHARED_RULES = {
+    "blob_separation": (lambda v: make_blobs([3, 3], 2, v, seed=0), (0.0, 5e-324, -1.0, 1e300)),
+    "test_fraction": (lambda v: train_test_split(BLOBS, v, seed=0), (0.0, 1e-300, 0.75, 1.0)),
+    "pareto_scale": (lambda v: pareto_tail_counts([5, 3, 1], v), (-1.0 - 1e-11, -1.0, 4.0)),
+    "learning_rate": (lambda v: train_step(MODEL, BLOBS.features, BLOBS.labels, v),
+                      (-5e-324, 0.0, 2.0)),
+    "blob_dim": (lambda v: make_blobs([3, 3], v, 2.0, seed=0), (0, 1, 3)),
+    "hidden_units": (lambda v: init_model(2, v, 2, seed=0), (0, 1, 3)),
+    "batch_size": (_drawn, (-1, 0, 1, 3)),
+}
+ODD_VALUES = (math.nan, math.inf, -math.inf, True, False, "1", None, [1], 2.5,
+              np.int64(1), np.float64(0.5), np.float32(2.0), np.bool_(True))
+
+
+def _rule_broken(call, value):
+    """What `call(value)` says after "must be " when it rejects value, else None."""
+    try:
+        call(value)
+    except InvalidParameterError as exc:
+        return str(exc).split(" must be ", 1)[1]
+    return None
+
+
+@pytest.mark.parametrize("key", sorted(SHARED_RULES))
+def test_a_config_key_and_the_argument_it_feeds_follow_one_rule(key):
+    call, bounds = SHARED_RULES[key]
+    verdicts = set()
+    for value in (*bounds, *ODD_VALUES):
+        if value is None and key == "pareto_scale":  # the config's None: no resampling
+            continue
+        in_config = _rule_broken(lambda v: ExperimentConfig(**{key: v}), value)
+        in_argument = _rule_broken(call, value)
+        assert (in_config is None) == (in_argument is None), (value, in_config, in_argument)
+        if in_config:  # worded alike; a None-taking key's rule reads "None or <rule>"
+            assert in_config == in_argument or in_config == "None or " + in_argument
+        verdicts.add(in_config is None)
+    assert verdicts == {True, False}
 
 
 STEP = 0.1 / np.array([1.0, 2.0])  # epsilon 0.1 over a std per feature of MODEL's two
@@ -378,6 +427,10 @@ class TestMakeBlobs:
         pairs = np.triu_indices(k, 1)
         distances = np.linalg.norm(centers[pairs[0]] - centers[pairs[1]], axis=1)
         np.testing.assert_allclose(distances, 2.5, rtol=1e-12, atol=0)
+        # and their centroid is the origin, up to the construction's own
+        # rounding (fsum adds exactly): a few ulps of the separation
+        centroid = [math.fsum(column) for column in centers.T]
+        assert max(map(abs, centroid)) <= 2 * np.finfo(float).eps * 2.5
 
     @pytest.mark.parametrize(
         "k, d, shared", [(3, 1, (1, 2)), (4, 2, (2, 3)), (2, 3, None), (1, 3, None)])

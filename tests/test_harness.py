@@ -119,6 +119,24 @@ class TestRunTraining:
         report = run_evaluation(record.model, test, step, final_at(5.0))
         assert record.metrics.to_dict() == report.to_dict()
 
+    @pytest.mark.parametrize("epochs, final", [(5, 1.0), (10, 5.0), (14, 25.0)])
+    def test_final_evaluation_calibrates_at_the_last_epochs_temperature(
+        self, monkeypatch, epochs, final
+    ):
+        # multiplicative from 1, times 5 every 5 epochs: in each case epoch
+        # `epochs - 1` is one step below epoch `epochs + 1`
+        seen = []
+
+        def calibrate(model, features, temperature, step):
+            seen.append(temperature)
+            return calibrate_batch_full(model, features, temperature, step)
+
+        monkeypatch.setattr(harness, "calibrate_batch_full", calibrate)
+        config = small_config(epochs=epochs)
+        _, test, step = build_datasets(config, seed=0)
+        run_evaluation(init_model(2, 8, 2, seed=0), test, step, config)
+        assert seen == [final]
+
     def test_one_class_run_counts_its_uniform_fallback(self, caplog):
         # with one class every inverted boost weight is 0, so every epoch
         # installs the uniform stand-in and every batch is drawn from it
@@ -159,7 +177,7 @@ BAD_FIELD_VALUES = [
     ("blob_separation", math.inf, "blob_separation must be finite and positive, got inf"),
     ("blob_separation", 0.0, "blob_separation must be finite and positive, got 0.0"),
     ("blob_separation", -2.0, "blob_separation must be finite and positive, got -2.0"),
-    ("blob_dim", 0, "blob_dim must be at least 1, got 0"),
+    ("blob_dim", 0, "blob_dim must be an int >= 1, got 0"),
     ("test_fraction", 0.0, "test_fraction must be in (0, 1), got 0.0"),
     ("test_fraction", 1.0, "test_fraction must be in (0, 1), got 1.0"),
     ("test_fraction", math.nan, "test_fraction must be in (0, 1), got nan"),
@@ -171,14 +189,20 @@ BAD_FIELD_VALUES = [
     ("temp_start", math.nan, "temp_start must be finite and positive, got nan"),
     ("temp_start", 0.0, "temp_start must be finite and positive, got 0.0"),
     ("temp_start", math.inf, "temp_start must be finite and positive, got inf"),
-    ("temp_interval", 0, "temp_interval must be at least 1, got 0"),
-    ("epsilon", "x", "epsilon must be of type float, got 'x'"),
-    ("blob_counts", 5, "blob_counts must be of type tuple[int, ...], got 5"),
-    ("seeds", [0, '1'], "seeds must be of type tuple[int, ...], got [0, '1']"),
-    ("test_counts", (3, 2.5), "test_counts must be of type tuple[int, ...] | None, got (3, 2.5)"),
-    ("epochs", 2.0, "epochs must be of type int, got 2.0"),
-    ("learning_rate", True, "learning_rate must be of type float, got True"),
-    ("sampler", None, "sampler must be of type str, got None"),
+    ("temp_interval", 0, "temp_interval must be an int >= 1, got 0"),
+    ("epsilon", "x", "epsilon must be finite and non-negative, got 'x'"),
+    ("blob_counts", 5, "blob_counts must be one or more ints >= 1 and < 2**63, got 5"),
+    ("seeds", [0, '1'], "seeds must be one or more non-negative ints, got [0, '1']"),
+    ("test_counts", (3, 2.5),
+     "test_counts must be None or one or more ints >= 1 and < 2**63, got (3, 2.5)"),
+    ("epochs", 2.0, "epochs must be an int >= 1, got 2.0"),
+    ("learning_rate", True, "learning_rate must be finite and non-negative, got True"),
+    ("sampler", None,
+     "sampler must be one of ('boost', 'random', 'dynamic-random', 'stratified', "
+     "'dynamic-stratified'), got None"),
+    ("dataset", 5, "dataset must be a string, got 5"),
+    ("label_column", ["label"], "label_column must be a string, got ['label']"),
+    ("out_dir", None, "out_dir must be a string, got None"),
     ("sampler", "x",
      "sampler must be one of ('boost', 'random', 'dynamic-random', 'stratified', "
      "'dynamic-stratified'), got 'x'"),
@@ -195,10 +219,9 @@ BAD_FIELD_VALUES = [
     ("test_counts", (5, 2**63),
      "test_counts must be None or one or more ints >= 1 and < 2**63, got (5, 9223372036854775808)"),
     ("temp_kind", "x", "temp_kind must be one of ('multiplicative', 'inverse-linear'), got 'x'"),
-    ("batch_size", 0, "batch_size must be at least 1, got 0"),
-    ("hidden_units", 0, "hidden_units must be at least 1, got 0"),
+    ("batch_size", 0, "batch_size must be an int >= 1, got 0"),
+    ("hidden_units", 0, "hidden_units must be an int >= 1, got 0"),
 ]
-NO_RULE_FIELDS = {"dataset", "label_column", "out_dir"}  # any string is read as given
 
 
 class TestExperimentConfig:
@@ -213,12 +236,12 @@ class TestExperimentConfig:
             small_config(**{field: value})
 
     def test_several_broken_rules_are_named_by_the_first_key_in_field_order(self):
-        with pytest.raises(InvalidParameterError, match="^blob_dim must be at least 1, got 0$"):
+        with pytest.raises(InvalidParameterError, match="^blob_dim must be an int >= 1, got 0$"):
             small_config(hidden_units=0, seeds=(1, 1), sampler="x", blob_dim=0)
 
-    def test_every_field_with_a_rule_has_a_rejected_value(self):
+    def test_every_field_with_a_rule_has_a_rejected_value(self):  # every field has one
         names = {f.name for f in fields(ExperimentConfig)}
-        assert names - NO_RULE_FIELDS == {field for field, _, _ in BAD_FIELD_VALUES}
+        assert names == {field for field, _, _ in BAD_FIELD_VALUES}
 
 
 class TestBuildDatasets:
@@ -240,6 +263,38 @@ class TestBuildDatasets:
         monkeypatch.setattr(harness, "compute_feature_std", lambda train: np.array([1e-320, 1.0]))
         _, _, step = build_datasets(small_config(epsilon=0.0), seed=0)
         assert step.tolist() == [0.0, 0.0]
+
+    def test_blob_test_split_is_drawn_from_seed_plus_10000(self):
+        config = small_config(test_counts=(7, 5), blob_dim=3)
+        _, test, _ = build_datasets(config, seed=4)
+        expected = make_blobs([7, 5], 3, 3.0, 10_004)
+        np.testing.assert_array_equal(test.features, expected.features)
+        np.testing.assert_array_equal(test.labels, expected.labels)
+
+    # small_config has 60 train and 60 test samples of 2 features and 2 classes,
+    # 8 hidden units, batches of 16; numpy indexes fewer than 2**60 float64s
+    @pytest.mark.parametrize("key, overrides", [
+        ("blob_counts", dict(blob_counts=(2**60, 5))),  # labels and features of the train split
+        ("test_counts", dict(test_counts=(40, 2**60))),
+        ("blob_dim", dict(blob_dim=2**55)),  # 60 x 2**55 features
+        ("hidden_units", dict(hidden_units=2**55)),  # 60 x 2**55 hidden activations
+        ("hidden_units", dict(blob_dim=100, hidden_units=2**54)),  # 103 x 2**54 parameters
+        ("batch_size", dict(batch_size=2**58)),  # 2**58 x 8 hidden activations of a batch
+        ("batch_size", dict(batch_size=10**20)),
+    ], ids=["counts", "test-counts", "dim", "activations", "parameters", "batch", "batch-20"])
+    def test_a_key_that_sizes_an_array_past_numpys_index_range_is_named(self, key, overrides):
+        config = small_config(**overrides)
+        message = (f"{key} must be small enough for numpy to index the arrays it sizes, "
+                   f"got {getattr(config, key)!r}")
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            build_datasets(config, seed=0)
+
+    def test_sizes_up_to_numpys_index_range_pass(self, monkeypatch):
+        # make_blobs returns small_config's own splits, so nothing large is allocated
+        monkeypatch.setattr(harness, "make_blobs", lambda *args: make_blobs([40, 20], 2, 3.0, 0))
+        most = np.iinfo(np.intp).max // 8  # float64s
+        build_datasets(small_config(blob_counts=(most // 2 - 5, 5), test_counts=(5, 5)), seed=0)
+        build_datasets(small_config(hidden_units=most // 60, batch_size=1), seed=0)
 
     def test_pareto_applies_to_train_only(self):
         config = small_config(
@@ -421,7 +476,9 @@ class TestExportReports:
     def test_report_json_round_trips(self, tmp_path):
         record = run_training(small_config(epochs=2))
         export_reports([record], str(tmp_path))
-        doc = json.loads((tmp_path / "report.json").read_text())
+        text = (tmp_path / "report.json").read_text()
+        assert text == json.dumps(record_to_report(record), indent=2)
+        doc = json.loads(text)
         assert set(doc) == {"config", "per_epoch", "metrics"}
         assert {e["epoch"] for e in doc["per_epoch"]} == {0, 1}
         assert set(doc["metrics"]) == {
@@ -431,6 +488,17 @@ class TestExportReports:
             "ood_partition",
             "flags",
         }
+
+    def test_numpy_scalars_in_a_config_export_as_python_numbers(self, tmp_path):
+        python_typed = dict(epochs=1, blob_dim=3, epsilon=0.25, learning_rate=0.5)
+        numpy_typed = dict(epochs=np.int64(1), blob_dim=np.int32(3), epsilon=np.float32(0.25),
+                           learning_rate=np.float64(0.5))
+        for name, values in (("python", python_typed), ("numpy", numpy_typed)):
+            config = small_config(**values)
+            assert [type(getattr(config, key)) for key in values] == [int, int, float, float]
+            export_reports([run_training(config)], str(tmp_path / name))
+        written = [(tmp_path / name / "report.json").read_bytes() for name in ("python", "numpy")]
+        assert written[0] == written[1]
 
     def test_embedding_rows_equal_test_size(self, tmp_path):
         config = small_config(test_counts=(13, 7))

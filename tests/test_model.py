@@ -363,10 +363,13 @@ class TestCheckpoint:
              "no key 'params'"),
             ("[1, 2]", InvalidParameterError, "JSON object"),
             ('{"dims": {"features": -1, "hidden": 0, "classes": 2}, "params": [0, 0]}',
-             InvalidParameterError, "dims must be positive"),
+             InvalidParameterError, r"dims\['features'\] must be an int >= 1, got -1$"),
+            ('{"dims": {"features": true, "hidden": true, "classes": 2}, '
+             '"params": [0, 0, 0, 0, 0, 0]}',
+             InvalidParameterError, r"dims\['features'\] must be an int >= 1, got True$"),
             ('{"dims": 5}', InvalidParameterError, "checkpoint value of the wrong type"),
         ],
-        ids=["truncated", "no-keys", "no-params", "not-an-object", "negative-dims",
+        ids=["truncated", "no-keys", "no-params", "not-an-object", "negative-dims", "bool-dims",
              "dims-not-a-mapping"],
     )
     def test_malformed_checkpoint_names_the_file(self, tmp_path, text, error, named):
