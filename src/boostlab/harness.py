@@ -4,8 +4,8 @@ Wires the pieces into a training loop: a temperature schedule drives the
 calibration, the sampler rebuilds its distribution before every epoch,
 and the trainer consumes multinomially drawn batches. Evaluation and
 report export live here too. Runs are fully deterministic per
-(config, seed); no timestamps are written, so repeated runs produce
-byte-identical artifacts.
+(config, seed); no clock is read (np.savez dates every member 1980-01-01),
+so repeated runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ def run_evaluation(
     return build_metrics_report(logs[0], sodc_log=logs[1])
 
 
-REPORT_FILES = ("report.json", "per_class_metrics.csv", "sampler_history.csv", "embeddings.csv")
+REPORT_FILES = ("report.json", "per_class_metrics.csv", "sampler_history.csv", "embeddings.npz")
 CHECKPOINT = "model_seed{}.json"  # beside a run's REPORT_FILES, named by the run's seed
 
 
@@ -312,10 +312,8 @@ def _write_record(record: RunRecord, out_dir: str) -> list[str]:
 
     write_history_csv(record.sampler_state, record.train_labels, history_path)
 
-    embeddings = hidden_activations(record.model, record.test.features)
-    hidden = [f"h_{j}" for j in range(embeddings.shape[1])]
-    columns = [np.arange(record.test.n), record.test.labels, *embeddings.T]
-    write_csv(embeddings_path, ["sample_id", "true_class", *hidden], [columns])
+    hidden = hidden_activations(record.model, record.test.features)  # row i: test sample i
+    np.savez(embeddings_path, true_class=record.test.labels, hidden=hidden)
 
     paths.append(os.path.join(out_dir, CHECKPOINT.format(record.seed)))
     model_mod.save_model(record.model, paths[-1])

@@ -39,7 +39,7 @@ def test_train_writes_reports_and_model(tmp_path, capsys):
     assert code == 0
     names = sorted(p.name for p in out_dir.iterdir())
     assert names == [
-        "embeddings.csv",
+        "embeddings.npz",
         "model_seed0.json",
         "per_class_metrics.csv",
         "report.json",

@@ -3,6 +3,8 @@ import json
 import logging
 import math
 import re
+import time
+import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -504,9 +506,9 @@ class TestExportReports:
         config = small_config(test_counts=(13, 7))
         record = run_training(config)
         export_reports([record], str(tmp_path))
-        lines = (tmp_path / "embeddings.csv").read_text().strip().splitlines()
-        assert len(lines) == 1 + 20
-        assert lines[0].startswith("sample_id,true_class,h_0")
+        with np.load(tmp_path / "embeddings.npz", allow_pickle=False) as arrays:
+            assert arrays["true_class"].shape == (20,)
+            assert arrays["hidden"].shape == (20, config.hidden_units)
 
     def test_multiple_records_get_subdirectories(self, tmp_path):
         records = run_experiment(small_config(seeds=(0, 1), epochs=1))
@@ -525,7 +527,10 @@ class TestExportReports:
         save_csv(make_blobs([5, 3], 2, 3.0, seed=0), paths[-1])
         assert len(paths) == 5 + 10 + 1
         for path in paths:
-            assert b"\r" not in Path(path).read_bytes(), path
+            if Path(path).name == "embeddings.npz":  # binary: a 0x0D byte is data there
+                assert zipfile.is_zipfile(path), path
+            else:
+                assert b"\r" not in Path(path).read_bytes(), path
 
     @pytest.mark.parametrize("sampler", ["boost", "random"])
     def test_csv_artifacts_read_back_to_the_record(self, tmp_path, sampler):
@@ -560,15 +565,31 @@ class TestExportReports:
             np.testing.assert_array_equal(floats(cols[5]), epoch.probabilities)
             np.testing.assert_array_equal(ints(cols[6]), epoch.draw_counts)
 
-        rows, cols = columns("embeddings.csv")
-        assert ints(cols[0]) == list(range(len(record.test.labels)))
-        np.testing.assert_array_equal(ints(cols[1]), record.test.labels)
-        embeddings = hidden_activations(record.model, record.test.features)
-        np.testing.assert_array_equal([floats(row[2:]) for row in rows], embeddings)
-        model = record.model  # and they are the hidden layer, by the scalar oracle
-        hidden = [oracle_hidden(model.weights_hidden, model.bias_hidden, x)
-                  for x in record.test.features]
-        np.testing.assert_allclose([floats(row[2:]) for row in rows], hidden, rtol=0, atol=1e-12)
+        with np.load(tmp_path / "embeddings.npz", allow_pickle=False) as arrays:
+            true_class, hidden = arrays["true_class"], arrays["hidden"]
+        assert (true_class.dtype, hidden.dtype) == (np.int64, np.float64)
+        np.testing.assert_array_equal(true_class, record.test.labels)
+        model = record.model  # row i is test sample i's hidden layer, by the scalar oracle
+        expected = [oracle_hidden(model.weights_hidden, model.bias_hidden, x)
+                    for x in record.test.features]
+        np.testing.assert_allclose(hidden, expected, rtol=0, atol=1e-12)
+
+    def test_embeddings_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        record = run_training(small_config(epochs=1))
+        export_reports([record], str(tmp_path / "a"))
+        later, localtime = time.time() + 24 * 3600.0, time.localtime
+        monkeypatch.setattr(time, "time", lambda: later)
+        monkeypatch.setattr(time, "localtime",
+                            lambda secs=None: localtime(later if secs is None else secs))
+        export_reports([record], str(tmp_path / "b"))
+        path = tmp_path / "b" / "embeddings.npz"
+        assert (tmp_path / "a" / "embeddings.npz").read_bytes() == path.read_bytes()
+        with zipfile.ZipFile(path) as archive:
+            members = [(info.filename, info.date_time) for info in archive.infolist()]
+        names = ("true_class.npy", "hidden.npy")
+        assert members == [(name, (1980, 1, 1, 0, 0, 0)) for name in names]
+        with np.load(path, allow_pickle=False) as arrays:
+            assert [arrays[name].shape for name in arrays.files] == [(60,), (60, 8)]
 
     def test_exports_byte_identical_across_runs(self, tmp_path):
         config = small_config()
@@ -633,12 +654,12 @@ class TestCsvFilesEqualTheRowWriter:
         expected = oracle_csv_bytes(["class", "metric", "value_percent"], rows)
         assert (tmp_path / "per_class_metrics.csv").read_bytes() == expected
 
-        embeddings = hidden_activations(record.model, record.test.features)
-        hidden = [f"h_{j}" for j in range(embeddings.shape[1])]
-        labels = record.test.labels.tolist()
-        rows = ([i, labels[i], *h.tolist()] for i, h in enumerate(embeddings))
-        expected = oracle_csv_bytes(["sample_id", "true_class", *hidden], rows)
-        assert (tmp_path / "embeddings.csv").read_bytes() == expected
+        with np.load(tmp_path / "embeddings.npz", allow_pickle=False) as arrays:
+            np.testing.assert_array_equal(arrays["true_class"], record.test.labels)
+            model = record.model
+            expected = [oracle_hidden(model.weights_hidden, model.bias_hidden, x)
+                        for x in record.test.features]
+            np.testing.assert_allclose(arrays["hidden"], expected, rtol=0, atol=1e-12)
 
     def test_saved_dataset_with_a_label_column_that_needs_quoting(self, tmp_path, chunk):
         features = np.array([[0.1, -0.0, 1e150], [2.5e-8, 3.0, -7.0], [1 / 3, 1e-320, 42.0]])

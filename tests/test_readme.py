@@ -1,6 +1,7 @@
 """The README's `boostlab ...` examples must stay commands the CLI accepts,
-its `report.json` schema must name the keys a report has, and the ESS its
-intro quotes for the `train` example must be what that run measures.
+its `report.json` schema must name the keys a report has, its Reports
+bullets the files and arrays a run writes, and the ESS its intro quotes for
+the `train` example must be what that run measures.
 
 Each command is pulled out of the README's fenced blocks (with `\\`
 continuations joined) and handed to `cli.main`, with the three command
@@ -13,10 +14,12 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boostlab import cli
-from boostlab.harness import ExperimentConfig, record_to_report, run_training
+from boostlab.harness import REPORT_FILES, ExperimentConfig, export_reports, record_to_report
+from boostlab.harness import run_training
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -87,6 +90,26 @@ def test_readme_report_schema_names_the_report_keys():
     assert set(schema) == set(report)
     assert set(schema["per_epoch"][0]) == set(report["per_epoch"][0])
     assert set(schema["metrics"]) == set(report["metrics"])
+
+
+def report_bullets() -> dict[str, str]:
+    """{file name: text} of each bullet of the "Reports" section."""
+    section = README.read_text(encoding="utf-8").split("\n## Reports")[1].split("\n## ")[0]
+    return dict(re.findall(r"^- `([\w.]+)`: (.*)$", section, flags=re.MULTILINE))
+
+
+def test_readme_report_bullets_name_the_files_a_run_writes():
+    assert list(report_bullets()) == list(REPORT_FILES)
+
+
+def test_readme_embeddings_bullet_names_the_arrays_a_run_writes(tmp_path):
+    # "`true_class` (int64, `[n]`)": each array's name, dtype and dimensions
+    named = re.findall(r"`(\w+)` \((\w+), `\[([^]`]*)\]`\)", report_bullets()["embeddings.npz"])
+    config = ExperimentConfig(blob_counts=(20, 10), epochs=1, hidden_units=4)
+    export_reports([run_training(config)], str(tmp_path))
+    with np.load(tmp_path / "embeddings.npz", allow_pickle=False) as arrays:
+        written = [(name, arrays[name].dtype.name, arrays[name].ndim) for name in arrays.files]
+    assert [(name, dtype, len(dims.split(" × "))) for name, dtype, dims in named] == written
 
 
 def box_rows() -> list[tuple[str, str]]:
