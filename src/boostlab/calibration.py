@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .data import NON_NEGATIVE_INT, check, check_finite, float_array, is_number
-from .errors import EmptyInputError, InputShapeError, InvalidParameterError
+from .errors import EmptyInputError, InvalidParameterError
 from .model import ClassifierModel, forward_batch, input_gradient_batch, softmax_rows
 
 T_MIN = 1.0
@@ -34,17 +34,12 @@ def perturb(x: np.ndarray, grad: np.ndarray, step: np.ndarray) -> np.ndarray:
     train split's per-feature std, which build_datasets makes once per run.
     """
     x = float_array(x, "x")
-    grad = float_array(grad, "grad")
-    step = float_array(step, "step")
-    if x.shape != grad.shape:
-        raise InputShapeError(f"x {x.shape} and grad {grad.shape} must have equal shape")
+    grad = float_array(grad, "grad", x.shape)
     check_finite(grad, "grad")
-    if step.ndim != 1 or not ((step >= 0) & (step < np.inf)).all():
-        raise InvalidParameterError("step must be a vector of finite, non-negative entries")
-    if step.shape != x.shape[-1:]:
-        raise InputShapeError(
-            f"step of shape {step.shape} needs one entry per feature of x {x.shape}"
-        )
+    step = float_array(step, "step")
+    if not ((step >= 0) & (step < np.inf)).all():
+        raise InvalidParameterError("step must be finite and non-negative")
+    step = float_array(step, "step", x.shape[-1:])  # after its values: a bad epsilon is named first
     return x - np.sign(grad) * step
 
 
@@ -60,11 +55,9 @@ def calibrate_batch_full(
     weighting formula); row i belongs to sample i. The model is never modified.
     """
     check(temperature, "temperature", TEMPERATURE)
-    features = float_array(features, "features")
+    features = float_array(features, "features", (None, model.num_features))
     if features.size == 0:
         raise EmptyInputError("calibration requires at least one sample")
-    if features.ndim != 2:
-        raise InputShapeError("features must be a [n x d] matrix")
 
     hidden, first_logits = forward_batch(model, features)
     probs = softmax_rows(first_logits, temperature)

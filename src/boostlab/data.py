@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     CsvParseError,
     EmptyInputError,
+    InputShapeError,
     InsufficientDataError,
     InvalidParameterError,
     NumericOverflowError,
@@ -52,18 +53,35 @@ def one_of(choices: tuple) -> tuple:
     return f"one of {choices}", lambda v: isinstance(v, str) and v in choices
 
 
-def float_array(values, name: str) -> np.ndarray:
+def _check_shape(array: np.ndarray, shape: tuple, name: str) -> None:
+    """InputShapeError naming `name` unless the array has `shape`, a tuple of
+    lengths in which None matches any length: the one shape rule. A loop,
+    not any(), as it runs several times per training step."""
+    if array.ndim == len(shape):
+        for want, got in zip(shape, array.shape):
+            if want is not None and want != got:
+                break
+        else:
+            return
+    raise InputShapeError(
+        f"{name} must have shape {repr(shape).replace('None', '*')}, got {array.shape}")
+
+
+def float_array(values, name: str, shape: tuple | None = None) -> np.ndarray:
     """values as a float64 array, or InvalidParameterError naming `name` unless
     they are ints or floats: the array form of the real-number rules, and the one
     place a numeric array is converted. Ragged rows, text, None, bools, complex
     numbers and ints past 64 bits fail; a float64 array comes back as itself.
-    What a non-finite value means is left to the caller."""
+    Given `shape`, an array of another shape fails _check_shape. What a
+    non-finite value means is left to the caller."""
     try:
         array = np.asarray(values)
     except ValueError as exc:  # rows of unequal length
         raise InvalidParameterError(f"{name} must be numeric, got ragged rows") from exc
     if array.dtype.kind not in "iuf":
         raise InvalidParameterError(f"{name} must be numeric, got dtype {array.dtype}")
+    if shape is not None:
+        _check_shape(array, shape, name)
     return array.astype(np.float64, copy=False)
 
 
@@ -74,9 +92,10 @@ def check_finite(array: np.ndarray, name: str) -> None:
         raise InvalidParameterError(f"{name} must be finite")
 
 
-def class_labels(values, num_classes: int, name: str = "labels") -> np.ndarray:
+def class_labels(values, num_classes: int, name: str = "labels", shape=(None,)) -> np.ndarray:
     """values as an intp array of class indices in [0, num_classes), an int >= 1,
-    or InvalidParameterError naming `name`. The one place a label is checked."""
+    or InvalidParameterError naming `name`; an array not of `shape`, a vector by
+    default, fails _check_shape. The one place a label is checked."""
     check(num_classes, "num_classes", POSITIVE_INT)
     try:
         labels = np.asarray(values)
@@ -86,6 +105,7 @@ def class_labels(values, num_classes: int, name: str = "labels") -> np.ndarray:
         labels.dtype.kind != "f" or not np.isfinite(labels).all() or (labels % 1).any()
     ):
         raise InvalidParameterError(f"{name} must be integers")
+    _check_shape(labels, shape, name)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise InvalidParameterError(f"{name} must lie in [0, {num_classes})")
     return labels.astype(np.intp, copy=False)
@@ -102,9 +122,7 @@ class Dataset:
 
     def __post_init__(self):
         self.labels = class_labels(self.labels, self.num_classes)
-        self.features = float_array(self.features, "features")
-        if self.features.ndim != 2 or self.labels.shape != self.features.shape[:1]:
-            raise InvalidParameterError("features and labels must align")
+        self.features = float_array(self.features, "features", (self.n, None))
         if self.num_features < 1:
             raise InvalidParameterError("features need at least one column")
         check_finite(self.features, "features")
@@ -149,8 +167,9 @@ def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
     `separation` apart; at a smaller d some pairs are closer and some share
     a center (see _simplex_centers)."""
     counts = np.asarray(n_per_class)
-    if counts.ndim != 1 or counts.size and counts.dtype.kind not in "iu":
+    if counts.size and counts.dtype.kind not in "iu":
         raise InvalidParameterError(f"n_per_class must be a list of ints, got {n_per_class!r}")
+    _check_shape(counts, (None,), "n_per_class")
     if counts.size == 0 or np.any(counts < 1):
         raise EmptyInputError("every class needs at least one sample")
     check(d, "d", POSITIVE_INT)
@@ -171,9 +190,10 @@ def pareto_tail_counts(class_counts, scale: float) -> np.ndarray:
     settings; scale = -1 gives a flat curve, and a scale below it (by more
     than rounding) is rejected."""
     counts = np.asarray(class_counts)
-    if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu" or counts.min() < 0:
+    if counts.size == 0 or counts.dtype.kind not in "iu" or counts.min() < 0:
         raise InvalidParameterError(
             f"class_counts must be a non-empty vector of ints >= 0, got {class_counts!r}")
+    _check_shape(counts, (None,), "class_counts")
     check(scale, "scale", TAIL_SCALE)
     ranks = np.arange(len(counts), dtype=np.float64)
     curve = (1.0 + ranks) ** -(1.0 + scale)

@@ -269,8 +269,8 @@ def write_history_csv(state: SamplerState, true_labels: np.ndarray, path) -> Non
     count. A record that calibrated nothing (a baseline's, whose scores and
     predictions are None) has predicted_class -1 and an empty score."""
     labels = class_labels(true_labels, np.iinfo(np.intp).max, "true_labels")  # any class count
-    if any(record.probabilities.shape != labels.shape for record in state.history):
-        raise InvalidParameterError("true_labels must hold one label per sample of the history")
+    for record in state.history:  # one label per sample of every epoch
+        class_labels(labels, np.iinfo(np.intp).max, "true_labels", record.probabilities.shape)
     n = len(labels)
     # columns that are the same from epoch to epoch are formatted once
     sample_column = csv_fields(np.arange(n))

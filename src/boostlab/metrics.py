@@ -35,16 +35,12 @@ class PredictionLog:
     profiles: np.ndarray  # [n x num_classes]
 
     def __post_init__(self):
-        self.profiles = float_array(self.profiles, "profiles")
-        if self.profiles.ndim != 2 or self.profiles.shape[1] == 0:
-            raise InputShapeError(
-                f"profiles must be an [n x classes] matrix, got shape {self.profiles.shape}"
-            )
-        k = self.num_classes
-        self.true_labels = class_labels(self.true_labels, k, "true labels")
-        self.predicted_labels = class_labels(self.predicted_labels, k, "predicted labels")
-        if not self.true_labels.shape == self.predicted_labels.shape == self.profiles.shape[:1]:
-            raise InputShapeError("log arrays must align")
+        self.profiles = float_array(self.profiles, "profiles", (None, None))
+        if self.num_classes == 0:
+            raise InputShapeError("profiles need at least one column")
+        k, shape = self.num_classes, self.profiles.shape[:1]
+        self.true_labels = class_labels(self.true_labels, k, "true labels", shape)
+        self.predicted_labels = class_labels(self.predicted_labels, k, "predicted labels", shape)
         if self.n == 0:
             raise EmptyInputError("prediction log is empty")
         sums = self.profiles.sum(axis=1)
@@ -75,19 +71,17 @@ def sodc_per_class(log: PredictionLog) -> np.ndarray:
     return np.array(mass) / log.n
 
 
-def sodc_total(per_class: np.ndarray) -> float:
-    """Product across classes; any zero entry annihilates the total."""
-    per_class = float_array(per_class, "per_class")
-    check_finite(per_class, "per_class")
-    return float(np.prod(per_class))
-
-
-def _per_class_metric(values) -> np.ndarray:
-    pm = float_array(values, "per_class_metric")
+def _per_class_metric(values, name: str = "per_class_metric") -> np.ndarray:
+    pm = float_array(values, name, (None,))
     if pm.size == 0:
         raise EmptyInputError("per-class metric vector is empty")
-    check_finite(pm, "per_class_metric")
+    check_finite(pm, name)
     return pm
+
+
+def sodc_total(per_class: np.ndarray) -> float:
+    """Product across classes; any zero entry annihilates the total."""
+    return float(np.prod(_per_class_metric(per_class, "per_class")))
 
 
 def mab(per_class_metric: np.ndarray) -> float:

@@ -21,7 +21,6 @@ from .data import class_labels, float_array, read_json
 from .errors import (
     BoostLabError,
     EmptyInputError,
-    InputShapeError,
     InvalidParameterError,
     NumericOverflowError,
 )
@@ -51,13 +50,8 @@ class ClassifierModel:
     bias_out: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.params = float_array(self.params, "params")
         d, h, c = self.num_features, self.num_hidden, self.num_classes
-        size = h * d + h + c * h + c
-        if self.params.shape != (size,):
-            raise InputShapeError(
-                f"a {d}-{h}-{c} model has {size} parameters, got shape {self.params.shape}"
-            )
+        self.params = float_array(self.params, "params", (h * d + h + c * h + c,))
         check_finite(self.params, "params")
         self.weights_hidden, self.bias_hidden, self.weights_out, self.bias_out = (
             self.layer_views(self.params)
@@ -86,11 +80,7 @@ def forward_batch(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndar
     """Hidden activations and logits for a [n x features] matrix, one row
     per sample. The only place the layer formula is written, and so the one
     place features enter the network: they must be finite."""
-    features = float_array(features, "features")
-    if features.ndim != 2 or features.shape[1] != model.num_features:
-        raise InputShapeError(
-            f"expected [n x {model.num_features}] feature matrix, got shape {features.shape}"
-        )
+    features = float_array(features, "features", (None, model.num_features))
     check_finite(features, "features")
     hidden = features @ model.weights_hidden.T  # each [n x ...] intermediate is one buffer
     hidden += model.bias_hidden
@@ -107,11 +97,13 @@ def hidden_activations(model: ClassifierModel, features: np.ndarray) -> np.ndarr
 
 def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """exp(z_c/T) / sum_j exp(z_j/T) along the last axis, computed with
-    max-subtraction at a finite, positive T. The caller guarantees finite
-    logits; a T so small that z/T overflows raises NumericOverflowError."""
+    max-subtraction at a finite, positive T. A NaN or infinite logit raises
+    InvalidParameterError; a T so small that z/T overflows, NumericOverflowError."""
     check(temperature, "temperature", POSITIVE)
+    logits = float_array(logits, "logits")
+    check_finite(logits, "logits")
     with np.errstate(over="ignore"):  # an overflowing z/T is reported below
-        scaled = float_array(logits, "logits") / temperature
+        scaled = logits / temperature
         if not np.isfinite(scaled).all():
             raise NumericOverflowError("logits / temperature overflows float64 at "
                                        f"temperature {temperature!r}")
@@ -142,10 +134,10 @@ def input_gradient_batch(
     same temperature. Row i targets class_indices[i]. With p = softmax(z / T):
     dS_c/dz = (p_c / T) * (e_c - p), dz/dh = W_out, dh/da = 1 - h^2, da/dx = W_hidden."""
     check(temperature, "temperature", POSITIVE)
-    hidden = float_array(hidden, "hidden")
-    probs = float_array(probs, "probs")
-    class_indices = class_labels(class_indices, model.num_classes, "class_indices")
-    rows = np.arange(hidden.shape[0])
+    hidden = float_array(hidden, "hidden", (None, model.num_hidden))
+    rows = np.arange(len(hidden))
+    probs = float_array(probs, "probs", (len(rows), model.num_classes))
+    class_indices = class_labels(class_indices, model.num_classes, "class_indices", rows.shape)
     p_c = probs[rows, class_indices]
     with np.errstate(all="ignore"):  # a non-finite gradient is reported below
         # dS_c/dz, shape [n x classes]
@@ -163,12 +155,10 @@ def loss_and_gradients(
     """Mean cross-entropy of the plain (T=1) softmax over a batch and its
     gradient w.r.t. `model.params`, from one forward pass. The gradient is
     one vector laid out like `params`; `model.layer_views` splits it."""
-    features = float_array(features, "features")
-    labels = class_labels(labels, model.num_classes)
-    if features.size == 0 or labels.size == 0:
+    features = float_array(features, "features", (None, model.num_features))
+    labels = class_labels(labels, model.num_classes, "labels", features.shape[:1])
+    if labels.size == 0:
         raise EmptyInputError("a training batch must not be empty")
-    if features.ndim != 2 or labels.shape != features.shape[:1]:
-        raise InputShapeError("features and labels must align")
     hidden, logits = forward_batch(model, features)
     rows = np.arange(features.shape[0])
     shifted = logits - logits.max(axis=1, keepdims=True)

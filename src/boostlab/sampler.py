@@ -20,7 +20,7 @@ import numpy as np
 from .calibration import calibrate_batch_full
 from .data import NON_NEGATIVE_INT, POSITIVE_INT, Dataset, check, check_finite, class_labels
 from .data import float_array, one_of
-from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
+from .errors import ConfigurationError, EmptyInputError, InvalidParameterError
 from .model import ClassifierModel
 
 log = logging.getLogger(__name__)
@@ -79,13 +79,11 @@ def aggregate_class_scores(
 ) -> np.ndarray:
     """Arithmetic mean of calibrated max-scores per true class; classes
     with no samples carry the mean of the present classes."""
-    max_scores = float_array(max_scores, "max_scores")
+    max_scores = float_array(max_scores, "max_scores", (None,))
     if max_scores.size == 0:
         raise EmptyInputError("no scores to aggregate")
     check_finite(max_scores, "max_scores")
-    labels = class_labels(labels, num_classes)
-    if max_scores.ndim != 1 or labels.shape != max_scores.shape:
-        raise InvalidParameterError("scores and labels must align")
+    labels = class_labels(labels, num_classes, "labels", max_scores.shape)
 
     sums = np.bincount(labels, weights=max_scores, minlength=num_classes)
     counts = np.bincount(labels, minlength=num_classes)
@@ -110,18 +108,12 @@ def boost_probabilities(
     is 1 - raw. `install_distribution` turns the weights into a
     distribution.
     """
-    logits = np.atleast_2d(float_array(logits, "logits"))
-    s = float_array(aggregates, "aggregates")
-    if logits.ndim != 2:
-        raise InvalidParameterError("logits must be an [n x c] matrix")
+    logits = float_array(logits, "logits", (None, None))
     n, c = logits.shape
     if n == 0:
         raise EmptyInputError("no samples to weight")
-    class_index = class_labels(class_index, c, "class_index")
-    if class_index.shape != (n,):
-        raise InvalidParameterError("logits and class_index must align")
-    if s.shape != (c,):
-        raise InvalidParameterError(f"aggregates must hold one score per class ({c})")
+    class_index = class_labels(class_index, c, "class_index", (n,))
+    s = float_array(aggregates, "aggregates", (c,))
     if not np.all((s > 0) & (s <= 1)):  # written so that NaN fails
         raise InvalidParameterError("aggregate scores must lie in (0, 1]")
     check_finite(logits, "logits")
@@ -138,9 +130,7 @@ def install_distribution(state: SamplerState, weights: np.ndarray) -> np.ndarray
     the next install, and return it. Weights that are not finite, have a
     negative entry, or whose sum is not in (0, inf) (all zero, say) are
     replaced by the uniform distribution, with one warning."""
-    given = float_array(weights, "weights")
-    if given.ndim != 1:
-        raise InputShapeError(f"sampling weights must be a vector, got shape {given.shape}")
+    given = float_array(weights, "weights", (None,))
     if given.size == 0:
         raise EmptyInputError("a sampling distribution needs at least one sample")
     with np.errstate(over="ignore", invalid="ignore"):  # a sum of inf or NaN is degenerate

@@ -72,6 +72,16 @@ class TestTsSoftmax:
         with pytest.raises(NumericOverflowError, match=f"at temperature {temperature!r}$"):
             softmax_rows(logits, temperature)
 
+    @pytest.mark.parametrize("logit", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_logit_rejected_by_name(self, logit):
+        with pytest.raises(InvalidParameterError, match="^logits must be finite$"):
+            softmax_rows([[0.5, logit]], 1.0)
+
+    def test_finite_logits_that_overflow_keep_the_overflow_message(self):
+        message = "^logits / temperature overflows float64 at temperature 1e-309$"
+        with pytest.raises(NumericOverflowError, match=message):
+            softmax_rows([[1.0, 0.5]], 1e-309)
+
     def test_argmax_invariant_under_temperature(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -101,10 +111,11 @@ class TestPerturb:
 
     def test_step_of_the_wrong_length_names_both_lengths(self):
         step = 0.1 / np.ones(3)
-        with pytest.raises(InputShapeError, match=r"\(3,\).*\(2, 2\)"):
+        message = r"^step must have shape \(2,\), got \(3,\)$"
+        with pytest.raises(InputShapeError, match=message):
             perturb(np.zeros((2, 2)), np.ones((2, 2)), step)
         model = model_mod.init_model(2, 4, 2, seed=0)
-        with pytest.raises(InputShapeError, match=r"\(3,\).*\(2, 2\)"):
+        with pytest.raises(InputShapeError, match=message):
             calibrate_batch_full(model, np.zeros((2, 2)), 1.0, step)
 
     @pytest.mark.parametrize(
@@ -116,14 +127,19 @@ class TestPerturb:
             0.05 / np.array([1.0, np.nan]),  # a NaN std entry
             [0.05, math.inf],  # an infinite step entry
             "abc",
-            np.ones((2, 2)),
             [[1.0], [1.0, 2.0]],
-            2.0,
             None,
         ],
     )
     def test_bad_step_rejected_by_name(self, step):
         with pytest.raises(InvalidParameterError, match="^step must be"):
+            perturb(np.ones((1, 2)), np.ones((1, 2)), step)
+
+    @pytest.mark.parametrize(
+        "step, shape", [(np.ones((2, 2)), r"\(2, 2\)"), (2.0, r"\(\)")], ids=["matrix", "scalar"]
+    )
+    def test_misshapen_step_rejected_by_name(self, step, shape):
+        with pytest.raises(InputShapeError, match=rf"^step must have shape \(2,\), got {shape}$"):
             perturb(np.ones((1, 2)), np.ones((1, 2)), step)
 
 
@@ -181,7 +197,8 @@ class TestCalibrateBatch:
             calibrate_batch_full(toy_model, np.empty((0, 1)), 1.0, 0.05 / np.ones(1))
 
     def test_one_sample_as_a_vector_rejected(self, toy_model):
-        with pytest.raises(InputShapeError, match=r"features must be a \[n x d\] matrix"):
+        message = r"^features must have shape \(\*, 1\), got \(1,\)$"
+        with pytest.raises(InputShapeError, match=message):
             calibrate_batch_full(toy_model, [0.4], 1.0, 0.05 / np.ones(1))
 
     def test_one_first_pass_and_one_rescore(self, toy_model, monkeypatch):

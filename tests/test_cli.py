@@ -598,7 +598,7 @@ def test_checkpoint_params_of_the_wrong_length_exits_2(tmp_path, capsys):
     model_path = run_dir / "model_seed0.json"
     _edit_json(model_path, lambda doc: doc.update(params=doc["params"][:-1]))
     _evaluate_fails_naming(run_dir, capsys, model_path,
-                           "a 2-4-2 model has 22 parameters, got shape (21,)")
+                           "params must have shape (22,), got (21,)")
 
 
 def test_checkpoint_in_the_per_layer_format_exits_2_naming_activation(tmp_path, capsys):
@@ -649,7 +649,7 @@ def test_broken_run_directory_exits_2_naming_file_and_key(tmp_path, capsys, name
     "values, message",
     [
         ({"blob_counts": [30, 10, 10]}, "model has 2 classes but dataset has 3"),
-        ({"blob_dim": 3}, "expected [n x 2] feature matrix, got shape (40, 3)"),
+        ({"blob_dim": 3}, "features must have shape (*, 2), got (40, 3)"),
     ],
     ids=["class-count", "feature-count"],
 )

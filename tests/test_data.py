@@ -1,5 +1,6 @@
 import inspect
 import math
+import os
 import re
 
 import numpy as np
@@ -27,11 +28,12 @@ from boostlab.data import (
 from boostlab.errors import (
     CsvParseError,
     EmptyInputError,
+    InputShapeError,
     InsufficientDataError,
     InvalidParameterError,
     NumericOverflowError,
 )
-from boostlab.harness import ExperimentConfig, run_evaluation
+from boostlab.harness import ExperimentConfig, run_evaluation, write_history_csv
 from boostlab.metrics import PredictionLog, mab, sdb, sodc_total
 from boostlab.model import (
     ClassifierModel,
@@ -308,6 +310,77 @@ def test_every_numeric_array_parameter_is_fuzzed():
     assert takers - fuzzed == {(metrics_mod.MetricsReport, "per_class")}
 
 
+def _history_written(true_labels):
+    state = SamplerState(strategy="random", rng_seed=0)
+    epoch_resample(state, MODEL, Dataset(ROWS, [0, 1], 2), 1.0, STEP)
+    write_history_csv(state, true_labels, os.devnull)
+
+
+# every array argument whose shape is checked: (a call with it set to v, its
+# name, a value of the wrong shape, a valid value); the wrong shapes add an
+# axis, drop one, or get a length wrong
+SHAPED_ARGUMENTS = {
+    "Dataset-features": (lambda v: Dataset(v, [0, 1], 2), "features", [[1.0, 2.0]], ROWS),
+    "Dataset-labels": (lambda v: Dataset(ROWS, v, 2), "labels", [[0, 1]], [0, 1]),
+    "ClassifierModel-params": (
+        lambda v: ClassifierModel(v, 2, 3, 2), "params", list(range(16)), list(range(17))),
+    "forward_batch-features": (lambda v: forward_batch(MODEL, v), "features", [1.0, 2.0], ROWS),
+    "loss_and_gradients-features": (
+        lambda v: loss_and_gradients(MODEL, v, [0, 1]), "features", [[1, 2, 3], [0, 0, 0]], ROWS),
+    "loss_and_gradients-labels": (
+        lambda v: loss_and_gradients(MODEL, ROWS, v), "labels", [0], [0, 1]),
+    "input_gradient_batch-hidden": (
+        lambda v: input_gradient_batch(MODEL, v, [[0.25, 0.75]], [1], 2.0), "hidden",
+        [0.5, 0.0, -0.5], [[0.5, 0.0, -0.5]]),
+    "input_gradient_batch-probs": (
+        lambda v: input_gradient_batch(MODEL, [[0.5, 0.0, -0.5]], v, [1], 2.0), "probs",
+        [[0.25, 0.75], [0.5, 0.5]], [[0.25, 0.75]]),
+    "input_gradient_batch-class_indices": (
+        lambda v: input_gradient_batch(MODEL, [[0.5, 0.0, -0.5]], [[0.25, 0.75]], v, 2.0),
+        "class_indices", [1, 0], [1]),
+    "perturb-grad": (lambda v: perturb([[1.0, 2.0]], v, STEP), "grad", [1.0, -1.0], [[1, -1]]),
+    "perturb-step": (
+        lambda v: perturb([[1.0, 2.0]], [[1.0, -1.0]], v), "step", [[0.1, 0.2]], STEP),
+    "calibrate_batch_full-features": (
+        lambda v: calibrate_batch_full(MODEL, v, 2.0, STEP), "features", [1.0, 2.0], ROWS),
+    "calibrate_batch_full-step": (
+        lambda v: calibrate_batch_full(MODEL, ROWS, 2.0, v), "step", [0.1, 0.2, 0.3], STEP),
+    "aggregate_class_scores-max_scores": (
+        lambda v: aggregate_class_scores(v, [0, 1], 2), "max_scores", [[0.5, 0.5]], [0.5, 0.5]),
+    "aggregate_class_scores-labels": (
+        lambda v: aggregate_class_scores([0.5, 0.5], v, 2), "labels", [0], [0, 1]),
+    "boost_probabilities-logits": (
+        lambda v: boost_probabilities(v, [0], [0.5, 1.0]), "logits", [1.0, 2.0], [[1.0, 2.0]]),
+    "boost_probabilities-class_index": (
+        lambda v: boost_probabilities(ROWS, v, [0.5, 1.0]), "class_index", [0], [0, 1]),
+    "boost_probabilities-aggregates": (
+        lambda v: boost_probabilities(ROWS, [0, 1], v), "aggregates", [[0.5, 1.0]], [0.5, 1.0]),
+    "install_distribution-weights": (_installed, "weights", [[1.0, 2.0]], [1.0, 2.0]),
+    "PredictionLog-profiles": (
+        lambda v: PredictionLog([0], [0], v), "profiles", [1.0, 0.0], [[1.0, 0.0]]),
+    "PredictionLog-true_labels": (
+        lambda v: PredictionLog(v, [0], [[1.0, 0.0]]), "true labels", [0, 1], [0]),
+    "PredictionLog-predicted_labels": (
+        lambda v: PredictionLog([0], v, [[1.0, 0.0]]), "predicted labels", [[0]], [0]),
+    "write_history_csv-true_labels": (_history_written, "true_labels", [0], [0, 1]),
+    "mab-per_class_metric": (mab, "per_class_metric", [[1.0, 2.0]], [1.0, 2.0]),
+    "sdb-per_class_metric": (sdb, "per_class_metric", [[1.0, 2.0]], [1.0, 2.0]),
+    "sodc_total-per_class": (sodc_total, "per_class", [[0.5, 1.0]], [0.5, 1.0]),
+    "make_blobs-n_per_class": (
+        lambda v: make_blobs(v, 2, 2.0, seed=0), "n_per_class", [[3, 3]], [3, 3]),
+    "pareto_tail_counts-class_counts": (
+        lambda v: pareto_tail_counts(v, 0.0), "class_counts", [[5, 3]], [5, 3]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SHAPED_ARGUMENTS))
+def test_misshapen_array_argument_raises_a_shape_error_by_name(entry):
+    call, name, misshapen, valid = SHAPED_ARGUMENTS[entry]
+    with pytest.raises(InputShapeError, match=rf"^{name} must have shape \(.*\), got \(.*\)$"):
+        call(misshapen)
+    call(valid)
+
+
 def test_float_array_converts_ints_and_returns_a_float64_array_as_itself():
     values = np.arange(3.0)
     assert float_array(values, "values") is values
@@ -327,7 +400,6 @@ class TestDataset:
             ([[1.0], [2.0, 3.0]], [0, 1], 2),
             ([[1.0], [np.inf]], [0, 1], 2),
             (np.zeros((2, 0)), [0, 1], 2),
-            ([[1.0], [2.0]], 0, 1),
             ([[1.0], [2.0]], [0, 0], 0),
             ([[1.0], [2.0]], [0, 2], 2),
             ([[1.0], [2.0]], [0, 0], True),
@@ -335,13 +407,17 @@ class TestDataset:
             ([[1.0], [2.0]], [[0], [1, 0]], 2),
         ],
         ids=["fractional-labels", "nan-label", "text-labels", "text-features", "ragged-rows",
-             "inf-feature", "no-feature-column", "scalar-labels", "no-classes",
+             "inf-feature", "no-feature-column", "no-classes",
              "label-out-of-range", "bool-num-classes", "fractional-num-classes",
              "ragged-labels"],
     )
     def test_bad_labels_and_features_raise_a_typed_error(self, features, labels, num_classes):
         with pytest.raises(InvalidParameterError):
             Dataset(features=features, labels=labels, num_classes=num_classes)
+
+    def test_scalar_labels_raise_a_shape_error(self):
+        with pytest.raises(InputShapeError, match=r"^labels must have shape \(\*,\), got \(\)$"):
+            Dataset(features=[[1.0], [2.0]], labels=0, num_classes=1)
 
     def test_integral_float_labels_become_class_indices(self):
         data = Dataset(features=[[1.0], [2.0], [3.0]], labels=[0.0, 1.0, 1.0], num_classes=2)
@@ -391,12 +467,15 @@ class TestMakeBlobs:
         with pytest.raises(EmptyInputError):
             make_blobs([10, 0], 2, 3.0, seed=0)
 
-    @pytest.mark.parametrize(
-        "counts", [[2.7, 3], ["2", "3"], 5], ids=["fractional", "text", "scalar"]
-    )
+    @pytest.mark.parametrize("counts", [[2.7, 3], ["2", "3"]], ids=["fractional", "text"])
     def test_non_integer_counts_rejected(self, counts):
         with pytest.raises(InvalidParameterError, match="n_per_class"):
             make_blobs(counts, 2, 2.0, seed=0)
+
+    def test_scalar_counts_rejected(self):
+        with pytest.raises(InputShapeError,
+                           match=r"^n_per_class must have shape \(\*,\), got \(\)$"):
+            make_blobs(5, 2, 2.0, seed=0)
 
     @pytest.mark.parametrize(
         "d, separation",
@@ -501,12 +580,17 @@ class TestParetoResample:
             pareto_resample(BLOBS, scale, 0)
 
     @pytest.mark.parametrize(
-        "counts", ["x", None, [], "ab", [[1, 2]], [5, -1], [5.0, 3.0], [True, False]],
-        ids=["text", "none", "empty", "text-pair", "matrix", "negative", "floats", "bools"],
+        "counts", ["x", None, [], "ab", [5, -1], [5.0, 3.0], [True, False]],
+        ids=["text", "none", "empty", "text-pair", "negative", "floats", "bools"],
     )
     def test_bad_counts_rejected(self, counts):
         with pytest.raises(InvalidParameterError, match="^class_counts must be a non-empty"):
             pareto_tail_counts(counts, 0.0)
+
+    def test_matrix_counts_rejected(self):
+        with pytest.raises(InputShapeError,
+                           match=r"^class_counts must have shape \(\*,\), got \(1, 2\)$"):
+            pareto_tail_counts([[1, 2]], 0.0)
 
     @pytest.mark.parametrize("scale, seed, named", [(-1.5, 0, "scale"), (0.0, -1, "seed")])
     def test_bad_scale_or_seed_rejected_before_the_early_exits(self, scale, seed, named):

@@ -17,6 +17,7 @@ from boostlab.data import Dataset, compute_feature_std, make_blobs, save_csv
 from boostlab.errors import (
     ConfigurationError,
     EmptyInputError,
+    InputShapeError,
     InvalidParameterError,
     NumericOverflowError,
 )
@@ -634,15 +635,19 @@ class TestCsvFilesEqualTheRowWriter:
         assert b"\n2,5,2,-1,,0.125,5\n" in expected
 
     @pytest.mark.parametrize(
-        "labels", [[0.7, 1.2, 0.0, 1.9], [0, 1, 0], [[0, 1, 0, 1]]],
+        "labels, error, message",
+        [([0.7, 1.2, 0.0, 1.9], InvalidParameterError, "^true_labels must be integers$"),
+         ([0, 1, 0], InputShapeError, r"^true_labels must have shape \(4,\), got \(3,\)$"),
+         ([[0, 1, 0, 1]], InputShapeError, r"^true_labels must have shape \(\*,\), got \(1, 4\)$")],
         ids=["fractional", "one-short", "nested"],
     )
-    def test_history_labels_must_be_one_class_index_per_sample(self, tmp_path, labels):
+    def test_history_labels_must_be_one_class_index_per_sample(
+            self, tmp_path, labels, error, message):
         state = SamplerState(strategy="random", rng_seed=0)
         state.history.append(EpochRecord(
             epoch=0, scores=None, predicted=None,
             probabilities=np.full(4, 0.25), draw_counts=np.zeros(4, dtype=np.int64)))
-        with pytest.raises(InvalidParameterError, match="true_labels"):
+        with pytest.raises(error, match=message):
             harness.write_history_csv(state, labels, tmp_path / "history.csv")
         assert not (tmp_path / "history.csv").exists()
 

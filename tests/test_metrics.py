@@ -153,9 +153,10 @@ class TestBiasScores:
                 assert mab(values) > 0
                 assert sdb(values) > 0
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            mab([])
+    @pytest.mark.parametrize("metric", [mab, sdb, sodc_total], ids=lambda f: f.__name__)
+    def test_empty_rejected(self, metric):
+        with pytest.raises(EmptyInputError, match="^per-class metric vector is empty$"):
+            metric([])
 
 
 def rates(report, name):

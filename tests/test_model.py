@@ -314,7 +314,7 @@ class TestParameterVector:
         np.testing.assert_array_equal(toy_model.bias_out, [0.1, -0.2])
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(InputShapeError, match="6 parameters"):
+        with pytest.raises(InputShapeError, match=r"^params must have shape \(6,\), got \(5,\)$"):
             ClassifierModel(np.zeros(5), 1, 1, 2)
 
     def test_non_finite_rejected(self):
@@ -388,7 +388,7 @@ class TestCheckpoint:
         edit(doc["params"])
         path = tmp_path / "short.json"
         path.write_text(json.dumps(doc))
-        message = f"^{re.escape(f'{path}: a 2-3-2 model has 17 parameters, got shape {shape}')}$"
+        message = f"^{re.escape(f'{path}: params must have shape (17,), got {shape}')}$"
         with pytest.raises(InputShapeError, match=message):
             load_model(path)
 

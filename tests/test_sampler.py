@@ -7,7 +7,12 @@ from scipy import stats
 from boostlab import data as data_mod
 from boostlab import harness as harness_mod
 from boostlab.data import Dataset, compute_feature_std, csv_fields, make_blobs
-from boostlab.errors import ConfigurationError, EmptyInputError, InvalidParameterError
+from boostlab.errors import (
+    ConfigurationError,
+    EmptyInputError,
+    InputShapeError,
+    InvalidParameterError,
+)
 from boostlab.harness import write_history_csv
 from boostlab.model import ClassifierModel, init_model, train_step
 from boostlab.sampler import (
@@ -44,7 +49,7 @@ class TestAggregateScores:
             aggregate_class_scores(np.array([]), np.array([], dtype=int), num_classes=2)
 
     def test_misaligned_labels_rejected(self):
-        with pytest.raises(InvalidParameterError, match="^scores and labels must align$"):
+        with pytest.raises(InputShapeError, match=r"^labels must have shape \(3,\), got \(2,\)$"):
             aggregate_class_scores([0.5, 0.5, 0.5], [0, 1], num_classes=2)
 
     @pytest.mark.parametrize(
@@ -125,9 +130,9 @@ class TestBoostProbabilities:
             ([[1.0, 0.0], [0.0, 1.0]], [0, -1], [0.5, 0.5], InvalidParameterError),
             ([[1.0, 0.0], [0.0, 1.0]], [0, 1.7], [0.5, 0.5], InvalidParameterError),
             ([[1.0, 0.0], [0.0, 1.0]], ["a", "b"], [0.5, 0.5], InvalidParameterError),
-            ([[1.0, 0.0], [0.0, 1.0]], [0, 1], [0.5, 0.5, 0.5], InvalidParameterError),
+            ([[1.0, 0.0], [0.0, 1.0]], [0, 1], [0.5, 0.5, 0.5], InputShapeError),
             (np.empty((0, 2)), np.empty(0, dtype=int), [0.5, 0.5], EmptyInputError),
-            (np.zeros((1, 2, 2)), [0], [0.5, 0.5], InvalidParameterError),
+            (np.zeros((1, 2, 2)), [0], [0.5, 0.5], InputShapeError),
         ],
         ids=["nan-logit", "inf-logit", "class-index-too-large", "negative-class-index",
              "fractional-class-index", "text-class-index", "aggregates-longer-than-classes",
