@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .data import NON_NEGATIVE_INT, check, check_finite, float_array, is_number
-from .errors import EmptyInputError, InvalidParameterError
+from .errors import EmptyInputError, InvalidParameterError, NumericOverflowError
 from .model import ClassifierModel, forward_batch, input_gradient_batch, softmax_rows
 
 T_MIN = 1.0
@@ -53,17 +53,27 @@ def calibrate_batch_full(
     and a second forward + TS-softmax pass. Returns the second-pass profiles
     [n x c] and the perturbed-pass logits [n x c] (needed by the sampler's
     weighting formula); row i belongs to sample i. The model is never modified.
+    A readout that overflows float64 raises NumericOverflowError.
     """
     check(temperature, "temperature", TEMPERATURE)
     features = float_array(features, "features", (None, model.num_features))
     if features.size == 0:
         raise EmptyInputError("calibration requires at least one sample")
 
-    hidden, first_logits = forward_batch(model, features)
+    hidden, first_logits = _forward(model, features)
     probs = softmax_rows(first_logits, temperature)
     grads = input_gradient_batch(model, hidden, probs, probs.argmax(axis=1), temperature)
-    _, perturbed_logits = forward_batch(model, perturb(features, grads, step))
+    _, perturbed_logits = _forward(model, perturb(features, grads, step))
     return softmax_rows(perturbed_logits, temperature), perturbed_logits
+
+
+def _forward(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """forward_batch, or NumericOverflowError if its readout overflowed float64."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        hidden, logits = forward_batch(model, features)
+    if not np.isfinite(logits).all():
+        raise NumericOverflowError("the model's logits overflow float64")
+    return hidden, logits
 
 
 def temperature_at(config, epoch: int) -> float:

@@ -21,6 +21,7 @@ from .data import class_labels, float_array, read_json
 from .errors import (
     BoostLabError,
     EmptyInputError,
+    InputShapeError,
     InvalidParameterError,
     NumericOverflowError,
 )
@@ -101,6 +102,8 @@ def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     InvalidParameterError; a T so small that z/T overflows, NumericOverflowError."""
     check(temperature, "temperature", POSITIVE)
     logits = float_array(logits, "logits")
+    if logits.shape[-1:] == (0,):
+        raise InputShapeError("logits need at least one column")
     check_finite(logits, "logits")
     with np.errstate(over="ignore"):  # an overflowing z/T is reported below
         scaled = logits / temperature

@@ -4,10 +4,8 @@ The boost strategy aggregates calibrated per-sample confidences by class,
 forms inverted class-weighted sampling weights (the less mass the model
 puts on a sample's class, the higher its weight), and draws batches
 multinomially with replacement from the distribution `install_distribution`
-makes of them. Four
-baseline strategies are provided for comparison: random and stratified,
-each in a static variant (the epoch-0 selection is frozen) and a dynamic
-variant (re-drawn every epoch).
+makes of them. Two baseline strategies are provided for comparison: random
+(uniform) and stratified (class-balanced), each re-drawn every epoch.
 """
 
 from __future__ import annotations
@@ -20,16 +18,12 @@ import numpy as np
 from .calibration import calibrate_batch_full
 from .data import NON_NEGATIVE_INT, POSITIVE_INT, Dataset, check, check_finite, class_labels
 from .data import float_array, one_of
-from .errors import ConfigurationError, EmptyInputError, InvalidParameterError
+from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
 from .model import ClassifierModel
 
 log = logging.getLogger(__name__)
 
-STRATEGIES = ("boost", "random", "dynamic-random", "stratified", "dynamic-stratified")
-
-# static variants replay the same RNG stream every epoch, freezing the
-# epoch-0 selection; dynamic variants keep advancing it
-STATIC_STRATEGIES = ("random", "stratified")
+STRATEGIES = ("boost", "random", "stratified")
 
 PROB_SUM_TOL = 1e-9
 
@@ -110,6 +104,8 @@ def boost_probabilities(
     """
     logits = float_array(logits, "logits", (None, None))
     n, c = logits.shape
+    if c == 0:
+        raise InputShapeError("logits need at least one column")
     if n == 0:
         raise EmptyInputError("no samples to weight")
     class_index = class_labels(class_index, c, "class_index", (n,))
@@ -150,10 +146,10 @@ def install_distribution(state: SamplerState, weights: np.ndarray) -> np.ndarray
 def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
     """Draw batch_size sample indices i.i.d. with replacement.
 
-    Each call is reproducible from (rng_seed, draw counter) alone, so a
-    state replayed from the same seed yields the same index stream. The
-    stream is the one `default_rng([rng_seed, counter]).choice(n,
-    batch_size, p=p / p.sum())` gives, bit for bit.
+    Each call is reproducible from (rng_seed, draw counter) alone; the
+    counter runs on across epochs. The stream is the one
+    `default_rng([rng_seed, counter]).choice(n, batch_size, p=p / p.sum())`
+    gives, bit for bit.
     """
     check(batch_size, "batch_size", POSITIVE_INT)
     if state.cdf is None:
@@ -169,13 +165,6 @@ def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
         # a 1 of the counts' dtype: a Python 1 takes ufunc.at's casting path, 4x slower
         np.add.at(counts, indices, counts.dtype.type(1))
     return indices
-
-
-def _baseline_weights(state: SamplerState, dataset: Dataset) -> np.ndarray:
-    if state.strategy in ("random", "dynamic-random"):
-        return np.ones(dataset.n)
-    # stratified: per-sample weight inversely proportional to class size
-    return 1.0 / dataset.class_counts[dataset.labels]
 
 
 def epoch_resample(
@@ -211,10 +200,10 @@ def epoch_resample(
         p = install_distribution(
             state, boost_probabilities(perturbed_logits, dataset.labels, aggregates))
         recorded = sample_scores, predicted, p
-    else:
-        if state.strategy in STATIC_STRATEGIES:
-            state.draw_count = 0  # replay the epoch-0 stream
-        p = install_distribution(state, _baseline_weights(state, dataset))
+    else:  # random weighs every sample alike, stratified by 1 / the size of its class
+        stratified = state.strategy == "stratified"
+        p = install_distribution(
+            state, 1.0 / dataset.class_counts[dataset.labels] if stratified else np.ones(n))
         # an unchanged distribution is the last record's: one copy per split, not per epoch
         if state.history and np.array_equal(state.history[-1].probabilities, p):
             p = state.history[-1].probabilities

@@ -82,6 +82,14 @@ class TestTsSoftmax:
         with pytest.raises(NumericOverflowError, match=message):
             softmax_rows([[1.0, 0.5]], 1e-309)
 
+    @pytest.mark.parametrize(
+        "logits", [np.zeros((2, 0)), [], np.zeros((0, 0)), np.zeros((2, 3, 0))],
+        ids=["two-rows", "empty-list", "no-rows", "three-axes"],
+    )
+    def test_logits_with_no_column_raise_naming_logits(self, logits):
+        with pytest.raises(InputShapeError, match="^logits need at least one column$"):
+            softmax_rows(logits)
+
     def test_argmax_invariant_under_temperature(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -200,6 +208,26 @@ class TestCalibrateBatch:
         message = r"^features must have shape \(\*, 1\), got \(1,\)$"
         with pytest.raises(InputShapeError, match=message):
             calibrate_batch_full(toy_model, [0.4], 1.0, 0.05 / np.ones(1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["to-inf", "to-minus-inf"])
+    def test_an_overflowing_readout_raises_naming_the_logits(self, sign):
+        # finite parameters whose readout overflows float64 on a finite input
+        readout = sign * 1.7e308
+        params = [3.0, 3.0, 0.0, 0.0, readout, readout, 0.0, 0.0, 0.0, 0.0]
+        model = model_mod.ClassifierModel(params, 1, 2, 2)
+        with pytest.raises(NumericOverflowError, match="^the model's logits overflow float64$"):
+            calibrate_batch_full(model, [[1.0]], 1.0, np.array([0.1]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_perturbed_readout_that_overflows_raises_naming_the_logits(self):
+        # at x = 0 the hidden layer is 0 and the logits are finite; the
+        # perturbation step of 5 saturates it, and the readout overflows
+        model = model_mod.ClassifierModel([1.0, 1.0, 0.0, 0.0, 1e308, 1e308, 0.0, 0.0, 0.0, 0.0],
+                                          1, 2, 2)
+        np.testing.assert_array_equal(forward_batch(model, np.zeros((1, 1)))[1], [[0.0, 0.0]])
+        with pytest.raises(NumericOverflowError, match="^the model's logits overflow float64$"):
+            calibrate_batch_full(model, [[0.0]], 1.0, np.array([5.0]))
 
     def test_one_first_pass_and_one_rescore(self, toy_model, monkeypatch):
         # one forward + TS-softmax on the inputs, one on the perturbed inputs;

@@ -341,6 +341,55 @@ def test_compare_rejects_repeated_strategy_names(tmp_path, capsys):
     assert not (tmp_path / "cmp").exists()
 
 
+RETIRED_SAMPLERS = ["dynamic-random", "dynamic-stratified"]
+SAMPLER_RULE = "sampler must be one of ('boost', 'random', 'stratified')"
+
+
+@pytest.mark.parametrize("sampler", RETIRED_SAMPLERS)
+def test_a_retired_sampler_flag_is_a_usage_error(tmp_path, capsys, sampler):
+    out_dir = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--sampler", sampler, "--out", str(out_dir)])
+    assert exc.value.code == 2
+    assert f"argument --sampler: invalid choice: {sampler!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sampler", RETIRED_SAMPLERS)
+def test_a_retired_sampler_in_a_config_file_exits_2_naming_the_file(tmp_path, capsys, sampler):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"sampler": sampler}))
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    expected = f"boostlab: error: {cfg_path}: {SAMPLER_RULE}, got {sampler!r}\n"
+    assert capsys.readouterr().err == expected
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sampler", RETIRED_SAMPLERS)
+def test_compare_rejects_a_retired_strategy_name(tmp_path, capsys, sampler):
+    argv = ["compare", "--strategies", f"boost,{sampler}", "--out", str(tmp_path / "cmp")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boostlab: error: unknown strategies") and repr(sampler) in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_evaluate_of_a_run_recorded_under_a_retired_sampler_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    argv = ["train", "--blob-counts", "30,10", "--epochs", "1", "--hidden-units", "4",
+            "--seeds", "0", "--sampler", "random", "--out", str(out_dir)]
+    assert run_cli(argv, capsys)[0] == 0
+    report_path = out_dir / "report.json"
+    report = json.loads(report_path.read_text())
+    report["config"]["sampler"] = "dynamic-random"
+    report_path.write_text(json.dumps(report))
+    assert main(["evaluate", "--run", str(out_dir)]) == 2
+    expected = f"boostlab: error: {report_path}: {SAMPLER_RULE}, got 'dynamic-random'\n"
+    assert capsys.readouterr().err == expected
+
+
 def test_csv_evaluate_scores_only_the_test_split(tmp_path, capsys):
     path = tmp_path / "data.csv"
     save_csv(make_blobs([30, 10], 2, 2.5, seed=0), path)
@@ -413,6 +462,16 @@ def test_compare_tabulates_strategies(tmp_path, capsys):
     assert "random" in out and "boost" in out
     summary = json.loads((tmp_path / "comparison.json").read_text())["summary"]
     assert set(summary) == {"random", "boost"}
+
+
+def test_compare_trains_every_strategy_by_default(tmp_path, capsys):
+    argv = ["compare", "--blob-counts", "30,10", "--epochs", "1", "--hidden-units", "4",
+            "--seeds", "0", "--out", str(tmp_path)]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[2:-1]] == list(STRATEGIES)
+    summary = json.loads((tmp_path / "comparison.json").read_text())["summary"]
+    assert list(summary) == list(STRATEGIES) == ["boost", "random", "stratified"]
 
 
 def test_config_file_merging(tmp_path):

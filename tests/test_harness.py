@@ -31,10 +31,12 @@ from boostlab.harness import (
     run_comparison,
     run_evaluation,
     run_experiment,
+    run_seeds,
     run_training,
 )
 from boostlab.metrics import PredictionLog, build_metrics_report
-from boostlab.model import forward_batch, hidden_activations, init_model, softmax_rows
+from boostlab.model import ClassifierModel, forward_batch, hidden_activations, init_model
+from boostlab.model import softmax_rows
 from boostlab.model import train_step
 from boostlab.sampler import STRATEGIES, EpochRecord, SamplerState
 
@@ -109,10 +111,29 @@ class TestRunTraining:
         assert not np.array_equal(a.model.weights_hidden, b.model.weights_hidden)
 
     def test_every_strategy_runs(self):
-        for strategy in ("boost", "random", "dynamic-random", "stratified", "dynamic-stratified"):
+        for strategy in STRATEGIES:
             record = run_training(small_config(sampler=strategy, epochs=2))
             assert len(record.sampler_state.history) == 2
             assert 0.0 <= record.metrics.aggregate["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("sampler", [s for s in STRATEGIES if s != "boost"])
+    def test_a_baseline_run_redraws_on_one_stream_every_epoch(self, sampler):
+        # every epoch's draws continue the stream default_rng([sampler seed, k])
+        # gives for the one distribution the run's records share
+        config = small_config(sampler=sampler, epochs=3)
+        record = run_training(config, seed=2)
+        history = record.sampler_state.history
+        p = history[0].probabilities
+        n, batches = len(p), math.ceil(len(p) / config.batch_size)
+        _, sampler_seed = run_seeds(2)
+        for e, h in enumerate(history):
+            assert h.probabilities is p
+            draws = [np.random.default_rng([sampler_seed, k]).choice(n, 16, p=p / p.sum())
+                     for k in range(e * batches, (e + 1) * batches)]
+            np.testing.assert_array_equal(h.draw_counts, np.bincount(np.concatenate(draws),
+                                                                     minlength=n))
+        assert not np.array_equal(history[0].draw_counts, history[1].draw_counts)
+        assert record.sampler_state.draw_count == 3 * batches
 
     @pytest.mark.parametrize("sampler", STRATEGIES)
     def test_final_evaluation_at_last_temperature(self, sampler):
@@ -201,14 +222,12 @@ BAD_FIELD_VALUES = [
     ("epochs", 2.0, "epochs must be an int >= 1, got 2.0"),
     ("learning_rate", True, "learning_rate must be finite and non-negative, got True"),
     ("sampler", None,
-     "sampler must be one of ('boost', 'random', 'dynamic-random', 'stratified', "
-     "'dynamic-stratified'), got None"),
+     "sampler must be one of ('boost', 'random', 'stratified'), got None"),
     ("dataset", 5, "dataset must be a string, got 5"),
     ("label_column", ["label"], "label_column must be a string, got ['label']"),
     ("out_dir", None, "out_dir must be a string, got None"),
     ("sampler", "x",
-     "sampler must be one of ('boost', 'random', 'dynamic-random', 'stratified', "
-     "'dynamic-stratified'), got 'x'"),
+     "sampler must be one of ('boost', 'random', 'stratified'), got 'x'"),
     ("test_counts", (100,), "test_counts must be None or as long as blob_counts (2), got (100,)"),
     ("seeds", (0, 0), "seeds must be distinct, got (0, 0)"),
     ("blob_counts", (), "blob_counts must be one or more ints >= 1 and < 2**63, got ()"),
@@ -224,6 +243,10 @@ BAD_FIELD_VALUES = [
     ("temp_kind", "x", "temp_kind must be one of ('multiplicative', 'inverse-linear'), got 'x'"),
     ("batch_size", 0, "batch_size must be an int >= 1, got 0"),
     ("hidden_units", 0, "hidden_units must be an int >= 1, got 0"),
+    ("sampler", "dynamic-random",
+     "sampler must be one of ('boost', 'random', 'stratified'), got 'dynamic-random'"),
+    ("sampler", "dynamic-stratified",
+     "sampler must be one of ('boost', 'random', 'stratified'), got 'dynamic-stratified'"),
 ]
 
 
@@ -387,6 +410,13 @@ class TestRunEvaluation:
         empty = Dataset(features=np.zeros((0, 2)), labels=[], num_classes=2)
         with pytest.raises(EmptyInputError, match="^test split is empty$"):
             run_evaluation(init_model(2, 3, 2, seed=0), empty, 0.05 / np.ones(2), final_at(2.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_readout_raises_naming_the_logits(self):
+        model = ClassifierModel([3.0, 3.0, 0.0, 0.0, 1.7e308, 1.7e308, 0.0, 0.0, 0.0, 0.0], 1, 2, 2)
+        test = Dataset(features=[[1.0], [-1.0]], labels=[0, 1], num_classes=2)
+        with pytest.raises(NumericOverflowError, match="^the model's logits overflow float64$"):
+            run_evaluation(model, test, np.array([0.1]), final_at(2.0))
 
     def test_deterministic(self):
         model, train, test = train_to_perfection(seed=4)

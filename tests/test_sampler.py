@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from boostlab.errors import (
     EmptyInputError,
     InputShapeError,
     InvalidParameterError,
+    NumericOverflowError,
 )
 from boostlab.harness import write_history_csv
 from boostlab.model import ClassifierModel, init_model, train_step
@@ -65,6 +67,12 @@ class TestSamplerState:
     def test_unknown_strategy_rejected_with_its_value(self, strategy):
         with pytest.raises(InvalidParameterError,
                            match=f"^strategy must be one of .*, got {strategy!r}$"):
+            SamplerState(strategy=strategy, rng_seed=0)
+
+    @pytest.mark.parametrize("strategy", ["dynamic-random", "dynamic-stratified"])
+    def test_a_retired_baseline_name_is_rejected(self, strategy):
+        message = f"strategy must be one of ('boost', 'random', 'stratified'), got {strategy!r}"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             SamplerState(strategy=strategy, rng_seed=0)
 
     @pytest.mark.parametrize("counter", ["history", "draw_count", "degenerate_draws"])
@@ -141,6 +149,12 @@ class TestBoostProbabilities:
     def test_bad_input_raises_a_typed_error(self, logits, class_index, aggregates, error):
         with pytest.raises(error):
             boost_probabilities(np.array(logits), np.array(class_index), np.array(aggregates))
+
+    @pytest.mark.parametrize("n", [2, 0], ids=["two-rows", "no-rows"])
+    def test_logits_with_no_column_raise_naming_logits(self, n):
+        # with no row either, the missing column is reported, not the empty batch
+        with pytest.raises(InputShapeError, match="^logits need at least one column$"):
+            boost_probabilities(np.zeros((n, 0)), [0] * n, [])
 
     def test_always_a_distribution(self):
         rng = np.random.default_rng(14)
@@ -410,34 +424,48 @@ class TestEpochResample:
         assert predicted.dtype == dtype
         np.testing.assert_array_equal(predicted, np.full(data.n, num_classes - 1))
 
-    def test_static_replay_stream_equals_generator_choice(self):
+    @pytest.mark.parametrize("strategy", BASELINES)
+    def test_baseline_stream_equals_generator_choice(self, strategy):
         data, model, odin = self._setup()
-        state = SamplerState(strategy="stratified", rng_seed=6)
-        for _ in range(2):  # the second epoch replays counters 0..99
+        state = SamplerState(strategy=strategy, rng_seed=6)
+        for epoch in range(2):  # the second epoch runs on with counters 100..199
             epoch_resample(state, model, data, *odin)
             p = state.history[-1].probabilities
-            for k in range(100):
+            for k in range(100 * epoch, 100 * (epoch + 1)):
                 expected = np.random.default_rng([6, k]).choice(data.n, 8, p=p / p.sum())
                 np.testing.assert_array_equal(draw_batch(state, 8), expected)
 
-    def test_static_strategies_freeze_epoch0_selection(self):
+    @pytest.mark.parametrize("strategy", BASELINES)
+    def test_baselines_redraw_each_epoch(self, strategy):
         data, model, odin = self._setup()
-        state = SamplerState(strategy="random", rng_seed=4)
-        epoch_resample(state, model, data, *odin)
-        epoch0 = [draw_batch(state, 10) for _ in range(3)]
-        epoch_resample(state, model, data, *odin)
-        epoch1 = [draw_batch(state, 10) for _ in range(3)]
-        for a, b in zip(epoch0, epoch1):
-            np.testing.assert_array_equal(a, b)
-
-    def test_dynamic_strategies_redraw_each_epoch(self):
-        data, model, odin = self._setup()
-        state = SamplerState(strategy="dynamic-random", rng_seed=4)
+        state = SamplerState(strategy=strategy, rng_seed=4)
         epoch_resample(state, model, data, *odin)
         epoch0 = draw_batch(state, 10)
         epoch_resample(state, model, data, *odin)
         epoch1 = draw_batch(state, 10)
         assert not np.array_equal(epoch0, epoch1)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_resample_never_rewinds_the_draw_counter(self, strategy):
+        data, model, odin = self._setup()
+        state = SamplerState(strategy=strategy, rng_seed=2)
+        for epoch in range(3):
+            epoch_resample(state, model, data, *odin)
+            assert state.draw_count == 5 * epoch
+            for _ in range(5):
+                draw_batch(state, 4)
+        assert state.draw_count == 15
+
+    @pytest.mark.filterwarnings("error")
+    def test_boost_resample_of_an_overflowing_readout_raises_naming_the_logits(self):
+        data, _, odin = self._setup(counts=(3, 2))
+        # every hidden unit at tanh(3) whatever the input, times a readout of 1.7e308
+        params = np.r_[np.zeros(16), np.full(8, 3.0), np.full(16, 1.7e308), np.zeros(2)]
+        model = ClassifierModel(params, 2, 8, 2)
+        state = SamplerState(strategy="boost", rng_seed=0)
+        with pytest.raises(NumericOverflowError, match="^the model's logits overflow float64$"):
+            epoch_resample(state, model, data, *odin)
+        assert state.history == [] and state.cdf is None
 
     def test_minority_class_uplift(self):
         # model trained on the imbalance is confident on the majority class;
