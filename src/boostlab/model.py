@@ -163,22 +163,25 @@ def loss_and_gradients(
     if labels.size == 0:
         raise EmptyInputError("a training batch must not be empty")
     hidden, logits = forward_batch(model, features)
-    rows = np.arange(features.shape[0])
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    n, c = logits.shape
+    # ufunc reductions and one flat index of each row's label entry: the
+    # arithmetic of .max / .sum / .mean and [rows, labels], in fewer calls
+    picked = np.arange(0, n * c, c) + labels
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(shifted)  # shared by the log-softmax and the softmax
-    norm = e.sum(axis=1, keepdims=True)
-    loss = float(-(shifted - np.log(norm))[rows, labels].mean())
+    norm = np.add.reduce(e, axis=1, keepdims=True)
+    loss = float(-(np.add.reduce(shifted.ravel()[picked] - np.log(norm.ravel())) / n))
 
     delta_out = e / norm
-    delta_out[rows, labels] -= 1.0
-    delta_out /= features.shape[0]
+    delta_out.ravel()[picked] -= 1.0
+    delta_out /= n
     delta_hidden = _hidden_delta(model, delta_out, hidden)
     grad = np.empty_like(model.params)
     g_weights_hidden, g_bias_hidden, g_weights_out, g_bias_out = model.layer_views(grad)
     np.matmul(delta_hidden.T, features, out=g_weights_hidden)
-    delta_hidden.sum(axis=0, out=g_bias_hidden)
+    np.add.reduce(delta_hidden, axis=0, out=g_bias_hidden)
     np.matmul(delta_out.T, hidden, out=g_weights_out)
-    delta_out.sum(axis=0, out=g_bias_out)
+    np.add.reduce(delta_out, axis=0, out=g_bias_out)
     return loss, grad
 
 

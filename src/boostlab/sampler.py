@@ -4,8 +4,9 @@ The boost strategy aggregates calibrated per-sample confidences by class,
 forms inverted class-weighted sampling weights (the less mass the model
 puts on a sample's class, the higher its weight), and draws batches
 multinomially with replacement from the distribution `install_distribution`
-makes of them. Two baseline strategies are provided for comparison: random
-(uniform) and stratified (class-balanced), each re-drawn every epoch.
+makes of them, on the generator it seeds with them. Two baseline strategies
+are provided for comparison: random (uniform) and stratified
+(class-balanced), each re-drawn every epoch.
 """
 
 from __future__ import annotations
@@ -53,14 +54,17 @@ class EpochRecord:
 class SamplerState:
     """The `cdf` of the distribution `install_distribution` set last (which
     `epoch_resample` records; `degenerate` when uniform stood in for the
-    weights) and the counters that make every draw reproducible."""
+    weights), the generator its draws come from, and the counters that make
+    every draw reproducible: the k-th install (from 0; the epoch, in a run)
+    seeds `rng` as `default_rng([rng_seed, k])`."""
 
     strategy: str
     rng_seed: int
     history: list[EpochRecord] = field(default_factory=list, init=False)
-    draw_count: int = field(default=0, init=False)
+    installs: int = field(default=0, init=False)
     degenerate_draws: int = field(default=0, init=False)
     cdf: np.ndarray | None = field(default=None, init=False, repr=False)
+    rng: np.random.Generator | None = field(default=None, init=False, repr=False)
     degenerate: bool = field(default=False, init=False)
 
     def __post_init__(self):
@@ -123,9 +127,10 @@ def boost_probabilities(
 
 def install_distribution(state: SamplerState, weights: np.ndarray) -> np.ndarray:
     """Make `weights / weights.sum()` the distribution draws come from until
-    the next install, and return it. Weights that are not finite, have a
-    negative entry, or whose sum is not in (0, inf) (all zero, say) are
-    replaced by the uniform distribution, with one warning."""
+    the next install, and return it; seed the generator those draws take
+    their uniforms from. Weights that are not finite, have a negative entry,
+    or whose sum is not in (0, inf) (all zero, say) are replaced by the
+    uniform distribution, with one warning."""
     given = float_array(weights, "weights", (None,))
     if given.size == 0:
         raise EmptyInputError("a sampling distribution needs at least one sample")
@@ -140,16 +145,19 @@ def install_distribution(state: SamplerState, weights: np.ndarray) -> np.ndarray
     cdf = p.cumsum()
     cdf /= cdf[-1]
     state.cdf = cdf
+    # seeding costs more than ten batches of uniforms: once per install, not per draw
+    state.rng = np.random.default_rng([state.rng_seed, state.installs])
+    state.installs += 1
     return p
 
 
 def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
     """Draw batch_size sample indices i.i.d. with replacement.
 
-    Each call is reproducible from (rng_seed, draw counter) alone; the
-    counter runs on across epochs. The stream is the one
-    `default_rng([rng_seed, counter]).choice(n, batch_size, p=p / p.sum())`
-    gives, bit for bit.
+    The draws after the k-th install are reproducible from (rng_seed, k)
+    alone: they are the stream that consecutive
+    `default_rng([rng_seed, k]).choice(n, batch_size, p=p / p.sum())` calls
+    on one generator give, bit for bit.
     """
     check(batch_size, "batch_size", POSITIVE_INT)
     if state.cdf is None:
@@ -157,9 +165,7 @@ def draw_batch(state: SamplerState, batch_size: int) -> np.ndarray:
     if state.degenerate:
         state.degenerate_draws += 1
 
-    uniform = np.random.default_rng([state.rng_seed, state.draw_count]).random(batch_size)
-    indices = state.cdf.searchsorted(uniform, side="right")
-    state.draw_count += 1
+    indices = state.cdf.searchsorted(state.rng.random(batch_size), side="right")
     if state.history:
         counts = state.history[-1].draw_counts
         # a 1 of the counts' dtype: a Python 1 takes ufunc.at's casting path, 4x slower

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written without the package's own code
 paths: plain Python loops, math.*, and mpmath where extra precision
-matters. Tests compare the vectorized implementations against these.
+matters. Tests compare the vectorized implementations against these. The
+one exception is `reference_loss_and_gradients`, an earlier vectorized
+kernel kept as the bit-for-bit reference of the current one.
 """
 
 import csv
@@ -12,6 +14,10 @@ from itertools import repeat
 
 import mpmath
 import numpy as np
+
+from boostlab.data import class_labels, float_array
+from boostlab.errors import EmptyInputError
+from boostlab.model import _hidden_delta, forward_batch
 
 mpmath.mp.dps = 50
 
@@ -120,6 +126,35 @@ def fd_parameter_gradients(model, features, labels, h=1e-6):
             grad[k] = (up - down) / (2 * h)
         grads[name] = grad
     return grads
+
+
+def reference_loss_and_gradients(model, features, labels):
+    """`model.loss_and_gradients` as it was written with `.max`, `.sum`,
+    `.mean` and `[rows, labels]` indexing, verbatim: the current kernel must
+    give the same loss and gradient bit for bit, which no finite-difference
+    tolerance can check."""
+    features = float_array(features, "features", (None, model.num_features))
+    labels = class_labels(labels, model.num_classes, "labels", features.shape[:1])
+    if labels.size == 0:
+        raise EmptyInputError("a training batch must not be empty")
+    hidden, logits = forward_batch(model, features)
+    rows = np.arange(features.shape[0])
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)  # shared by the log-softmax and the softmax
+    norm = e.sum(axis=1, keepdims=True)
+    loss = float(-(shifted - np.log(norm))[rows, labels].mean())
+
+    delta_out = e / norm
+    delta_out[rows, labels] -= 1.0
+    delta_out /= features.shape[0]
+    delta_hidden = _hidden_delta(model, delta_out, hidden)
+    grad = np.empty_like(model.params)
+    g_weights_hidden, g_bias_hidden, g_weights_out, g_bias_out = model.layer_views(grad)
+    np.matmul(delta_hidden.T, features, out=g_weights_hidden)
+    delta_hidden.sum(axis=0, out=g_bias_hidden)
+    np.matmul(delta_out.T, hidden, out=g_weights_out)
+    delta_out.sum(axis=0, out=g_bias_out)
+    return loss, grad
 
 
 def oracle_init_params(d, h, c, seed):

@@ -118,8 +118,8 @@ class TestRunTraining:
 
     @pytest.mark.parametrize("sampler", [s for s in STRATEGIES if s != "boost"])
     def test_a_baseline_run_redraws_on_one_stream_every_epoch(self, sampler):
-        # every epoch's draws continue the stream default_rng([sampler seed, k])
-        # gives for the one distribution the run's records share
+        # epoch e's draws are the stream default_rng([sampler seed, e]) gives
+        # for the one distribution the run's records share
         config = small_config(sampler=sampler, epochs=3)
         record = run_training(config, seed=2)
         history = record.sampler_state.history
@@ -128,12 +128,12 @@ class TestRunTraining:
         _, sampler_seed = run_seeds(2)
         for e, h in enumerate(history):
             assert h.probabilities is p
-            draws = [np.random.default_rng([sampler_seed, k]).choice(n, 16, p=p / p.sum())
-                     for k in range(e * batches, (e + 1) * batches)]
+            rng = np.random.default_rng([sampler_seed, e])
+            draws = [rng.choice(n, 16, p=p / p.sum()) for _ in range(batches)]
             np.testing.assert_array_equal(h.draw_counts, np.bincount(np.concatenate(draws),
                                                                      minlength=n))
         assert not np.array_equal(history[0].draw_counts, history[1].draw_counts)
-        assert record.sampler_state.draw_count == 3 * batches
+        assert record.sampler_state.installs == 3
 
     @pytest.mark.parametrize("sampler", STRATEGIES)
     def test_final_evaluation_at_last_temperature(self, sampler):

@@ -34,6 +34,7 @@ from oracles import (
     oracle_cross_entropy,
     oracle_init_params,
     oracle_forward_mp,
+    reference_loss_and_gradients,
 )
 
 
@@ -304,6 +305,36 @@ class TestInPlacePassesMatchOutOfPlace:
         loss, grad = loss_and_gradients(model, x[:rows], labels[:rows])
         expected_loss, expected_grad = parent_loss_and_gradients(model, x[:rows], labels[:rows])
         assert loss == expected_loss and np.array_equal(grad, expected_grad)
+
+
+class TestKernelMatchesReference:
+    """loss_and_gradients gives the bits of the kernel it replaced, kept
+    verbatim as oracles.reference_loss_and_gradients. The finite-difference
+    tests hold only to a tolerance, so they would pass a reordered sum."""
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
+    def test_random_shapes(self, scale):
+        rng = np.random.default_rng(int(scale))
+        edges = [(1, 1, 1, 1), (3, 4, 1, 9), (2, 5, 3, 1)]  # one class, one row, both
+        shapes = edges + [tuple(rng.integers(1, [9, 20, 8, 70])) for _ in range(200)]
+        for d, h, c, n in shapes:
+            model = _random_model(rng, d, h, c)
+            x, labels = rng.normal(scale=scale, size=(n, d)), rng.integers(0, c, size=n)
+            loss, grad = loss_and_gradients(model, x, labels)
+            expected_loss, expected_grad = reference_loss_and_gradients(model, x, labels)
+            assert loss == expected_loss and np.array_equal(grad, expected_grad), (d, h, c, n)
+
+    def test_a_100_step_train_step_chain(self):
+        data = make_blobs([60, 30, 10], 2, 2.5, seed=3)
+        rng = np.random.default_rng(3)
+        model = reference = init_model(2, 16, 3, seed=3)
+        for _ in range(100):
+            idx = rng.integers(0, data.n, size=32)
+            x, labels = data.features[idx], data.labels[idx]
+            model, loss = train_step(model, x, labels, 0.2)
+            expected_loss, grad = reference_loss_and_gradients(reference, x, labels)
+            reference = ClassifierModel(reference.params - 0.2 * grad, 2, 16, 3)
+            assert loss == expected_loss and np.array_equal(model.params, reference.params)
 
 
 class TestParameterVector:

@@ -75,10 +75,10 @@ class TestSamplerState:
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             SamplerState(strategy=strategy, rng_seed=0)
 
-    @pytest.mark.parametrize("counter", ["history", "draw_count", "degenerate_draws"])
+    @pytest.mark.parametrize("counter", ["history", "installs", "degenerate_draws"])
     def test_counters_start_empty_and_are_no_constructor_option(self, counter):
         state = SamplerState(strategy="boost", rng_seed=0)
-        assert (state.history, state.draw_count, state.degenerate_draws) == ([], 0, 0)
+        assert (state.history, state.installs, state.degenerate_draws) == ([], 0, 0)
         with pytest.raises(TypeError, match=counter):
             SamplerState(strategy="boost", rng_seed=0, **{counter: 0})
 
@@ -233,9 +233,23 @@ class TestDrawBatch:
             "stratified": 1.0 / np.array([900, 100])[np.repeat([0, 1], [900, 100])],
         }[name]
         state = self._state(p, seed=31)
-        for k in range(200):
-            expected = np.random.default_rng([31, k]).choice(len(p), 32, p=p / p.sum())
+        rng = np.random.default_rng([31, 0])  # the stream of install 0
+        for _ in range(200):  # past ceil(n / 32) draws on the one install
+            expected = rng.choice(len(p), 32, p=p / p.sum())
             np.testing.assert_array_equal(draw_batch(state, 32), expected)
+
+    def test_each_install_draws_its_own_reproducible_stream(self):
+        state = self._state(np.full(4, 0.25), seed=9)
+        first = [draw_batch(state, 16) for _ in range(3)]
+        install_distribution(state, np.full(4, 0.25))  # equal weights, the next install
+        second = [draw_batch(state, 16) for _ in range(3)]
+        assert not np.array_equal(first, second)
+        # (seed, install) alone fixes an install's batches, however many
+        # batches the install before it drew
+        again = self._state(np.full(4, 0.25), seed=9)
+        np.testing.assert_array_equal(draw_batch(again, 16), first[0])
+        install_distribution(again, np.full(4, 0.25))
+        np.testing.assert_array_equal([draw_batch(again, 16) for _ in range(3)], second)
 
     def test_overflowing_sum_falls_back_to_uniform(self):
         state = self._state([1e308, 1e308, 1.0], seed=3)
@@ -428,11 +442,12 @@ class TestEpochResample:
     def test_baseline_stream_equals_generator_choice(self, strategy):
         data, model, odin = self._setup()
         state = SamplerState(strategy=strategy, rng_seed=6)
-        for epoch in range(2):  # the second epoch runs on with counters 100..199
+        for epoch in range(2):  # each epoch's install seeds its own stream
             epoch_resample(state, model, data, *odin)
             p = state.history[-1].probabilities
-            for k in range(100 * epoch, 100 * (epoch + 1)):
-                expected = np.random.default_rng([6, k]).choice(data.n, 8, p=p / p.sum())
+            rng = np.random.default_rng([6, epoch])
+            for _ in range(200):  # past ceil(n / 8) draws on the one install
+                expected = rng.choice(data.n, 8, p=p / p.sum())
                 np.testing.assert_array_equal(draw_batch(state, 8), expected)
 
     @pytest.mark.parametrize("strategy", BASELINES)
@@ -446,15 +461,18 @@ class TestEpochResample:
         assert not np.array_equal(epoch0, epoch1)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_resample_never_rewinds_the_draw_counter(self, strategy):
+    def test_resample_never_rewinds_the_install_counter(self, strategy):
         data, model, odin = self._setup()
         state = SamplerState(strategy=strategy, rng_seed=2)
         for epoch in range(3):
             epoch_resample(state, model, data, *odin)
-            assert state.draw_count == 5 * epoch
+            assert state.installs == epoch + 1
+            p = state.history[-1].probabilities
+            rng = np.random.default_rng([2, epoch])
             for _ in range(5):
-                draw_batch(state, 4)
-        assert state.draw_count == 15
+                np.testing.assert_array_equal(draw_batch(state, 4),
+                                              rng.choice(data.n, 4, p=p / p.sum()))
+        assert state.installs == 3
 
     @pytest.mark.filterwarnings("error")
     def test_boost_resample_of_an_overflowing_readout_raises_naming_the_logits(self):
