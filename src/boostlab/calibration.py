@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .data import NON_NEGATIVE_INT, check, check_finite, float_array, is_number
-from .errors import EmptyInputError, InvalidParameterError, NumericOverflowError
+from .errors import InvalidParameterError, NumericOverflowError
 from .model import ClassifierModel, forward_batch, input_gradient_batch, softmax_rows
 
 T_MIN = 1.0
@@ -45,26 +45,25 @@ def perturb(x: np.ndarray, grad: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 def calibrate_batch_full(
     model: ClassifierModel, features: np.ndarray, temperature: float, step: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the calibration pipeline over a [n x d] batch of samples.
 
     Per sample: forward pass, TS-softmax at `temperature` (in [T_MIN,
     T_MAX]), input gradient of the max-class score, perturbation by `step`,
     and a second forward + TS-softmax pass. Returns the second-pass profiles
-    [n x c] and the perturbed-pass logits [n x c] (needed by the sampler's
-    weighting formula); row i belongs to sample i. The model is never modified.
+    [n x c], the perturbed-pass logits [n x c] (needed by the sampler's
+    weighting formula) and the first, clean-pass logits [n x c] (evaluation's
+    plain softmax); row i belongs to sample i. The model is never modified.
     A readout that overflows float64 raises NumericOverflowError.
     """
     check(temperature, "temperature", TEMPERATURE)
     features = float_array(features, "features", (None, model.num_features))
-    if features.size == 0:
-        raise EmptyInputError("calibration requires at least one sample")
 
     hidden, first_logits = _forward(model, features)
     probs = softmax_rows(first_logits, temperature)
     grads = input_gradient_batch(model, hidden, probs, probs.argmax(axis=1), temperature)
     _, perturbed_logits = _forward(model, perturb(features, grads, step))
-    return softmax_rows(perturbed_logits, temperature), perturbed_logits
+    return softmax_rows(perturbed_logits, temperature), perturbed_logits, first_logits
 
 
 def _forward(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

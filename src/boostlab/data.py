@@ -55,11 +55,15 @@ def one_of(choices: tuple) -> tuple:
 
 def _check_shape(array: np.ndarray, shape: tuple, name: str) -> None:
     """InputShapeError naming `name` unless the array has `shape`, a tuple of
-    lengths in which None matches any length: the one shape rule. A loop,
-    not any(), as it runs several times per training step."""
+    lengths in which None (printed `*`) matches any length of one or more,
+    and EmptyInputError if such an axis has none: the one shape and emptiness
+    rule. A loop, not any(), as it runs several times per training step."""
     if array.ndim == len(shape):
         for want, got in zip(shape, array.shape):
-            if want is not None and want != got:
+            if want is None:
+                if not got:
+                    raise EmptyInputError(f"{name} must not be empty, got shape {array.shape}")
+            elif want != got:
                 break
         else:
             return
@@ -72,8 +76,9 @@ def float_array(values, name: str, shape: tuple | None = None) -> np.ndarray:
     they are ints or floats: the array form of the real-number rules, and the one
     place a numeric array is converted. Ragged rows, text, None, bools, complex
     numbers and ints past 64 bits fail; a float64 array comes back as itself.
-    Given `shape`, an array of another shape fails _check_shape. What a
-    non-finite value means is left to the caller."""
+    Given `shape`, an array of another shape, or with no entries along a `*`
+    axis, fails _check_shape. What a non-finite value means is left to the
+    caller."""
     try:
         array = np.asarray(values)
     except ValueError as exc:  # rows of unequal length
@@ -94,8 +99,8 @@ def check_finite(array: np.ndarray, name: str) -> None:
 
 def class_labels(values, num_classes: int, name: str = "labels", shape=(None,)) -> np.ndarray:
     """values as an intp array of class indices in [0, num_classes), an int >= 1,
-    or InvalidParameterError naming `name`; an array not of `shape`, a vector by
-    default, fails _check_shape. The one place a label is checked."""
+    or InvalidParameterError naming `name`; an array not of `shape`, a non-empty
+    vector by default, fails _check_shape. The one place a label is checked."""
     check(num_classes, "num_classes", POSITIVE_INT)
     try:
         labels = np.asarray(values)
@@ -106,7 +111,7 @@ def class_labels(values, num_classes: int, name: str = "labels", shape=(None,)) 
     ):
         raise InvalidParameterError(f"{name} must be integers")
     _check_shape(labels, shape, name)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    if labels.min() < 0 or labels.max() >= num_classes:
         raise InvalidParameterError(f"{name} must lie in [0, {num_classes})")
     return labels.astype(np.intp, copy=False)
 
@@ -123,8 +128,6 @@ class Dataset:
     def __post_init__(self):
         self.labels = class_labels(self.labels, self.num_classes)
         self.features = float_array(self.features, "features", (self.n, None))
-        if self.num_features < 1:
-            raise InvalidParameterError("features need at least one column")
         check_finite(self.features, "features")
         self.class_counts = np.bincount(self.labels, minlength=self.num_classes)
 
@@ -167,10 +170,10 @@ def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
     `separation` apart; at a smaller d some pairs are closer and some share
     a center (see _simplex_centers)."""
     counts = np.asarray(n_per_class)
-    if counts.size and counts.dtype.kind not in "iu":
-        raise InvalidParameterError(f"n_per_class must be a list of ints, got {n_per_class!r}")
     _check_shape(counts, (None,), "n_per_class")
-    if counts.size == 0 or np.any(counts < 1):
+    if counts.dtype.kind not in "iu":
+        raise InvalidParameterError(f"n_per_class must be a list of ints, got {n_per_class!r}")
+    if np.any(counts < 1):
         raise EmptyInputError("every class needs at least one sample")
     check(d, "d", POSITIVE_INT)
     check(separation, "separation", POSITIVE)
@@ -190,10 +193,9 @@ def pareto_tail_counts(class_counts, scale: float) -> np.ndarray:
     settings; scale = -1 gives a flat curve, and a scale below it (by more
     than rounding) is rejected."""
     counts = np.asarray(class_counts)
-    if counts.size == 0 or counts.dtype.kind not in "iu" or counts.min() < 0:
-        raise InvalidParameterError(
-            f"class_counts must be a non-empty vector of ints >= 0, got {class_counts!r}")
     _check_shape(counts, (None,), "class_counts")
+    if counts.dtype.kind not in "iu" or counts.min() < 0:
+        raise InvalidParameterError(f"class_counts must be ints >= 0, got {class_counts!r}")
     check(scale, "scale", TAIL_SCALE)
     ranks = np.arange(len(counts), dtype=np.float64)
     curve = (1.0 + ranks) ** -(1.0 + scale)
@@ -211,8 +213,6 @@ def pareto_resample(dataset: Dataset, scale: float, seed: int) -> Dataset:
     """
     targets = pareto_tail_counts(dataset.class_counts, scale)
     check(seed, "seed", NON_NEGATIVE_INT)
-    if dataset.n == 0:
-        raise EmptyInputError("dataset is empty")
     if dataset.num_classes == 1:
         return dataset
 
@@ -243,8 +243,6 @@ def compute_feature_std(train: Dataset) -> np.ndarray:
     Constant columns, every column of a one-sample split among them, get
     std 1 so downstream division stays defined.
     """
-    if train.n == 0:
-        raise InsufficientDataError("need at least 1 sample to compute std")
     with np.errstate(over="ignore"):  # reported below as a typed error
         std = train.features.std(axis=0)
     if not np.isfinite(std).all():

@@ -229,21 +229,20 @@ def run_evaluation(
 ) -> MetricsReport:
     """The final evaluation of a run under this config, one way for every sampler.
 
-    The classification metrics come from the model's plain softmax; the
-    OOD-mass (SODC) scores from the calibrated second-pass profiles at the
-    schedule's final temperature, perturbed by the step that build_datasets
-    returns. Both passes are pure: the model is not modified.
+    The classification metrics come from the model's plain softmax, taken
+    from the logits of calibration's clean first pass; the OOD-mass (SODC)
+    scores from the calibrated second-pass profiles at the schedule's final
+    temperature, perturbed by the step that build_datasets returns. Both
+    passes are pure: the model is not modified.
     """
-    if test.n == 0:
-        raise EmptyInputError("test split is empty")
     if model.num_classes != test.num_classes:
         raise ConfigurationError(
             f"model has {model.num_classes} classes but dataset has {test.num_classes}"
         )
 
     temperature = temperature_at(config, config.epochs - 1)
-    profiles, _ = calibrate_batch_full(model, test.features, temperature, step)
-    plain = softmax_rows(model_mod.forward_batch(model, test.features)[1])
+    profiles, _, logits = calibrate_batch_full(model, test.features, temperature, step)
+    plain = softmax_rows(logits)
     logs = [PredictionLog(test.labels, p.argmax(axis=1), p) for p in (plain, profiles)]
     return build_metrics_report(logs[0], sodc_log=logs[1])
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import check_finite, class_labels, float_array
-from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
+from .errors import ConfigurationError, InvalidParameterError
 
 PROFILE_SUM_TOL = 1e-9
 
@@ -36,13 +36,9 @@ class PredictionLog:
 
     def __post_init__(self):
         self.profiles = float_array(self.profiles, "profiles", (None, None))
-        if self.num_classes == 0:
-            raise InputShapeError("profiles need at least one column")
         k, shape = self.num_classes, self.profiles.shape[:1]
         self.true_labels = class_labels(self.true_labels, k, "true labels", shape)
         self.predicted_labels = class_labels(self.predicted_labels, k, "predicted labels", shape)
-        if self.n == 0:
-            raise EmptyInputError("prediction log is empty")
         sums = self.profiles.sum(axis=1)
         if not np.all(np.abs(sums - 1.0) <= PROFILE_SUM_TOL):  # written so that NaN fails
             raise InvalidParameterError("softmax profiles must sum to 1")
@@ -73,8 +69,6 @@ def sodc_per_class(log: PredictionLog) -> np.ndarray:
 
 def _per_class_metric(values, name: str = "per_class_metric") -> np.ndarray:
     pm = float_array(values, name, (None,))
-    if pm.size == 0:
-        raise EmptyInputError("per-class metric vector is empty")
     check_finite(pm, name)
     return pm
 

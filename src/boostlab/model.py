@@ -17,14 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, check, check_finite
-from .data import class_labels, float_array, read_json
-from .errors import (
-    BoostLabError,
-    EmptyInputError,
-    InputShapeError,
-    InvalidParameterError,
-    NumericOverflowError,
-)
+from .data import _check_shape, class_labels, float_array, read_json
+from .errors import BoostLabError, InvalidParameterError, NumericOverflowError
 
 
 LAYERS = ("weights_hidden", "bias_hidden", "weights_out", "bias_out")
@@ -98,12 +92,12 @@ def hidden_activations(model: ClassifierModel, features: np.ndarray) -> np.ndarr
 
 def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """exp(z_c/T) / sum_j exp(z_j/T) along the last axis, computed with
-    max-subtraction at a finite, positive T. A NaN or infinite logit raises
-    InvalidParameterError; a T so small that z/T overflows, NumericOverflowError."""
+    max-subtraction at a finite, positive T, for logits of any rank with no
+    empty axis. A NaN or infinite logit raises InvalidParameterError; a T so
+    small that z/T overflows, NumericOverflowError."""
     check(temperature, "temperature", POSITIVE)
     logits = float_array(logits, "logits")
-    if logits.shape[-1:] == (0,):
-        raise InputShapeError("logits need at least one column")
+    _check_shape(logits, (None,) * logits.ndim, "logits")
     check_finite(logits, "logits")
     with np.errstate(over="ignore"):  # an overflowing z/T is reported below
         scaled = logits / temperature
@@ -160,8 +154,6 @@ def loss_and_gradients(
     one vector laid out like `params`; `model.layer_views` splits it."""
     features = float_array(features, "features", (None, model.num_features))
     labels = class_labels(labels, model.num_classes, "labels", features.shape[:1])
-    if labels.size == 0:
-        raise EmptyInputError("a training batch must not be empty")
     hidden, logits = forward_batch(model, features)
     n, c = logits.shape
     # ufunc reductions and one flat index of each row's label entry: the

@@ -19,7 +19,7 @@ import numpy as np
 from .calibration import calibrate_batch_full
 from .data import NON_NEGATIVE_INT, POSITIVE_INT, Dataset, check, check_finite, class_labels
 from .data import float_array, one_of
-from .errors import ConfigurationError, EmptyInputError, InputShapeError, InvalidParameterError
+from .errors import ConfigurationError, InvalidParameterError
 from .model import ClassifierModel
 
 log = logging.getLogger(__name__)
@@ -78,8 +78,6 @@ def aggregate_class_scores(
     """Arithmetic mean of calibrated max-scores per true class; classes
     with no samples carry the mean of the present classes."""
     max_scores = float_array(max_scores, "max_scores", (None,))
-    if max_scores.size == 0:
-        raise EmptyInputError("no scores to aggregate")
     check_finite(max_scores, "max_scores")
     labels = class_labels(labels, num_classes, "labels", max_scores.shape)
 
@@ -108,10 +106,6 @@ def boost_probabilities(
     """
     logits = float_array(logits, "logits", (None, None))
     n, c = logits.shape
-    if c == 0:
-        raise InputShapeError("logits need at least one column")
-    if n == 0:
-        raise EmptyInputError("no samples to weight")
     class_index = class_labels(class_index, c, "class_index", (n,))
     s = float_array(aggregates, "aggregates", (c,))
     if not np.all((s > 0) & (s <= 1)):  # written so that NaN fails
@@ -132,8 +126,6 @@ def install_distribution(state: SamplerState, weights: np.ndarray) -> np.ndarray
     or whose sum is not in (0, inf) (all zero, say) are replaced by the
     uniform distribution, with one warning."""
     given = float_array(weights, "weights", (None,))
-    if given.size == 0:
-        raise EmptyInputError("a sampling distribution needs at least one sample")
     with np.errstate(over="ignore", invalid="ignore"):  # a sum of inf or NaN is degenerate
         total = given.sum()
     state.degenerate = not (np.isfinite(given).all() and (given >= 0).all() and 0 < total < np.inf)
@@ -195,7 +187,7 @@ def epoch_resample(
     n = dataset.n
 
     if state.strategy == "boost":
-        profiles, perturbed_logits = calibrate_batch_full(
+        profiles, perturbed_logits, _ = calibrate_batch_full(
             model, dataset.features, temperature, step)
         predicted = profiles.argmax(axis=1).astype(np.min_scalar_type(dataset.num_classes - 1))
         sample_scores = profiles.max(axis=1)

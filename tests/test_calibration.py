@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,7 +88,8 @@ class TestTsSoftmax:
         ids=["two-rows", "empty-list", "no-rows", "three-axes"],
     )
     def test_logits_with_no_column_raise_naming_logits(self, logits):
-        with pytest.raises(InputShapeError, match="^logits need at least one column$"):
+        shape = re.escape(str(np.shape(logits)))
+        with pytest.raises(EmptyInputError, match=f"^logits must not be empty, got shape {shape}$"):
             softmax_rows(logits)
 
     def test_argmax_invariant_under_temperature(self):
@@ -162,7 +164,7 @@ class TestCalibrateBatch:
 
     def test_zero_epsilon_reproduces_plain_profile(self, toy_model):
         X = np.array([[0.3], [-0.8]])
-        profiles, _ = calibrate_batch_full(toy_model, X, 2.0, 0.0 / np.ones(1))
+        profiles, _, _ = calibrate_batch_full(toy_model, X, 2.0, 0.0 / np.ones(1))
         assert profiles.shape == (2, 2)
         for i, profile in enumerate(profiles):
             expected = softmax_rows(forward_batch(toy_model, X[i][None])[1][0], 2.0)
@@ -170,7 +172,7 @@ class TestCalibrateBatch:
 
     def test_constant_model_gives_uniform_profiles(self, zero_model):
         X = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
-        profiles, _ = calibrate_batch_full(zero_model, X, 1.0, 0.05 / np.ones(2))
+        profiles, _, _ = calibrate_batch_full(zero_model, X, 1.0, 0.05 / np.ones(2))
         np.testing.assert_allclose(profiles, np.full((3, 2), 0.5), atol=1e-12)
 
     def test_small_epsilon_does_not_raise_max_score(self, toy_model):
@@ -184,7 +186,7 @@ class TestCalibrateBatch:
     def test_profiles_normalized_and_max_consistent(self, toy_model):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(20, 1))
-        profiles, logits = calibrate_batch_full(toy_model, X, 5.0, 0.05 / np.array([0.7]))
+        profiles, logits, _ = calibrate_batch_full(toy_model, X, 5.0, 0.05 / np.array([0.7]))
         assert profiles.shape == logits.shape == (20, 2)
         np.testing.assert_allclose(profiles.sum(axis=1), 1.0, atol=1e-9)
         # the max class callers derive from the profiles is the perturbed logits' argmax
@@ -201,7 +203,7 @@ class TestCalibrateBatch:
             np.testing.assert_array_equal(getattr(toy_model, name), before)
 
     def test_empty_batch_rejected(self, toy_model):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(EmptyInputError, match=r"^features must not be empty, got shape \(0, 1\)$"):
             calibrate_batch_full(toy_model, np.empty((0, 1)), 1.0, 0.05 / np.ones(1))
 
     def test_one_sample_as_a_vector_rejected(self, toy_model):
@@ -248,10 +250,12 @@ class TestCalibrateBatch:
 
     def test_full_variant_returns_perturbed_logits(self, toy_model):
         X = np.array([[0.4], [-0.2]])
-        profiles, logits = calibrate_batch_full(toy_model, X, 1.0, 0.05 / np.ones(1))
+        profiles, logits, clean = calibrate_batch_full(toy_model, X, 1.0, 0.05 / np.ones(1))
         assert logits.shape == (2, 2)
         for profile, row in zip(profiles, logits):
             np.testing.assert_allclose(profile, softmax_rows(row, 1.0), atol=1e-12)
+        # and the first pass's logits, those of the unperturbed inputs, bit for bit
+        np.testing.assert_array_equal(clean, forward_batch(toy_model, X)[1])
 
 
 class TestTemperatureAt:

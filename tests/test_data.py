@@ -317,67 +317,87 @@ def _history_written(true_labels):
 
 
 # every array argument whose shape is checked: (a call with it set to v, its
-# name, a value of the wrong shape, a valid value); the wrong shapes add an
-# axis, drop one, or get a length wrong
+# name, a value of the wrong shape, an empty value, a valid value); the wrong
+# shapes add an axis, drop one, or get a length wrong. An empty value has no
+# entries along a `*` axis; it is None where every length is fixed or another
+# argument's, as there an empty value is of the wrong shape. softmax_rows
+# takes logits of any rank, so none is of the wrong shape
 SHAPED_ARGUMENTS = {
-    "Dataset-features": (lambda v: Dataset(v, [0, 1], 2), "features", [[1.0, 2.0]], ROWS),
-    "Dataset-labels": (lambda v: Dataset(ROWS, v, 2), "labels", [[0, 1]], [0, 1]),
+    "Dataset-features": (
+        lambda v: Dataset(v, [0, 1], 2), "features", [[1.0, 2.0]], np.zeros((2, 0)), ROWS),
+    "Dataset-labels": (lambda v: Dataset(ROWS, v, 2), "labels", [[0, 1]], [], [0, 1]),
     "ClassifierModel-params": (
-        lambda v: ClassifierModel(v, 2, 3, 2), "params", list(range(16)), list(range(17))),
-    "forward_batch-features": (lambda v: forward_batch(MODEL, v), "features", [1.0, 2.0], ROWS),
+        lambda v: ClassifierModel(v, 2, 3, 2), "params", list(range(16)), None,
+        list(range(17))),
+    "forward_batch-features": (
+        lambda v: forward_batch(MODEL, v), "features", [1.0, 2.0], np.zeros((0, 2)), ROWS),
     "loss_and_gradients-features": (
-        lambda v: loss_and_gradients(MODEL, v, [0, 1]), "features", [[1, 2, 3], [0, 0, 0]], ROWS),
+        lambda v: loss_and_gradients(MODEL, v, [0, 1]), "features", [[1, 2, 3], [0, 0, 0]],
+        np.zeros((0, 2)), ROWS),
     "loss_and_gradients-labels": (
-        lambda v: loss_and_gradients(MODEL, ROWS, v), "labels", [0], [0, 1]),
+        lambda v: loss_and_gradients(MODEL, ROWS, v), "labels", [0], None, [0, 1]),
     "input_gradient_batch-hidden": (
         lambda v: input_gradient_batch(MODEL, v, [[0.25, 0.75]], [1], 2.0), "hidden",
-        [0.5, 0.0, -0.5], [[0.5, 0.0, -0.5]]),
+        [0.5, 0.0, -0.5], np.zeros((0, 3)), [[0.5, 0.0, -0.5]]),
     "input_gradient_batch-probs": (
         lambda v: input_gradient_batch(MODEL, [[0.5, 0.0, -0.5]], v, [1], 2.0), "probs",
-        [[0.25, 0.75], [0.5, 0.5]], [[0.25, 0.75]]),
+        [[0.25, 0.75], [0.5, 0.5]], None, [[0.25, 0.75]]),
     "input_gradient_batch-class_indices": (
         lambda v: input_gradient_batch(MODEL, [[0.5, 0.0, -0.5]], [[0.25, 0.75]], v, 2.0),
-        "class_indices", [1, 0], [1]),
-    "perturb-grad": (lambda v: perturb([[1.0, 2.0]], v, STEP), "grad", [1.0, -1.0], [[1, -1]]),
+        "class_indices", [1, 0], None, [1]),
+    "softmax_rows-logits": (
+        lambda v: softmax_rows(v, 2.0), "logits", None, np.zeros((2, 0)), [[1.0, 2.0]]),
+    "perturb-grad": (
+        lambda v: perturb([[1.0, 2.0]], v, STEP), "grad", [1.0, -1.0], None, [[1, -1]]),
     "perturb-step": (
-        lambda v: perturb([[1.0, 2.0]], [[1.0, -1.0]], v), "step", [[0.1, 0.2]], STEP),
+        lambda v: perturb([[1.0, 2.0]], [[1.0, -1.0]], v), "step", [[0.1, 0.2]], None, STEP),
     "calibrate_batch_full-features": (
-        lambda v: calibrate_batch_full(MODEL, v, 2.0, STEP), "features", [1.0, 2.0], ROWS),
+        lambda v: calibrate_batch_full(MODEL, v, 2.0, STEP), "features", [1.0, 2.0],
+        np.zeros((0, 2)), ROWS),
     "calibrate_batch_full-step": (
-        lambda v: calibrate_batch_full(MODEL, ROWS, 2.0, v), "step", [0.1, 0.2, 0.3], STEP),
+        lambda v: calibrate_batch_full(MODEL, ROWS, 2.0, v), "step", [0.1, 0.2, 0.3], None,
+        STEP),
     "aggregate_class_scores-max_scores": (
-        lambda v: aggregate_class_scores(v, [0, 1], 2), "max_scores", [[0.5, 0.5]], [0.5, 0.5]),
+        lambda v: aggregate_class_scores(v, [0, 1], 2), "max_scores", [[0.5, 0.5]], [],
+        [0.5, 0.5]),
     "aggregate_class_scores-labels": (
-        lambda v: aggregate_class_scores([0.5, 0.5], v, 2), "labels", [0], [0, 1]),
+        lambda v: aggregate_class_scores([0.5, 0.5], v, 2), "labels", [0], None, [0, 1]),
     "boost_probabilities-logits": (
-        lambda v: boost_probabilities(v, [0], [0.5, 1.0]), "logits", [1.0, 2.0], [[1.0, 2.0]]),
+        lambda v: boost_probabilities(v, [0], [0.5, 1.0]), "logits", [1.0, 2.0],
+        np.zeros((0, 2)), [[1.0, 2.0]]),
     "boost_probabilities-class_index": (
-        lambda v: boost_probabilities(ROWS, v, [0.5, 1.0]), "class_index", [0], [0, 1]),
+        lambda v: boost_probabilities(ROWS, v, [0.5, 1.0]), "class_index", [0], None, [0, 1]),
     "boost_probabilities-aggregates": (
-        lambda v: boost_probabilities(ROWS, [0, 1], v), "aggregates", [[0.5, 1.0]], [0.5, 1.0]),
-    "install_distribution-weights": (_installed, "weights", [[1.0, 2.0]], [1.0, 2.0]),
+        lambda v: boost_probabilities(ROWS, [0, 1], v), "aggregates", [[0.5, 1.0]], None,
+        [0.5, 1.0]),
+    "install_distribution-weights": (_installed, "weights", [[1.0, 2.0]], [], [1.0, 2.0]),
     "PredictionLog-profiles": (
-        lambda v: PredictionLog([0], [0], v), "profiles", [1.0, 0.0], [[1.0, 0.0]]),
+        lambda v: PredictionLog([0], [0], v), "profiles", [1.0, 0.0], np.zeros((1, 0)),
+        [[1.0, 0.0]]),
     "PredictionLog-true_labels": (
-        lambda v: PredictionLog(v, [0], [[1.0, 0.0]]), "true labels", [0, 1], [0]),
+        lambda v: PredictionLog(v, [0], [[1.0, 0.0]]), "true labels", [0, 1], None, [0]),
     "PredictionLog-predicted_labels": (
-        lambda v: PredictionLog([0], v, [[1.0, 0.0]]), "predicted labels", [[0]], [0]),
-    "write_history_csv-true_labels": (_history_written, "true_labels", [0], [0, 1]),
-    "mab-per_class_metric": (mab, "per_class_metric", [[1.0, 2.0]], [1.0, 2.0]),
-    "sdb-per_class_metric": (sdb, "per_class_metric", [[1.0, 2.0]], [1.0, 2.0]),
-    "sodc_total-per_class": (sodc_total, "per_class", [[0.5, 1.0]], [0.5, 1.0]),
+        lambda v: PredictionLog([0], v, [[1.0, 0.0]]), "predicted labels", [[0]], None, [0]),
+    "write_history_csv-true_labels": (_history_written, "true_labels", [0], [], [0, 1]),
+    "mab-per_class_metric": (mab, "per_class_metric", [[1.0, 2.0]], [], [1.0, 2.0]),
+    "sdb-per_class_metric": (sdb, "per_class_metric", [[1.0, 2.0]], [], [1.0, 2.0]),
+    "sodc_total-per_class": (sodc_total, "per_class", [[0.5, 1.0]], [], [0.5, 1.0]),
     "make_blobs-n_per_class": (
-        lambda v: make_blobs(v, 2, 2.0, seed=0), "n_per_class", [[3, 3]], [3, 3]),
+        lambda v: make_blobs(v, 2, 2.0, seed=0), "n_per_class", [[3, 3]], [], [3, 3]),
     "pareto_tail_counts-class_counts": (
-        lambda v: pareto_tail_counts(v, 0.0), "class_counts", [[5, 3]], [5, 3]),
+        lambda v: pareto_tail_counts(v, 0.0), "class_counts", [[5, 3]], [], [5, 3]),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(SHAPED_ARGUMENTS))
 def test_misshapen_array_argument_raises_a_shape_error_by_name(entry):
-    call, name, misshapen, valid = SHAPED_ARGUMENTS[entry]
-    with pytest.raises(InputShapeError, match=rf"^{name} must have shape \(.*\), got \(.*\)$"):
-        call(misshapen)
+    call, name, misshapen, empty, valid = SHAPED_ARGUMENTS[entry]
+    if misshapen is not None:
+        with pytest.raises(InputShapeError, match=rf"^{name} must have shape \(.*\), got \(.*\)$"):
+            call(misshapen)
+    if empty is not None:
+        with pytest.raises(EmptyInputError, match=rf"^{name} must not be empty, got shape \(.*\)$"):
+            call(empty)
     call(valid)
 
 
@@ -391,28 +411,29 @@ def test_float_array_converts_ints_and_returns_a_float64_array_as_itself():
 
 class TestDataset:
     @pytest.mark.parametrize(
-        "features, labels, num_classes",
+        "features, labels, num_classes, error",
         [
-            ([[1.0], [2.0]], [0.5, 1.7], 2),
-            ([[1.0], [2.0]], [0, np.nan], 2),
-            ([[1.0], [2.0]], ["a", "b"], 2),
-            ([["a"], ["b"]], [0, 1], 2),
-            ([[1.0], [2.0, 3.0]], [0, 1], 2),
-            ([[1.0], [np.inf]], [0, 1], 2),
-            (np.zeros((2, 0)), [0, 1], 2),
-            ([[1.0], [2.0]], [0, 0], 0),
-            ([[1.0], [2.0]], [0, 2], 2),
-            ([[1.0], [2.0]], [0, 0], True),
-            ([[1.0], [2.0]], [0, 1], 2.5),
-            ([[1.0], [2.0]], [[0], [1, 0]], 2),
+            ([[1.0], [2.0]], [0.5, 1.7], 2, InvalidParameterError),
+            ([[1.0], [2.0]], [0, np.nan], 2, InvalidParameterError),
+            ([[1.0], [2.0]], ["a", "b"], 2, InvalidParameterError),
+            ([["a"], ["b"]], [0, 1], 2, InvalidParameterError),
+            ([[1.0], [2.0, 3.0]], [0, 1], 2, InvalidParameterError),
+            ([[1.0], [np.inf]], [0, 1], 2, InvalidParameterError),
+            (np.zeros((2, 0)), [0, 1], 2, EmptyInputError),
+            ([[1.0], [2.0]], [0, 0], 0, InvalidParameterError),
+            ([[1.0], [2.0]], [0, 2], 2, InvalidParameterError),
+            ([[1.0], [2.0]], [0, 0], True, InvalidParameterError),
+            ([[1.0], [2.0]], [0, 1], 2.5, InvalidParameterError),
+            ([[1.0], [2.0]], [[0], [1, 0]], 2, InvalidParameterError),
         ],
         ids=["fractional-labels", "nan-label", "text-labels", "text-features", "ragged-rows",
              "inf-feature", "no-feature-column", "no-classes",
              "label-out-of-range", "bool-num-classes", "fractional-num-classes",
              "ragged-labels"],
     )
-    def test_bad_labels_and_features_raise_a_typed_error(self, features, labels, num_classes):
-        with pytest.raises(InvalidParameterError):
+    def test_bad_labels_and_features_raise_a_typed_error(
+            self, features, labels, num_classes, error):
+        with pytest.raises(error):
             Dataset(features=features, labels=labels, num_classes=num_classes)
 
     def test_scalar_labels_raise_a_shape_error(self):
@@ -580,11 +601,18 @@ class TestParetoResample:
             pareto_resample(BLOBS, scale, 0)
 
     @pytest.mark.parametrize(
-        "counts", ["x", None, [], "ab", [5, -1], [5.0, 3.0], [True, False]],
+        "counts, error, message",
+        [("x", InputShapeError, r"have shape \(\*,\), got \(\)$"),
+         (None, InputShapeError, r"have shape \(\*,\), got \(\)$"),
+         ([], EmptyInputError, r"not be empty, got shape \(0,\)$"),
+         ("ab", InputShapeError, r"have shape \(\*,\), got \(\)$"),
+         ([5, -1], InvalidParameterError, "be ints >= 0, got "),
+         ([5.0, 3.0], InvalidParameterError, "be ints >= 0, got "),
+         ([True, False], InvalidParameterError, "be ints >= 0, got ")],
         ids=["text", "none", "empty", "text-pair", "negative", "floats", "bools"],
     )
-    def test_bad_counts_rejected(self, counts):
-        with pytest.raises(InvalidParameterError, match="^class_counts must be a non-empty"):
+    def test_bad_counts_rejected(self, counts, error, message):
+        with pytest.raises(error, match=f"^class_counts must {message}"):
             pareto_tail_counts(counts, 0.0)
 
     def test_matrix_counts_rejected(self):
@@ -594,16 +622,14 @@ class TestParetoResample:
 
     @pytest.mark.parametrize("scale, seed, named", [(-1.5, 0, "scale"), (0.0, -1, "seed")])
     def test_bad_scale_or_seed_rejected_before_the_early_exits(self, scale, seed, named):
-        empty = Dataset(features=np.zeros((0, 2)), labels=[], num_classes=2)
-        one_class = make_blobs([30], 2, 3.0, seed=9)
-        for data in (empty, one_class):
-            with pytest.raises(InvalidParameterError, match=f"^{named} must"):
-                pareto_resample(data, scale, seed)
+        one_class = make_blobs([30], 2, 3.0, seed=9)  # no Dataset is empty (the next test)
+        with pytest.raises(InvalidParameterError, match=f"^{named} must"):
+            pareto_resample(one_class, scale, seed)
 
     def test_empty_dataset_rejected(self):
-        empty = Dataset(features=np.zeros((0, 2)), labels=[], num_classes=2)
-        with pytest.raises(EmptyInputError, match="^dataset is empty$"):
-            pareto_resample(empty, 0.0, 0)
+        # an empty dataset cannot reach pareto_resample: Dataset rejects it
+        with pytest.raises(EmptyInputError, match=r"^labels must not be empty, got shape \(0,\)$"):
+            Dataset(features=np.zeros((0, 2)), labels=[], num_classes=2)
 
     @pytest.mark.parametrize("scale", [0.0, 0.5])
     def test_empty_last_class_stays_empty_and_the_rest_resample_as_without_it(self, scale):
@@ -650,9 +676,9 @@ class TestFeatureStd:
     def test_one_sample_gives_ones_and_empty_split_raises(self):
         one = Dataset(features=np.array([[1.0, -2.0]]), labels=np.array([0]), num_classes=1)
         np.testing.assert_array_equal(compute_feature_std(one), np.ones(2))
-        empty = Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int), num_classes=1)
-        with pytest.raises(InsufficientDataError):
-            compute_feature_std(empty)
+        # an empty split cannot reach compute_feature_std: Dataset rejects it
+        with pytest.raises(EmptyInputError, match=r"^labels must not be empty, got shape \(0,\)$"):
+            Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int), num_classes=1)
 
     def test_overflowing_std_rejected(self):
         with pytest.raises(NumericOverflowError):

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boostlab import data, harness
+from boostlab import calibration, data, harness
+from boostlab import model as model_mod
 from boostlab.calibration import calibrate_batch_full, temperature_at
 from boostlab.data import Dataset, compute_feature_std, make_blobs, save_csv
 from boostlab.errors import (
@@ -340,7 +341,7 @@ class TestRunEvaluation:
         report = run_evaluation(model, test, step, final_at(2.0))
         assert [counts["ood"] for counts in report.ood_partition.values()] == [0, 0]
 
-        profiles, _ = calibrate_batch_full(model, test.features, 2.0, step)
+        profiles, _, _ = calibrate_batch_full(model, test.features, 2.0, step)
         predicted = profiles.argmax(axis=1).tolist()
         profiles = profiles.tolist()
         expected = 1.0
@@ -363,7 +364,7 @@ class TestRunEvaluation:
         report = run_evaluation(model, test, step, final_at(2.0))
 
         plain_profiles = softmax_rows(forward_batch(model, test.features)[1])
-        calibrated, _ = calibrate_batch_full(model, test.features, 2.0, step)
+        calibrated, _, _ = calibrate_batch_full(model, test.features, 2.0, step)
         assert (plain_profiles.argmax(axis=1) != calibrated.argmax(axis=1)).any()
         plain, scores = (build_metrics_report(PredictionLog(test.labels, p.argmax(axis=1), p))
                          for p in (plain_profiles, calibrated))
@@ -407,9 +408,24 @@ class TestRunEvaluation:
             run_evaluation(model, other, 0.05 / compute_feature_std(other), final_at(2.0))
 
     def test_empty_test_split_rejected(self):
-        empty = Dataset(features=np.zeros((0, 2)), labels=[], num_classes=2)
-        with pytest.raises(EmptyInputError, match="^test split is empty$"):
-            run_evaluation(init_model(2, 3, 2, seed=0), empty, 0.05 / np.ones(2), final_at(2.0))
+        # an empty test split cannot reach run_evaluation: Dataset rejects it
+        with pytest.raises(EmptyInputError, match=r"^labels must not be empty, got shape \(0,\)$"):
+            Dataset(features=np.zeros((0, 2)), labels=[], num_classes=2)
+
+    def test_one_clean_forward_pass_serves_both_softmaxes(self, monkeypatch):
+        # calibration's first pass gives the plain softmax too: two forward
+        # passes per evaluation, the clean one and the perturbed one
+        model, train, test = train_to_perfection()
+        shapes, real = [], model_mod.forward_batch
+
+        def counted(model, features):
+            shapes.append(np.shape(features))
+            return real(model, features)
+
+        for module in (model_mod, calibration):
+            monkeypatch.setattr(module, "forward_batch", counted)
+        run_evaluation(model, test, 0.05 / compute_feature_std(train), final_at(2.0))
+        assert shapes == [test.features.shape] * 2
 
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_readout_raises_naming_the_logits(self):

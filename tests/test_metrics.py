@@ -153,9 +153,13 @@ class TestBiasScores:
                 assert mab(values) > 0
                 assert sdb(values) > 0
 
-    @pytest.mark.parametrize("metric", [mab, sdb, sodc_total], ids=lambda f: f.__name__)
-    def test_empty_rejected(self, metric):
-        with pytest.raises(EmptyInputError, match="^per-class metric vector is empty$"):
+    @pytest.mark.parametrize(
+        "metric, name",
+        [(mab, "per_class_metric"), (sdb, "per_class_metric"), (sodc_total, "per_class")],
+        ids=["mab", "sdb", "sodc_total"],
+    )
+    def test_empty_rejected(self, metric, name):
+        with pytest.raises(EmptyInputError, match=rf"^{name} must not be empty, got shape \(0,\)$"):
             metric([])
 
 

@@ -148,15 +148,16 @@ def test_dataset_is_finite_or_raises_a_typed_error(n, d, data):
         labels = data.draw(odd)
     try:
         dataset = Dataset(features=features, labels=labels, num_classes=num_classes)
-    except BoostLabError:
+    except BoostLabError as exc:
+        if not n and where != "labels" and not isinstance(num_classes, bool) and num_classes >= 1:
+            assert isinstance(exc, EmptyInputError)  # no labels, so no rows either
         return
     assert not isinstance(num_classes, bool)
-    assert dataset.features.shape == (n, d) and d >= 1 and np.isfinite(dataset.features).all()
+    assert n >= 1 and d >= 1  # an empty axis raises EmptyInputError
+    assert dataset.features.shape == (n, d) and np.isfinite(dataset.features).all()
     assert dataset.labels.dtype == np.intp
     assert ((dataset.labels >= 0) & (dataset.labels < num_classes)).all()
     assert dataset.class_counts.sum() == n
-    if not n:
-        return
     try:  # the std build_datasets would compute of it as a train split
         grad_std = compute_feature_std(dataset)
     except NumericOverflowError:  # a value near the float range overflows the std
@@ -205,7 +206,7 @@ def test_boost_probabilities_are_a_distribution_or_raise_a_typed_error(n, c, dat
 def test_install_distribution_always_installs_a_distribution(weights):
     state = SamplerState(strategy="boost", rng_seed=0)
     if not weights:
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(EmptyInputError, match=r"^weights must not be empty, got shape \(0,\)$"):
             install_distribution(state, np.array(weights))
         return
     p = install_distribution(state, np.array(weights))
@@ -233,10 +234,11 @@ def test_install_distribution_takes_a_vector_or_raises_a_shape_error(weights):
             install_distribution(state, weights)
         assert state.cdf is None
         return
-    try:
-        p = install_distribution(state, weights)
-    except EmptyInputError:
+    if not weights.size:
+        with pytest.raises(EmptyInputError, match=r"^weights must not be empty"):
+            install_distribution(state, weights)
         return
+    p = install_distribution(state, weights)
     assert p.shape == state.cdf.shape == weights.shape
 
 
@@ -339,16 +341,18 @@ def test_prediction_log_is_valid_or_raises_a_typed_error(n, c, data):
     elif where == "labels":
         fields[name] = data.draw(odd | ANY_TYPE, label="labels")
     elif where == "shape":
-        fields["profiles"] = NOT_A_MATRIX[data.draw(st.sampled_from(sorted(NOT_A_MATRIX)))](
-            fields["profiles"])
+        shape = data.draw(st.sampled_from(sorted(NOT_A_MATRIX)), label="shape")
+        fields["profiles"] = NOT_A_MATRIX[shape](fields["profiles"])
     elif where == "profile":
         fields["profiles"] = fields["profiles"].tolist()
         fields["profiles"][data.draw(st.integers(0, n - 1))][0] = data.draw(odd, label="score")
     try:
         log = PredictionLog(**fields)
     except BoostLabError as exc:
-        if where == "shape":
-            assert isinstance(exc, InputShapeError)
+        if where == "shape":  # a matrix with no column is one of the right shape, but empty
+            assert isinstance(exc, EmptyInputError if shape == "no-columns" else InputShapeError)
+        if not n and where in ("nowhere", "labels"):  # the profiles come first
+            assert isinstance(exc, EmptyInputError) and str(exc).startswith("profiles must not")
         if where == "label":  # a single value that is no class index
             assert isinstance(exc, InvalidParameterError)
         return

@@ -152,8 +152,8 @@ class TestBoostProbabilities:
 
     @pytest.mark.parametrize("n", [2, 0], ids=["two-rows", "no-rows"])
     def test_logits_with_no_column_raise_naming_logits(self, n):
-        # with no row either, the missing column is reported, not the empty batch
-        with pytest.raises(InputShapeError, match="^logits need at least one column$"):
+        # with no row either, the one emptiness rule names the logits
+        with pytest.raises(EmptyInputError, match=rf"^logits must not be empty, got shape \({n}, 0\)$"):
             boost_probabilities(np.zeros((n, 0)), [0] * n, [])
 
     def test_always_a_distribution(self):
