@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .data import NON_NEGATIVE_INT, check, check_finite, float_array, is_number
+from .data import NON_NEGATIVE_INT, _check_shape, check, float_array, is_number
 from .errors import InvalidParameterError, NumericOverflowError
 from .model import ClassifierModel, forward_batch, input_gradient_batch, softmax_rows
 
@@ -34,12 +34,12 @@ def perturb(x: np.ndarray, grad: np.ndarray, step: np.ndarray) -> np.ndarray:
     train split's per-feature std, which build_datasets makes once per run.
     """
     x = float_array(x, "x")
+    _check_shape(x, (None,) * x.ndim, "x")
     grad = float_array(grad, "grad", x.shape)
-    check_finite(grad, "grad")
     step = float_array(step, "step")
-    if not ((step >= 0) & (step < np.inf)).all():
-        raise InvalidParameterError("step must be finite and non-negative")
-    step = float_array(step, "step", x.shape[-1:])  # after its values: a bad epsilon is named first
+    if (step < 0).any():
+        raise InvalidParameterError("step must be non-negative")
+    _check_shape(step, x.shape[-1:], "step")  # after its values: a bad epsilon is named first
     return x - np.sign(grad) * step
 
 

@@ -72,13 +72,13 @@ def _check_shape(array: np.ndarray, shape: tuple, name: str) -> None:
 
 
 def float_array(values, name: str, shape: tuple | None = None) -> np.ndarray:
-    """values as a float64 array, or InvalidParameterError naming `name` unless
-    they are ints or floats: the array form of the real-number rules, and the one
-    place a numeric array is converted. Ragged rows, text, None, bools, complex
-    numbers and ints past 64 bits fail; a float64 array comes back as itself.
-    Given `shape`, an array of another shape, or with no entries along a `*`
-    axis, fails _check_shape. What a non-finite value means is left to the
-    caller."""
+    """values as a finite float64 array, or InvalidParameterError naming `name`
+    unless they are ints or floats: the array form of the real-number rules, and
+    the one place a numeric array is converted. Ragged rows, text, None, bools,
+    complex numbers and ints past 64 bits fail; a float64 array comes back as
+    itself. Given `shape`, an array of another shape, or with no entries along
+    a `*` axis, fails _check_shape. Last, a NaN or an infinity fails: the one
+    finiteness rule, so none spreads through a run."""
     try:
         array = np.asarray(values)
     except ValueError as exc:  # rows of unequal length
@@ -87,14 +87,10 @@ def float_array(values, name: str, shape: tuple | None = None) -> np.ndarray:
         raise InvalidParameterError(f"{name} must be numeric, got dtype {array.dtype}")
     if shape is not None:
         _check_shape(array, shape, name)
-    return array.astype(np.float64, copy=False)
-
-
-def check_finite(array: np.ndarray, name: str) -> None:
-    """InvalidParameterError naming `name` if a value of the float array is
-    NaN or infinite."""
+    array = array.astype(np.float64, copy=False)
     if not np.isfinite(array).all():
         raise InvalidParameterError(f"{name} must be finite")
+    return array
 
 
 def class_labels(values, num_classes: int, name: str = "labels", shape=(None,)) -> np.ndarray:
@@ -116,6 +112,20 @@ def class_labels(values, num_classes: int, name: str = "labels", shape=(None,)) 
     return labels.astype(np.intp, copy=False)
 
 
+def _count_vector(values, name: str) -> np.ndarray:
+    """values as a non-empty vector of ints >= 0, or InvalidParameterError
+    naming `name` (ragged rows and non-integer dtypes fail); an array not of
+    shape (*,) fails _check_shape. The one conversion of a list of counts."""
+    try:
+        counts = np.asarray(values)
+    except ValueError as exc:  # rows of unequal length
+        raise InvalidParameterError(f"{name} must be ints >= 0, got ragged rows") from exc
+    _check_shape(counts, (None,), name)
+    if counts.dtype.kind not in "iu" or counts.min() < 0:
+        raise InvalidParameterError(f"{name} must be ints >= 0, got {values!r}")
+    return counts
+
+
 @dataclass
 class Dataset:
     """Feature matrix with integer class labels; immutable by convention."""
@@ -128,7 +138,6 @@ class Dataset:
     def __post_init__(self):
         self.labels = class_labels(self.labels, self.num_classes)
         self.features = float_array(self.features, "features", (self.n, None))
-        check_finite(self.features, "features")
         self.class_counts = np.bincount(self.labels, minlength=self.num_classes)
 
     @property
@@ -169,11 +178,8 @@ def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
     scaled simplex: at d >= the class count - 1 every pair of centers is
     `separation` apart; at a smaller d some pairs are closer and some share
     a center (see _simplex_centers)."""
-    counts = np.asarray(n_per_class)
-    _check_shape(counts, (None,), "n_per_class")
-    if counts.dtype.kind not in "iu":
-        raise InvalidParameterError(f"n_per_class must be a list of ints, got {n_per_class!r}")
-    if np.any(counts < 1):
+    counts = _count_vector(n_per_class, "n_per_class")
+    if not counts.all():
         raise EmptyInputError("every class needs at least one sample")
     check(d, "d", POSITIVE_INT)
     check(separation, "separation", POSITIVE)
@@ -192,10 +198,7 @@ def pareto_tail_counts(class_counts, scale: float) -> np.ndarray:
     largest class count). scale = 0 is the harshest of the reference
     settings; scale = -1 gives a flat curve, and a scale below it (by more
     than rounding) is rejected."""
-    counts = np.asarray(class_counts)
-    _check_shape(counts, (None,), "class_counts")
-    if counts.dtype.kind not in "iu" or counts.min() < 0:
-        raise InvalidParameterError(f"class_counts must be ints >= 0, got {class_counts!r}")
+    counts = _count_vector(class_counts, "class_counts")
     check(scale, "scale", TAIL_SCALE)
     ranks = np.arange(len(counts), dtype=np.float64)
     curve = (1.0 + ranks) ** -(1.0 + scale)

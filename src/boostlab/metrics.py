@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_finite, class_labels, float_array
+from .data import class_labels, float_array
 from .errors import ConfigurationError, InvalidParameterError
 
 PROFILE_SUM_TOL = 1e-9
@@ -40,7 +40,7 @@ class PredictionLog:
         self.true_labels = class_labels(self.true_labels, k, "true labels", shape)
         self.predicted_labels = class_labels(self.predicted_labels, k, "predicted labels", shape)
         sums = self.profiles.sum(axis=1)
-        if not np.all(np.abs(sums - 1.0) <= PROFILE_SUM_TOL):  # written so that NaN fails
+        if not np.all(np.abs(sums - 1.0) <= PROFILE_SUM_TOL):
             raise InvalidParameterError("softmax profiles must sum to 1")
 
     @property
@@ -67,26 +67,20 @@ def sodc_per_class(log: PredictionLog) -> np.ndarray:
     return np.array(mass) / log.n
 
 
-def _per_class_metric(values, name: str = "per_class_metric") -> np.ndarray:
-    pm = float_array(values, name, (None,))
-    check_finite(pm, name)
-    return pm
-
-
 def sodc_total(per_class: np.ndarray) -> float:
     """Product across classes; any zero entry annihilates the total."""
-    return float(np.prod(_per_class_metric(per_class, "per_class")))
+    return float(np.prod(float_array(per_class, "per_class", (None,))))
 
 
 def mab(per_class_metric: np.ndarray) -> float:
     """Mean absolute deviation of a per-class metric from its class mean."""
-    pm = _per_class_metric(per_class_metric)
+    pm = float_array(per_class_metric, "per_class_metric", (None,))
     return float(np.abs(pm - pm.mean()).mean())
 
 
 def sdb(per_class_metric: np.ndarray) -> float:
     """Population standard deviation of a per-class metric (divisor = class count)."""
-    pm = _per_class_metric(per_class_metric)
+    pm = float_array(per_class_metric, "per_class_metric", (None,))
     return float(np.sqrt(((pm - pm.mean()) ** 2).mean()))
 
 

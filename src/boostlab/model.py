@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, check, check_finite
+from .data import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, check
 from .data import _check_shape, class_labels, float_array, read_json
 from .errors import BoostLabError, InvalidParameterError, NumericOverflowError
 
@@ -47,7 +47,6 @@ class ClassifierModel:
     def __post_init__(self):
         d, h, c = self.num_features, self.num_hidden, self.num_classes
         self.params = float_array(self.params, "params", (h * d + h + c * h + c,))
-        check_finite(self.params, "params")
         self.weights_hidden, self.bias_hidden, self.weights_out, self.bias_out = (
             self.layer_views(self.params)
         )
@@ -72,11 +71,10 @@ def init_model(num_features: int, num_hidden: int, num_classes: int, seed: int) 
 
 
 def forward_batch(model: ClassifierModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and logits for a [n x features] matrix, one row
-    per sample. The only place the layer formula is written, and so the one
-    place features enter the network: they must be finite."""
+    """Hidden activations and logits for a [n x features] matrix of finite
+    values, one row per sample. The only place the layer formula is written,
+    and so the one place features enter the network and are checked."""
     features = float_array(features, "features", (None, model.num_features))
-    check_finite(features, "features")
     hidden = features @ model.weights_hidden.T  # each [n x ...] intermediate is one buffer
     hidden += model.bias_hidden
     np.tanh(hidden, out=hidden)
@@ -98,7 +96,6 @@ def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     check(temperature, "temperature", POSITIVE)
     logits = float_array(logits, "logits")
     _check_shape(logits, (None,) * logits.ndim, "logits")
-    check_finite(logits, "logits")
     with np.errstate(over="ignore"):  # an overflowing z/T is reported below
         scaled = logits / temperature
         if not np.isfinite(scaled).all():
@@ -150,12 +147,12 @@ def loss_and_gradients(
     model: ClassifierModel, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of the plain (T=1) softmax over a batch and its
-    gradient w.r.t. `model.params`, from one forward pass. The gradient is
-    one vector laid out like `params`; `model.layer_views` splits it."""
-    features = float_array(features, "features", (None, model.num_features))
-    labels = class_labels(labels, model.num_classes, "labels", features.shape[:1])
+    gradient w.r.t. `model.params`, from one forward pass, which checks the
+    features. The gradient is one vector laid out like `params`;
+    `model.layer_views` splits it."""
     hidden, logits = forward_batch(model, features)
     n, c = logits.shape
+    labels = class_labels(labels, model.num_classes, "labels", (n,))
     # ufunc reductions and one flat index of each row's label entry: the
     # arithmetic of .max / .sum / .mean and [rows, labels], in fewer calls
     picked = np.arange(0, n * c, c) + labels
@@ -170,6 +167,7 @@ def loss_and_gradients(
     delta_hidden = _hidden_delta(model, delta_out, hidden)
     grad = np.empty_like(model.params)
     g_weights_hidden, g_bias_hidden, g_weights_out, g_bias_out = model.layer_views(grad)
+    # the features as given, which forward_batch checked; matmul casts ints as float_array does
     np.matmul(delta_hidden.T, features, out=g_weights_hidden)
     np.add.reduce(delta_hidden, axis=0, out=g_bias_hidden)
     np.matmul(delta_out.T, hidden, out=g_weights_out)

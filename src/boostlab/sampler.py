@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import calibrate_batch_full
-from .data import NON_NEGATIVE_INT, POSITIVE_INT, Dataset, check, check_finite, class_labels
-from .data import float_array, one_of
+from .data import NON_NEGATIVE_INT, POSITIVE_INT, Dataset, check, class_labels, float_array
+from .data import one_of
 from .errors import ConfigurationError, InvalidParameterError
 from .model import ClassifierModel
 
@@ -78,7 +78,6 @@ def aggregate_class_scores(
     """Arithmetic mean of calibrated max-scores per true class; classes
     with no samples carry the mean of the present classes."""
     max_scores = float_array(max_scores, "max_scores", (None,))
-    check_finite(max_scores, "max_scores")
     labels = class_labels(labels, num_classes, "labels", max_scores.shape)
 
     sums = np.bincount(labels, weights=max_scores, minlength=num_classes)
@@ -108,9 +107,8 @@ def boost_probabilities(
     n, c = logits.shape
     class_index = class_labels(class_index, c, "class_index", (n,))
     s = float_array(aggregates, "aggregates", (c,))
-    if not np.all((s > 0) & (s <= 1)):  # written so that NaN fails
+    if not np.all((s > 0) & (s <= 1)):
         raise InvalidParameterError("aggregate scores must lie in (0, 1]")
-    check_finite(logits, "logits")
 
     with np.errstate(over="ignore"):  # a gap past the float range exps to 0, as it should
         shifted = logits - logits.max(axis=1, keepdims=True)  # overflow guard
@@ -122,13 +120,13 @@ def boost_probabilities(
 def install_distribution(state: SamplerState, weights: np.ndarray) -> np.ndarray:
     """Make `weights / weights.sum()` the distribution draws come from until
     the next install, and return it; seed the generator those draws take
-    their uniforms from. Weights that are not finite, have a negative entry,
-    or whose sum is not in (0, inf) (all zero, say) are replaced by the
-    uniform distribution, with one warning."""
+    their uniforms from. The weights must be finite; weights that have a
+    negative entry, or whose sum is not in (0, inf) (all zero, or past the
+    float range), are replaced by the uniform distribution, with one warning."""
     given = float_array(weights, "weights", (None,))
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum of inf or NaN is degenerate
+    with np.errstate(over="ignore"):  # a sum past the float range is degenerate
         total = given.sum()
-    state.degenerate = not (np.isfinite(given).all() and (given >= 0).all() and 0 < total < np.inf)
+    state.degenerate = not ((given >= 0).all() and 0 < total < np.inf)
     if state.degenerate:
         log.warning("degenerate sampling weights; falling back to uniform")
     p = np.full(len(given), 1.0 / len(given)) if state.degenerate else given / total

@@ -265,19 +265,12 @@ def test_numeric_array_argument_rejects_what_is_not_numeric_by_name(entry, bad):
         call(NOT_NUMERIC[bad])
 
 
-# the entries whose values must be finite: there a NaN or an infinity is
-# rejected by name before any arithmetic, so no RuntimeWarning escapes
-MUST_BE_FINITE = (
-    "ClassifierModel-params", "model_from_dict-params", "Dataset-features",
-    "forward_batch-features", "hidden_activations-features", "loss_and_gradients-features",
-    "train_step-features", "perturb-grad", "calibrate_batch_full-features",
-    "aggregate_class_scores-max_scores", "boost_probabilities-logits", "mab-per_class_metric",
-    "sdb-per_class_metric", "sodc_total-per_class",
-)
+# a NaN or an infinity in any numeric-array argument is rejected by name
+# before any arithmetic, so no RuntimeWarning escapes
 NOT_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 
 
-@pytest.mark.parametrize("entry", MUST_BE_FINITE)
+@pytest.mark.parametrize("entry", sorted(FLOAT_ARRAY_ARGUMENTS))
 @pytest.mark.parametrize("bad", sorted(NOT_FINITE))
 def test_numeric_array_argument_rejects_what_is_not_finite_by_name(entry, bad):
     _, name, call, valid = FLOAT_ARRAY_ARGUMENTS[entry]
@@ -320,8 +313,8 @@ def _history_written(true_labels):
 # name, a value of the wrong shape, an empty value, a valid value); the wrong
 # shapes add an axis, drop one, or get a length wrong. An empty value has no
 # entries along a `*` axis; it is None where every length is fixed or another
-# argument's, as there an empty value is of the wrong shape. softmax_rows
-# takes logits of any rank, so none is of the wrong shape
+# argument's, as there an empty value is of the wrong shape. softmax_rows'
+# logits and perturb's x take any rank, so none is of the wrong shape
 SHAPED_ARGUMENTS = {
     "Dataset-features": (
         lambda v: Dataset(v, [0, 1], 2), "features", [[1.0, 2.0]], np.zeros((2, 0)), ROWS),
@@ -347,6 +340,8 @@ SHAPED_ARGUMENTS = {
         "class_indices", [1, 0], None, [1]),
     "softmax_rows-logits": (
         lambda v: softmax_rows(v, 2.0), "logits", None, np.zeros((2, 0)), [[1.0, 2.0]]),
+    "perturb-x": (
+        lambda v: perturb(v, np.ones(np.shape(v)), STEP), "x", None, np.zeros((0, 2)), [[1, 2]]),
     "perturb-grad": (
         lambda v: perturb([[1.0, 2.0]], v, STEP), "grad", [1.0, -1.0], None, [[1, -1]]),
     "perturb-step": (
@@ -488,9 +483,10 @@ class TestMakeBlobs:
         with pytest.raises(EmptyInputError):
             make_blobs([10, 0], 2, 3.0, seed=0)
 
-    @pytest.mark.parametrize("counts", [[2.7, 3], ["2", "3"]], ids=["fractional", "text"])
+    @pytest.mark.parametrize("counts", [[2.7, 3], ["2", "3"], [[1, 2], [3]]],
+                             ids=["fractional", "text", "ragged"])
     def test_non_integer_counts_rejected(self, counts):
-        with pytest.raises(InvalidParameterError, match="n_per_class"):
+        with pytest.raises(InvalidParameterError, match="^n_per_class must"):
             make_blobs(counts, 2, 2.0, seed=0)
 
     def test_scalar_counts_rejected(self):
@@ -608,8 +604,9 @@ class TestParetoResample:
          ("ab", InputShapeError, r"have shape \(\*,\), got \(\)$"),
          ([5, -1], InvalidParameterError, "be ints >= 0, got "),
          ([5.0, 3.0], InvalidParameterError, "be ints >= 0, got "),
-         ([True, False], InvalidParameterError, "be ints >= 0, got ")],
-        ids=["text", "none", "empty", "text-pair", "negative", "floats", "bools"],
+         ([True, False], InvalidParameterError, "be ints >= 0, got "),
+         ([[1], [2, 3]], InvalidParameterError, "be ints >= 0, got ragged rows$")],
+        ids=["text", "none", "empty", "text-pair", "negative", "floats", "bools", "ragged"],
     )
     def test_bad_counts_rejected(self, counts, error, message):
         with pytest.raises(error, match=f"^class_counts must {message}"):

@@ -209,12 +209,16 @@ def test_install_distribution_always_installs_a_distribution(weights):
         with pytest.raises(EmptyInputError, match=r"^weights must not be empty, got shape \(0,\)$"):
             install_distribution(state, np.array(weights))
         return
+    if not all(map(math.isfinite, weights)):
+        with pytest.raises(InvalidParameterError, match="^weights must be finite$"):
+            install_distribution(state, np.array(weights))
+        return
     p = install_distribution(state, np.array(weights))
     cdf = state.cdf
     assert p.shape == cdf.shape == (len(weights),)
     assert np.isfinite(p).all() and (p >= 0).all() and abs(p.sum() - 1.0) <= PROB_SUM_TOL
     assert (np.diff(cdf) >= 0).all() and cdf[-1] == 1.0
-    # bad: a NaN, an infinity, a negative entry, all zeros, or a sum past the float range
+    # bad: a negative entry, all zeros, or a sum past the float range
     bad = not all(0 <= w < math.inf for w in weights) or not any(weights)
     if not bad:
         with np.errstate(over="ignore"):

@@ -259,7 +259,7 @@ class TestDrawBatch:
         np.testing.assert_array_equal(draws, expected)
 
     def test_fallback_counts_every_draw_it_serves(self, caplog):
-        state = self._state([np.nan, 1.0], seed=3)
+        state = self._state([0.0, 0.0], seed=3)
         for _ in range(3):
             draw_batch(state, 4)
         assert state.degenerate_draws == 3
