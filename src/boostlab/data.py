@@ -10,8 +10,9 @@ import json
 import logging
 import math
 import numbers
-from array import array
+import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -112,17 +113,17 @@ def class_labels(values, num_classes: int, name: str = "labels", shape=(None,)) 
     return labels.astype(np.intp, copy=False)
 
 
-def _count_vector(values, name: str) -> np.ndarray:
-    """values as a non-empty vector of ints >= 0, or InvalidParameterError
+def _count_vector(values, name: str, least: int) -> np.ndarray:
+    """values as a non-empty vector of ints >= least, or InvalidParameterError
     naming `name` (ragged rows and non-integer dtypes fail); an array not of
     shape (*,) fails _check_shape. The one conversion of a list of counts."""
     try:
         counts = np.asarray(values)
     except ValueError as exc:  # rows of unequal length
-        raise InvalidParameterError(f"{name} must be ints >= 0, got ragged rows") from exc
+        raise InvalidParameterError(f"{name} must be ints >= {least}, got ragged rows") from exc
     _check_shape(counts, (None,), name)
-    if counts.dtype.kind not in "iu" or counts.min() < 0:
-        raise InvalidParameterError(f"{name} must be ints >= 0, got {values!r}")
+    if counts.dtype.kind not in "iu" or counts.min() < least:
+        raise InvalidParameterError(f"{name} must be ints >= {least}, got {values!r}")
     return counts
 
 
@@ -178,9 +179,7 @@ def make_blobs(n_per_class, d: int, separation: float, seed: int) -> Dataset:
     scaled simplex: at d >= the class count - 1 every pair of centers is
     `separation` apart; at a smaller d some pairs are closer and some share
     a center (see _simplex_centers)."""
-    counts = _count_vector(n_per_class, "n_per_class")
-    if not counts.all():
-        raise EmptyInputError("every class needs at least one sample")
+    counts = _count_vector(n_per_class, "n_per_class", 1)
     check(d, "d", POSITIVE_INT)
     check(separation, "separation", POSITIVE)
     check(seed, "seed", NON_NEGATIVE_INT)
@@ -198,7 +197,7 @@ def pareto_tail_counts(class_counts, scale: float) -> np.ndarray:
     largest class count). scale = 0 is the harshest of the reference
     settings; scale = -1 gives a flat curve, and a scale below it (by more
     than rounding) is rejected."""
-    counts = _count_vector(class_counts, "class_counts")
+    counts = _count_vector(class_counts, "class_counts", 0)
     check(scale, "scale", TAIL_SCALE)
     ranks = np.arange(len(counts), dtype=np.float64)
     curve = (1.0 + ranks) ** -(1.0 + scale)
@@ -276,15 +275,72 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple
     )
 
 
+# for np.loadtxt; encoding None hands converters text, not numpy 1's latin-1 bytes
+CSV_DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2, "encoding": None}
+
+
+def _csv_lines(fh, fields: int, stop: list):
+    """fh's remaining lines, in lists of about 64 KiB, up to the first that
+    np.loadtxt reads and csv.reader rejects: a blank line, which loadtxt
+    skips, or a field of more than csv.field_size_limit() characters, which
+    loadtxt parses. A field is measured within its line and without quotes,
+    so load_csv measures each label whole. That line's fault, under a header
+    of `fields` fields, goes into `stop`."""
+    limit = csv.field_size_limit()
+    while lines := fh.readlines(1 << 16):
+        if "\n" in lines or "\r\n" in lines or "\r" in lines or max(map(len, lines)) > limit:
+            for i, line in enumerate(lines):  # only in a chunk that holds such a line
+                if line in ("\n", "\r\n", "\r"):
+                    stop.append(f"expected {fields} fields, got 0")
+                elif len(line) > limit and max(map(len, line.replace('"', "").split(","))) > limit:
+                    stop.append(f"field larger than field limit ({limit})")
+                if stop:
+                    yield lines[:i]
+                    return
+        yield lines
+
+
+def _loadtxt_fault(message: str, first: list, fields: int) -> tuple[int, str] | None:
+    """The (row, fault) behind np.loadtxt's ValueError `message`, if it is in
+    a row, for a body whose first lines are `first` under a header of
+    `fields` fields. loadtxt takes the first row's width as given, so a wrong
+    one is the fault, as csv.reader met it first. Past it, loadtxt counts
+    data records from 0 in a conversion error and from 1 in a column-count
+    error, where load_csv counts rows from 2, after the header."""
+    width = np.loadtxt(first, dtype=str, max_rows=1, **CSV_DIALECT).shape[1]
+    if width != fields:
+        return 2, f"expected {fields} fields, got {width}"
+    if match := re.fullmatch(r"(could not convert .*) to float64 at row (\d+), column \d+\.",
+                             message, re.S):
+        return int(match[2]) + 2, f"non-numeric feature: {match[1]}"
+    if match := re.match(r"the number of columns changed from \d+ to (\d+) at row (\d+)", message):
+        return int(match[2]) + 1, f"expected {fields} fields, got {match[1]}"
+    return None
+
+
 def load_csv(path, label_column: str) -> Dataset:
     """Read a labeled dataset: header row, one label column, the remaining
     columns finite numeric features. Labels are assigned class indices in
     numeric order when every label is an integer, lexicographic otherwise.
-    A leading UTF-8 byte-order mark, as Excel writes, is skipped."""
+
+    The dialect is csv's default: comma-delimited; a field quoted with `"`
+    may hold commas, line ends and doubled quotes; lines end in "\\n" or
+    "\\r\\n", the last one optionally. A leading UTF-8 byte-order mark, as
+    Excel writes, is skipped. An error names its row, counting records, not
+    lines, with the header as row 1; a blank line is a row of no fields. The
+    body is read by one np.loadtxt call, which codes labels as they come,
+    after a count of the file's line ends sizes its table: a pipe, which
+    cannot be read twice, is rejected."""
+    codes = {}  # label text -> its code, in order of first appearance
+    stop = []  # the fault of a line _csv_lines ended the body at
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            # rows <= line ends + 1: sized by that, loadtxt allocates its table once
+            # instead of growing it, which fragments the heap
+            ends = sum(block.count(b"\n") + block.count(b"\r")
+                       for block in iter(lambda: fh.buffer.read(1 << 20), b""))
+            fh.seek(0)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise CsvParseError(f"{path}: file is empty")
             if label_column not in header:
@@ -295,42 +351,42 @@ def load_csv(path, label_column: str) -> Dataset:
                 raise CsvParseError(f"{path}: no feature column besides {label_column!r}")
             label_idx = header.index(label_column)
 
-            values = array("d")  # every feature, row after row
-            raw_labels = []
-            for row_num, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise CsvParseError(
-                        f"{path}: row {row_num}: expected {len(header)} fields, got {len(row)}"
-                    )
-                label = row.pop(label_idx)
-                try:
-                    values.extend(map(float, row))
-                except ValueError as exc:
-                    raise CsvParseError(
-                        f"{path}: row {row_num}: non-numeric feature: {exc}"
-                    ) from exc
-                raw_labels.append(label)
-    except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not UTF-8; an oversized field
+            chunks = _csv_lines(fh, len(header), stop)
+            if not (first := next(chunks, [])):  # loadtxt would warn of an empty input
+                raise CsvParseError(f"{path}: row 2: {stop[0]}" if stop else f"{path}: no data rows")
+            try:
+                table = np.loadtxt(
+                    chain(first, chain.from_iterable(chunks)), **CSV_DIALECT, max_rows=ends + 1,
+                    converters={label_idx: lambda label: codes.setdefault(label, len(codes))})
+            except ValueError as exc:
+                if (fault := _loadtxt_fault(str(exc), first, len(header))) is None:
+                    raise  # bytes that are not UTF-8, among others
+                raise CsvParseError(f"{path}: row %d: %s" % fault) from exc
+    except (ValueError, csv.Error) as exc:  # ValueError includes UnicodeDecodeError
         raise CsvParseError(f"{path}: not a readable CSV file: {exc}") from exc
 
-    if not raw_labels:
-        raise CsvParseError(f"{path}: no data rows")
-    features = np.frombuffer(values, dtype=np.float64).reshape(len(raw_labels), len(header) - 1)
-    finite = np.isfinite(features).all(axis=1)
+    faults = [(len(table) + 2, fault) for fault in stop]  # after every row loadtxt read
+    if table.shape[1] != len(header):
+        faults.append((2, f"expected {len(header)} fields, got {table.shape[1]}"))
+    if oversized := [code for label, code in codes.items() if len(label) > csv.field_size_limit()]:
+        row = int(np.isin(table[:, label_idx], oversized).argmax()) + 2  # a label across lines
+        faults.append((row, f"field larger than field limit ({csv.field_size_limit()})"))
+    if faults:
+        raise CsvParseError(f"{path}: row %d: %s" % min(faults))
+    finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        row_num = int(np.argmin(finite)) + 2
-        raise CsvParseError(f"{path}: row {row_num}: non-finite feature")
+        raise CsvParseError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite feature")
     try:
         # the tie-break keeps the order deterministic for "3" vs "03"
-        classes = sorted(set(raw_labels), key=lambda name: (int(name), name))
+        classes = sorted(codes, key=lambda name: (int(name), name))
     except ValueError:
-        classes = sorted(set(raw_labels))
-    mapping = {name: i for i, name in enumerate(classes)}
-    return Dataset(
-        features=features,
-        labels=np.array([mapping[v] for v in raw_labels], dtype=np.intp),
-        num_classes=len(classes),
-    )
+        classes = sorted(codes)
+    rank = {name: i for i, name in enumerate(classes)}
+    class_of_code = np.array([rank[name] for name in codes], dtype=np.intp)
+    labels = class_of_code[table[:, label_idx].astype(np.intp)]
+    for j in range(label_idx, len(header) - 1):  # the features right of the label, one left
+        table[:, j] = table[:, j + 1]
+    return Dataset(features=table[:, :-1], labels=labels, num_classes=len(classes))
 
 
 def read_json(path):

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a pass line.
+"""Acceptance suite: one test per criterion, each printing a pass line, and
+criterion 6's known failure one epoch either side of 20 as strict xfails.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every tolerance is pinned here; the independent oracles live in
@@ -282,7 +283,7 @@ def test_criterion_5_scheduler():
     passed(5, "scheduler clamping, piecewise constancy, monotonicity (1000 configs)")
 
 
-def _directional_arm(sampler: str, seeds) -> tuple[float, float]:
+def _directional_arm(sampler: str, seeds, epochs: int = 20) -> tuple[float, float]:
     recalls, mabs = [], []
     for seed in seeds:
         config = ExperimentConfig(
@@ -291,7 +292,7 @@ def _directional_arm(sampler: str, seeds) -> tuple[float, float]:
             blob_dim=2,
             blob_separation=2.5,
             sampler=sampler,
-            epochs=20,
+            epochs=epochs,
             batch_size=32,
             learning_rate=0.2,
             hidden_units=8,
@@ -323,6 +324,23 @@ def test_criterion_6_directional_debiasing():
         f"{boost_recall:.3f} > {random_recall:.3f}, accuracy MAB "
         f"{boost_mab:.4f} <= {random_mab:.4f} ({elapsed:.1f}s)",
     )
+
+
+@pytest.mark.parametrize("epochs", [
+    pytest.param(19, marks=pytest.mark.xfail(strict=True, reason=(
+        "parity defect: at 19 epochs boost's minority recall is 0.499 against random's "
+        "0.689, and its accuracy MAB 0.249 against 0.149"))),
+    pytest.param(21, marks=pytest.mark.xfail(strict=True, reason=(
+        "parity defect: at 21 epochs boost's minority recall is 0.493 against random's "
+        "0.687, and its accuracy MAB 0.252 against 0.151"))),
+])
+def test_criterion_6_fails_one_epoch_either_side(epochs):
+    """Acceptance 6's statements with nothing changed but the epoch count.
+    Should a change make them hold, strict turns the xfail into a failure,
+    and they become plain tests."""
+    boost_recall, boost_mab = _directional_arm("boost", range(5), epochs)
+    random_recall, random_mab = _directional_arm("random", range(5), epochs)
+    assert boost_recall > random_recall and boost_mab <= random_mab
 
 
 def test_criterion_7_long_tail_robustness():

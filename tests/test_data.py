@@ -2,6 +2,7 @@ import inspect
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -480,8 +481,10 @@ class TestMakeBlobs:
         assert (predictions == data.labels).mean() == 1.0
 
     def test_zero_count_rejected(self):
-        with pytest.raises(EmptyInputError):
-            make_blobs([10, 0], 2, 3.0, seed=0)
+        for counts in ([10, 0], [3, -1]):  # one wording for zero and negative counts
+            with pytest.raises(InvalidParameterError,
+                               match=rf"^n_per_class must be ints >= 1, got \{counts}$"):
+                make_blobs(counts, 2, 3.0, seed=0)
 
     @pytest.mark.parametrize("counts", [[2.7, 3], ["2", "3"], [[1, 2], [3]]],
                              ids=["fractional", "text", "ragged"])
@@ -758,6 +761,92 @@ class TestCsv:
         with pytest.raises(CsvParseError, match=named) as info:
             load_csv(path, "label")
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "content, features, labels",
+        [
+            # a quoted field keeps its comma, a doubled quote is one quote, and a
+            # quote inside an unquoted field is text: 'c""d' quoted and c"d are one label
+            (b'f0,label\n"1.5","a,b"\n2,"c""d"\n3,c"d\n', [[1.5], [2], [3]], [0, 1, 1]),
+            (b"f0,label\r\n1,b\r\n2,a", [[1], [2]], [1, 0]),  # CRLF, no final newline
+            (b"f0,label\n 1.5 ,#b\n-2\t,a#\n", [[1.5], [-2]], [0, 1]),  # '#' is text
+            (b'f0,label\n1,"x\ny"\n2,"x\r\ny"\n', [[1], [2]], [0, 1]),  # a label across lines
+            ("f0,label\n1,\u65e5\n2,\xe9\n".encode(), [[1], [2]], [1, 0]),  # labels past latin-1
+            # a field of csv.field_size_limit() characters, quoted or not
+            (b'f0,f1,label\n"' + b"0" * 131_071 + b'1",' + b"0" * 131_071 + b"2,a\n",
+             [[1, 2]], [0]),
+        ],
+        ids=["quoted", "crlf-no-final-newline", "hash-and-spaces", "quoted-newline",
+             "non-latin-1-label", "field-at-the-limit"],
+    )
+    def test_dialect(self, tmp_path, content, features, labels):
+        path = tmp_path / "dialect.csv"
+        path.write_bytes(content)
+        data = load_csv(path, "label")
+        np.testing.assert_array_equal(data.features, features)
+        np.testing.assert_array_equal(data.labels, labels)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            # rows count records, not lines: the label across two lines is row 2
+            (b'f0,label\n1,"x\ny"\noops,b\n', "row 3: non-numeric feature"),
+            (b'f0,label\n1,"x\ny"\n2\n', "row 3: expected 2 fields, got 1"),
+            (b"f0,f1,label\n,1.0,a\n", "row 2: non-numeric feature"),
+            (b"f0,label\n1.0,a,extra\n2.0,b\n", "row 2: expected 2 fields, got 3"),
+            (b"f0,label\n1.0,a\n\n2.0,b\n", "row 3: expected 2 fields, got 0"),
+            (b"f0,label\r\n1.0,a\r\n\r\n", "row 3: expected 2 fields, got 0"),
+            (b"f0,label\n\n", "row 2: expected 2 fields, got 0"),
+            # what float() reads and the decimal-or-exponent dialect does not
+            (b"f0,label\n1.0,a\n1_0,b\n", "row 3: non-numeric feature"),
+            ("f0,label\n\u0661,a\n".encode(), "row 2: non-numeric feature"),
+            # csv.field_size_limit() characters at most, a finite number and a
+            # label across lines among them
+            (b"f0,label\n1.0,a\n" + b"0" * 131_072 + b"1,b\n",
+             r"row 3: field larger than field limit \(131072\)"),
+            (b'f0,label\n1.0,a\n2.0,"' + b"x\n" * 70_000 + b'"\n',
+             r"row 3: field larger than field limit \(131072\)"),
+        ],
+        ids=["after-quoted-newline", "ragged-after-quoted-newline", "empty-field",
+             "first-row-too-long", "blank-line", "blank-crlf-line", "blank-first-row",
+             "underscore-digits", "non-ascii-digit", "long-finite-field", "long-label"],
+    )
+    def test_bad_row_is_named_by_its_record_number(self, tmp_path, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(CsvParseError, match=f"^{re.escape(str(path))}: {message}"):
+            load_csv(path, "label")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_rejected_as_it_cannot_be_read_twice(self, tmp_path):
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("f0,label\n1,a\n",), daemon=True)
+        writer.start()
+        with pytest.raises(CsvParseError, match="not a readable CSV file: .*not seekable"):
+            load_csv(path, "label")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_one_dataset_written_five_ways_loads_to_the_same_bits(self, tmp_path):
+        data = make_blobs([4, 3], 2, 2.5, seed=5)
+        rows = [[*map(repr, x.tolist()), str(y)] for x, y in zip(data.features, data.labels)]
+        lines = ["f0,f1,label", *map(",".join, rows)]
+        written = {
+            "plain": "\n".join(lines) + "\n",
+            "bom": "\ufeff" + "\n".join(lines) + "\n",
+            "crlf": "\r\n".join(lines) + "\r\n",
+            "quoted": "".join(",".join(f'"{f}"' for f in line.split(",")) + "\n"
+                              for line in lines),
+            "label-first": "".join(f"{y},{a},{b}\n" for a, b, y in
+                                   (line.split(",") for line in lines)),
+        }
+        for name, text in written.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(text.encode())
+            loaded = load_csv(path, "label")
+            assert loaded.features.tobytes() == data.features.tobytes(), name
+            np.testing.assert_array_equal(loaded.labels, data.labels)
 
     def test_round_trip_exact(self, tmp_path):
         data = make_blobs([20, 30], 3, 2.5, seed=11)

@@ -1,6 +1,7 @@
 """Property tests: fuzzed configuration values, of any type, either construct
 a config whose data and temperatures are finite, or fail with a BoostLabError;
-so do arbitrary bytes read as a labeled CSV, arbitrary arguments to Dataset,
+so do arbitrary bytes read as a labeled CSV, while save_csv then load_csv
+gives back any finite features bit for bit; so do arbitrary arguments to Dataset,
 arbitrary logits, class indices and aggregates given to
 boost_probabilities, which otherwise return weights in [0, 1], arbitrary
 weights given to install_distribution, which installs a distribution of
@@ -29,7 +30,7 @@ from boostlab import metrics as metrics_mod
 from boostlab import model as model_mod
 from boostlab import sampler as sampler_mod
 from boostlab.calibration import SCHEDULE_KINDS, temperature_at
-from boostlab.data import Dataset, compute_feature_std, load_csv
+from boostlab.data import Dataset, compute_feature_std, load_csv, save_csv
 from boostlab.errors import (
     BoostLabError,
     EmptyInputError,
@@ -127,6 +128,25 @@ def test_csv_bytes_load_or_raise_a_typed_error(tmp_path_factory, content):
         return
     assert data.num_features >= 1 and data.n >= 1
     assert np.isfinite(data.features).all()
+
+
+# every finite float64, its edges drawn as often as the rest: -0.0, the smallest
+# subnormal, the largest subnormal and the largest float of either sign
+FINITE_EDGES = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FINITE_EDGES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(features=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 3)),
+                       elements=FINITE))
+def test_save_csv_then_load_csv_is_bit_exact(tmp_path_factory, features):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    labels = np.arange(len(features))  # one class per row, so each label maps to itself
+    save_csv(Dataset(features, labels, len(features)), path)
+    loaded = load_csv(path, "label")
+    assert loaded.features.tobytes() == features.tobytes()
+    np.testing.assert_array_equal(loaded.labels, labels)
 
 
 @settings(max_examples=300, deadline=None)
