@@ -330,7 +330,9 @@ def load_csv(path, label_column: str) -> Dataset:
     lines, with the header as row 1; a blank line is a row of no fields. The
     body is read by one np.loadtxt call, which codes labels as they come,
     after a count of the file's line ends sizes its table: a pipe, which
-    cannot be read twice, is rejected."""
+    cannot be read twice, is rejected. Known limit: a quoted field that holds
+    a blank line (`"a\n\nb"`) ends the body at that blank line, so the file
+    is rejected as a short row (`row 3: expected 2 fields, got 0`)."""
     codes = {}  # label text -> its code, in order of first appearance
     stop = []  # the fault of a line _csv_lines ended the body at
     try:

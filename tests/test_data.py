@@ -60,6 +60,13 @@ from boostlab.sampler import (
 BLOBS = make_blobs([6, 3], 2, 2.0, seed=0)
 MODEL = init_model(2, 3, 2, seed=0)
 
+
+def _drawn(batch_size):
+    state = SamplerState(strategy="boost", rng_seed=0)
+    install_distribution(state, np.ones(4))
+    return draw_batch(state, batch_size)
+
+
 # every integer argument of the public builders: (call with that argument
 # set to v, its name, its least valid value)
 INT_ARGUMENTS = {
@@ -73,6 +80,10 @@ INT_ARGUMENTS = {
     "pareto_resample-seed": (lambda v: pareto_resample(BLOBS, 0.0, v), "seed", 0),
     "SamplerState-seed": (lambda v: SamplerState(strategy="boost", rng_seed=v), "rng_seed", 0),
     "temperature_at-epoch": (lambda v: temperature_at(ExperimentConfig(), v), "epoch", 0),
+    "Dataset-num_classes": (lambda v: Dataset([[1.0], [2.0]], [0, 0], v), "num_classes", 1),
+    "aggregate_class_scores-num_classes": (
+        lambda v: aggregate_class_scores([0.9, 0.5], [0, 0], v), "num_classes", 1),
+    "draw_batch-batch_size": (_drawn, "batch_size", 1),
 }
 
 
@@ -124,12 +135,6 @@ def test_float_argument_out_of_range_rejected_by_name_and_value(entry, bad):
             call(value)
     call(valid)  # a Python float
     call(np.float64(valid))  # and a numpy float
-
-
-def _drawn(batch_size):
-    state = SamplerState(strategy="boost", rng_seed=0)
-    install_distribution(state, np.ones(4))
-    return draw_batch(state, batch_size)
 
 
 # each config key whose rule a function argument shares: (a call with that
@@ -189,6 +194,12 @@ def _resampled(step):
     state = SamplerState(strategy="boost", rng_seed=0)
     epoch_resample(state, MODEL, BLOBS, 2.0, step)
     return state.history[-1].probabilities
+
+
+def _history_written(true_labels):
+    state = SamplerState(strategy="random", rng_seed=0)
+    epoch_resample(state, MODEL, Dataset(ROWS, [0, 1], 2), 1.0, STEP)
+    write_history_csv(state, true_labels, os.devnull)
 
 
 # every numeric-array parameter: (the function, the parameter's name, a call
@@ -289,7 +300,9 @@ def test_numeric_array_argument_takes_a_list_of_ints_as_floats(entry):
     np.testing.assert_equal(call(ints), call(np.array(ints, dtype=np.float64)))
 
 
-def test_every_numeric_array_parameter_is_fuzzed():
+def _takers(parameters):
+    """(callable, parameter) of each public boostlab callable's parameters
+    named in parameters."""
     modules = (data_mod, model_mod, calibration_mod, sampler_mod, metrics_mod, harness_mod)
     public = {  # defined in the module itself, so no import is counted twice
         obj
@@ -297,25 +310,87 @@ def test_every_numeric_array_parameter_is_fuzzed():
         for name, obj in vars(module).items()
         if callable(obj) and not name.startswith("_") and obj.__module__ == module.__name__
     }
-    takers = {(obj, parameter) for obj in public
-              for parameter in FLOAT_ARRAY_PARAMETERS & set(inspect.signature(obj).parameters)}
+    return {(obj, parameter) for obj in public
+            for parameter in parameters & set(inspect.signature(obj).parameters)}
+
+
+def test_every_numeric_array_parameter_is_fuzzed():
     fuzzed = {(obj, name) for obj, name, _, _ in FLOAT_ARRAY_ARGUMENTS.values()}
     # a report's per_class is a dict of each class's rates, not an array
-    assert takers - fuzzed == {(metrics_mod.MetricsReport, "per_class")}
+    assert _takers(FLOAT_ARRAY_PARAMETERS) - fuzzed == {(metrics_mod.MetricsReport, "per_class")}
 
 
-def _history_written(true_labels):
-    state = SamplerState(strategy="random", rng_seed=0)
-    epoch_resample(state, MODEL, Dataset(ROWS, [0, 1], 2), 1.0, STEP)
-    write_history_csv(state, true_labels, os.devnull)
+# every parameter that takes class labels: (the function, the parameter, the
+# name its errors give, a call with it set to v, the class count); valid
+# labels are [0, 1], and write_history_csv takes any class count
+LABEL_ARGUMENTS = {
+    "Dataset-labels": (Dataset, "labels", "labels", lambda v: Dataset(ROWS, v, 2), 2),
+    "PredictionLog-true_labels": (
+        PredictionLog, "true_labels", "true labels",
+        lambda v: PredictionLog(v, [0, 1], [[1.0, 0.0], [0.0, 1.0]]), 2),
+    "PredictionLog-predicted_labels": (
+        PredictionLog, "predicted_labels", "predicted labels",
+        lambda v: PredictionLog([0, 1], v, [[1.0, 0.0], [0.0, 1.0]]), 2),
+    "aggregate_class_scores-labels": (
+        aggregate_class_scores, "labels", "labels",
+        lambda v: aggregate_class_scores([0.5, 0.5], v, 2), 2),
+    "boost_probabilities-class_index": (
+        boost_probabilities, "class_index", "class_index",
+        lambda v: boost_probabilities(ROWS, v, [0.5, 1.0]), 2),
+    "train_step-labels": (
+        train_step, "labels", "labels", lambda v: train_step(MODEL, ROWS, v, 0.1), 2),
+    "loss_and_gradients-labels": (
+        loss_and_gradients, "labels", "labels", lambda v: loss_and_gradients(MODEL, ROWS, v), 2),
+    "input_gradient_batch-class_indices": (
+        input_gradient_batch, "class_indices", "class_indices",
+        lambda v: input_gradient_batch(MODEL, [[0.5, 0.0, -0.5]] * 2, [[0.25, 0.75]] * 2, v, 2.0),
+        2),
+    "write_history_csv-true_labels": (
+        write_history_csv, "true_labels", "true_labels", _history_written, np.iinfo(np.intp).max),
+}
+LABEL_PARAMETERS = {"labels", "true_labels", "predicted_labels", "class_index", "class_indices"}
+NOT_INTEGERS = {
+    "fractional": [0, 0.5],
+    "nan": [0, np.nan],
+    "inf": [0, np.inf],
+    "text": ["a", "b"],
+    "numeric-text": ["0", "1"],
+    "bool": [True, False],
+    "none": [0, None],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ARGUMENTS))
+@pytest.mark.parametrize("bad", sorted(NOT_INTEGERS))
+def test_labels_that_are_not_integers_are_rejected_by_name(entry, bad):
+    _, _, name, call, _ = LABEL_ARGUMENTS[entry]
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be integers$"):
+        call(NOT_INTEGERS[bad])
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ARGUMENTS))
+def test_labels_out_of_range_or_ragged_are_rejected_by_name(entry):
+    _, _, name, call, k = LABEL_ARGUMENTS[entry]
+    for labels in ([0, -1], [0, k]):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} must lie in \[0, {k}\)$"):
+            call(labels)
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be integers: "):
+        call([[0], [1, 0]])
+    call([0, 1])  # as ints
+    call([0.0, 1.0])  # and as integral floats
+
+
+def test_every_label_parameter_is_in_the_label_table():
+    assert _takers(LABEL_PARAMETERS) == {(f, p) for f, p, *_ in LABEL_ARGUMENTS.values()}
 
 
 # every array argument whose shape is checked: (a call with it set to v, its
-# name, a value of the wrong shape, an empty value, a valid value); the wrong
-# shapes add an axis, drop one, or get a length wrong. An empty value has no
-# entries along a `*` axis; it is None where every length is fixed or another
-# argument's, as there an empty value is of the wrong shape. softmax_rows'
-# logits and perturb's x take any rank, so none is of the wrong shape
+# name, a value of the wrong shape or a tuple of them, an empty value, a valid
+# value); the wrong shapes add an axis, drop one, or get a length wrong, and
+# each error names the shape it got. An empty value has no entries along a
+# `*` axis; it is None where every length is fixed or another argument's, as
+# there an empty value is of the wrong shape. softmax_rows' logits and
+# perturb's x take any rank, so no value is of the wrong shape: ()
 SHAPED_ARGUMENTS = {
     "Dataset-features": (
         lambda v: Dataset(v, [0, 1], 2), "features", [[1.0, 2.0]], np.zeros((2, 0)), ROWS),
@@ -324,12 +399,16 @@ SHAPED_ARGUMENTS = {
         lambda v: ClassifierModel(v, 2, 3, 2), "params", list(range(16)), None,
         list(range(17))),
     "forward_batch-features": (
-        lambda v: forward_batch(MODEL, v), "features", [1.0, 2.0], np.zeros((0, 2)), ROWS),
+        lambda v: forward_batch(MODEL, v), "features", ([1.0, 2.0], [[1.0, 2.0, 3.0]]),
+        np.zeros((0, 2)), ROWS),
+    "train_step-features": (
+        lambda v: train_step(MODEL, v, np.zeros(len(v), dtype=int), 0.1), "features",
+        [1.0, 2.0], np.zeros((0, 2)), ROWS),
     "loss_and_gradients-features": (
         lambda v: loss_and_gradients(MODEL, v, [0, 1]), "features", [[1, 2, 3], [0, 0, 0]],
         np.zeros((0, 2)), ROWS),
     "loss_and_gradients-labels": (
-        lambda v: loss_and_gradients(MODEL, ROWS, v), "labels", [0], None, [0, 1]),
+        lambda v: loss_and_gradients(MODEL, ROWS, v), "labels", ([0], [[0], [1]]), None, [0, 1]),
     "input_gradient_batch-hidden": (
         lambda v: input_gradient_batch(MODEL, v, [[0.25, 0.75]], [1], 2.0), "hidden",
         [0.5, 0.0, -0.5], np.zeros((0, 3)), [[0.5, 0.0, -0.5]]),
@@ -340,11 +419,11 @@ SHAPED_ARGUMENTS = {
         lambda v: input_gradient_batch(MODEL, [[0.5, 0.0, -0.5]], [[0.25, 0.75]], v, 2.0),
         "class_indices", [1, 0], None, [1]),
     "softmax_rows-logits": (
-        lambda v: softmax_rows(v, 2.0), "logits", None, np.zeros((2, 0)), [[1.0, 2.0]]),
+        lambda v: softmax_rows(v, 2.0), "logits", (), np.zeros((2, 0)), [[1.0, 2.0]]),
     "perturb-x": (
-        lambda v: perturb(v, np.ones(np.shape(v)), STEP), "x", None, np.zeros((0, 2)), [[1, 2]]),
+        lambda v: perturb(v, np.ones(np.shape(v)), STEP), "x", (), np.zeros((0, 2)), [[1, 2]]),
     "perturb-grad": (
-        lambda v: perturb([[1.0, 2.0]], v, STEP), "grad", [1.0, -1.0], None, [[1, -1]]),
+        lambda v: perturb([[1.0, 2.0]], v, STEP), "grad", ([1.0, -1.0], [[1.0]]), None, [[1, -1]]),
     "perturb-step": (
         lambda v: perturb([[1.0, 2.0]], [[1.0, -1.0]], v), "step", [[0.1, 0.2]], None, STEP),
     "calibrate_batch_full-features": (
@@ -359,13 +438,13 @@ SHAPED_ARGUMENTS = {
     "aggregate_class_scores-labels": (
         lambda v: aggregate_class_scores([0.5, 0.5], v, 2), "labels", [0], None, [0, 1]),
     "boost_probabilities-logits": (
-        lambda v: boost_probabilities(v, [0], [0.5, 1.0]), "logits", [1.0, 2.0],
-        np.zeros((0, 2)), [[1.0, 2.0]]),
+        lambda v: boost_probabilities(v, [0], [0.5, 1.0]), "logits",
+        ([1.0, 2.0], np.zeros((1, 2, 2))), np.zeros((0, 2)), [[1.0, 2.0]]),
     "boost_probabilities-class_index": (
         lambda v: boost_probabilities(ROWS, v, [0.5, 1.0]), "class_index", [0], None, [0, 1]),
     "boost_probabilities-aggregates": (
-        lambda v: boost_probabilities(ROWS, [0, 1], v), "aggregates", [[0.5, 1.0]], None,
-        [0.5, 1.0]),
+        lambda v: boost_probabilities(ROWS, [0, 1], v), "aggregates",
+        ([[0.5, 1.0]], [0.5, 0.5, 0.5]), None, [0.5, 1.0]),
     "install_distribution-weights": (_installed, "weights", [[1.0, 2.0]], [], [1.0, 2.0]),
     "PredictionLog-profiles": (
         lambda v: PredictionLog([0], [0], v), "profiles", [1.0, 0.0], np.zeros((1, 0)),
@@ -388,11 +467,14 @@ SHAPED_ARGUMENTS = {
 @pytest.mark.parametrize("entry", sorted(SHAPED_ARGUMENTS))
 def test_misshapen_array_argument_raises_a_shape_error_by_name(entry):
     call, name, misshapen, empty, valid = SHAPED_ARGUMENTS[entry]
-    if misshapen is not None:
-        with pytest.raises(InputShapeError, match=rf"^{name} must have shape \(.*\), got \(.*\)$"):
-            call(misshapen)
+    for value in misshapen if isinstance(misshapen, tuple) else (misshapen,):
+        shape = re.escape(str(np.shape(value)))
+        with pytest.raises(InputShapeError, match=rf"^{name} must have shape \(.*\), got {shape}$"):
+            call(value)
     if empty is not None:
-        with pytest.raises(EmptyInputError, match=rf"^{name} must not be empty, got shape \(.*\)$"):
+        shape = re.escape(str(np.shape(empty)))
+        message = rf"^{name} must not be empty, got shape {shape}$"
+        with pytest.raises(EmptyInputError, match=message):
             call(empty)
     call(valid)
 
@@ -406,32 +488,6 @@ def test_float_array_converts_ints_and_returns_a_float64_array_as_itself():
 
 
 class TestDataset:
-    @pytest.mark.parametrize(
-        "features, labels, num_classes, error",
-        [
-            ([[1.0], [2.0]], [0.5, 1.7], 2, InvalidParameterError),
-            ([[1.0], [2.0]], [0, np.nan], 2, InvalidParameterError),
-            ([[1.0], [2.0]], ["a", "b"], 2, InvalidParameterError),
-            ([["a"], ["b"]], [0, 1], 2, InvalidParameterError),
-            ([[1.0], [2.0, 3.0]], [0, 1], 2, InvalidParameterError),
-            ([[1.0], [np.inf]], [0, 1], 2, InvalidParameterError),
-            (np.zeros((2, 0)), [0, 1], 2, EmptyInputError),
-            ([[1.0], [2.0]], [0, 0], 0, InvalidParameterError),
-            ([[1.0], [2.0]], [0, 2], 2, InvalidParameterError),
-            ([[1.0], [2.0]], [0, 0], True, InvalidParameterError),
-            ([[1.0], [2.0]], [0, 1], 2.5, InvalidParameterError),
-            ([[1.0], [2.0]], [[0], [1, 0]], 2, InvalidParameterError),
-        ],
-        ids=["fractional-labels", "nan-label", "text-labels", "text-features", "ragged-rows",
-             "inf-feature", "no-feature-column", "no-classes",
-             "label-out-of-range", "bool-num-classes", "fractional-num-classes",
-             "ragged-labels"],
-    )
-    def test_bad_labels_and_features_raise_a_typed_error(
-            self, features, labels, num_classes, error):
-        with pytest.raises(error):
-            Dataset(features=features, labels=labels, num_classes=num_classes)
-
     def test_scalar_labels_raise_a_shape_error(self):
         with pytest.raises(InputShapeError, match=r"^labels must have shape \(\*,\), got \(\)$"):
             Dataset(features=[[1.0], [2.0]], labels=0, num_classes=1)
@@ -693,6 +749,16 @@ class TestCsv:
         np.testing.assert_array_equal(data.labels, [0, 1, 0])
         assert data.num_classes == 2
         np.testing.assert_allclose(data.features, [[1, 2], [3, 4], [5, 6]])
+
+    @pytest.mark.xfail(raises=CsvParseError, reason=(
+        "known defect: the body is cut at the blank line inside the quoted label, and load_csv "
+        "raises 'row 3: expected 2 fields, got 0'; np.loadtxt alone reads both records"))
+    def test_quoted_field_holding_a_blank_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text('f0,label\n1,"a\n\nb"\n2,c\n')
+        data = load_csv(path, "label")
+        np.testing.assert_array_equal(data.features, [[1.0], [2.0]])
+        np.testing.assert_array_equal(data.labels, [0, 1])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -244,6 +244,14 @@ BAD_FIELD_VALUES = [
     ("temp_kind", "x", "temp_kind must be one of ('multiplicative', 'inverse-linear'), got 'x'"),
     ("batch_size", 0, "batch_size must be an int >= 1, got 0"),
     ("hidden_units", 0, "hidden_units must be an int >= 1, got 0"),
+    ("hidden_units", -3, "hidden_units must be an int >= 1, got -3"),
+    ("temp_scale", "5", "temp_scale must be finite and above 1, got '5'"),
+    ("temp_interval", 2.5, "temp_interval must be an int >= 1, got 2.5"),
+    ("epochs", 2.5, "epochs must be an int >= 1, got 2.5"),
+    ("temp_start", "1", "temp_start must be finite and positive, got '1'"),
+    ("temp_start", True, "temp_start must be finite and positive, got True"),
+    ("temp_kind", "cosine",
+     "temp_kind must be one of ('multiplicative', 'inverse-linear'), got 'cosine'"),
     ("sampler", "dynamic-random",
      "sampler must be one of ('boost', 'random', 'stratified'), got 'dynamic-random'"),
     ("sampler", "dynamic-stratified",
@@ -252,11 +260,6 @@ BAD_FIELD_VALUES = [
 
 
 class TestExperimentConfig:
-    def test_hidden_units_below_one_rejected(self):
-        for bad in (0, -3):
-            with pytest.raises(InvalidParameterError):
-                small_config(hidden_units=bad)
-
     @pytest.mark.parametrize("field, value, message", BAD_FIELD_VALUES)
     def test_out_of_range_field_rejected_by_name(self, field, value, message):
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
@@ -281,8 +284,8 @@ class TestBuildDatasets:
     def test_std_that_overflows_the_perturbation_step_rejected(self, monkeypatch, epsilon, std):
         # each std entry is finite and positive, but epsilon / std is not finite
         monkeypatch.setattr(harness, "compute_feature_std", lambda train: np.array(std))
-        message = (f"epsilon {epsilon!r}: epsilon / grad_std overflows float64; "
-                   "lower epsilon or rescale the features")
+        message = (f"epsilon {epsilon!r}: epsilon / the train split's feature std overflows "
+                   "float64; lower epsilon or rescale the features")
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             build_datasets(small_config(epsilon=epsilon), seed=0)
 

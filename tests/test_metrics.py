@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boostlab.errors import ConfigurationError, EmptyInputError, InvalidParameterError
+from boostlab.errors import ConfigurationError
 from boostlab.metrics import PredictionLog, build_metrics_report, mab, sdb
 from boostlab.metrics import sodc_per_class, sodc_total
 
@@ -25,19 +25,6 @@ def one_hot_profiles(labels, nc, score=1.0):
     profiles = np.full((len(labels), nc), (1.0 - score) / (nc - 1))
     profiles[np.arange(len(labels)), labels] = score
     return profiles
-
-
-class TestPredictionLog:
-    def test_nan_profile_rejected(self):
-        profiles = np.array([[0.5, 0.5], [np.nan, np.nan]])
-        with pytest.raises(InvalidParameterError):
-            make_log([0, 1], [0, 1], profiles)
-
-    @pytest.mark.parametrize("field", ["true", "predicted"])
-    def test_labels_out_of_range_name_their_field(self, field):
-        labels = {"true": [0, 1], "predicted": [0, 1], field: [0, 2]}
-        with pytest.raises(InvalidParameterError, match=rf"{field} labels must lie in \[0, 2\)"):
-            make_log(labels["true"], labels["predicted"], np.full((2, 2), 0.5))
 
 
 def partition(log):
@@ -73,31 +60,6 @@ class TestIdOodCounts:
 
 
 class TestSodc:
-    def test_perfect_balanced_unit_scores(self):
-        labels = np.array([0, 0, 1, 1])
-        # unit score on the true class is the limiting case; use profiles that
-        # put (almost) everything on the correct class
-        profiles = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        log = make_log(labels, labels, profiles)
-        assert sodc_per_class(log)[0] == pytest.approx(0.5)
-        assert sodc_per_class(log)[1] == pytest.approx(0.5)
-
-    def test_fully_misclassified_class_scores_zero(self):
-        log = make_log([0, 0, 1, 1], [1, 1, 1, 1])
-        assert sodc_per_class(log)[0] == 0.0
-
-    def test_hand_value(self):
-        # n=4; class 0 has two correct samples with scores 0.9 and 0.7
-        profiles = np.array([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8], [0.6, 0.4]])
-        log = make_log([0, 0, 1, 1], [0, 0, 1, 0], profiles)
-        assert sodc_per_class(log)[0] == pytest.approx(1.6 / 4)
-        expected = oracle_sodc_per_class([0, 0, 1, 1], [0, 0, 1, 0], profiles.tolist(), 0)
-        assert sodc_per_class(log)[0] == pytest.approx(expected)
-
-    def test_total_is_product(self):
-        assert sodc_total([0.5, 0.5]) == pytest.approx(0.25)
-        assert sodc_total([0.4, 0.0, 0.9]) == 0.0
-        assert sodc_total([0.4, 0.5, 0.1]) == pytest.approx(0.02)
 
     def test_bounded_by_class_mass(self):
         rng = np.random.default_rng(4)
@@ -121,16 +83,6 @@ class TestSodc:
 
 
 class TestBiasScores:
-    def test_constant_vector_zero(self):
-        assert mab([80.0, 80.0, 80.0]) == 0.0
-        assert sdb([80.0, 80.0, 80.0]) == 0.0
-
-    def test_two_point_case(self):
-        assert mab([90.0, 70.0]) == pytest.approx(10.0)
-        assert sdb([90.0, 70.0]) == pytest.approx(10.0)
-
-    def test_sdb_population_divisor(self):
-        assert sdb([1.0, 2.0, 3.0, 4.0]) == pytest.approx(np.sqrt(1.25))
 
     def test_against_scalar_oracles(self):
         rng = np.random.default_rng(12)
@@ -152,15 +104,6 @@ class TestBiasScores:
             if np.ptp(values) > 1e-12:
                 assert mab(values) > 0
                 assert sdb(values) > 0
-
-    @pytest.mark.parametrize(
-        "metric, name",
-        [(mab, "per_class_metric"), (sdb, "per_class_metric"), (sodc_total, "per_class")],
-        ids=["mab", "sdb", "sodc_total"],
-    )
-    def test_empty_rejected(self, metric, name):
-        with pytest.raises(EmptyInputError, match=rf"^{name} must not be empty, got shape \(0,\)$"):
-            metric([])
 
 
 def rates(report, name):

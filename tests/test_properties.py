@@ -95,7 +95,8 @@ def test_config_is_valid_or_rejected_with_a_typed_error(fuzzed, data):
     except NumericOverflowError:  # e.g. a separation of 1e300 overflows the feature std
         return
     except InvalidParameterError as exc:  # an epsilon near the float range overflows the step
-        assert str(exc).startswith(f"epsilon {config.epsilon!r}: epsilon / grad_std overflows")
+        assert str(exc) == (f"epsilon {config.epsilon!r}: epsilon / the train split's feature "
+                            "std overflows float64; lower epsilon or rescale the features")
         return
     for split in (train, test):
         assert np.isfinite(split.features).all()
