@@ -3,7 +3,6 @@ change in the named boostlab modules?
 
     python ci/mutants.py data model calibration sampler metrics harness cli
     python ci/mutants.py --list sampler         # name the mutants, run none
-    python ci/mutants.py --root OTHER_CHECKOUT --out DIR sampler
 
 Each mutant changes one node of one module:
 - a binary, augmented or boolean operator swapped (+ and -, * and /, // and
@@ -23,9 +22,11 @@ Each mutant runs in its own throwaway copy of the checkout, made outside it,
 with `python -m pytest -x -q -p no:cacheprovider --hypothesis-seed 0 tests/`
 (less tests/test_mutants.py, which checks these lists), on at most two
 workers. A mutant is killed when that run fails or times out.
-The survivors are printed (or written, with --out) in the format of the
-committed ci/survivors/<module>.txt lists: one `name -- reason` per line,
-the reason taken from the checkout's list and left empty for a new survivor.
+The survivors are printed in the format of the committed
+ci/survivors/<module>.txt lists: one `name -- reason` per line, the reason
+taken from the checkout's list and left empty for a new survivor. To refresh
+a list, redirect the printed block; to sweep another checkout, run its copy
+of this script.
 Standard library only.
 """
 
@@ -119,9 +120,9 @@ class Mutant(NamedTuple):
     source: str  # the whole mutated module
 
 
-def generate(module: str, root: Path = ROOT) -> list[Mutant]:
-    """Every mutant of src/boostlab/<module>.py under root, in source order."""
-    source = module_path(root, module).read_text(encoding="utf-8")
+def generate(module: str) -> list[Mutant]:
+    """Every mutant of src/boostlab/<module>.py, in source order."""
+    source = module_path(ROOT, module).read_text(encoding="utf-8")
     data = source.encode("utf-8")  # ast's column offsets count UTF-8 bytes
     starts = [0]  # each line's offset in data
     for line in data.splitlines(keepends=True):
@@ -177,12 +178,12 @@ def read_survivors(path: Path) -> dict[str, str]:
     return {name: reason.strip() for name, _, reason in rows if name}
 
 
-def run_tests(root: Path, mutant: Mutant | None, timeout: float | None) -> tuple[bool, float]:
-    """(passed, seconds) of the Tier-1 run in a fresh copy of root, mutated by mutant."""
+def run_tests(mutant: Mutant | None, timeout: float | None) -> tuple[bool, float]:
+    """(passed, seconds) of the Tier-1 run in a fresh copy of the checkout, mutated by mutant."""
     scratch = Path(tempfile.mkdtemp(prefix="boostlab-mutant-"))
     try:
         copy_root = scratch / "checkout"
-        shutil.copytree(root, copy_root, ignore=IGNORE)
+        shutil.copytree(ROOT, copy_root, ignore=IGNORE)
         if mutant is not None:
             module_path(copy_root, mutant.module).write_text(mutant.source, encoding="utf-8")
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(copy_root / "src")}
@@ -201,24 +202,19 @@ def run_tests(root: Path, mutant: Mutant | None, timeout: float | None) -> tuple
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", help="boostlab module names, e.g. sampler")
-    parser.add_argument("--root", type=Path, default=ROOT,
-                        help="the checkout to mutate (default: this one)")
     parser.add_argument("--list", action="store_true",
                         help="print each mutant's name and run nothing")
-    parser.add_argument("--out", type=Path,
-                        help="write <module>.txt survivor lists here instead of printing")
     args = parser.parse_args(argv)
-    root = args.root.resolve()
-    mutants = {module: generate(module, root) for module in args.modules}
+    mutants = {module: generate(module) for module in args.modules}
     if args.list:
         for module, found in mutants.items():
             print("\n".join(f"{module}: {m.name}" for m in found))
         return 0
 
     began = time.perf_counter()
-    passed, baseline = run_tests(root, None, None)
+    passed, baseline = run_tests(None, None)
     if not passed:
-        print(f"the unmutated tests fail under {root}; nothing to sweep", file=sys.stderr)
+        print(f"the unmutated tests fail under {ROOT}; nothing to sweep", file=sys.stderr)
         return 1
     timeout = max(120.0, 5 * baseline)
     print(f"unmutated run {baseline:.1f} s; a mutant times out after {timeout:.0f} s",
@@ -226,7 +222,7 @@ def main(argv=None) -> int:
     jobs = [m for found in mutants.values() for m in found]
     survived = set()
     with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
-        futures = {pool.submit(run_tests, root, m, timeout): m for m in jobs}
+        futures = {pool.submit(run_tests, m, timeout): m for m in jobs}
         for k, future in enumerate(concurrent.futures.as_completed(futures), 1):
             mutant, (passed, seconds) = futures[future], future.result()
             if passed:
@@ -234,17 +230,12 @@ def main(argv=None) -> int:
             print(f"[{k}/{len(jobs)}] {'SURVIVED' if passed else 'killed'} {seconds:5.1f} s "
                   f"{mutant.module}: {mutant.name}", file=sys.stderr, flush=True)
 
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
     for module, found in mutants.items():
-        reasons = read_survivors(root / "ci" / "survivors" / f"{module}.txt")
+        reasons = read_survivors(ROOT / "ci" / "survivors" / f"{module}.txt")
         lines = [f"{m.name}{SEP}{reasons.get(m.name, '')}".rstrip() + "\n"
                  for m in found if (module, m.name) in survived]
         summary = f"{module}: {len(found)} mutants, {len(lines)} survivors"
-        if args.out:
-            (args.out / f"{module}.txt").write_text("".join(lines), encoding="utf-8")
-        else:
-            print(f"== ci/survivors/{module}.txt ({summary})\n{''.join(lines)}", end="")
+        print(f"== ci/survivors/{module}.txt ({summary})\n{''.join(lines)}", end="")
         print(summary, file=sys.stderr)
     print(f"swept {len(jobs)} mutants in {time.perf_counter() - began:.0f} s "
           f"on {WORKERS} workers", file=sys.stderr)

@@ -368,7 +368,7 @@ def test_bad_input_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys, mo
     setup, command, expected = EXIT_2[case]
     if setup is not None:
         setup(tmp_path, monkeypatch)
-    argv = shlex.split(command.replace("{tmp}", str(tmp_path)))
+    argv = shlex.split(command.replace("{tmp}", shlex.quote(str(tmp_path))))
     if argv[0] != "evaluate":
         argv += ["--out", str(tmp_path / "run")]
     capsys.readouterr()
